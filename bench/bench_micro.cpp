@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "core/driver.hpp"
 #include "core/schemes.hpp"
+#include "durability/crc32.hpp"
 #include "ida/dispersal.hpp"
 #include "ida/gf256.hpp"
 #include "majority/copy_store.hpp"
@@ -221,6 +222,20 @@ int main() {
       }
     }, 4);
     add_row(table, "ida_decode_region", params, md, 8.0 * b, 64.0 * b);
+  }
+
+  {
+    // The checkpoint/WAL frame check over one 64 KiB stream block.
+    util::Rng rng(4);
+    std::vector<std::uint8_t> block(std::size_t{1} << 16);
+    for (auto& byte : block) {
+      byte = static_cast<std::uint8_t>(rng.below(256));
+    }
+    const auto m = measure([&] {
+      do_not_optimize(durability::crc32(block.data(), block.size()));
+    }, 4);
+    add_row(table, "crc32_block", "64 KiB", m, 1.0,
+            static_cast<double>(block.size()));
   }
 
   {

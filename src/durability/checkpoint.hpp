@@ -9,9 +9,14 @@
 //   payload (the MemorySystem snapshot frame), u32 crc32(payload)
 //
 // Files are named `ckpt-<step>.bin` in the configured directory; the
-// newest `keep` checkpoints are retained. latest() returns the newest
-// file that VALIDATES end to end (header, length, CRC), so a checkpoint
-// torn mid-write falls back to its predecessor — the crash matrix's
+// newest `keep` checkpoints are retained. write() streams the snapshot
+// to `ckpt-<step>.bin.tmp` in one pass through a fixed 64 KiB buffer —
+// the CRC folds each block as it leaves, and the header's payload length
+// is filled in by seeking back — then renames the file into place. It
+// never holds the whole image in memory; the bytes on disk equal
+// file_image(). latest() returns the newest file that VALIDATES end to
+// end (header, length, CRC), read in blocks, so a checkpoint torn
+// mid-write falls back to its predecessor — the crash matrix's
 // kMidCheckpoint case.
 #pragma once
 
@@ -34,8 +39,10 @@ class Checkpointer {
  public:
   explicit Checkpointer(CheckpointConfig config, obs::Sink* sink = nullptr);
 
-  /// Serialize `memory` as of committed step `step` and write it
-  /// durably, then prune to the retention bound. Journals
+  /// Serialize `memory` as of committed step `step`, streaming it to a
+  /// temp file that is flushed (fflush, no fsync) and renamed into
+  /// place, then prune to the retention bound and remove temp files a
+  /// crashed write left behind. Journals
   /// kCheckpointBegin/kCheckpointEnd and bumps checkpoint.* counters.
   /// Returns the serialized byte count.
   std::uint64_t write(pram::MemorySystem& memory, std::uint64_t step);
@@ -47,7 +54,8 @@ class Checkpointer {
   [[nodiscard]] std::uint64_t last_bytes() const { return last_bytes_; }
 
   /// The complete on-disk image (header + payload + CRC) for `memory`
-  /// at `step` — the crash matrix writes torn PREFIXES of this image to
+  /// at `step`, built in memory — byte-identical to the file write()
+  /// streams. The crash matrix writes torn PREFIXES of this image to
   /// simulate a checkpoint interrupted mid-write.
   [[nodiscard]] static std::vector<std::uint8_t> file_image(
       pram::MemorySystem& memory, std::uint64_t step);
@@ -64,8 +72,9 @@ class Checkpointer {
   [[nodiscard]] static std::optional<Found> latest(
       const std::string& directory);
 
-  /// Validate `path` and restore its payload into `memory` (freshly
-  /// constructed, same configuration). False on any validation or
+  /// Validate `path` end to end, then stream its payload into
+  /// `memory` (freshly constructed, same configuration); restore never
+  /// sees an unvalidated byte. False on any validation or
   /// restore failure; `memory` may be partially written then and must
   /// be discarded.
   [[nodiscard]] static bool load(const std::string& path,

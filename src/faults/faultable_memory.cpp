@@ -6,6 +6,7 @@
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_entries.hpp"
 
 namespace pramsim::faults {
 
@@ -213,18 +214,11 @@ pram::ReliabilityStats FaultableMemory::reliability() const {
 void FaultableMemory::snapshot_body(pram::SnapshotSink& sink) {
   inner_->snapshot(sink);
 
-  std::vector<std::uint64_t> vars;
-  vars.reserve(checker_.ideal().size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [var, value] : checker_.ideal()) {
-    (void)value;
-    vars.push_back(var);
-  }
-  std::sort(vars.begin(), vars.end());
-  put_u64(sink, vars.size());
-  for (const std::uint64_t var : vars) {
+  const auto ideal = util::sorted_entries(checker_.ideal());
+  put_u64(sink, ideal.size());
+  for (const auto& [var, value] : ideal) {
     put_u64(sink, var);
-    put_word(sink, checker_.ideal().at(var));
+    put_word(sink, *value);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_entries.hpp"
 
 namespace pramsim::ida {
 
@@ -715,33 +716,18 @@ void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, config_.check_shares ? 1u : 0u);
   put_u64(sink, row_words_);
 
-  std::vector<std::uint64_t> regions;
-  regions.reserve(shares_.size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [region, row] : shares_) {
-    (void)row;
-    regions.push_back(region);
-  }
-  std::sort(regions.begin(), regions.end());
-  put_u64(sink, regions.size());
-  for (const std::uint64_t region : regions) {
+  const auto rows = util::sorted_entries(shares_);
+  put_u64(sink, rows.size());
+  for (const auto& [region, row] : rows) {
     put_u64(sink, region);
-    const auto& row = shares_.at(region);
-    sink.write(row.data(), row.size() * sizeof(pram::Word));
+    sink.write(row->data(), row->size() * sizeof(pram::Word));
   }
 
-  std::vector<std::uint64_t> keys;
-  keys.reserve(relocated_.size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [key, module] : relocated_) {
-    (void)module;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  put_u64(sink, keys.size());
-  for (const std::uint64_t key : keys) {
+  const auto relocated = util::sorted_entries(relocated_);
+  put_u64(sink, relocated.size());
+  for (const auto& [key, module] : relocated) {
     put_u64(sink, key);
-    put_u32(sink, relocated_.at(key).value());
+    put_u32(sink, module->value());
   }
 
   put_u64(sink, store_ops_);

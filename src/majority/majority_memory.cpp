@@ -8,6 +8,7 @@
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_entries.hpp"
 
 namespace pramsim::majority {
 
@@ -602,35 +603,20 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, r);
   put_u32(sink, w);
 
-  std::vector<std::uint64_t> regions;
-  regions.reserve(store_.rows().size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [region, row] : store_.rows()) {
-    (void)row;
-    regions.push_back(region);
-  }
-  std::sort(regions.begin(), regions.end());
-  put_u64(sink, regions.size());
-  for (const std::uint64_t region : regions) {
+  const auto rows = util::sorted_entries(store_.rows());
+  put_u64(sink, rows.size());
+  for (const auto& [region, row] : rows) {
     put_u64(sink, region);
-    const auto& row = store_.rows().at(region);
     // Copy is padding-free (static_assert in copy_store.hpp), so the row
     // serializes as one raw span of (value, stamp) pairs.
-    sink.write(row.data(), row.size() * sizeof(Copy));
+    sink.write(row->data(), row->size() * sizeof(Copy));
   }
 
-  std::vector<std::uint64_t> keys;
-  keys.reserve(relocated_.size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [key, module] : relocated_) {
-    (void)module;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  put_u64(sink, keys.size());
-  for (const std::uint64_t key : keys) {
+  const auto relocated = util::sorted_entries(relocated_);
+  put_u64(sink, relocated.size());
+  for (const auto& [key, module] : relocated) {
     put_u64(sink, key);
-    put_u32(sink, relocated_.at(key).value());
+    put_u32(sink, module->value());
   }
 
   put_u64(sink, scrub_cursor_);

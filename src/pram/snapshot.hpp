@@ -38,9 +38,8 @@ class SnapshotSource {
   [[nodiscard]] virtual bool read(void* data, std::size_t size) = 0;
 };
 
-/// In-memory sink: accumulates the snapshot bytes (checkpoint writers
-/// serialize here first so the file frame can prepend the payload
-/// length and append the CRC).
+/// In-memory sink: accumulates the snapshot bytes (in-memory round
+/// trips and tests; checkpoint files stream through a file sink).
 class BufferSink final : public SnapshotSink {
  public:
   void write(const void* data, std::size_t size) override {

@@ -7,8 +7,11 @@
 // lost committed-and-durable writes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "core/driver.hpp"
 #include "core/schemes.hpp"
 #include "durability/checkpoint.hpp"
+#include "durability/crc32.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "faults/fault_model.hpp"
@@ -272,6 +276,191 @@ TEST(Checkpoint, TornNewestFileFallsBackToPreviousValidOne) {
   const auto found = durability::Checkpointer::latest(dir);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->step, 8u);
+}
+
+// ----- CRC-32 and the streamed checkpoint file --------------------------
+
+/// The classic byte-at-a-time CRC-32, as an independent oracle for the
+/// sliced implementation.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::vector<std::uint8_t> bytes(fs::file_size(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  if (file != nullptr) {
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+  return bytes;
+}
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(durability::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(durability::crc32(check, 0), 0u);
+}
+
+// Every length and start alignment around the 8-byte stride, and every
+// split point of the streaming form, agree with the bytewise oracle.
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAlignmentAndSplit) {
+  std::vector<std::uint8_t> data(300);
+  std::uint32_t x = 12345;
+  for (auto& byte : data) {
+    x = x * 1103515245u + 12345u;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; start + len <= 80; ++len) {
+      ASSERT_EQ(durability::crc32(data.data() + start, len),
+                reference_crc32(data.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  const std::uint32_t whole = reference_crc32(data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    durability::Crc32 crc;
+    crc.update(data.data(), split);
+    crc.update(data.data() + split, data.size() - split);
+    ASSERT_EQ(crc.value(), whole) << "split " << split;
+  }
+}
+
+struct GoldenCheckpoint {
+  core::SchemeKind kind;
+  std::uint64_t bytes;
+  std::uint32_t crc;  ///< CRC-32 of the whole file
+};
+
+/// A fixed state: 24 steps of 64 writes each, through the step clock.
+std::unique_ptr<pram::MemorySystem> golden_memory(core::SchemeKind kind) {
+  auto memory = core::make_memory({.kind = kind, .n = 64, .seed = 3});
+  const std::vector<VarId> no_reads;
+  std::vector<pram::Word> no_values;
+  for (std::uint64_t step = 1; step <= 24; ++step) {
+    std::vector<pram::VarWrite> writes;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      writes.push_back(
+          {VarId(static_cast<std::uint32_t>((step * 37 + i * 101) %
+                                            memory->size())),
+           static_cast<pram::Word>(step * 1000 + i)});
+    }
+    memory->step(no_reads, no_values, writes);
+  }
+  return memory;
+}
+
+// The file format is pinned: these sizes and CRCs are those of the files
+// the buffered (whole-image) writer produced for the same state, before
+// checkpoints streamed. Both payloads span several 64 KiB stream blocks.
+TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
+  const std::string dir = scratch_dir("ckpt_golden");
+  for (const GoldenCheckpoint& golden :
+       {GoldenCheckpoint{core::SchemeKind::kDmmpc, 184412, 0x33ba2b1eu},
+        GoldenCheckpoint{core::SchemeKind::kIda, 74812, 0x507eaf2eu}}) {
+    auto memory = golden_memory(golden.kind);
+    durability::Checkpointer checkpointer({dir, 1});
+    EXPECT_EQ(checkpointer.write(*memory, 24), golden.bytes);
+
+    const auto file =
+        read_bytes(durability::Checkpointer::path_for(dir, 24));
+    EXPECT_EQ(file, durability::Checkpointer::file_image(*memory, 24));
+    EXPECT_EQ(file.size(), golden.bytes);
+    EXPECT_EQ(durability::crc32(file.data(), file.size()), golden.crc)
+        << core::to_string(golden.kind);
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+
+    auto restored =
+        core::make_memory({.kind = golden.kind, .n = 64, .seed = 3});
+    ASSERT_TRUE(durability::Checkpointer::load(
+        durability::Checkpointer::path_for(dir, 24), *restored));
+    EXPECT_EQ(durability::Checkpointer::file_image(*restored, 24), file);
+  }
+}
+
+// A crash mid-write leaves only a temp file: latest() never picks it
+// up, and the next completed write removes it.
+TEST(Checkpoint, TempFilesAreIgnoredAndSweptByTheNextWrite) {
+  const std::string dir = scratch_dir("ckpt_temp");
+  auto memory = core::make_memory(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+  memory->poke(VarId(1), 111);
+  durability::Checkpointer checkpointer({dir, 2});
+  checkpointer.write(*memory, 4);
+
+  const auto image = durability::Checkpointer::file_image(*memory, 8);
+  const std::string stale =
+      durability::Checkpointer::path_for(dir, 8) + ".tmp";
+  std::FILE* file = std::fopen(stale.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), file), image.size());
+  std::fclose(file);
+
+  auto found = durability::Checkpointer::latest(dir);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->step, 4u);
+
+  checkpointer.write(*memory, 12);
+  EXPECT_FALSE(fs::exists(stale));
+  found = durability::Checkpointer::latest(dir);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->step, 12u);
+}
+
+// Hostile bytes: a length field near 2^64 must read as a torn file, and
+// a flipped payload byte must fail load() before restore touches the
+// target (its state stays the freshly constructed one).
+TEST(Checkpoint, HostileLengthAndCorruptPayloadAreRejectedBeforeRestore) {
+  const std::string dir = scratch_dir("ckpt_hostile");
+  auto memory = core::make_memory(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+  memory->poke(VarId(3), 333);
+  durability::Checkpointer checkpointer({dir, 4});
+  checkpointer.write(*memory, 4);
+  const auto good = durability::Checkpointer::file_image(*memory, 8);
+
+  const std::string path = durability::Checkpointer::path_for(dir, 8);
+  const auto write_file = [&](const std::vector<std::uint8_t>& bytes) {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
+              bytes.size());
+    std::fclose(file);
+  };
+
+  for (const std::uint64_t length :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 1, ~std::uint64_t{0} - 3,
+        std::uint64_t{1} << 40}) {
+    auto hostile = good;
+    std::memcpy(hostile.data() + 16, &length, sizeof(length));
+    write_file(hostile);
+    const auto found = durability::Checkpointer::latest(dir);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->step, 4u) << "length " << length;
+    auto target = core::make_memory(
+        {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+    EXPECT_FALSE(durability::Checkpointer::load(path, *target));
+  }
+
+  auto corrupt = good;
+  corrupt[24 + 40] ^= 0x01;
+  write_file(corrupt);
+  auto target = core::make_memory(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+  EXPECT_FALSE(durability::Checkpointer::load(path, *target));
+  EXPECT_EQ(target->steps_served(), 0u);
+  EXPECT_EQ(target->peek(VarId(3)), 0);
 }
 
 TEST(Checkpoint, RetentionPrunesToTheNewestKeep) {

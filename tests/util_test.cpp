@@ -5,13 +5,16 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "util/bitset.hpp"
 #include "util/fit.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_entries.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strong_id.hpp"
@@ -200,6 +203,39 @@ TEST(Rng, SplitStreamsDecorrelated) {
     same += parent.next() == child.next() ? 1 : 0;
   }
   EXPECT_LT(same, 3);
+}
+
+// ------------------------------------------------------ sorted_entries ----
+
+// The radix order equals std::map's order for key spans needing one,
+// two and all six 11-bit passes (including key 0 and the top bit), and
+// every pointer addresses the mapped value of its own key.
+TEST(SortedEntries, MatchesOrderedMapAtEveryKeyWidth) {
+  EXPECT_TRUE(
+      sorted_entries(std::unordered_map<std::uint64_t, int>{}).empty());
+  Rng rng(5);
+  for (const std::uint64_t bound :
+       {std::uint64_t{1} << 11, std::uint64_t{1} << 20, ~std::uint64_t{0}}) {
+    std::unordered_map<std::uint64_t, int> hashed;
+    std::map<std::uint64_t, int> ordered;
+    for (int i = 0; i < 5000; ++i) {
+      const std::uint64_t key = rng.next() % bound;
+      hashed[key] = i;
+      ordered[key] = i;
+    }
+    hashed[0] = -1;
+    ordered[0] = -1;
+    hashed[bound - 1] = -2;
+    ordered[bound - 1] = -2;
+    const auto entries = sorted_entries(hashed);
+    ASSERT_EQ(entries.size(), ordered.size());
+    std::size_t i = 0;
+    for (const auto& [key, value] : ordered) {
+      ASSERT_EQ(entries[i].first, key) << "bound " << bound << " at " << i;
+      EXPECT_EQ(*entries[i].second, value);
+      ++i;
+    }
+  }
 }
 
 // -------------------------------------------------------------- bitset ----
