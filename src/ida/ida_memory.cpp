@@ -749,35 +749,41 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
     return false;
   }
 
+  // Rows and overlay keys arrive strictly ascending and in range, as
+  // snapshot_body writes them; anything else is a forged frame.
   shares_.clear();
   std::uint64_t n_rows = 0;
-  if (!get_u64(source, n_rows)) {
+  if (!get_u64(source, n_rows) || n_rows > n_regions_) {
     return false;
   }
+  std::uint64_t next_region = 0;
   for (std::uint64_t i = 0; i < n_rows; ++i) {
     std::uint64_t region = 0;
-    if (!get_u64(source, region) || region >= n_regions_) {
+    if (!get_ascending_key(source, next_region, n_regions_, region)) {
       return false;
     }
     std::vector<pram::Word> row(row_words_);
     if (!source.read(row.data(), row_words_ * sizeof(pram::Word))) {
       return false;
     }
-    shares_.insert_or_assign(region, std::move(row));
+    shares_.emplace(region, std::move(row));
   }
 
   relocated_.clear();
+  const std::uint64_t n_keys = n_blocks_ * config_.d;
   std::uint64_t n_relocated = 0;
-  if (!get_u64(source, n_relocated)) {
+  if (!get_u64(source, n_relocated) || n_relocated > n_keys) {
     return false;
   }
+  std::uint64_t next_key = 0;
   for (std::uint64_t i = 0; i < n_relocated; ++i) {
     std::uint64_t key = 0;
     std::uint32_t module = 0;
-    if (!get_u64(source, key) || !get_u32(source, module)) {
+    if (!get_ascending_key(source, next_key, n_keys, key) ||
+        !get_u32(source, module) || module >= num_modules()) {
       return false;
     }
-    relocated_.insert_or_assign(key, ModuleId(module));
+    relocated_.emplace(key, ModuleId(module));
   }
 
   return get_u64(source, store_ops_) && get_u64(source, scrub_cursor_);

@@ -1,5 +1,6 @@
 #include "majority/copy_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -10,10 +11,46 @@ CopyStore::CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
     : m_vars_(m_vars),
       r_(redundancy),
       w_(region_words),
-      n_regions_((m_vars + region_words - 1) / region_words) {
+      n_regions_((m_vars + region_words - 1) / region_words),
+      row_len_(static_cast<std::size_t>(redundancy) * region_words) {
   PRAMSIM_ASSERT(m_vars >= 1);
   PRAMSIM_ASSERT(redundancy >= 1 && redundancy <= 64);
   PRAMSIM_ASSERT(region_words >= 1);
+  const std::size_t rows_per_page = std::bit_floor(
+      std::max<std::size_t>(kPageBytes / (sizeof(Copy) * row_len_), 1));
+  shift_ = static_cast<unsigned>(std::countr_zero(rows_per_page));
+  row_mask_ = rows_per_page - 1;
+}
+
+Copy* CopyStore::materialize(std::uint64_t region) {
+  PRAMSIM_ASSERT(region < n_regions_);
+  const std::uint64_t page = region >> shift_;
+  if (page >= pages_.size()) {
+    pages_.resize(page + 1);
+  }
+  if (pages_[page] == nullptr) {
+    // Value-initialized: every row of a fresh page reads {0, 0}.
+    pages_[page] = std::make_unique<Copy[]>((row_mask_ + 1) * row_len_);
+  }
+  const std::uint64_t word = region >> 6;
+  if (word >= touched_.size()) {
+    touched_.resize(word + 1, 0);
+  }
+  touched_[word] |= 1ULL << (region & 63);
+  ++touched_rows_;
+  return find_row(region);
+}
+
+void CopyStore::restore_row(std::uint64_t region,
+                            std::span<const Copy> copies) {
+  PRAMSIM_ASSERT(region < n_regions_ && copies.size() == row_len_);
+  std::memcpy(row(region), copies.data(), copies.size_bytes());
+}
+
+void CopyStore::clear_rows() {
+  pages_.clear();
+  touched_.clear();
+  touched_rows_ = 0;
 }
 
 Copy CopyStore::freshest(VarId var, std::uint64_t mask) const {
@@ -44,8 +81,9 @@ Copy CopyStore::ground_truth(VarId var) const {
 void CopyStore::corrupt(VarId var, std::uint32_t copy,
                         pram::Word bogus_value) {
   PRAMSIM_ASSERT(var.index() < m_vars_ && copy < r_);
-  row(var)[static_cast<std::size_t>(copy) * w_ + var.index() % w_].value =
-      bogus_value;
+  row(region_of(var))[static_cast<std::size_t>(copy) * w_ +
+                      var.index() % w_]
+      .value = bogus_value;
 }
 
 CopyStore::VoteOutcome CopyStore::vote(VarId var,
@@ -109,13 +147,12 @@ std::int32_t CopyStore::vote_region(std::uint64_t region,
   if (live == 0) {
     return kNoRegionMajority;  // no survivors: caller flags uncorrectable
   }
-  const auto it = copies_.find(region);
-  if (it == copies_.end()) {
+  if (!region_touched(region)) {
     // Untouched region: every live copy reads the initial {0, 0} span —
     // unanimous by definition; the lowest live copy represents it.
     return std::countr_zero(live_mask);
   }
-  const Copy* data = it->second.data();
+  const Copy* data = find_row(region);
   const std::size_t slice_bytes = sizeof(Copy) * w_;
   const std::uint32_t majority = live / 2 + 1;
   // Only the first live - majority + 1 live copies can lead a strict
@@ -162,11 +199,10 @@ void CopyStore::copy_region(std::uint64_t region, std::uint32_t from,
   if (from == to) {
     return;
   }
-  const auto it = copies_.find(region);
-  if (it == copies_.end()) {
+  if (!region_touched(region)) {
     return;  // untouched: all copies already read the initial span
   }
-  Copy* data = it->second.data();
+  Copy* data = find_row(region);
   std::memcpy(data + static_cast<std::size_t>(to) * w_,
               data + static_cast<std::size_t>(from) * w_, sizeof(Copy) * w_);
 }
@@ -191,7 +227,7 @@ std::uint32_t CopyStore::store_all(VarId var,
       ++corrupt_stores;
     }
     if (col == nullptr) {
-      col = row(var).data() + var.index() % w_;
+      col = row(region_of(var)) + var.index() % w_;
     }
     col[static_cast<std::size_t>(i) * w_] = Copy{committed, stamp};
   }

@@ -16,9 +16,10 @@
 // word-at-a-time semantics.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "pram/faults.hpp"
@@ -37,11 +38,21 @@ static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
               "Copy must be padding-free so region memcmp compares exactly "
               "the (value, stamp) pairs");
 
-/// Sparse (region, copy-index) -> Copy storage. A region's r copy slices
-/// are materialized on its first write; untouched regions read as the
-/// initial {0, 0} copy. This keeps full-scale memories (m up to n^2 for
-/// n in the thousands) cheap to construct: storage is proportional to the
-/// regions a run actually writes, not to m*r.
+/// Paged (region, copy-index) -> Copy storage. Region rows (r copy
+/// slices of region_words() copies each) live in fixed pages of as many
+/// whole rows as fit in kPageBytes (at least one, a power of two so a
+/// shift finds the page). A page is allocated zero-filled on the first
+/// write to any of its rows, so every row never written reads the
+/// initial {0, 0} copy. Row storage is proportional to the pages a run
+/// writes, and the page directory and per-region touched bits grow only
+/// as far as the highest region written — nothing is sized by m*r, which
+/// keeps full-scale memories (m up to n^2 for n in the thousands) cheap
+/// to construct.
+///
+/// Pages never move once allocated, so references and row pointers stay
+/// valid until clear_rows(). The directory and the touched bits change
+/// only in the materializing calls (write, corrupt, store_all,
+/// ensure_row, restore_row) — never in reads or write_prepared.
 class CopyStore {
  public:
   CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
@@ -57,45 +68,46 @@ class CopyStore {
   /// Regions with at least one written copy (live-set accounting; with
   /// region_words == 1 this is exactly "variables with >= 1 written
   /// copy", the classic meaning).
-  [[nodiscard]] std::uint64_t touched_vars() const { return copies_.size(); }
-  /// True when `var`'s region has a materialized row (>= 1 copy of some
+  [[nodiscard]] std::uint64_t touched_vars() const { return touched_rows_; }
+  /// True when `var`'s region row was materialized (>= 1 copy of some
   /// variable in the region ever written). Untouched variables read as
   /// the initial {0, 0} copy everywhere, so repair passes can restore
-  /// their redundancy by relocation alone.
+  /// their redundancy by relocation alone. A row sharing a page with
+  /// written neighbours stays untouched until it is written itself.
   [[nodiscard]] bool touched(VarId var) const {
-    return copies_.find(region_of(var)) != copies_.end();
+    return region_touched(region_of(var));
   }
 
   [[nodiscard]] const Copy& at(VarId var, std::uint32_t copy) const {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    const auto it = copies_.find(region_of(var));
-    if (it == copies_.end()) {
+    const Copy* col = column(var);
+    if (col == nullptr) {
       static const Copy kInitial{};
       return kInitial;
     }
-    return it->second[static_cast<std::size_t>(copy) * w_ +
-                      var.index() % w_];
+    return col[static_cast<std::size_t>(copy) * w_];
   }
 
   void write(VarId var, std::uint32_t copy, pram::Word value,
              std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    row(var)[static_cast<std::size_t>(copy) * w_ + var.index() % w_] =
-        Copy{value, stamp};
+    row(region_of(var))[static_cast<std::size_t>(copy) * w_ +
+                        var.index() % w_] = Copy{value, stamp};
   }
 
   // ----- group-parallel serve surface -----
   //
-  // The sparse map's structure must not mutate while group workers write
-  // concurrently, so the parallel value phase is two-phase: the serving
-  // thread materializes every written variable's region row up front
-  // (ensure_row), then workers update DISTINCT variables' slots in place
-  // (write_prepared) — pure lookups, no insertion, no growth. Distinct
-  // variables of a SHARED region row touch disjoint Copy slots, so the
-  // frozen-structure rule carries over to any region width unchanged.
+  // The page directory and touched bits must not change while group
+  // workers write concurrently, so the parallel value phase is two-phase:
+  // the serving thread materializes every written variable's region row
+  // up front (ensure_row: allocates the page, grows the directory, sets
+  // the touched bit), then workers update DISTINCT variables' slots in
+  // place (write_prepared) — pure lookups, no allocation, no growth.
+  // Distinct variables of a SHARED row or page touch disjoint Copy slots,
+  // so the frozen-structure rule carries over to any region width.
 
   /// Materialize `var`'s region row (serving thread only, before fan-out).
-  void ensure_row(VarId var) { (void)row(var); }
+  void ensure_row(VarId var) { (void)row(region_of(var)); }
 
   /// In-place write for a row ensure_row already materialized. Safe to
   /// call concurrently with other write_prepared/reads on DIFFERENT
@@ -103,10 +115,9 @@ class CopyStore {
   void write_prepared(VarId var, std::uint32_t copy, pram::Word value,
                       std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    const auto it = copies_.find(region_of(var));
-    PRAMSIM_DASSERT(it != copies_.end());
-    it->second[static_cast<std::size_t>(copy) * w_ + var.index() % w_] =
-        Copy{value, stamp};
+    PRAMSIM_DASSERT(region_touched(region_of(var)));
+    find_row(region_of(var))[static_cast<std::size_t>(copy) * w_ +
+                             var.index() % w_] = Copy{value, stamp};
   }
 
   /// The freshest value among the copies selected by `mask` (bit i =>
@@ -200,11 +211,10 @@ class CopyStore {
   [[nodiscard]] std::span<const Copy> region_span(std::uint64_t region,
                                                   std::uint32_t copy) const {
     PRAMSIM_DASSERT(region < n_regions_ && copy < r_);
-    const auto it = copies_.find(region);
-    if (it == copies_.end()) {
+    if (!region_touched(region)) {
       return {};
     }
-    return {it->second.data() + static_cast<std::size_t>(copy) * w_, w_};
+    return {find_row(region) + static_cast<std::size_t>(copy) * w_, w_};
   }
 
   /// Bulk repair: memcpy copy `from`'s whole region slice over copy
@@ -215,51 +225,75 @@ class CopyStore {
 
   // ----- snapshot surface (durability checkpoints) -----
 
-  /// The materialized region rows (region id -> r * region_words copies,
-  /// copy-major). Serializers iterate region ids in sorted order so the
-  /// snapshot byte stream is canonical regardless of map iteration order.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, std::vector<Copy>>&
-  rows() const {
-    return copies_;
+  /// Visit every materialized region row in ascending region order as
+  /// fn(region, row), where row holds redundancy() * region_words()
+  /// copies, copy-major. The order is canonical, so a serializer's byte
+  /// stream depends only on the stored state.
+  template <typename Fn>
+  void for_each_row(Fn&& fn) const {
+    for (std::size_t word = 0; word < touched_.size(); ++word) {
+      for (std::uint64_t bits = touched_[word]; bits != 0;
+           bits &= bits - 1) {
+        const std::uint64_t region =
+            word * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+        fn(region, std::span<const Copy>(find_row(region), row_len_));
+      }
+    }
   }
 
   /// Install one serialized region row — values AND stamps — replacing
   /// any existing row. Restore-only: `copies` must hold exactly
   /// redundancy() * region_words() entries.
-  void restore_row(std::uint64_t region, std::span<const Copy> copies) {
-    PRAMSIM_ASSERT(region < n_regions_ &&
-                   copies.size() ==
-                       static_cast<std::size_t>(r_) * w_);
-    copies_.insert_or_assign(region,
-                             std::vector<Copy>(copies.begin(), copies.end()));
-  }
+  void restore_row(std::uint64_t region, std::span<const Copy> copies);
 
   /// Drop every materialized row (restore resets to this blank state
   /// before installing the snapshot's rows, so a second restore onto the
   /// same instance is exact, not additive).
-  void clear_rows() { copies_.clear(); }
+  void clear_rows();
 
  private:
-  [[nodiscard]] std::vector<Copy>& row(VarId var) {
-    return copies_
-        .try_emplace(region_of(var), static_cast<std::size_t>(r_) * w_)
-        .first->second;
+  /// Upper bound on one page's row bytes.
+  static constexpr std::size_t kPageBytes = 4096;
+
+  [[nodiscard]] bool region_touched(std::uint64_t region) const {
+    const std::uint64_t word = region >> 6;
+    return word < touched_.size() && ((touched_[word] >> (region & 63)) & 1);
   }
-  /// Pointer to `var`'s Copy for copy 0, or nullptr when the region is
-  /// untouched; copy i lives at base[i * region_words()].
-  [[nodiscard]] const Copy* column(VarId var) const {
-    const auto it = copies_.find(region_of(var));
-    if (it == copies_.end()) {
+  /// The region's row in its page, or nullptr when the page is absent. A
+  /// row in an allocated page that was never written reads all {0, 0}.
+  /// Never allocates, so it is safe during a group-parallel fan-out.
+  [[nodiscard]] Copy* find_row(std::uint64_t region) const {
+    const std::uint64_t page = region >> shift_;
+    if (page >= pages_.size() || pages_[page] == nullptr) {
       return nullptr;
     }
-    return it->second.data() + var.index() % w_;
+    return pages_[page].get() + (region & row_mask_) * row_len_;
+  }
+  /// The region's row, materialized (page allocated, touched bit set).
+  [[nodiscard]] Copy* row(std::uint64_t region) {
+    return region_touched(region) ? find_row(region) : materialize(region);
+  }
+  /// Allocate the region's page if absent and set its (clear) touched
+  /// bit. Serving thread only: may grow the directory and the bits.
+  [[nodiscard]] Copy* materialize(std::uint64_t region);
+  /// Pointer to `var`'s Copy for copy 0, or nullptr when its page is
+  /// absent; copy i lives at base[i * region_words()].
+  [[nodiscard]] const Copy* column(VarId var) const {
+    const Copy* base = find_row(region_of(var));
+    return base == nullptr ? nullptr : base + var.index() % w_;
   }
 
   std::uint64_t m_vars_;
   std::uint32_t r_;
   std::uint32_t w_;
   std::uint64_t n_regions_;
-  std::unordered_map<std::uint64_t, std::vector<Copy>> copies_;
+  std::size_t row_len_;     ///< copies per region row: r * region_words
+  unsigned shift_;          ///< log2(rows per page)
+  std::uint64_t row_mask_;  ///< rows per page - 1
+  /// Page directory, indexed by region >> shift_; null = no row written.
+  std::vector<std::unique_ptr<Copy[]>> pages_;
+  std::vector<std::uint64_t> touched_;  ///< one bit per materialized region
+  std::uint64_t touched_rows_ = 0;      ///< set bits in touched_
 };
 
 }  // namespace pramsim::majority

@@ -288,13 +288,13 @@ std::uint64_t MajorityMemory::serve_groups_parallel(
   const std::uint64_t stamp = steps_served();
   const std::size_t n_reads = plan.reads.size();
 
-  // Two-phase for the sparse store: rows this step will write are
+  // Two-phase for the paged store: rows this step will write are
   // materialized up front on the serving thread, so group workers only
-  // mutate distinct pre-existing rows (the map's structure is frozen
-  // during the fan-out). Under the degraded protocol a write whose every
-  // module is dead stores nothing — leave its row unmaterialized so the
-  // sparse-store state matches the serial path exactly (scrub treats
-  // untouched rows specially).
+  // mutate distinct pre-existing rows (the page directory and touched
+  // bits are frozen during the fan-out). Under the degraded protocol a
+  // write whose every module is dead stores nothing — leave its row
+  // untouched so the store's state matches the serial path exactly
+  // (scrub treats untouched rows specially).
   if (hooks_ == nullptr) {
     for (const auto& w : plan.writes) {
       store_.ensure_row(w.var);
@@ -527,7 +527,7 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
     if (!store_.touched(var)) {
       // Untouched row: every real copy is the initial {0, 0} == the
       // winner, so relocation alone restores full redundancy and the
-      // sparse store stays sparse.
+      // row stays untouched.
     } else if (outcome.erased > 0) {
       // Copies on dead modules missed write-through while dead: after
       // relocation their stored words are stale and must be re-stamped.
@@ -572,7 +572,7 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
     reliability_.units_relocated += relocated;
     if (!store_.touched(var)) {
       // Relocation-only repair: the initial copies already agree with
-      // the winner, so writing them would just densify the store.
+      // the winner, so writing them would only materialize the row.
       if (relocated > 0) {
         ++result.repaired;
         ++reliability_.units_repaired;
@@ -603,14 +603,13 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, r);
   put_u32(sink, w);
 
-  const auto rows = util::sorted_entries(store_.rows());
-  put_u64(sink, rows.size());
-  for (const auto& [region, row] : rows) {
+  put_u64(sink, store_.touched_vars());
+  store_.for_each_row([&](std::uint64_t region, std::span<const Copy> row) {
     put_u64(sink, region);
     // Copy is padding-free (static_assert in copy_store.hpp), so the row
     // serializes as one raw span of (value, stamp) pairs.
-    sink.write(row->data(), row->size() * sizeof(Copy));
-  }
+    sink.write(row.data(), row.size_bytes());
+  });
 
   const auto relocated = util::sorted_entries(relocated_);
   put_u64(sink, relocated.size());
@@ -631,16 +630,20 @@ bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
     return false;
   }
 
+  // Rows and overlay keys arrive strictly ascending and in range, as
+  // snapshot_body writes them; anything else is a forged frame.
   store_.clear_rows();
   std::uint64_t n_rows = 0;
-  if (!get_u64(source, n_rows)) {
+  if (!get_u64(source, n_rows) || n_rows > store_.num_regions()) {
     return false;
   }
   const std::size_t row_len = static_cast<std::size_t>(r) * w;
   std::vector<Copy> row(row_len);
+  std::uint64_t next_region = 0;
   for (std::uint64_t i = 0; i < n_rows; ++i) {
     std::uint64_t region = 0;
-    if (!get_u64(source, region) || region >= store_.num_regions() ||
+    if (!get_ascending_key(source, next_region, store_.num_regions(),
+                           region) ||
         !source.read(row.data(), row_len * sizeof(Copy))) {
       return false;
     }
@@ -648,17 +651,20 @@ bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
   }
 
   relocated_.clear();
+  const std::uint64_t n_keys = store_.num_vars() * r;
   std::uint64_t n_relocated = 0;
-  if (!get_u64(source, n_relocated)) {
+  if (!get_u64(source, n_relocated) || n_relocated > n_keys) {
     return false;
   }
+  std::uint64_t next_key = 0;
   for (std::uint64_t i = 0; i < n_relocated; ++i) {
     std::uint64_t key = 0;
     std::uint32_t module = 0;
-    if (!get_u64(source, key) || !get_u32(source, module)) {
+    if (!get_ascending_key(source, next_key, n_keys, key) ||
+        !get_u32(source, module) || module >= num_modules()) {
       return false;
     }
-    relocated_.insert_or_assign(key, ModuleId(module));
+    relocated_.emplace(key, ModuleId(module));
   }
 
   return get_u64(source, scrub_cursor_) && get_u64(source, scrub_stores_);

@@ -99,4 +99,20 @@ inline void put_word(SnapshotSink& sink, Word v) { sink.write(&v, sizeof(v)); }
   return source.read(&v, sizeof(v));
 }
 
+/// Read the next key of a strictly ascending key sequence whose keys all
+/// lie below `limit` (the row ids and overlay keys native bodies write in
+/// order). False on a short read, on a key below `next` (a repeated or
+/// descending key, which no snapshot body emits) and on a key at or past
+/// `limit`; on success `next` becomes key + 1.
+[[nodiscard]] inline bool get_ascending_key(SnapshotSource& source,
+                                            std::uint64_t& next,
+                                            std::uint64_t limit,
+                                            std::uint64_t& key) {
+  if (!get_u64(source, key) || key < next || key >= limit) {
+    return false;
+  }
+  next = key + 1;
+  return true;
+}
+
 }  // namespace pramsim::pram

@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -23,6 +25,7 @@
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "faults/fault_model.hpp"
+#include "faults/faultable_memory.hpp"
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/snapshot.hpp"
@@ -336,14 +339,20 @@ TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAlignmentAndSplit) {
 }
 
 struct GoldenCheckpoint {
-  core::SchemeKind kind;
+  const char* name;
+  /// Builds the freshly constructed instance (the writer's and the
+  /// restore target's).
+  std::function<std::unique_ptr<pram::MemorySystem>()> make;
+  bool faulted;  ///< modules die mid-run, so the scrub pass relocates
   std::uint64_t bytes;
   std::uint32_t crc;  ///< CRC-32 of the whole file
 };
 
-/// A fixed state: 24 steps of 64 writes each, through the step clock.
-std::unique_ptr<pram::MemorySystem> golden_memory(core::SchemeKind kind) {
-  auto memory = core::make_memory({.kind = kind, .n = 64, .seed = 3});
+/// A fixed state: 24 steps of 64 writes each, through the step clock,
+/// then one scrub pass over the whole memory (a no-op without faults).
+std::unique_ptr<pram::MemorySystem> golden_memory(
+    const GoldenCheckpoint& golden, pram::ScrubResult& scrubbed) {
+  auto memory = golden.make();
   const std::vector<VarId> no_reads;
   std::vector<pram::Word> no_values;
   for (std::uint64_t step = 1; step <= 24; ++step) {
@@ -356,18 +365,49 @@ std::unique_ptr<pram::MemorySystem> golden_memory(core::SchemeKind kind) {
     }
     memory->step(no_reads, no_values, writes);
   }
+  scrubbed = memory->scrub(memory->size());
   return memory;
+}
+
+std::unique_ptr<pram::MemorySystem> golden_scheme(
+    core::SchemeKind kind, std::uint32_t region_words = 1) {
+  return core::make_memory(
+      {.kind = kind, .n = 64, .seed = 3, .region_words = region_words});
 }
 
 // The file format is pinned: these sizes and CRCs are those of the files
 // the buffered (whole-image) writer produced for the same state, before
-// checkpoints streamed. Both payloads span several 64 KiB stream blocks.
+// checkpoints streamed, and (for the region-width and faulted rows) those
+// the hash-map CopyStore produced before rows moved into pages. Every
+// payload spans several 64 KiB stream blocks. The faulted row carries a
+// non-empty relocation overlay: modules die mid-run and the final scrub
+// pass re-homes their copies.
 TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
   const std::string dir = scratch_dir("ckpt_golden");
-  for (const GoldenCheckpoint& golden :
-       {GoldenCheckpoint{core::SchemeKind::kDmmpc, 184412, 0x33ba2b1eu},
-        GoldenCheckpoint{core::SchemeKind::kIda, 74812, 0x507eaf2eu}}) {
-    auto memory = golden_memory(golden.kind);
+  const auto faulted_dmmpc = [] {
+    return std::make_unique<faults::FaultableMemory>(
+        golden_scheme(core::SchemeKind::kDmmpc),
+        faults::FaultSpec{.seed = 41,
+                          .module_kill_rate = 0.1,
+                          .onset_min = 4,
+                          .onset_max = 16});
+  };
+  const GoldenCheckpoint table[] = {
+      {"dmmpc",
+       [] { return golden_scheme(core::SchemeKind::kDmmpc); }, false,
+       184412, 0x33ba2b1eu},
+      {"ida", [] { return golden_scheme(core::SchemeKind::kIda); }, false,
+       74812, 0x507eaf2eu},
+      {"dmmpc_w8",
+       [] { return golden_scheme(core::SchemeKind::kDmmpc, 8); }, false,
+       462940, 0x755998fdu},
+      {"dmmpc_faulted_scrubbed", faulted_dmmpc, true, 245596, 0xf04877c7u},
+  };
+  for (const GoldenCheckpoint& golden : table) {
+    SCOPED_TRACE(golden.name);
+    pram::ScrubResult scrubbed;
+    auto memory = golden_memory(golden, scrubbed);
+    EXPECT_EQ(scrubbed.relocated > 0, golden.faulted);
     durability::Checkpointer checkpointer({dir, 1});
     EXPECT_EQ(checkpointer.write(*memory, 24), golden.bytes);
 
@@ -375,14 +415,12 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
         read_bytes(durability::Checkpointer::path_for(dir, 24));
     EXPECT_EQ(file, durability::Checkpointer::file_image(*memory, 24));
     EXPECT_EQ(file.size(), golden.bytes);
-    EXPECT_EQ(durability::crc32(file.data(), file.size()), golden.crc)
-        << core::to_string(golden.kind);
+    EXPECT_EQ(durability::crc32(file.data(), file.size()), golden.crc);
     for (const auto& entry : fs::directory_iterator(dir)) {
       EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     }
 
-    auto restored =
-        core::make_memory({.kind = golden.kind, .n = 64, .seed = 3});
+    auto restored = golden.make();
     ASSERT_TRUE(durability::Checkpointer::load(
         durability::Checkpointer::path_for(dir, 24), *restored));
     EXPECT_EQ(durability::Checkpointer::file_image(*restored, 24), file);
@@ -461,6 +499,109 @@ TEST(Checkpoint, HostileLengthAndCorruptPayloadAreRejectedBeforeRestore) {
   EXPECT_FALSE(durability::Checkpointer::load(path, *target));
   EXPECT_EQ(target->steps_served(), 0u);
   EXPECT_EQ(target->peek(VarId(3)), 0);
+}
+
+// ----- native restore bodies reject frames no snapshot produces ---------
+
+struct ForgedBody {
+  const char* name;
+  std::uint64_t n_rows;  ///< the row count the frame claims
+  std::vector<std::uint64_t> rows;  ///< row ids, each row zero-filled
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> relocations;
+  bool accepted;
+};
+
+std::uint32_t u32_at(const std::vector<std::uint8_t>& bytes,
+                     std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+// Hand-built frames for the majority and IDA native bodies: the frame
+// header, the body's configuration fields and its trailing cursors come
+// from the memory's own fresh snapshot (which holds no rows and no
+// relocations); the rows and relocation entries in between are forged.
+// Every rejected frame is one that no snapshot body can write: a repeated
+// or descending row id or relocation key, more rows than the memory has
+// regions, a relocation key past the key space, or a module past the
+// module count.
+TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
+  for (const core::SchemeKind kind :
+       {core::SchemeKind::kDmmpc, core::SchemeKind::kIda}) {
+    SCOPED_TRACE(core::to_string(kind));
+    const core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
+    auto fresh = core::make_memory(spec);
+    pram::BufferSink blank;
+    fresh->snapshot(blank);
+    const std::vector<std::uint8_t>& bytes = blank.bytes();
+    const std::uint64_t m = fresh->size();
+    const std::uint32_t modules = fresh->num_modules();
+    // Majority body: r, w, rows...; IDA body: b, d, region_blocks,
+    // check_shares, row_words, rows... (both after the 24-byte header).
+    const bool ida = kind == core::SchemeKind::kIda;
+    std::size_t rows_at = 0;
+    std::size_t row_bytes = 0;
+    std::uint64_t regions = 0;
+    std::uint64_t keys = 0;
+    if (ida) {
+      const std::uint64_t blocks = (m + u32_at(bytes, 24) - 1) /
+                                   u32_at(bytes, 24);
+      std::uint64_t row_words = 0;
+      std::memcpy(&row_words, bytes.data() + 40, sizeof(row_words));
+      rows_at = 48;
+      row_bytes = row_words * sizeof(pram::Word);
+      regions = (blocks + u32_at(bytes, 32) - 1) / u32_at(bytes, 32);
+      keys = blocks * u32_at(bytes, 28);
+    } else {
+      const std::uint32_t r = u32_at(bytes, 24);
+      const std::uint32_t w = u32_at(bytes, 28);
+      rows_at = 32;
+      row_bytes = std::size_t{r} * w * 2 * sizeof(std::uint64_t);
+      regions = (m + w - 1) / w;
+      keys = m * r;
+    }
+    // The fresh body's row count and relocation count are both zero.
+    ASSERT_EQ(bytes.size(), rows_at + 16 + 16);
+
+    std::vector<std::uint64_t> every_row_then_a_repeat;
+    for (std::uint64_t region = 0; region < regions; ++region) {
+      every_row_then_a_repeat.push_back(region);
+    }
+    every_row_then_a_repeat.push_back(regions - 1);
+    const ForgedBody cases[] = {
+        {"well_formed", 2, {1, 5}, {{3, 0}, {keys - 1, modules - 1}}, true},
+        {"repeated_row", 2, {5, 5}, {}, false},
+        {"descending_row", 2, {5, 1}, {}, false},
+        {"more_rows_than_regions", regions + 1, every_row_then_a_repeat, {},
+         false},
+        {"repeated_key", 0, {}, {{3, 0}, {3, 1}}, false},
+        {"descending_key", 0, {}, {{7, 0}, {3, 0}}, false},
+        {"key_past_key_space", 0, {}, {{keys, 0}}, false},
+        {"module_past_modules", 0, {}, {{3, modules}}, false},
+    };
+    for (const ForgedBody& forged : cases) {
+      SCOPED_TRACE(forged.name);
+      pram::BufferSink sink;
+      sink.write(bytes.data(), rows_at);
+      pram::put_u64(sink, forged.n_rows);
+      const std::vector<std::uint8_t> zero_row(row_bytes, 0);
+      for (const std::uint64_t region : forged.rows) {
+        pram::put_u64(sink, region);
+        sink.write(zero_row.data(), zero_row.size());
+      }
+      pram::put_u64(sink, forged.relocations.size());
+      for (const auto& [key, module] : forged.relocations) {
+        pram::put_u64(sink, key);
+        pram::put_u32(sink, module);
+      }
+      sink.write(bytes.data() + rows_at + 16, 16);
+
+      auto target = core::make_memory(spec);
+      pram::BufferSource source(sink.bytes());
+      EXPECT_EQ(target->restore(source), forged.accepted);
+    }
+  }
 }
 
 TEST(Checkpoint, RetentionPrunesToTheNewestKeep) {

@@ -3,10 +3,14 @@
 // oracle under random operation streams), and failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "majority/copy_store.hpp"
@@ -149,6 +153,327 @@ TEST(CopyStore, WidthOneAndWidthFourAgreeOnEveryQuery) {
     EXPECT_EQ(narrow.ground_truth(var).value, wide.ground_truth(var).value);
     EXPECT_EQ(narrow.ground_truth(var).stamp, wide.ground_truth(var).stamp);
   }
+}
+
+// ------------------------------------- paged store vs a reference -----
+
+/// Scripted fault hooks with copy i on module i: `dead` kills modules by
+/// bit, `stuck` pins copies of even entities to -7, and every fifth
+/// (entity + copy + reroll) store commits a flipped word.
+class ScriptedHooks final : public pram::FaultHooks {
+ public:
+  std::uint64_t dead = 0;
+  std::uint64_t stuck = 0;
+
+  [[nodiscard]] bool module_dead(ModuleId module,
+                                 std::uint64_t /*step*/) const override {
+    return ((dead >> module.index()) & 1) != 0;
+  }
+  [[nodiscard]] bool stuck_at(std::uint64_t entity, std::uint32_t copy,
+                              std::uint64_t /*step*/,
+                              Word& value) const override {
+    if (((stuck >> copy) & 1) == 0 || entity % 2 != 0) {
+      return false;
+    }
+    value = -7;
+    return true;
+  }
+  [[nodiscard]] bool corrupt_write(std::uint64_t entity, std::uint32_t copy,
+                                   std::uint64_t reroll,
+                                   std::uint64_t /*step*/,
+                                   Word& value) const override {
+    if ((entity + copy + reroll) % 5 != 0) {
+      return false;
+    }
+    value ^= 0x55;
+    return true;
+  }
+};
+
+/// The reference: an ordered map from region to its copy-major row,
+/// materialized exactly when a store must materialize it.
+struct ReferenceStore {
+  std::uint64_t m;
+  std::uint32_t r;
+  std::uint32_t w;
+  std::map<std::uint64_t, std::vector<Copy>> rows;
+
+  std::vector<Copy>& row(std::uint64_t var) {
+    return rows.try_emplace(var / w, std::size_t{r} * w).first->second;
+  }
+  [[nodiscard]] Copy at(std::uint64_t var, std::uint32_t copy) const {
+    const auto it = rows.find(var / w);
+    return it == rows.end() ? Copy{}
+                            : it->second[std::size_t{copy} * w + var % w];
+  }
+  /// Copy `copy`'s slice of `region` ({0, 0} words past an absent row).
+  [[nodiscard]] std::vector<Copy> slice(std::uint64_t region,
+                                        std::uint32_t copy) const {
+    const auto it = rows.find(region);
+    if (it == rows.end()) {
+      return std::vector<Copy>(w);
+    }
+    const auto first = it->second.begin() + std::size_t{copy} * w;
+    return {first, first + w};
+  }
+};
+
+std::pair<Word, std::uint64_t> key(const Copy& copy) {
+  return {copy.value, copy.stamp};
+}
+
+/// The reference vote: the ballot with the most voters wins; ties go to
+/// the fresher stamp, then to the smaller value.
+CopyStore::VoteOutcome reference_vote(const ReferenceStore& ref,
+                                      std::uint64_t var,
+                                      const ScriptedHooks& hooks) {
+  CopyStore::VoteOutcome out;
+  std::map<std::pair<Word, std::uint64_t>, std::uint32_t> tally;
+  for (std::uint32_t i = 0; i < ref.r; ++i) {
+    if (hooks.module_dead(ModuleId(i), 0)) {
+      ++out.erased;
+      continue;
+    }
+    Copy ballot = ref.at(var, i);
+    Word stuck = 0;
+    if (hooks.stuck_at(var, i, 0, stuck)) {
+      ballot.value = stuck;
+    }
+    ++tally[key(ballot)];
+    ++out.survivors;
+  }
+  std::uint32_t best = 0;
+  for (const auto& [ballot, count] : tally) {
+    if (count > best ||
+        (count == best && (ballot.second > out.winner.stamp ||
+                           (ballot.second == out.winner.stamp &&
+                            ballot.first < out.winner.value)))) {
+      best = count;
+      out.winner = Copy{ballot.first, ballot.second};
+    }
+  }
+  out.dissenting = out.survivors - best;
+  return out;
+}
+
+/// The reference region vote: the lowest live copy whose slice a strict
+/// majority of the live slices equals, and the live copies that differ.
+std::int32_t reference_vote_region(const ReferenceStore& ref,
+                                   std::uint64_t region,
+                                   std::uint64_t live_mask,
+                                   std::uint32_t& dissenting) {
+  dissenting = 0;
+  std::vector<std::uint32_t> live;
+  for (std::uint32_t i = 0; i < ref.r; ++i) {
+    if (((live_mask >> i) & 1) != 0) {
+      live.push_back(i);
+    }
+  }
+  for (const std::uint32_t i : live) {
+    const auto base = ref.slice(region, i);
+    std::uint32_t matches = 0;
+    for (const std::uint32_t j : live) {
+      const auto other = ref.slice(region, j);
+      matches += std::equal(base.begin(), base.end(), other.begin(),
+                            [](const Copy& a, const Copy& b) {
+                              return key(a) == key(b);
+                            })
+                     ? 1
+                     : 0;
+    }
+    if (2 * matches > live.size()) {
+      dissenting = static_cast<std::uint32_t>(live.size()) - matches;
+      return static_cast<std::int32_t>(i);
+    }
+  }
+  return CopyStore::kNoRegionMajority;
+}
+
+/// Every query of the paged store against the reference.
+void expect_same_as_reference(const CopyStore& store,
+                              const ReferenceStore& ref, util::Rng& rng,
+                              ScriptedHooks& hooks) {
+  const std::uint64_t all = (1ULL << ref.r) - 1;
+  ASSERT_EQ(store.touched_vars(), ref.rows.size());
+  hooks.dead = rng.below(all + 1);
+  std::vector<ModuleId> modules;
+  for (std::uint32_t i = 0; i < ref.r; ++i) {
+    modules.emplace_back(i);
+  }
+  for (std::uint64_t v = 0; v < ref.m; ++v) {
+    const VarId var(static_cast<std::uint32_t>(v));
+    ASSERT_EQ(store.touched(var), ref.rows.count(v / ref.w) == 1) << v;
+    Copy fresh_ref;
+    const std::uint64_t mask = 1 + rng.below(all);
+    bool found = false;
+    for (std::uint32_t c = 0; c < ref.r; ++c) {
+      ASSERT_EQ(key(store.at(var, c)), key(ref.at(v, c))) << v << "/" << c;
+      const Copy held = ref.at(v, c);
+      if (((mask >> c) & 1) != 0 && (!found || held.stamp > fresh_ref.stamp)) {
+        fresh_ref = held;
+        found = true;
+      }
+    }
+    ASSERT_EQ(key(store.freshest(var, mask)), key(fresh_ref)) << v;
+    const auto vote = store.vote(var, modules, 0, hooks);
+    const auto expected = reference_vote(ref, v, hooks);
+    ASSERT_EQ(key(vote.winner), key(expected.winner)) << v;
+    ASSERT_EQ(vote.survivors, expected.survivors) << v;
+    ASSERT_EQ(vote.erased, expected.erased) << v;
+    ASSERT_EQ(vote.dissenting, expected.dissenting) << v;
+  }
+  for (std::uint64_t region = 0; region < store.num_regions(); ++region) {
+    const std::uint64_t live = rng.below(all + 1);
+    std::uint32_t dissent = 99;
+    std::uint32_t expected_dissent = 0;
+    const std::int32_t winner =
+        reference_vote_region(ref, region, live, expected_dissent);
+    ASSERT_EQ(store.vote_region(region, live, &dissent), winner) << region;
+    ASSERT_EQ(store.vote_region(region, live), winner) << region;
+    if (winner != CopyStore::kNoRegionMajority) {
+      ASSERT_EQ(dissent, expected_dissent) << region;
+    }
+    const bool materialized = ref.rows.count(region) == 1;
+    for (std::uint32_t c = 0; c < ref.r; ++c) {
+      const auto span = store.region_span(region, c);
+      ASSERT_EQ(span.size(), materialized ? ref.w : 0) << region;
+      const auto slice = ref.slice(region, c);
+      for (std::size_t i = 0; i < span.size(); ++i) {
+        ASSERT_EQ(key(span[i]), key(slice[i])) << region << "/" << c;
+      }
+    }
+  }
+  auto next = ref.rows.begin();
+  store.for_each_row([&](std::uint64_t region, std::span<const Copy> row) {
+    ASSERT_NE(next, ref.rows.end());
+    ASSERT_EQ(region, next->first);
+    ASSERT_EQ(row.size(), next->second.size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ASSERT_EQ(key(row[i]), key(next->second[i])) << region << "@" << i;
+    }
+    ++next;
+  });
+  ASSERT_EQ(next, ref.rows.end());
+}
+
+class PagedStoreTest
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
+                                                 std::uint32_t>> {};
+
+// One seeded operation stream against the store and the reference, at a
+// memory size whose last page (and, for wide regions, last region) is
+// partial, comparing every query after every operation.
+TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
+  const auto [w, r] = GetParam();
+  const std::uint64_t m = 301;
+  CopyStore store(m, r, w);
+  ReferenceStore ref{m, r, w, {}};
+  util::Rng rng(1000 + 10 * w + r);
+  ScriptedHooks hooks;
+  std::vector<ModuleId> modules;
+  for (std::uint32_t i = 0; i < r; ++i) {
+    modules.emplace_back(i);
+  }
+  const std::uint64_t all = (1ULL << r) - 1;
+  std::uint64_t corrupt_ref = 0;
+  std::uint64_t corrupt_store = 0;
+  for (int op = 0; op < 300; ++op) {
+    const std::uint64_t v = rng.below(m);
+    const VarId var(static_cast<std::uint32_t>(v));
+    const auto copy = static_cast<std::uint32_t>(rng.below(r));
+    const auto value = static_cast<Word>(rng.below(3));
+    const std::uint64_t stamp = rng.below(3);
+    const std::uint64_t kind = rng.below(20);
+    SCOPED_TRACE(::testing::Message() << "op " << op << " kind " << kind);
+    if (kind < 6) {
+      store.write(var, copy, value, stamp);
+      ref.row(v)[std::size_t{copy} * w + v % w] = Copy{value, stamp};
+    } else if (kind < 9) {
+      store.ensure_row(var);
+      store.write_prepared(var, copy, value, stamp);
+      ref.row(v)[std::size_t{copy} * w + v % w] = Copy{value, stamp};
+    } else if (kind < 14) {
+      // Some or all modules dead; one time in three every one of them.
+      hooks.dead = rng.below(3) == 0 ? all : rng.below(all + 1);
+      hooks.stuck = 0;
+      const std::uint64_t reroll = rng.below(10);
+      const std::uint32_t dropped = store.store_all(
+          var, modules, value, stamp, reroll, 0, hooks, corrupt_store);
+      std::uint32_t expected_dropped = 0;
+      for (std::uint32_t c = 0; c < r; ++c) {
+        if (hooks.module_dead(ModuleId(c), 0)) {
+          ++expected_dropped;
+          continue;
+        }
+        Word committed = value;
+        corrupt_ref += hooks.corrupt_write(v, c, reroll, 0, committed);
+        ref.row(v)[std::size_t{c} * w + v % w] = Copy{committed, stamp};
+      }
+      ASSERT_EQ(dropped, expected_dropped);
+      ASSERT_EQ(corrupt_store, corrupt_ref);
+    } else if (kind < 16) {
+      store.corrupt(var, copy, value + 10);
+      ref.row(v)[std::size_t{copy} * w + v % w].value = value + 10;
+    } else if (kind < 18) {
+      const std::uint64_t region = v / w;
+      const auto to = static_cast<std::uint32_t>(rng.below(r));
+      store.copy_region(region, copy, to);
+      const auto it = ref.rows.find(region);
+      if (it != ref.rows.end()) {
+        std::copy_n(it->second.begin() + std::size_t{copy} * w, w,
+                    it->second.begin() + std::size_t{to} * w);
+      }
+    } else if (kind < 19) {
+      std::vector<Copy> row(std::size_t{r} * w);
+      for (auto& entry : row) {
+        entry = Copy{static_cast<Word>(rng.below(3)), rng.below(3)};
+      }
+      store.restore_row(v / w, row);
+      ref.rows[v / w] = row;
+    } else {
+      store.clear_rows();
+      ref.rows.clear();
+    }
+    hooks.stuck = rng.below(all + 1);
+    expect_same_as_reference(store, ref, rng, hooks);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsTimesRedundancy, PagedStoreTest,
+    ::testing::Combine(::testing::Values(1u, 4u, 64u),
+                       ::testing::Values(3u, 5u, 7u)),
+    [](const auto& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) + "_r" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// A row whose page a written neighbour already allocated reads the
+// initial copies; an all-dead store_all into it must not materialize it.
+TEST(PagedStore, AllDeadStoreIntoASharedPageLeavesTheRowUntouched) {
+  CopyStore store(64, 3);
+  store.write(VarId(0), 0, 5, 1);
+  ScriptedHooks hooks;
+  hooks.dead = 0b111;
+  const std::vector<ModuleId> modules = {ModuleId(0), ModuleId(1),
+                                         ModuleId(2)};
+  std::uint64_t corrupt = 0;
+  EXPECT_EQ(store.store_all(VarId(1), modules, 9, 2, 2, 0, hooks, corrupt),
+            3u);
+  EXPECT_FALSE(store.touched(VarId(1)));
+  EXPECT_TRUE(store.touched(VarId(0)));
+  EXPECT_EQ(store.touched_vars(), 1u);
+  EXPECT_EQ(key(store.at(VarId(1), 2)), key(Copy{}));
+  EXPECT_TRUE(store.region_span(1, 0).empty());
+  std::vector<std::uint64_t> walked;
+  store.for_each_row(
+      [&](std::uint64_t region, std::span<const Copy>) {
+        walked.push_back(region);
+      });
+  EXPECT_EQ(walked, std::vector<std::uint64_t>{0});
 }
 
 // -------------------------------------------------------- scheduler -----
