@@ -267,14 +267,20 @@ int main() {
     for (std::uint32_t i = 0; i < n; ++i) {
       reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
     }
+    // MajorityMemory::serve's entry: the scratch-backed round into a
+    // reused result.
+    majority::EngineResult out;
     const auto m = measure([&] {
-      do_not_optimize(inst.engine->run_step(reqs));
+      inst.engine->run_step_into(reqs, out);
+      do_not_optimize(out);
     }, 1);
     add_row(table, "dmmpc_schedule_step", "n=" + std::to_string(n), m, n,
             8.0 * n);
   }
 
-  for (const std::uint32_t n : {64u, 128u, 256u}) {
+  // MajorityMemory::step's entry, which pram::Machine drives; n = 1024 is
+  // the benchmark's machine_sort_2dmot size.
+  for (const std::uint32_t n : {64u, 128u, 256u, 1024u}) {
     auto inst = core::make_scheme({.kind = core::SchemeKind::kHpMot, .n = n});
     util::Rng rng(8);
     const auto vars = rng.sample_without_replacement(inst.m, n);

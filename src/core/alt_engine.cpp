@@ -33,15 +33,8 @@ majority::EngineResult AltBdnEngine::run_step(
   const auto schedule =
       majority::schedule_step(*map_, requests, scheduler_);
   majority::EngineResult result;
+  majority::copy_schedule(schedule, result);
   result.time = schedule.rounds * cycles_per_round_;
-  result.work = schedule.total_copy_accesses;
-  result.accessed_mask = schedule.accessed_mask;
-  result.stats.phases = schedule.rounds;
-  result.stats.stage1_phases = schedule.stage1_rounds;
-  result.stats.stage2_phases = schedule.stage2_rounds;
-  result.stats.live_after_stage1 = schedule.live_after_stage1;
-  result.stats.max_queue = schedule.max_module_queue;
-  result.stats.live_per_phase = schedule.live_per_round;
   return result;
 }
 

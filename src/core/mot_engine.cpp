@@ -1,7 +1,6 @@
 #include "core/mot_engine.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "core/prom.hpp"
 #include "network/paths.hpp"
@@ -61,6 +60,10 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
   phase_budget_ = config_.phase_budget_cycles != 0
                       ? config_.phase_budget_cycles
                       : 2 * round_trip + config_.cluster_size;
+  protocol_config_ = {.c = config_.c,
+                      .cluster_size = config_.cluster_size,
+                      .n_processors = config_.n_processors,
+                      .stage1_turns = config_.stage1_turns};
   phase_overhead_ =
       config_.phase_overhead_cycles != ~0ULL
           ? config_.phase_overhead_cycles
@@ -70,216 +73,144 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
                  : 0);
 }
 
-std::vector<net::EdgeKey> MotEngine::round_trip_path(
-    std::uint32_t proc, std::uint32_t module) const {
-  net::Path request;
+void MotEngine::round_trip_path(std::uint32_t proc, std::uint32_t module,
+                                net::Path& out) const {
+  out.clear();
   switch (config_.scheme) {
     case MotScheme::kHpLeaves: {
       const std::uint32_t side = shape_.rows;
-      request = net::hp_request_path(side, proc, module / side, module % side,
-                                     config_.lca_turnaround);
+      net::append_hp_request_path(out, side, proc, module / side,
+                                  module % side, config_.lca_turnaround);
       break;
     }
     case MotScheme::kLppRoots:
     case MotScheme::kCrossbar:
-      request = net::root_module_request_path(shape_, proc, module);
+      net::append_root_module_request_path(out, shape_, proc, module);
       break;
   }
   // Reply retraces everything but the module port.
-  net::Path back(request.begin(), request.end() - 1);
-  net::append(request, net::reversed(back));
-  return request;
+  const std::size_t one_way = out.size();
+  out.reserve(2 * one_way - 1);
+  for (std::size_t i = one_way - 1; i > 0; --i) {
+    out.push_back(net::flipped(out[i - 1]));
+  }
 }
 
-majority::EngineResult MotEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  const std::uint32_t r = map_->redundancy();
-  const std::uint32_t c = config_.c;
-  const std::uint32_t s = std::max<std::uint32_t>(config_.cluster_size, 1);
-
-  majority::EngineResult result;
-  result.accessed_mask.assign(requests.size(), 0);
-  if (requests.empty()) {
-    return result;
+net::Packet& MotEngine::packet_at(std::uint32_t i) {
+  if (i == packets_.size()) {
+    packets_.emplace_back();
   }
+  net::Packet& packet = packets_[i];
+  packet.id = i;
+  packet.injected_at = 0;
+  packet.next_edge = 0;
+  packet.waiting_since = 0;
+  packet.delivered_at = std::numeric_limits<std::uint64_t>::max();
+  return packet;
+}
 
-  // ---- optional P-ROM address-translation phase ----------------------
-  // Before any copy access, every requester fetches its variable's map
-  // entry from the distributed table (one routed round trip to the
-  // entry's home module). This is the paper's conclusion-section scheme;
-  // with it, processors need no local O(m log rM)-bit tables.
-  if (config_.prom_lookup) {
-    std::vector<net::Packet> lookups;
-    lookups.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto home =
-          prom_home_module(requests[i].var, map_->num_modules());
-      net::Packet packet;
-      packet.id = static_cast<std::uint32_t>(i);
-      packet.path = round_trip_path(
-          requests[i].requester.value() % config_.n_processors,
-          home.value());
-      lookups.push_back(std::move(packet));
-    }
-    const auto report = net::route_all(lookups, /*max_cycles=*/1'000'000);
-    PRAMSIM_ASSERT_MSG(report.delivered == lookups.size(),
-                       "P-ROM lookup phase failed to complete");
-    result.time += report.cycles;
-    prom_cycles_ += report.cycles;
-  }
+/// The 2DMOT round: one routed phase. Every live request in `active`
+/// sends one packet per unaccessed copy, the phase routes them all within
+/// the cycle budget, and each delivered packet accesses its copy (in
+/// packet order; deliveries past a request's c-th count as neither access
+/// nor work).
+class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
+ public:
+  explicit RoutedPhase(MotEngine& engine)
+      : engine_(engine), budget_(engine.phase_budget_) {}
 
-  struct State {
-    std::uint32_t cluster = 0;
-    std::uint32_t member = 0;
-    std::uint32_t accessed = 0;
-    std::uint64_t mask = 0;
-    bool dead = false;
-    std::vector<ModuleId> copies;
-  };
-  std::vector<State> states(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    states[i].cluster = requests[i].requester.value() / s;
-    states[i].member = requests[i].requester.value() % s;
-    states[i].copies = map_->copies(requests[i].var);
-  }
-
-  const std::uint32_t n_clusters = (config_.n_processors + s - 1) / s;
-  std::uint64_t budget = phase_budget_;
-  std::uint32_t packet_id = 0;
-
-  // Runs one routed phase for the given active request indices; returns
-  // the number of copy accesses completed.
-  auto run_phase = [&](const std::vector<std::uint32_t>& active) {
-    std::vector<net::Packet> packets;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> origin;  // req, copy
+  majority::RoundOutcome round(majority::ClusterProtocol& protocol,
+                               std::span<const std::uint32_t> active,
+                               majority::Stage stage) override {
+    MotEngine& e = engine_;
+    const std::uint32_t r = protocol.redundancy();
+    const std::uint32_t s = protocol.cluster_size();
+    const auto requests = protocol.requests();
+    std::uint32_t count = 0;
+    e.origin_.clear();
     for (const auto idx : active) {
-      State& st = states[idx];
-      if (st.dead) {
-        continue;
-      }
+      const std::uint32_t cluster = requests[idx].requester.value() / s;
+      const std::uint64_t mask = protocol.mask(idx);
+      const auto copies = protocol.copies(idx);
       for (std::uint32_t copy = 0; copy < r; ++copy) {
-        if ((st.mask >> copy) & 1ULL) {
+        if ((mask >> copy) & 1ULL) {
           continue;
         }
         // Cluster member `copy mod s` handles this copy: the packet
         // starts from that processor's row-tree root. Members take turns
         // injecting (injected_at staggers same-source packets).
         const std::uint32_t proc =
-            (st.cluster * s + copy % s) % config_.n_processors;
-        net::Packet packet;
-        packet.id = packet_id++;
+            (cluster * s + copy % s) % e.config_.n_processors;
+        net::Packet& packet = e.packet_at(count++);
         packet.injected_at = copy / s;  // serialize a member's own packets
-        packet.path = round_trip_path(proc, st.copies[copy].value());
-        packets.push_back(std::move(packet));
-        origin.emplace_back(static_cast<std::uint32_t>(idx), copy);
+        e.round_trip_path(proc, copies[copy].value(), packet.path);
+        e.origin_.emplace_back(idx, copy);
       }
     }
-    if (packets.empty()) {
-      return std::uint64_t{0};
-    }
-    const auto report = net::route_all(packets, budget);
-    result.time += report.cycles + phase_overhead_;
-    result.stats.max_queue =
-        std::max(result.stats.max_queue, report.max_edge_queue);
-    std::uint64_t completed = 0;
-    for (std::size_t p = 0; p < packets.size(); ++p) {
-      if (!packets[p].delivered()) {
-        continue;
-      }
-      State& st = states[origin[p].first];
-      if (st.dead) {
-        continue;  // copies beyond c still count as work, not access
-      }
-      st.mask |= 1ULL << origin[p].second;
-      ++st.accessed;
-      ++completed;
-      ++result.work;
-      if (st.accessed >= c) {
-        st.dead = true;
+    // Live requests always have an unaccessed copy to send for.
+    PRAMSIM_DASSERT(count > 0);
+    const auto report =
+        net::route_all({e.packets_.data(), count}, budget_, 0, e.route_);
+    cycles_ += report.cycles + e.phase_overhead_;
+    majority::RoundOutcome outcome{.max_queue = report.max_edge_queue};
+    for (std::uint32_t p = 0; p < count; ++p) {
+      if (e.packets_[p].delivered() &&
+          protocol.access(e.origin_[p].first, e.origin_[p].second)) {
+        ++outcome.served;
       }
     }
-    ++result.stats.phases;
-    result.stats.live_per_phase.push_back(static_cast<std::uint64_t>(
-        std::count_if(states.begin(), states.end(),
-                      [](const State& st) { return !st.dead; })));
-    return completed;
-  };
-
-  auto all_dead = [&] {
-    return std::all_of(states.begin(), states.end(),
-                       [](const State& st) { return st.dead; });
-  };
-
-  // ---- stage 1: interleaved cluster turns ----------------------------
-  std::unordered_map<std::uint64_t, std::uint32_t> slot;
-  for (std::uint32_t i = 0; i < states.size(); ++i) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(states[i].cluster) << 32) |
-        states[i].member;
-    slot[key] = i;
-  }
-  const std::uint64_t stage1_phases =
-      static_cast<std::uint64_t>(config_.stage1_turns) * s;
-  std::vector<std::uint32_t> active;
-  for (std::uint64_t phase = 0; phase < stage1_phases && !all_dead();
-       ++phase) {
-    active.clear();
-    for (std::uint32_t k = 0; k < n_clusters; ++k) {
-      const auto member = static_cast<std::uint32_t>((phase + k) % s);
-      const auto it =
-          slot.find((static_cast<std::uint64_t>(k) << 32) | member);
-      if (it != slot.end() && !states[it->second].dead) {
-        active.push_back(it->second);
-      }
-    }
-    if (active.empty()) {
-      continue;
-    }
-    run_phase(active);
-    ++result.stats.stage1_phases;
-  }
-  result.stats.live_after_stage1 = static_cast<std::uint64_t>(
-      std::count_if(states.begin(), states.end(),
-                    [](const State& st) { return !st.dead; }));
-
-  // ---- stage 2: drain leftovers, one variable per cluster ------------
-  std::vector<std::uint32_t> pending;
-  for (std::uint32_t i = 0; i < states.size(); ++i) {
-    if (!states[i].dead) {
-      pending.push_back(i);
-    }
-  }
-  std::size_t next_pending = 0;
-  std::vector<std::uint32_t> assigned;
-  auto refill = [&] {
-    assigned.erase(
-        std::remove_if(assigned.begin(), assigned.end(),
-                       [&](std::uint32_t i) { return states[i].dead; }),
-        assigned.end());
-    while (assigned.size() < n_clusters && next_pending < pending.size()) {
-      const auto i = pending[next_pending++];
-      if (!states[i].dead) {
-        assigned.push_back(i);
-      }
-    }
-  };
-  refill();
-  while (!assigned.empty()) {
-    const auto completed = run_phase(assigned);
-    ++result.stats.stage2_phases;
-    if (completed == 0) {
+    if (stage == majority::Stage::kDrain && outcome.served == 0) {
       // Phase budget too tight for the current congestion; widen it so
       // the protocol always terminates (never triggers at the defaults).
-      budget *= 2;
+      budget_ *= 2;
     }
-    refill();
+    return outcome;
   }
 
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    PRAMSIM_ASSERT(states[i].accessed >= c);
-    result.accessed_mask[i] = states[i].mask;
-  }
+  /// Network cycles of every phase so far.
+  [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
+
+ private:
+  MotEngine& engine_;
+  std::uint64_t budget_;
+  std::uint64_t cycles_ = 0;
+};
+
+majority::EngineResult MotEngine::run_step(
+    std::span<const majority::VarRequest> requests) {
+  majority::EngineResult result;
+  run_step_into(requests, result);
   return result;
+}
+
+void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
+                              majority::EngineResult& out) {
+  std::uint64_t prom = 0;
+  // ---- optional P-ROM address-translation phase ----------------------
+  // Before any copy access, every requester fetches its variable's map
+  // entry from the distributed table (one routed round trip to the
+  // entry's home module). This is the paper's conclusion-section scheme;
+  // with it, processors need no local O(m log rM)-bit tables.
+  if (config_.prom_lookup && !requests.empty()) {
+    for (std::uint32_t i = 0; i < requests.size(); ++i) {
+      const auto home =
+          prom_home_module(requests[i].var, map_->num_modules());
+      round_trip_path(requests[i].requester.value() % config_.n_processors,
+                      home.value(), packet_at(i).path);
+    }
+    const auto report =
+        net::route_all({packets_.data(), requests.size()},
+                       /*max_cycles=*/1'000'000, 0, route_);
+    PRAMSIM_ASSERT_MSG(report.delivered == requests.size(),
+                       "P-ROM lookup phase failed to complete");
+    prom = report.cycles;
+    prom_cycles_ += report.cycles;
+  }
+
+  RoutedPhase phase(*this);
+  protocol_.run(*map_, requests, protocol_config_, phase, schedule_);
+  majority::copy_schedule(schedule_, out);
+  out.time = prom + phase.cycles();
 }
 
 }  // namespace pramsim::core

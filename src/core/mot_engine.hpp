@@ -20,19 +20,24 @@
 //    modules at the M column-tree roots. Constant redundancy, but O(nM)
 //    switches — the expensive way to buy granularity.
 //
-// The engine drives the same two-stage cluster protocol as the DMMPC
-// scheduler, but each phase routes real packets under FIFO link
-// arbitration and unit-capacity module ports; elapsed time is network
-// cycles. A per-phase control overhead of ceil(log2 n) cycles accounts
-// for the prefix/sorting control work the LPP machinery performs on the
-// trees between phases (see DESIGN.md substitutions).
+// The engine drives the DMMPC scheduler's two-stage cluster protocol
+// (majority::ClusterProtocol) with a routed phase as its round: each
+// phase routes real packets under FIFO link arbitration and
+// unit-capacity module ports; elapsed time is network cycles. A
+// per-phase control overhead of ceil(log2 n) cycles accounts for the
+// prefix/sorting control work the LPP machinery performs on the trees
+// between phases (see DESIGN.md substitutions).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "majority/engine.hpp"
 #include "memmap/memory_map.hpp"
+#include "network/paths.hpp"
+#include "network/router.hpp"
 #include "network/topology.hpp"
 
 namespace pramsim::core {
@@ -76,6 +81,11 @@ class MotEngine final : public majority::AccessEngine {
   [[nodiscard]] majority::EngineResult run_step(
       std::span<const majority::VarRequest> requests) override;
 
+  /// Schedules over per-instance scratch (protocol state, packets and the
+  /// router's claim table); run_step returns the same result by value.
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
+
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
   }
@@ -90,16 +100,29 @@ class MotEngine final : public majority::AccessEngine {
   [[nodiscard]] std::uint64_t prom_cycles() const { return prom_cycles_; }
 
  private:
-  [[nodiscard]] std::vector<net::EdgeKey> round_trip_path(
-      std::uint32_t proc, std::uint32_t module) const;
+  class RoutedPhase;
+
+  /// Request route from `proc` to `module` and the reply back, into `out`.
+  void round_trip_path(std::uint32_t proc, std::uint32_t module,
+                       net::Path& out) const;
+  /// Packet scratch slot `i`, reset for a fresh route.
+  net::Packet& packet_at(std::uint32_t i);
 
   std::shared_ptr<const memmap::MemoryMap> map_;
   MotEngineConfig config_;
+  majority::SchedulerConfig protocol_config_;
   net::MotShape shape_;
   std::uint64_t request_hops_ = 0;
   std::uint64_t phase_budget_ = 0;
   std::uint64_t phase_overhead_ = 0;
   std::uint64_t prom_cycles_ = 0;
+
+  majority::ClusterProtocol protocol_;
+  majority::ScheduleResult schedule_;
+  std::vector<net::Packet> packets_;
+  /// Per packet of the current phase: (request, copy) it accesses.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> origin_;
+  net::RouteScratch route_;
 };
 
 }  // namespace pramsim::core

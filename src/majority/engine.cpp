@@ -6,34 +6,7 @@
 
 namespace pramsim::majority {
 
-DmmpcEngine::DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
-                         SchedulerConfig config)
-    : map_(std::move(map)), config_(config) {
-  PRAMSIM_ASSERT(map_ != nullptr);
-  PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
-}
-
-EngineResult DmmpcEngine::run_step(std::span<const VarRequest> requests) {
-  // Legacy allocating path (kept as the plan-vs-adapter baseline);
-  // the serve path goes through run_step_into's per-instance scratch.
-  const ScheduleResult schedule = schedule_step(*map_, requests, config_);
-  EngineResult result;
-  result.time = schedule.rounds;
-  result.work = schedule.total_copy_accesses;
-  result.accessed_mask = schedule.accessed_mask;
-  result.stats.phases = schedule.rounds;
-  result.stats.stage1_phases = schedule.stage1_rounds;
-  result.stats.stage2_phases = schedule.stage2_rounds;
-  result.stats.live_after_stage1 = schedule.live_after_stage1;
-  result.stats.max_queue = schedule.max_module_queue;
-  result.stats.live_per_phase = schedule.live_per_round;
-  return result;
-}
-
-void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
-                                EngineResult& out) {
-  schedule_step_into(*map_, requests, config_, schedule_scratch_, scratch_);
-  const ScheduleResult& schedule = schedule_scratch_;
+void copy_schedule(const ScheduleResult& schedule, EngineResult& out) {
   out.time = schedule.rounds;
   out.work = schedule.total_copy_accesses;
   out.accessed_mask = schedule.accessed_mask;
@@ -43,6 +16,25 @@ void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
   out.stats.live_after_stage1 = schedule.live_after_stage1;
   out.stats.max_queue = schedule.max_module_queue;
   out.stats.live_per_phase = schedule.live_per_round;
+}
+
+DmmpcEngine::DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
+                         SchedulerConfig config)
+    : map_(std::move(map)), config_(config) {
+  PRAMSIM_ASSERT(map_ != nullptr);
+  PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
+}
+
+EngineResult DmmpcEngine::run_step(std::span<const VarRequest> requests) {
+  EngineResult result;
+  copy_schedule(schedule_step(*map_, requests, config_), result);
+  return result;
+}
+
+void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
+                                EngineResult& out) {
+  protocol_.run(*map_, requests, config_, round_, schedule_);
+  copy_schedule(schedule_, out);
 }
 
 }  // namespace pramsim::majority

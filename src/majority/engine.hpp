@@ -42,6 +42,11 @@ struct EngineResult {
   ProtocolStats stats;
 };
 
+/// Copy a schedule's counters into an engine result, reusing `out`'s
+/// buffers. Time is the round count; engines that charge a network cost
+/// per round rescale it.
+void copy_schedule(const ScheduleResult& schedule, EngineResult& out);
+
 class AccessEngine {
  public:
   virtual ~AccessEngine() = default;
@@ -75,10 +80,12 @@ class DmmpcEngine final : public AccessEngine {
   DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
               SchedulerConfig config);
 
+  /// The step() path: schedule_step's ascending-module resolution.
   [[nodiscard]] EngineResult run_step(
       std::span<const VarRequest> requests) override;
 
-  /// Allocation-free after warm-up: schedules into per-instance scratch.
+  /// The serve path: the first-claim DMMPC round over per-instance
+  /// scratch, allocation-free after warm-up.
   void run_step_into(std::span<const VarRequest> requests,
                      EngineResult& out) override;
 
@@ -93,8 +100,9 @@ class DmmpcEngine final : public AccessEngine {
  private:
   std::shared_ptr<const memmap::MemoryMap> map_;
   SchedulerConfig config_;
-  ScheduleResult schedule_scratch_;
-  ScheduleScratch scratch_;
+  ClusterProtocol protocol_;
+  FirstClaimRound round_;
+  ScheduleResult schedule_;
 };
 
 }  // namespace pramsim::majority

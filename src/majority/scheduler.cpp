@@ -1,9 +1,6 @@
 #include "majority/scheduler.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 
 #include "util/assert.hpp"
 
@@ -11,446 +8,281 @@ namespace pramsim::majority {
 
 namespace {
 
-/// One contention round: every request in `active` probes its unaccessed
-/// copies; each module serves one probe (lowest (var, copy) wins; ties
-/// are resolved identically on every platform since the claim map
-/// iterates in insertion order). Returns number of probes served;
-/// updates the scratch request state and the live-request count.
-std::uint64_t contention_round(std::span<const VarRequest> requests,
-                               ScheduleScratch& s,
-                               std::span<const std::uint32_t> active,
-                               std::uint32_t r, std::uint32_t c,
-                               std::uint64_t& live,
-                               std::uint64_t& max_module_queue) {
-  s.claims.clear();
-  for (const auto idx : active) {
-    if (s.dead[idx]) {
-      continue;
-    }
-    const std::span<const ModuleId> copies{s.copies.data() +
-                                               static_cast<std::size_t>(idx) * r,
-                                           r};
-    for (std::uint32_t i = 0; i < r; ++i) {
-      if ((s.mask[idx] >> i) & 1ULL) {
-        continue;  // already accessed
-      }
-      const std::uint32_t module = copies[i].value();
-      auto [claim, fresh] =
-          s.claims.try_emplace(module, ScheduleScratch::Claim{idx, i, 1});
-      if (!fresh) {
-        ++claim->queue;
-        const bool better =
-            requests[idx].var.value() < requests[claim->request].var.value() ||
-            (requests[idx].var.value() ==
-                 requests[claim->request].var.value() &&
-             i < claim->copy);
-        if (better) {
-          claim->request = idx;
-          claim->copy = i;
-        }
-      }
-    }
-  }
-  std::uint64_t served = 0;
-  for (const auto slot : s.claims.touched()) {
-    const ScheduleScratch::Claim& winner = s.claims.value_at(slot);
-    max_module_queue = std::max<std::uint64_t>(max_module_queue,
-                                               winner.queue);
-    const std::uint32_t idx = winner.request;
-    if (s.dead[idx]) {
-      continue;  // died earlier this same round via another module
-    }
-    s.mask[idx] |= (1ULL << winner.copy);
-    ++s.accessed[idx];
-    ++served;
-    if (s.accessed[idx] >= c) {
-      s.dead[idx] = 1;
-      --live;
-    }
-  }
-  return served;
+constexpr std::uint32_t kNoRequest = ~0U;
+
+/// One module serves the lowest (var, copy) probe.
+bool outranks(std::span<const VarRequest> requests, std::uint32_t a,
+              std::uint32_t copy_a, std::uint32_t b, std::uint32_t copy_b) {
+  const std::uint32_t var_a = requests[a].var.value();
+  const std::uint32_t var_b = requests[b].var.value();
+  return var_a < var_b || (var_a == var_b && copy_a < copy_b);
 }
 
-}  // namespace
+/// Fold one more probe into a module's claim.
+void contend(ModuleClaim& claim, std::span<const VarRequest> requests,
+             std::uint32_t request, std::uint32_t copy) {
+  ++claim.queue;
+  if (outranks(requests, request, copy, claim.request, claim.copy)) {
+    claim.request = request;
+    claim.copy = copy;
+  }
+}
 
-namespace {
+/// Calls probe(module, request, copy) for every unaccessed copy of every
+/// request in `active`, in (active, copy) order.
+template <typename Probe>
+void for_each_probe(const ClusterProtocol& protocol,
+                    std::span<const std::uint32_t> active, Probe&& probe) {
+  const std::uint32_t r = protocol.redundancy();
+  for (const auto idx : active) {
+    const std::uint64_t mask = protocol.mask(idx);
+    const ModuleId* copies = protocol.copies(idx).data();
+    for (std::uint32_t i = 0; i < r; ++i) {
+      if (((mask >> i) & 1ULL) == 0) {
+        probe(copies[i].value(), idx, i);
+      }
+    }
+  }
+}
 
-// ---------------------------------------------------------------------
-// Legacy scheduler: the original throwaway-container implementation,
-// kept verbatim as the step()-adapter baseline that bench_throughput
-// contrasts with the arena path below. It rebuilds per-request copy
-// vectors and a fresh per-round unordered_map of module claims every
-// call. Results can differ from schedule_step_into only in deterministic
-// tie-break detail (claim iteration order); both always access >= c
-// copies per request, which is all the value protocol relies on.
-// ---------------------------------------------------------------------
+/// schedule_step's round: the DMMPC round with claims in a hash table and
+/// winners resolved in ascending module order.
+class AscendingModuleRound final : public ClusterProtocol::Kernel {
+ public:
+  RoundOutcome round(ClusterProtocol& protocol,
+                     std::span<const std::uint32_t> active,
+                     Stage /*stage*/) override {
+    const auto requests = protocol.requests();
+    claims_.clear();
+    for_each_probe(protocol, active,
+                   [&](std::uint32_t module, std::uint32_t idx,
+                       std::uint32_t copy) {
+                     auto [claim, fresh] =
+                         claims_.try_emplace(module, {module, idx, copy, 1});
+                     if (!fresh) {
+                       contend(*claim, requests, idx, copy);
+                     }
+                   });
+    sorted_.clear();
+    for (const auto slot : claims_.touched()) {
+      sorted_.push_back(claims_.value_at(slot));
+    }
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const ModuleClaim& a, const ModuleClaim& b) {
+                return a.module < b.module;
+              });
+    RoundOutcome outcome;
+    for (const ModuleClaim& claim : sorted_) {
+      outcome.max_queue =
+          std::max<std::uint64_t>(outcome.max_queue, claim.queue);
+      if (protocol.access(claim.request, claim.copy)) {
+        ++outcome.served;
+      }
+    }
+    return outcome;
+  }
 
-struct LegacyRequestState {
-  VarId var;
-  std::uint32_t cluster = 0;
-  std::uint32_t member = 0;   ///< index within cluster
-  std::uint32_t accessed = 0;
-  std::uint64_t mask = 0;
-  bool dead = false;
-  std::vector<ModuleId> copies;
+ private:
+  util::ScratchMap<ModuleClaim> claims_;
+  std::vector<ModuleClaim> sorted_;
 };
 
-/// One contention round over throwaway containers (see contention_round
-/// above for the protocol itself).
-std::uint64_t legacy_contention_round(std::vector<LegacyRequestState>& states,
-                                      std::span<const std::uint32_t> active,
-                                      std::uint32_t c,
-                                      std::uint64_t& max_module_queue) {
-  struct Probe {
-    std::uint32_t request_idx;
-    std::uint32_t copy_idx;
-  };
-  // module -> best probe so far (+ queue depth for stats)
-  std::unordered_map<std::uint32_t, std::pair<Probe, std::uint32_t>> claims;
-  claims.reserve(active.size() * 4);
-  for (const auto idx : active) {
-    LegacyRequestState& st = states[idx];
-    if (st.dead) {
-      continue;
-    }
-    const auto r = static_cast<std::uint32_t>(st.copies.size());
-    for (std::uint32_t i = 0; i < r; ++i) {
-      if ((st.mask >> i) & 1ULL) {
-        continue;  // already accessed
-      }
-      const std::uint32_t module = st.copies[i].value();
-      auto [it, fresh] = claims.try_emplace(module, Probe{idx, i}, 1u);
-      if (!fresh) {
-        ++it->second.second;
-        const Probe& cur = it->second.first;
-        const bool better =
-            states[idx].var.value() < states[cur.request_idx].var.value() ||
-            (states[idx].var.value() == states[cur.request_idx].var.value() &&
-             i < cur.copy_idx);
-        if (better) {
-          it->second.first = Probe{idx, i};
-        }
-      }
-    }
-  }
-  // Resolve winners in ascending module order: a request that wins two
-  // modules in the same round with one access left takes whichever is
-  // resolved first, so the resolve order steers the surviving copy mask
-  // and with it the next round's claims — i.e. the round telemetry.
-  // Canonicalize instead of trusting hash order.
-  std::vector<std::uint32_t> module_order;
-  module_order.reserve(claims.size());
-  // pramlint: ordered-fold (keys collected then sorted before resolving)
-  for (const auto& [module, entry] : claims) {
-    (void)entry;
-    module_order.push_back(module);
-  }
-  std::sort(module_order.begin(), module_order.end());
-  std::uint64_t served = 0;
-  for (const auto module : module_order) {
-    const auto& entry = claims.at(module);
-    max_module_queue = std::max<std::uint64_t>(max_module_queue,
-                                               entry.second);
-    const Probe& winner = entry.first;
-    LegacyRequestState& st = states[winner.request_idx];
-    if (st.dead) {
-      continue;  // died earlier this same round via another module
-    }
-    st.mask |= (1ULL << winner.copy_idx);
-    ++st.accessed;
-    ++served;
-    if (st.accessed >= c) {
-      st.dead = true;
-    }
-  }
-  return served;
-}
-
 }  // namespace
 
-ScheduleResult schedule_step(const memmap::MemoryMap& map,
-                             std::span<const VarRequest> requests,
-                             const SchedulerConfig& config) {
-  const std::uint32_t r = map.redundancy();
-  const std::uint32_t c = config.c;
-  const std::uint32_t s = std::max<std::uint32_t>(config.cluster_size, 1);
-  PRAMSIM_ASSERT(r <= 64);
-  PRAMSIM_ASSERT(c >= 1 && c <= r);
-
-  ScheduleResult result;
-  result.accessed_mask.assign(requests.size(), 0);
-  if (requests.empty()) {
-    return result;
-  }
-
-#ifndef NDEBUG
-  {
-    std::unordered_set<std::uint32_t> distinct;
-    for (const auto& req : requests) {
-      PRAMSIM_ASSERT_MSG(distinct.insert(req.var.value()).second,
-                         "requests must be deduplicated");
-    }
-  }
-#endif
-
-  std::vector<LegacyRequestState> states(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    states[i].var = requests[i].var;
-    states[i].cluster = requests[i].requester.value() / s;
-    states[i].member = requests[i].requester.value() % s;
-    states[i].copies = map.copies(requests[i].var);
-  }
-
-  std::vector<std::uint32_t> active;
-  active.reserve(requests.size());
-  auto all_dead = [&] {
-    return std::all_of(states.begin(), states.end(),
-                       [](const LegacyRequestState& st) { return st.dead; });
-  };
-  auto live_count = [&] {
-    return static_cast<std::uint64_t>(
-        std::count_if(states.begin(), states.end(),
-                      [](const LegacyRequestState& st) { return !st.dead; }));
-  };
-
-  if (config.all_at_once) {
-    // Ablation mode: every live request probes every round.
-    while (!all_dead()) {
-      active.clear();
-      for (std::uint32_t i = 0; i < states.size(); ++i) {
-        if (!states[i].dead) {
-          active.push_back(i);
-        }
-      }
-      result.total_copy_accesses += legacy_contention_round(
-          states, active, c, result.max_module_queue);
-      ++result.rounds;
-      result.live_per_round.push_back(live_count());
-    }
-    result.stage2_rounds = result.rounds;
-  } else {
-    // ---- stage 1: interleaved cluster turns --------------------------
-    std::unordered_map<std::uint64_t, std::uint32_t> slot;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(states[i].cluster) << 32) |
-          states[i].member;
-      slot[key] = i;
-    }
-    const std::uint32_t n_clusters = (config.n_processors + s - 1) / s;
-    const std::uint64_t stage1_phases =
-        static_cast<std::uint64_t>(config.stage1_turns) * s;
-    for (std::uint64_t phase = 0; phase < stage1_phases && !all_dead();
-         ++phase) {
-      active.clear();
-      for (std::uint32_t k = 0; k < n_clusters; ++k) {
-        const std::uint32_t member =
-            static_cast<std::uint32_t>((phase + k) % s);
-        const std::uint64_t key = (static_cast<std::uint64_t>(k) << 32) |
-                                  member;
-        const auto it = slot.find(key);
-        if (it != slot.end() && !states[it->second].dead) {
-          active.push_back(it->second);
-        }
-      }
-      if (active.empty()) {
-        continue;  // no round consumed: nothing was scheduled this phase
-      }
-      result.total_copy_accesses += legacy_contention_round(
-          states, active, c, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage1_rounds;
-      result.live_per_round.push_back(live_count());
-    }
-    result.live_after_stage1 = live_count();
-
-    // ---- stage 2: drain leftovers, one variable per cluster ----------
-    std::vector<std::uint32_t> pending;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      if (!states[i].dead) {
-        pending.push_back(i);
-      }
-    }
-    std::size_t next_pending = 0;
-    std::vector<std::uint32_t> assigned;
-    auto refill = [&] {
-      assigned.erase(std::remove_if(assigned.begin(), assigned.end(),
-                                    [&](std::uint32_t i) {
-                                      return states[i].dead;
-                                    }),
-                     assigned.end());
-      while (assigned.size() < n_clusters && next_pending < pending.size()) {
-        const auto i = pending[next_pending++];
-        if (!states[i].dead) {
-          assigned.push_back(i);
-        }
-      }
-    };
-    refill();
-    while (!assigned.empty()) {
-      result.total_copy_accesses += legacy_contention_round(
-          states, assigned, c, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage2_rounds;
-      result.live_per_round.push_back(live_count());
-      refill();
-    }
-  }
-
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    PRAMSIM_ASSERT(states[i].accessed >= c);
-    result.accessed_mask[i] = states[i].mask;
-  }
-  return result;
+void ClusterProtocol::play(Kernel& kernel,
+                           std::span<const std::uint32_t> active, Stage stage,
+                           ScheduleResult& result) {
+  const RoundOutcome outcome = kernel.round(*this, active, stage);
+  result.total_copy_accesses += outcome.served;
+  result.max_module_queue =
+      std::max(result.max_module_queue, outcome.max_queue);
+  ++result.rounds;
+  ++(stage == Stage::kInterleaved ? result.stage1_rounds
+                                  : result.stage2_rounds);
+  result.live_per_round.push_back(live_);
 }
 
-void schedule_step_into(const memmap::MemoryMap& map,
-                        std::span<const VarRequest> requests,
-                        const SchedulerConfig& config,
-                        ScheduleResult& result, ScheduleScratch& scratch) {
-  const std::uint32_t r = map.redundancy();
-  const std::uint32_t c = config.c;
-  const std::uint32_t s = std::max<std::uint32_t>(config.cluster_size, 1);
-  PRAMSIM_ASSERT(r <= 64);
-  PRAMSIM_ASSERT(c >= 1 && c <= r);
+void ClusterProtocol::run(const memmap::MemoryMap& map,
+                          std::span<const VarRequest> requests,
+                          const SchedulerConfig& config, Kernel& kernel,
+                          ScheduleResult& result) {
+  r_ = map.redundancy();
+  c_ = config.c;
+  s_ = std::max<std::uint32_t>(config.cluster_size, 1);
+  modules_ = map.num_modules();
+  PRAMSIM_ASSERT(r_ <= 64);
+  PRAMSIM_ASSERT(c_ >= 1 && c_ <= r_);
 
   // Reset aggregates in place; the vectors keep their capacity.
   result.rounds = result.stage1_rounds = result.stage2_rounds = 0;
   result.total_copy_accesses = 0;
   result.live_after_stage1 = 0;
   result.max_module_queue = 0;
-  result.accessed_mask.assign(requests.size(), 0);
+  result.accessed_mask.clear();
   result.live_per_round.clear();
-  if (requests.empty()) {
+  requests_ = requests;
+  const auto count = static_cast<std::uint32_t>(requests.size());
+  if (count == 0) {
     return;
   }
 
 #ifndef NDEBUG
   {
-    std::unordered_set<std::uint32_t> distinct;
+    std::vector<std::uint32_t> vars;
+    vars.reserve(count);
     for (const auto& req : requests) {
-      PRAMSIM_ASSERT_MSG(distinct.insert(req.var.value()).second,
-                         "requests must be deduplicated");
+      vars.push_back(req.var.value());
     }
+    std::sort(vars.begin(), vars.end());
+    PRAMSIM_ASSERT_MSG(std::adjacent_find(vars.begin(), vars.end()) ==
+                           vars.end(),
+                       "requests must be deduplicated");
   }
 #endif
 
-  const std::uint32_t count = static_cast<std::uint32_t>(requests.size());
-  scratch.cluster.resize(count);
-  scratch.member.resize(count);
-  scratch.accessed.assign(count, 0);
-  scratch.mask.assign(count, 0);
-  scratch.dead.assign(count, 0);
-  scratch.copies.resize(static_cast<std::size_t>(count) * r);
+  accessed_.assign(count, 0);
+  mask_.assign(count, 0);
+  copies_.resize(static_cast<std::size_t>(count) * r_);
   for (std::uint32_t i = 0; i < count; ++i) {
-    scratch.cluster[i] = requests[i].requester.value() / s;
-    scratch.member[i] = requests[i].requester.value() % s;
     map.copies_into(requests[i].var,
-                    {scratch.copies.data() + static_cast<std::size_t>(i) * r,
-                     r});
+                    {copies_.data() + static_cast<std::size_t>(i) * r_, r_});
   }
-  std::uint64_t live = count;
-
-  std::vector<std::uint32_t>& active = scratch.active;
-  active.clear();
+  live_ = count;
 
   if (config.all_at_once) {
     // Ablation mode: every live request probes every round.
-    while (live > 0) {
-      active.clear();
+    while (live_ > 0) {
+      active_.clear();
       for (std::uint32_t i = 0; i < count; ++i) {
-        if (!scratch.dead[i]) {
-          active.push_back(i);
+        if (live(i)) {
+          active_.push_back(i);
         }
       }
-      result.total_copy_accesses += contention_round(
-          requests, scratch, active, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      result.live_per_round.push_back(live);
+      play(kernel, active_, Stage::kDrain, result);
     }
-    result.stage2_rounds = result.rounds;
   } else {
     // ---- stage 1: interleaved cluster turns --------------------------
-    // Group requests by (cluster, member).
-    scratch.slots.clear();
-    scratch.slots.reserve(count);
+    // Slot (cluster k, member j) is requester id k*s + j. Requests that
+    // share a requester id keep the last one for stage 1; the stage-2
+    // drain completes the others regardless. Requesters past the
+    // clusters never get a turn.
+    const std::uint32_t n_clusters = (config.n_processors + s_ - 1) / s_;
+    slots_.assign(static_cast<std::size_t>(n_clusters) * s_, kNoRequest);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(scratch.cluster[i]) << 32) |
-          scratch.member[i];
-      // Multiple requests can share a slot only if the caller assigned
-      // duplicate requester ids; last one wins for turn ordering, and the
-      // stage-2 drain guarantees completion regardless.
-      *scratch.slots.try_emplace(key, i).first = i;
+      const std::uint32_t id = requests[i].requester.value();
+      if (id < slots_.size()) {
+        slots_[id] = i;
+      }
     }
-    const std::uint32_t n_clusters = (config.n_processors + s - 1) / s;
     const std::uint64_t stage1_phases =
-        static_cast<std::uint64_t>(config.stage1_turns) * s;
-    for (std::uint64_t phase = 0; phase < stage1_phases && live > 0;
+        static_cast<std::uint64_t>(config.stage1_turns) * s_;
+    for (std::uint64_t phase = 0; phase < stage1_phases && live_ > 0;
          ++phase) {
-      active.clear();
+      active_.clear();
       for (std::uint32_t k = 0; k < n_clusters; ++k) {
-        const std::uint32_t member =
-            static_cast<std::uint32_t>((phase + k) % s);
-        const std::uint64_t key = (static_cast<std::uint64_t>(k) << 32) |
-                                  member;
-        const auto* idx = scratch.slots.find(key);
-        if (idx != nullptr && !scratch.dead[*idx]) {
-          active.push_back(*idx);
+        const auto member = static_cast<std::uint32_t>((phase + k) % s_);
+        const std::uint32_t idx =
+            slots_[static_cast<std::size_t>(k) * s_ + member];
+        if (idx != kNoRequest && live(idx)) {
+          active_.push_back(idx);
         }
       }
-      if (active.empty()) {
+      if (active_.empty()) {
         continue;  // no round consumed: nothing was scheduled this phase
       }
-      result.total_copy_accesses += contention_round(
-          requests, scratch, active, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage1_rounds;
-      result.live_per_round.push_back(live);
+      play(kernel, active_, Stage::kInterleaved, result);
     }
-    result.live_after_stage1 = live;
+    result.live_after_stage1 = live_;
 
     // ---- stage 2: drain leftovers, one variable per cluster ----------
-    std::vector<std::uint32_t>& pending = scratch.pending;
-    pending.clear();
+    pending_.clear();
     for (std::uint32_t i = 0; i < count; ++i) {
-      if (!scratch.dead[i]) {
-        pending.push_back(i);
+      if (live(i)) {
+        pending_.push_back(i);
       }
     }
     // One live variable assigned per cluster; clusters refill from the
     // pending queue as their variable dies.
     std::size_t next_pending = 0;
-    std::vector<std::uint32_t>& assigned = scratch.assigned;
-    assigned.clear();
-    auto refill = [&] {
-      assigned.erase(std::remove_if(assigned.begin(), assigned.end(),
-                                    [&](std::uint32_t i) {
-                                      return scratch.dead[i] != 0;
-                                    }),
-                     assigned.end());
-      while (assigned.size() < n_clusters && next_pending < pending.size()) {
-        const auto i = pending[next_pending++];
-        if (!scratch.dead[i]) {
-          assigned.push_back(i);
+    active_.clear();
+    while (true) {
+      std::erase_if(active_, [&](std::uint32_t i) { return !live(i); });
+      while (active_.size() < n_clusters && next_pending < pending_.size()) {
+        const std::uint32_t i = pending_[next_pending++];
+        if (live(i)) {
+          active_.push_back(i);
         }
       }
-    };
-    refill();
-    while (!assigned.empty()) {
-      result.total_copy_accesses += contention_round(
-          requests, scratch, assigned, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage2_rounds;
-      result.live_per_round.push_back(live);
-      refill();
+      if (active_.empty()) {
+        break;
+      }
+      play(kernel, active_, Stage::kDrain, result);
     }
   }
 
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PRAMSIM_ASSERT(scratch.accessed[i] >= c);
-    result.accessed_mask[i] = scratch.mask[i];
+  PRAMSIM_ASSERT(live_ == 0);
+  result.accessed_mask.assign(mask_.begin(), mask_.end());
+  requests_ = {};  // drop the view of the caller's batch
+}
+
+RoundOutcome FirstClaimRound::round(ClusterProtocol& protocol,
+                                    std::span<const std::uint32_t> active,
+                                    Stage /*stage*/) {
+  if (claimed_.size() != protocol.num_modules()) {
+    claimed_ = util::DynamicBitset(protocol.num_modules());
   }
+  const auto requests = protocol.requests();
+  first_.clear();
+  later_.clear();
+  for_each_probe(protocol, active,
+                 [&](std::uint32_t module, std::uint32_t idx,
+                     std::uint32_t copy) {
+                   if (!claimed_.test(module)) {
+                     claimed_.set(module);
+                     first_.push_back({module, idx, copy, 1});
+                     return;
+                   }
+                   auto [later, fresh] =
+                       later_.try_emplace(module, {module, idx, copy, 1});
+                   if (!fresh) {
+                     contend(*later, requests, idx, copy);
+                   }
+                 });
+  // Contended modules drop their bit here, so the resolution pass tells
+  // them apart without a lookup; every other bit clears as it resolves.
+  for (const auto slot : later_.touched()) {
+    claimed_.reset(later_.key_at(slot));
+  }
+  RoundOutcome outcome;
+  for (const ModuleClaim& first : first_) {
+    ModuleClaim winner = first;
+    if (claimed_.test(first.module)) {
+      claimed_.reset(first.module);
+    } else {
+      const ModuleClaim& later = *later_.find(first.module);
+      if (outranks(requests, later.request, later.copy, first.request,
+                   first.copy)) {
+        winner = later;
+      }
+      winner.queue = first.queue + later.queue;
+    }
+    outcome.max_queue =
+        std::max<std::uint64_t>(outcome.max_queue, winner.queue);
+    if (protocol.access(winner.request, winner.copy)) {
+      ++outcome.served;
+    }
+  }
+  return outcome;
+}
+
+ScheduleResult schedule_step(const memmap::MemoryMap& map,
+                             std::span<const VarRequest> requests,
+                             const SchedulerConfig& config) {
+  ClusterProtocol protocol;
+  AscendingModuleRound round;
+  ScheduleResult result;
+  protocol.run(map, requests, config, round, result);
+  return result;
 }
 
 }  // namespace pramsim::majority

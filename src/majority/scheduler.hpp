@@ -14,11 +14,18 @@
 //   * STAGE 2 drains the leftover live variables, one per cluster,
 //     repeating phases until none remain.
 //
-// Each phase is one machine round: every module serves at most one copy
-// access (deterministic tie-break). The returned round count *is* the
-// DMMPC simulation time of the step (Theorem 2's measurable); the 2DMOT
-// simulators in src/core reuse this scheduler's phase structure but charge
-// network cycles per phase instead.
+// ClusterProtocol is the one home of that two-stage structure. What a
+// phase costs is the machine's business, so the driver takes the round
+// as a kernel:
+//
+//   * FirstClaimRound (here) - one DMMPC round: every module serves at
+//     most one copy access, winners resolved in first-claim order. Its
+//     returned round count *is* the DMMPC simulation time of the step
+//     (Theorem 2's measurable);
+//   * schedule_step's kernel (scheduler.cpp) - the same round resolved in
+//     ascending module order, for the step() path and the BDN engines;
+//   * core::MotEngine's routed phase - real packets on a 2DMOT, charged
+//     in network cycles.
 //
 // Per DESIGN.md, phase bookkeeping (which variables are live, stage
 // transitions) is computed centrally; the cost model charges only the
@@ -32,6 +39,7 @@
 
 #include "memmap/memory_map.hpp"
 #include "pram/types.hpp"
+#include "util/bitset.hpp"
 #include "util/scratch_map.hpp"
 #include "util/stats.hpp"
 #include "util/strong_id.hpp"
@@ -78,53 +86,132 @@ struct ScheduleResult {
   std::vector<std::uint64_t> live_per_round;
 };
 
-/// Reusable per-instance scratch for schedule_step_into: request state
-/// SoA, the flattened copy table, and the epoch-cleared per-round module
-/// claim map. Owning one of these per engine makes a warmed-up scheduler
-/// allocation-free per step (the old path rebuilt an unordered_map of
-/// module claims EVERY ROUND).
-struct ScheduleScratch {
-  struct Claim {
-    std::uint32_t request = 0;
-    std::uint32_t copy = 0;
-    std::uint32_t queue = 0;  ///< probes contending at this module
-  };
-  // Per-request protocol state (SoA mirrors of the old RequestState).
-  std::vector<std::uint32_t> cluster;
-  std::vector<std::uint32_t> member;
-  std::vector<std::uint32_t> accessed;
-  std::vector<std::uint64_t> mask;
-  std::vector<std::uint8_t> dead;
-  /// All requests' copies, flattened: request i's copies live at
-  /// [i*r, (i+1)*r).
-  std::vector<ModuleId> copies;
-  util::ScratchMap<Claim> claims;          ///< module -> winning probe
-  util::ScratchMap<std::uint32_t> slots;   ///< (cluster,member) -> request
-  std::vector<std::uint32_t> active;
-  std::vector<std::uint32_t> pending;
-  std::vector<std::uint32_t> assigned;
+/// Which half of the protocol a round belongs to.
+enum class Stage : std::uint8_t {
+  kInterleaved,  ///< stage 1: staggered cluster turns
+  kDrain,        ///< stage 2 (and the all_at_once ablation)
 };
 
-/// Schedule one P-RAM step's worth of distinct-variable requests.
-/// Precondition: requests hold distinct variables (combining already done)
-/// and map.redundancy() <= 64.
-///
-/// This is the LEGACY entry: it rebuilds throwaway containers every call
-/// (per-request copy vectors, a fresh module-claim map per round) — the
-/// baseline the bench_throughput plan-vs-adapter contrast measures.
+/// What one round reports back to the driver.
+struct RoundOutcome {
+  std::uint64_t served = 0;     ///< copy accesses recorded this round
+  std::uint64_t max_queue = 0;  ///< peak contention at one module/channel
+};
+
+/// The two-stage cluster protocol over reusable per-engine scratch: each
+/// request's copies are written once per step into one flat table, the
+/// (cluster, member) slots are a dense table indexed by requester id, and
+/// the live count is kept incrementally. A warmed-up instance runs a step
+/// without touching the heap.
+class ClusterProtocol {
+ public:
+  /// One machine round over the live requests in `active` (distinct, all
+  /// live on entry). The kernel decides which copies get accessed and
+  /// records each through access(); the driver does the bookkeeping.
+  class Kernel {
+   public:
+    virtual ~Kernel() = default;
+    virtual RoundOutcome round(ClusterProtocol& protocol,
+                               std::span<const std::uint32_t> active,
+                               Stage stage) = 0;
+  };
+
+  /// Schedule one step's requests into `result` (its vectors are reused).
+  /// Preconditions: requests hold distinct variables (combining already
+  /// done) and map.redundancy() <= 64.
+  void run(const memmap::MemoryMap& map, std::span<const VarRequest> requests,
+           const SchedulerConfig& config, Kernel& kernel,
+           ScheduleResult& result);
+
+  // ---- kernel-facing view of the step in progress (inside run()) ----
+  [[nodiscard]] std::uint32_t redundancy() const { return r_; }
+  [[nodiscard]] std::uint32_t cluster_size() const { return s_; }
+  [[nodiscard]] std::uint32_t num_modules() const { return modules_; }
+  [[nodiscard]] std::span<const VarRequest> requests() const {
+    return requests_;
+  }
+  [[nodiscard]] std::span<const ModuleId> copies(std::uint32_t request) const {
+    return {copies_.data() + static_cast<std::size_t>(request) * r_, r_};
+  }
+  [[nodiscard]] std::uint64_t mask(std::uint32_t request) const {
+    return mask_[request];
+  }
+  /// Record that `request` accessed `copy`. A request dies on its c-th
+  /// access; later accesses in the same round do not count (returns
+  /// false).
+  bool access(std::uint32_t request, std::uint32_t copy) {
+    if (accessed_[request] >= c_) {
+      return false;
+    }
+    mask_[request] |= 1ULL << copy;
+    if (++accessed_[request] == c_) {
+      --live_;
+    }
+    return true;
+  }
+
+ private:
+  [[nodiscard]] bool live(std::uint32_t request) const {
+    return accessed_[request] < c_;
+  }
+  void play(Kernel& kernel, std::span<const std::uint32_t> active,
+            Stage stage, ScheduleResult& result);
+
+  std::span<const VarRequest> requests_;
+  std::uint32_t r_ = 0;
+  std::uint32_t c_ = 0;
+  std::uint32_t s_ = 1;
+  std::uint32_t modules_ = 0;
+  std::uint64_t live_ = 0;
+  std::vector<std::uint32_t> accessed_;
+  std::vector<std::uint64_t> mask_;
+  /// All requests' copies, flattened: request i's at [i*r, (i+1)*r).
+  std::vector<ModuleId> copies_;
+  /// Requester id -> request index (~0 when none) for the requesters
+  /// inside the n_processors clusters: slot (cluster k, member j) is id
+  /// k*s + j.
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> pending_;
+};
+
+/// One module's claim in a DMMPC round: the best probe so far and how
+/// many probes reached the module.
+struct ModuleClaim {
+  std::uint32_t module = 0;
+  std::uint32_t request = 0;
+  std::uint32_t copy = 0;
+  std::uint32_t queue = 0;
+};
+
+/// The DMMPC round: every request in `active` probes its unaccessed copies
+/// at once and each module serves one probe — lowest (var, copy) wins.
+/// Claimed modules are marked in a one-bit-per-module set and each first
+/// claim is appended to a dense list; only modules probed twice go
+/// through a side lookup. Winners resolve in first-claim order: a request
+/// that wins two modules with one access left takes the first one
+/// resolved, so that order steers the next round's probes.
+class FirstClaimRound final : public ClusterProtocol::Kernel {
+ public:
+  RoundOutcome round(ClusterProtocol& protocol,
+                     std::span<const std::uint32_t> active,
+                     Stage stage) override;
+
+ private:
+  util::DynamicBitset claimed_;    ///< sized to the map's module count
+  std::vector<ModuleClaim> first_;  ///< first claims, in claim order
+  /// Contended module -> best of its later probes (queue counts them).
+  util::ScratchMap<ModuleClaim> later_;
+};
+
+/// Schedule one P-RAM step's worth of distinct-variable requests with
+/// ascending-module resolution. Allocating: it builds a fresh protocol
+/// and claim table per call. The step() path (DmmpcEngine::run_step) and
+/// the BDN engines use it; the serve path's first-claim schedule differs
+/// only in deterministic tie-break detail, and both access >= c copies of
+/// every request, which is all the value protocol relies on.
 [[nodiscard]] ScheduleResult schedule_step(const memmap::MemoryMap& map,
                                            std::span<const VarRequest> requests,
                                            const SchedulerConfig& config);
-
-/// Arena variant for the hot serve path: reuses `result`'s vectors and
-/// `scratch` across steps; a warmed-up caller schedules without touching
-/// the heap. Same protocol as schedule_step; cost telemetry can differ
-/// only in deterministic tie-break detail (the claim map here resolves
-/// module winners in insertion order, identically on every platform),
-/// and every request still ends with >= c accessed copies.
-void schedule_step_into(const memmap::MemoryMap& map,
-                        std::span<const VarRequest> requests,
-                        const SchedulerConfig& config,
-                        ScheduleResult& result, ScheduleScratch& scratch);
 
 }  // namespace pramsim::majority

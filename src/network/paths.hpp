@@ -32,8 +32,8 @@ using Path = std::vector<EdgeKey>;
 [[nodiscard]] Path ascend(TreeKind kind, std::uint32_t tree,
                           std::uint32_t leaf, std::uint32_t n_leaves);
 
-/// Append `suffix` to `path`.
-void append(Path& path, const Path& suffix);
+/// The same channel in the other direction (module ports have none).
+[[nodiscard]] EdgeKey flipped(EdgeKey key);
 
 /// Reverse a path, flipping each edge's direction (the reply route).
 [[nodiscard]] Path reversed(const Path& path);
@@ -46,6 +46,10 @@ void append(Path& path, const Path& suffix);
                                    std::uint32_t mod_row,
                                    std::uint32_t mod_col,
                                    bool lca_turnaround = false);
+/// Same route, appended to `path`, so a reused buffer need not allocate.
+void append_hp_request_path(Path& path, std::uint32_t side,
+                            std::uint32_t proc_row, std::uint32_t mod_row,
+                            std::uint32_t mod_col, bool lca_turnaround);
 
 /// LPP / crossbar request route: processor at RT(proc_row)'s root, module
 /// at CT(mod_col)'s root. Works for square (LPP, side x side) and
@@ -53,5 +57,9 @@ void append(Path& path, const Path& suffix);
 [[nodiscard]] Path root_module_request_path(const MotShape& shape,
                                             std::uint32_t proc_row,
                                             std::uint32_t mod_col);
+/// Same route, appended to `path`.
+void append_root_module_request_path(Path& path, const MotShape& shape,
+                                     std::uint32_t proc_row,
+                                     std::uint32_t mod_col);
 
 }  // namespace pramsim::net

@@ -1,62 +1,69 @@
 #include "network/router.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "util/assert.hpp"
 
 namespace pramsim::net {
 
-RouteReport route_all(std::vector<Packet>& packets, std::uint64_t max_cycles,
-                      std::uint64_t start_cycle) {
+RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
+                      std::uint64_t start_cycle, RouteScratch& scratch) {
+  PRAMSIM_ASSERT(packets.size() <= std::numeric_limits<std::uint32_t>::max());
   RouteReport report;
-  std::uint64_t pending = 0;
-  for (auto& packet : packets) {
-    if (!packet.delivered() && packet.next_edge < packet.path.size()) {
-      ++pending;
+  std::vector<std::uint32_t>& in_flight = scratch.in_flight;
+  in_flight.clear();
+  for (std::uint32_t i = 0; i < packets.size(); ++i) {
+    Packet& packet = packets[i];
+    if (packet.delivered()) {
+      continue;
+    }
+    if (packet.next_edge < packet.path.size()) {
+      in_flight.push_back(i);
       packet.waiting_since = std::max(packet.injected_at, start_cycle);
-    } else if (!packet.delivered()) {
+    } else {
       packet.delivered_at = start_cycle;  // empty path: delivered at once
       ++report.delivered;
     }
   }
 
-  struct Claim {
-    std::size_t packet_idx;
-    std::uint32_t queue = 0;
-  };
-  std::unordered_map<std::uint64_t, Claim> claims;
+  auto& claims = scratch.claims;
+  claims.reserve(in_flight.size());
+  std::uint64_t pending = in_flight.size();
   std::uint64_t cycle = start_cycle;
   std::uint64_t latency_sum = 0;
 
   while (pending > 0 && cycle < start_cycle + max_cycles) {
     claims.clear();
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      Packet& p = packets[i];
-      if (p.delivered() || p.injected_at > cycle) {
+    // Compact away the packets that arrived last cycle while claiming.
+    std::size_t kept = 0;
+    for (const std::uint32_t i : in_flight) {
+      const Packet& p = packets[i];
+      if (p.delivered()) {
         continue;
       }
-      const std::uint64_t key = p.path[p.next_edge].raw;
-      auto [it, fresh] = claims.try_emplace(key, Claim{i, 1});
+      in_flight[kept++] = i;
+      if (p.injected_at > cycle) {
+        continue;
+      }
+      auto [claim, fresh] =
+          claims.try_emplace(p.path[p.next_edge].raw, {i, 1});
       if (!fresh) {
-        ++it->second.queue;
-        const Packet& cur = packets[it->second.packet_idx];
+        ++claim->queue;
+        const Packet& cur = packets[claim->packet];
         // FIFO: the packet blocked longest wins; ties by id.
         if (p.waiting_since < cur.waiting_since ||
             (p.waiting_since == cur.waiting_since && p.id < cur.id)) {
-          it->second.packet_idx = i;
+          claim->packet = i;
         }
       }
     }
-    // Each packet claims exactly one edge per cycle, so every claim's
-    // winner is a distinct packet and the per-packet updates commute;
-    // the only cross-claim folds are a max and a sum.
-    // pramlint: ordered-fold (distinct winners; max/sum folds commute)
-    for (const auto& [key, claim] : claims) {
-      (void)key;
+    in_flight.resize(kept);
+    for (const auto slot : claims.touched()) {
+      const RouteScratch::Claim& claim = claims.value_at(slot);
       report.max_edge_queue =
           std::max<std::uint64_t>(report.max_edge_queue, claim.queue);
-      Packet& p = packets[claim.packet_idx];
+      Packet& p = packets[claim.packet];
       ++p.next_edge;
       ++report.total_hops;
       p.waiting_since = cycle + 1;
@@ -78,6 +85,12 @@ RouteReport route_all(std::vector<Packet>& packets, std::uint64_t max_cycles,
         static_cast<double>(latency_sum) / static_cast<double>(report.delivered);
   }
   return report;
+}
+
+RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
+                      std::uint64_t start_cycle) {
+  RouteScratch scratch;
+  return route_all(packets, max_cycles, start_cycle, scratch);
 }
 
 }  // namespace pramsim::net

@@ -10,14 +10,19 @@
 //
 // The engine is sparse: per-cycle work is proportional to in-flight
 // packets, never to network size, so multi-million-switch 2DMOTs cost
-// nothing beyond their traffic.
+// nothing beyond their traffic. The result does not depend on the order
+// packets are handed in: each packet claims one channel per cycle, the
+// winners are distinct packets ranked by (waiting_since, id), and the
+// report folds only sums and maxima.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "network/topology.hpp"
+#include "util/scratch_map.hpp"
 
 namespace pramsim::net {
 
@@ -45,11 +50,30 @@ struct RouteReport {
   std::uint64_t max_latency = 0;
 };
 
+/// The router's reusable working set: the per-cycle channel claim table
+/// and the list of packets still in flight. A caller that routes many
+/// phases keeps one and routes without allocating after warm-up.
+struct RouteScratch {
+  struct Claim {
+    std::uint32_t packet = 0;
+    std::uint32_t queue = 0;  ///< packets contending for the channel
+  };
+  util::ScratchMap<Claim> claims;
+  std::vector<std::uint32_t> in_flight;
+};
+
 /// Route packets until all are delivered or `max_cycles` elapse.
-/// Packet state is updated in place (delivered_at, next_edge).
+/// Packet state is updated in place (delivered_at, next_edge,
+/// waiting_since), so packets cut off by `max_cycles` can be routed on.
 /// `start_cycle` offsets the clock so phased protocols can keep one
 /// global time base.
-[[nodiscard]] RouteReport route_all(std::vector<Packet>& packets,
+[[nodiscard]] RouteReport route_all(std::span<Packet> packets,
+                                    std::uint64_t max_cycles,
+                                    std::uint64_t start_cycle,
+                                    RouteScratch& scratch);
+
+/// Same, with a scratch of its own.
+[[nodiscard]] RouteReport route_all(std::span<Packet> packets,
                                     std::uint64_t max_cycles = 1'000'000,
                                     std::uint64_t start_cycle = 0);
 

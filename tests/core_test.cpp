@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -151,6 +152,89 @@ TEST(MotEngine, Stage1BoundsLiveSet) {
   const auto result = inst.engine->run_step(reqs);
   EXPECT_LE(result.stats.live_after_stage1, 128u / inst.r + 1);
 }
+
+// Golden fingerprints pin MotEngine::run_step bit for bit on every
+// placement and protocol option. Each case folds every observable field
+// of one engine serving a fixed batch sequence (full, shared requester
+// ids, empty, full); the constants were recorded with the router's
+// hash-map claim table and the engine's own copy of the cluster protocol,
+// which the shared driver replaced.
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
+
+struct MotFingerprintCase {
+  const char* name;
+  SchemeSpec spec;
+  std::uint64_t want;
+};
+
+class MotScheduleFingerprintTest
+    : public ::testing::TestWithParam<MotFingerprintCase> {};
+
+TEST_P(MotScheduleFingerprintTest, RunStepMatchesTheGoldenSchedule) {
+  const MotFingerprintCase& fc = GetParam();
+  SchemeSpec spec = fc.spec;
+  spec.seed = 17;
+  auto inst = make_scheme(spec);
+  const std::uint32_t n = spec.n;
+  std::uint64_t h = 0;
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    auto reqs = b == 2 ? std::vector<VarRequest>{}
+                       : distinct_requests(b == 1 ? n / 2 : n, inst.m, 40 + b);
+    if (b == 1) {
+      for (std::uint32_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].requester = ProcId(i / 2);
+      }
+    }
+    const auto result = inst.engine->run_step(reqs);
+    for (const auto mask : result.accessed_mask) {
+      ASSERT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
+                inst.c);
+    }
+    for (const std::uint64_t v :
+         {result.time, result.work, result.stats.phases,
+          result.stats.stage1_phases, result.stats.stage2_phases,
+          result.stats.live_after_stage1, result.stats.max_queue}) {
+      h = fold(h, v);
+    }
+    h = fold(h, result.stats.live_per_phase.size());
+    for (const auto v : result.stats.live_per_phase) {
+      h = fold(h, v);
+    }
+    h = fold(h, result.accessed_mask.size());
+    for (const auto v : result.accessed_mask) {
+      h = fold(h, v);
+    }
+  }
+  EXPECT_EQ(h, fc.want) << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, MotScheduleFingerprintTest,
+    ::testing::Values(
+        MotFingerprintCase{"hp_sort_size",
+                           {.kind = SchemeKind::kHpMot, .n = 1024},
+                           0x61d79c299f5f19faULL},
+        MotFingerprintCase{"hp_lca_turnaround",
+                           {.kind = SchemeKind::kHpMot,
+                            .n = 64,
+                            .lca_turnaround = true},
+                           0x4f8d39e18c5ab770ULL},
+        MotFingerprintCase{"hp_prom_lookup",
+                           {.kind = SchemeKind::kHpMot,
+                            .n = 64,
+                            .prom_lookup = true},
+                           0x2b2eb63e26cbd3dcULL},
+        MotFingerprintCase{"lpp_roots",
+                           {.kind = SchemeKind::kLppMot, .n = 64},
+                           0xbfce3ff08a8c40acULL},
+        MotFingerprintCase{"crossbar",
+                           {.kind = SchemeKind::kCrossbar, .n = 64},
+                           0x8195842d9f2ae121ULL}),
+    [](const ::testing::TestParamInfo<MotFingerprintCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------- driver ------
 

@@ -610,6 +610,156 @@ TEST(Scheduler, RoundsGrowSublinearlyInN) {
   EXPECT_LT(rounds[2], rounds[0] * 16.0);  // 16x n -> far less than 16x time
 }
 
+// ------------------------------------------- schedule fingerprints -----
+//
+// Golden fingerprints pin both DMMPC schedule entries bit for bit: the
+// scratch-backed DmmpcEngine::run_step_into (first-claim resolution, the
+// MajorityMemory::serve path) and the allocating schedule_step
+// (ascending-module resolution, the step() path). Each case folds every
+// observable field of a short sequence of batches served by ONE engine,
+// so stale per-engine scratch shows up too. The constants were recorded
+// with the hash-map round implementations that preceded the shared
+// cluster-protocol driver.
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
+
+std::uint64_t fold_schedule(std::uint64_t h, std::uint64_t time,
+                            std::uint64_t work, std::uint64_t stage1,
+                            std::uint64_t stage2,
+                            std::uint64_t live_after_stage1,
+                            std::uint64_t max_queue,
+                            const std::vector<std::uint64_t>& live,
+                            const std::vector<std::uint64_t>& masks) {
+  for (const std::uint64_t v :
+       {time, work, stage1, stage2, live_after_stage1, max_queue}) {
+    h = fold(h, v);
+  }
+  h = fold(h, live.size());
+  for (const std::uint64_t v : live) {
+    h = fold(h, v);
+  }
+  h = fold(h, masks.size());
+  for (const std::uint64_t v : masks) {
+    h = fold(h, v);
+  }
+  return h;
+}
+
+enum class BatchShape : std::uint8_t {
+  kDistinct,            ///< requester i for request i
+  kSharedRequesters,    ///< pairs of requests share one requester id
+  kRequestersPastN,     ///< every requester >= n: stage 2 only
+  kEmpty,
+};
+
+std::vector<VarRequest> shaped_batch(BatchShape shape, std::uint32_t count,
+                                     std::uint64_t m, std::uint32_t n,
+                                     std::uint64_t seed) {
+  if (shape == BatchShape::kEmpty) {
+    return {};
+  }
+  auto reqs = distinct_requests(count, m, seed);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (shape == BatchShape::kSharedRequesters) {
+      reqs[i].requester = ProcId(i / 2);
+    } else if (shape == BatchShape::kRequestersPastN) {
+      reqs[i].requester = ProcId(n + i);
+    }
+  }
+  return reqs;
+}
+
+struct FingerprintCase {
+  const char* name;
+  std::uint64_t m;
+  std::uint32_t modules;
+  std::uint32_t c;
+  std::uint32_t n;
+  std::uint32_t stage1_turns;
+  bool all_at_once;
+  BatchShape shape;
+  std::uint64_t want_run_step_into;
+  std::uint64_t want_schedule_step;
+};
+
+class ScheduleFingerprintTest
+    : public ::testing::TestWithParam<FingerprintCase> {};
+
+TEST_P(ScheduleFingerprintTest, BothEntriesMatchTheGoldenSchedule) {
+  const FingerprintCase& fc = GetParam();
+  auto map = std::make_shared<HashedMap>(fc.m, fc.modules, 2 * fc.c - 1,
+                                         /*seed=*/17);
+  SchedulerConfig cfg = config_for(fc.c, fc.n);
+  cfg.stage1_turns = fc.stage1_turns;
+  cfg.all_at_once = fc.all_at_once;
+  DmmpcEngine engine(map, cfg);
+  EngineResult out;
+  std::uint64_t into = 0;
+  std::uint64_t legacy = 0;
+  // Full, third-size and full again: the scratch shrinks and regrows.
+  const std::uint32_t sizes[] = {fc.n, fc.n / 3, fc.n};
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    const auto reqs = shaped_batch(fc.shape, sizes[b], fc.m, fc.n, 100 + b);
+    engine.run_step_into(reqs, out);
+    for (const auto mask : out.accessed_mask) {
+      ASSERT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)), fc.c);
+    }
+    into = fold_schedule(into, out.time, out.work, out.stats.stage1_phases,
+                         out.stats.stage2_phases,
+                         out.stats.live_after_stage1, out.stats.max_queue,
+                         out.stats.live_per_phase, out.accessed_mask);
+    const ScheduleResult s = schedule_step(*map, reqs, cfg);
+    legacy = fold_schedule(legacy, s.rounds, s.total_copy_accesses,
+                           s.stage1_rounds, s.stage2_rounds,
+                           s.live_after_stage1, s.max_module_queue,
+                           s.live_per_round, s.accessed_mask);
+  }
+  EXPECT_EQ(into, fc.want_run_step_into) << std::hex << into;
+  EXPECT_EQ(legacy, fc.want_schedule_step) << std::hex << legacy;
+}
+
+// serve_dmmpc's map (n = 4096, m = n^1.5, M = m, r = 5) and
+// durable_faults' map (n = 1024, m = M = n^2, r = 7), both at the
+// benchmark's scheme seed.
+constexpr std::uint64_t kServeM = 262144;
+constexpr std::uint64_t kDurableM = 1048576;
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, ScheduleFingerprintTest,
+    ::testing::Values(
+        FingerprintCase{"serve_dmmpc", kServeM, kServeM, 3, 4096, 2, false,
+                        BatchShape::kDistinct,
+                        0xa6a036fc353bbf13ULL, 0xff8addf68fd7d204ULL},
+        FingerprintCase{"durable_faults", kDurableM, kDurableM, 4, 1024, 2,
+                        false, BatchShape::kDistinct,
+                        0x920160571912c69eULL, 0x518cc9921c36e5dfULL},
+        FingerprintCase{"contended", kServeM, 4096, 3, 4096, 2, false,
+                        BatchShape::kDistinct,
+                        0x2fbc6fd615dae521ULL, 0x342e42fc89a6c4feULL},
+        FingerprintCase{"one_stage1_turn", kServeM, 4096, 3, 4096, 1, false,
+                        BatchShape::kDistinct,
+                        0x6131ffba4874be2dULL, 0x93b8c219918a16e9ULL},
+        FingerprintCase{"all_at_once", kServeM, kServeM, 3, 4096, 2, true,
+                        BatchShape::kDistinct,
+                        0x15ac105791d62321ULL, 0xeb274805555a1004ULL},
+        FingerprintCase{"shared_requesters", kServeM, kServeM, 3, 4096, 2,
+                        false, BatchShape::kSharedRequesters,
+                        0x8dc364f0151d5595ULL, 0x5aefa92128c815fbULL},
+        FingerprintCase{"requesters_past_n", kServeM, kServeM, 3, 4096, 2,
+                        false, BatchShape::kRequestersPastN,
+                        0xba9bfdf974c4cc59ULL, 0x752a2a8102723815ULL},
+        FingerprintCase{"hot_modules", 4096, 64, 3, 1024, 2, false,
+                        BatchShape::kDistinct,
+                        0xa8231f43b481833fULL, 0x808b5b8d82d91e1cULL},
+        FingerprintCase{"empty", kServeM, kServeM, 3, 4096, 2, false,
+                        BatchShape::kEmpty,
+                        0x128408c4d9f41432ULL, 0x128408c4d9f41432ULL}),
+    [](const ::testing::TestParamInfo<FingerprintCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // -------------------------------------------------- majority memory -----
 
 std::unique_ptr<MajorityMemory> make_memory(std::uint32_t n, double eps,

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "network/paths.hpp"
 #include "network/router.hpp"
@@ -319,6 +321,77 @@ TEST(Router, ReplyPathsAlsoRoute) {
   const auto r2 = route_all(leg2, 10'000);
   EXPECT_EQ(r2.delivered, 1u);
   EXPECT_EQ(leg2[0].delivered_at, 2 * request.size());
+}
+
+// Routing must not depend on the order packets are handed in: winners are
+// ranked by (waiting_since, id), every packet claims one edge per cycle,
+// and the report only sums and maxes. Route a heavy seeded batch and a
+// shuffled copy (ids kept) through a max_cycles cut-off at a non-zero
+// start cycle, then to completion, and compare every packet's written-back
+// state after each call.
+TEST(Router, OrderIndependentAndWritesBackInFlightState) {
+  const std::uint32_t S = 32;
+  const std::uint64_t start = 50;
+  util::Rng rng(23);
+  std::vector<Packet> packets(600);
+  for (std::uint32_t p = 0; p < packets.size(); ++p) {
+    packets[p].id = p;
+    packets[p].injected_at = start - 4 + rng.below(12);  // some before start
+    packets[p].path = hp_request_path(
+        S, static_cast<std::uint32_t>(rng.below(S)),
+        static_cast<std::uint32_t>(rng.below(S)),
+        static_cast<std::uint32_t>(rng.below(S)), p % 3 == 0);
+  }
+  packets[7].next_edge = static_cast<std::uint32_t>(packets[7].path.size());
+  packets[7].delivered_at = 9;  // already delivered: left alone
+  packets[11].path.clear();     // empty path: delivered at the start cycle
+
+  std::vector<Packet> shuffled = packets;
+  rng.shuffle(shuffled);
+  auto by_id = [](const std::vector<Packet>& in) {
+    std::vector<const Packet*> out(in.size());
+    for (const auto& p : in) {
+      out[p.id] = &p;
+    }
+    return out;
+  };
+  auto expect_same = [&](const RouteReport& a, const RouteReport& b) {
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.total_hops, b.total_hops);
+    EXPECT_EQ(a.max_edge_queue, b.max_edge_queue);
+    EXPECT_EQ(a.mean_latency, b.mean_latency);
+    EXPECT_EQ(a.max_latency, b.max_latency);
+    const auto pa = by_id(packets);
+    const auto pb = by_id(shuffled);
+    for (std::uint32_t id = 0; id < pa.size(); ++id) {
+      EXPECT_EQ(pa[id]->delivered_at, pb[id]->delivered_at) << id;
+      EXPECT_EQ(pa[id]->next_edge, pb[id]->next_edge) << id;
+      EXPECT_EQ(pa[id]->waiting_since, pb[id]->waiting_since) << id;
+    }
+  };
+
+  // Cut off mid-flight: some packets are still queued or not injected.
+  const RouteReport cut_a = route_all(packets, /*max_cycles=*/20, start);
+  const RouteReport cut_b = route_all(shuffled, 20, start);
+  expect_same(cut_a, cut_b);
+  EXPECT_EQ(cut_a.cycles, 20u);
+  EXPECT_GT(cut_a.delivered, 1u);
+  EXPECT_LT(cut_a.delivered, packets.size() - 1);
+  EXPECT_EQ(packets[7].delivered_at, 9u);
+  EXPECT_EQ(packets[11].delivered_at, start);
+  EXPECT_GE(cut_a.max_edge_queue, 2u);
+
+  // Resume the same packets from where the cut left them.
+  const std::uint64_t resume = start + cut_a.cycles;
+  const RouteReport rest_a = route_all(packets, 1'000'000, resume);
+  const RouteReport rest_b = route_all(shuffled, 1'000'000, resume);
+  expect_same(rest_a, rest_b);
+  EXPECT_EQ(cut_a.delivered + rest_a.delivered, packets.size() - 1);
+  for (const auto& p : packets) {
+    EXPECT_TRUE(p.delivered());
+    EXPECT_EQ(p.next_edge, p.path.size());
+  }
 }
 
 }  // namespace

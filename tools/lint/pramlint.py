@@ -434,12 +434,68 @@ def check_bans(relpath, view, findings):
 
 # ---- unordered-container iteration ---------------------------------------
 
+_TYPE_HEAD_RE = re.compile(r"\b(?:class|struct|union|enum)\b")
+_NAMESPACE_HEAD_RE = re.compile(r"\b(?:namespace|extern)\b")
+
+
+def brace_pairs(code):
+    """Every matched `{ }` pair as (open, close, kind). kind is "type"
+    (class/struct/union/enum body), "namespace" (namespace or extern
+    block) or "block" (function bodies and everything nested in them,
+    lambdas, initializers), judged from the statement head before the
+    brace."""
+    pairs, stack = [], []
+    head_start = 0
+    for i, ch in enumerate(code):
+        if ch == "{":
+            head = code[head_start:i]
+            if any(kind == "block" for _, kind in stack):
+                kind = "block"
+            elif _NAMESPACE_HEAD_RE.search(head) and "(" not in head:
+                kind = "namespace"
+            elif (_TYPE_HEAD_RE.search(head) and "(" not in head
+                  and "=" not in head):
+                kind = "type"
+            else:
+                kind = "block"
+            stack.append((i, kind))
+            head_start = i + 1
+        elif ch == "}":
+            if stack:
+                opened, kind = stack.pop()
+                pairs.append((opened, i, kind))
+            head_start = i + 1
+        elif ch == ";":
+            head_start = i + 1
+    return pairs
+
+
+class UnorderedDecls:
+    """Names declared with an unordered type in one translation unit, by
+    scope: `members` (class scope), `globals` (namespace scope), `locals`
+    as (name, start, end) spans of their enclosing function body, and
+    `accessors` (functions returning (a reference to) one)."""
+
+    def __init__(self):
+        self.members, self.globals, self.accessors = set(), set(), set()
+        self.locals = []
+
+    def local_at(self, name, offset):
+        return any(n == name and start <= offset <= end
+                   for n, start, end in self.locals)
+
+    def dir_visible(self):
+        """Members and globals a sibling file can see: by convention the
+        ones with a trailing underscore (a .cpp iterating a member its
+        header declares)."""
+        return {v for v in self.members | self.globals if v.endswith("_")}
+
+
 def unordered_names(view):
-    """(variables, accessors) declared with an unordered type in this
-    translation unit: variable/member names, and names of functions whose
-    declared return type is (a reference to) an unordered container."""
+    """UnorderedDecls for this translation unit."""
     code = view.code
-    variables, accessors = set(), set()
+    pairs = brace_pairs(code)
+    decls = UnorderedDecls()
     for m in UNORDERED_RE.finditer(code):
         i = m.end()
         while i < len(code) and code[i].isspace():
@@ -470,10 +526,22 @@ def unordered_names(view):
         while j < len(code) and code[j].isspace():
             j += 1
         if j < len(code) and code[j] == "(":
-            accessors.add(name)
-        elif j < len(code) and code[j] in ";=,{)":
-            variables.add(name)
-    return variables, accessors
+            decls.accessors.add(name)
+            continue
+        if j >= len(code) or code[j] not in ";=,{)":
+            continue
+        at = m.start()
+        enclosing = [p for p in pairs if p[0] < at < p[1]]
+        bodies = [p for p in enclosing if p[2] == "block"]
+        if bodies:
+            # The outermost block is the function body.
+            opened, closed, _ = min(bodies)
+            decls.locals.append((name, opened, closed))
+        elif enclosing and max(enclosing)[2] == "type":
+            decls.members.add(name)
+        else:
+            decls.globals.add(name)
+    return decls
 
 
 def _top_level_colon(s):
@@ -505,10 +573,19 @@ def check_unordered_iteration(relpath, view, dir_vars, dir_accessors,
                               findings):
     if subsystem_of(relpath) is None:
         return
-    local_vars, local_accessors = unordered_names(view)
-    tracked_vars = local_vars | dir_vars
-    tracked_calls = local_accessors | dir_accessors
+    decls = unordered_names(view)
+    members = decls.members | dir_vars
+    tracked_calls = decls.accessors | dir_accessors
     code = view.code
+
+    def tracked(name, offset):
+        """`obj.name` / `obj->name` can only be a member; a bare name can
+        also be a global or a local of the enclosing function."""
+        before = code[:offset].rstrip()
+        if before.endswith(".") or before.endswith("->"):
+            return name in members
+        return (name in members or name in decls.globals
+                or decls.local_at(name, offset))
 
     def annotated(line):
         return any(ANNOTATION in view.comment_on(ln)
@@ -531,6 +608,7 @@ def check_unordered_iteration(relpath, view, dir_vars, dir_accessors,
         if colon < 0:
             continue
         rhs = head[colon + 1:].strip()
+        rhs_start = code.index(rhs, open_paren + 1 + colon + 1)
         call = RANGE_TARGET_CALL_RE.search(rhs)
         name = None
         via = None
@@ -538,7 +616,7 @@ def check_unordered_iteration(relpath, view, dir_vars, dir_accessors,
             name, via = call.group(1), "accessor"
         elif not call:
             plain = RANGE_TARGET_NAME_RE.search(rhs)
-            if plain and plain.group(1) in tracked_vars:
+            if plain and tracked(plain.group(1), rhs_start + plain.start(1)):
                 name, via = plain.group(1), "container"
         if name is None:
             continue
@@ -551,7 +629,7 @@ def check_unordered_iteration(relpath, view, dir_vars, dir_accessors,
             f"is implementation-defined and this fold is not annotated"))
 
     for m in re.finditer(r"([A-Za-z_]\w*)\s*\.\s*begin\s*\(", code):
-        if m.group(1) not in tracked_vars:
+        if not tracked(m.group(1), m.start(1)):
             continue
         line = view.line_of(m.start())
         if annotated(line):
@@ -868,10 +946,9 @@ def scan_tree(root):
         view = SourceView(path.read_text(encoding="utf-8"))
         views[rel] = view
         sub = subsystem_of(rel)
-        variables, accessors = unordered_names(view)
-        members = {v for v in variables if v.endswith("_")}
-        dir_members.setdefault(sub, set()).update(members)
-        dir_accessors.setdefault(sub, set()).update(accessors)
+        decls = unordered_names(view)
+        dir_members.setdefault(sub, set()).update(decls.dir_visible())
+        dir_accessors.setdefault(sub, set()).update(decls.accessors)
     for path in files:
         rel = path.relative_to(root).as_posix()
         view = views[rel]
@@ -926,10 +1003,9 @@ def run_self_test(fixtures_root):
         view = SourceView(path.read_text(encoding="utf-8"))
         views[rel] = view
         sub = subsystem_of(rel)
-        variables, accessors = unordered_names(view)
-        dir_members.setdefault(sub, set()).update(
-            {v for v in variables if v.endswith("_")})
-        dir_accessors.setdefault(sub, set()).update(accessors)
+        decls = unordered_names(view)
+        dir_members.setdefault(sub, set()).update(decls.dir_visible())
+        dir_accessors.setdefault(sub, set()).update(decls.accessors)
     failures = 0
     for path in files:
         rel = path.relative_to(fixtures_root).as_posix()
