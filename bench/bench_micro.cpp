@@ -224,6 +224,51 @@ int main() {
     add_row(table, "ida_decode_region", params, md, 8.0 * b, 64.0 * b);
   }
 
+  // IDA step-batched recode at the benchmark's ida_wide shape (n = 1024,
+  // b = 10, d = 20): one serve step decodes every plan group, about 1019
+  // blocks, in one call, and re-encodes its written blocks, about 512, in
+  // another. Items and bytes count the b data words of each block.
+  {
+    const std::uint32_t b = 10;
+    const std::uint32_t d = 20;
+    const std::uint32_t decode_blocks = 1019;
+    const std::uint32_t encode_blocks = 512;
+    ida::Disperser disperser({b, d});
+    util::Rng rng(14);
+    std::vector<pram::Word> spans(static_cast<std::size_t>(b) *
+                                  decode_blocks);
+    for (auto& word : spans) {
+      word = static_cast<pram::Word>(rng.next());
+    }
+    std::vector<std::uint32_t> indices(b);
+    for (std::uint32_t j = 0; j < b; ++j) {
+      indices[j] = j;
+    }
+    std::vector<pram::Word> blocks(static_cast<std::size_t>(b) *
+                                   decode_blocks);
+    const auto md = measure([&] {
+      disperser.decode_regions(indices, spans.data(), decode_blocks,
+                               decode_blocks, blocks.data());
+      do_not_optimize(blocks);
+    }, 4);
+    add_row(table, "ida_step_decode",
+            "b=10 d=20 blocks=" + std::to_string(decode_blocks), md,
+            static_cast<double>(b) * decode_blocks,
+            8.0 * b * decode_blocks);
+
+    std::vector<pram::Word> shares(static_cast<std::size_t>(d) *
+                                   encode_blocks);
+    const auto me = measure([&] {
+      disperser.encode_regions(blocks.data(), encode_blocks, shares.data(),
+                               encode_blocks);
+      do_not_optimize(shares);
+    }, 4);
+    add_row(table, "ida_step_encode",
+            "b=10 d=20 blocks=" + std::to_string(encode_blocks), me,
+            static_cast<double>(b) * encode_blocks,
+            8.0 * b * encode_blocks);
+  }
+
   {
     // The checkpoint/WAL frame check over one 64 KiB stream block.
     util::Rng rng(4);

@@ -61,21 +61,26 @@ class Disperser {
       std::span<const std::uint32_t> indices,
       std::span<const pram::Word> shares) const;
 
-  // ---- bulk region codec (spans of consecutive blocks) ----
+  // ---- bulk region codec (spans of blocks) ----
   //
   // The per-word API above re-derives the evaluation geometry on every
   // call (and allocates its results); the region codec instead applies a
-  // precomputed GF(256) matrix to whole spans with the table-sliced
-  // multiply of GF256::mul_span_accum, so the cost of the setup is
-  // amortized over `count` consecutive blocks. Bit-identical to calling
-  // encode_words / recover_words once per block: both sides are exact
-  // field arithmetic evaluating the same polynomials.
+  // precomputed GF(256) matrix to whole spans with
+  // GF256::mul_span_accum, so the setup is amortized over `count`
+  // blocks and each span multiply streams count * 8 bytes through the
+  // vector kernel. IdaMemory::serve calls it twice per step: one decode
+  // of every plan group's gathered shares, one encode of every written
+  // block. Bit-identical to calling encode_words / recover_words once
+  // per block: both sides are exact field arithmetic evaluating the same
+  // polynomials.
   //
   // Layouts: `blocks` is block-major (word j of the t-th block at
   // blocks[t*b + j], matching IdaMemory's decoded-store layout);
   // share spans are strided (the span for position s starts at
-  // shares[s * stride], its t-th word belonging to the t-th block) so
-  // the codec reads/writes IdaMemory's share-major region rows in place.
+  // shares[s * stride], its t-th word belonging to the t-th block), so
+  // the codec reads a single block straight from IdaMemory's
+  // share-major region rows (stride = region_blocks) as well as the
+  // dense spans serve() gathers (stride = count).
 
   /// Bulk encode: recode `count` consecutive blocks into the d share
   /// spans at shares[i * stride .. i * stride + count).

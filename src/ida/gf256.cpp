@@ -1,5 +1,10 @@
 #include "ida/gf256.hpp"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace pramsim::ida {
 
 namespace {
@@ -24,6 +29,80 @@ struct Tables {
 
 constexpr Tables kTables{};
 
+/// Split-nibble product tables: lo[c][x] == c * x and hi[c][x] ==
+/// c * (x << 4) for x in [0, 16), so c * y == lo[c][y & 15] ^
+/// hi[c][y >> 4]. Each row is one 16-byte vpshufb lookup table.
+struct NibbleTables {
+  alignas(64) std::array<std::array<GF256::Elem, 16>, 256> lo{};
+  alignas(64) std::array<std::array<GF256::Elem, 16>, 256> hi{};
+
+  constexpr NibbleTables() {
+    for (std::uint32_t c = 1; c < 256; ++c) {
+      for (std::uint32_t x = 1; x < 16; ++x) {
+        lo[c][x] = product(c, x);
+        hi[c][x] = product(c, x << 4);
+      }
+    }
+  }
+
+  static constexpr GF256::Elem product(std::uint32_t a, std::uint32_t b) {
+    return kTables.exp[(kTables.log[a] + kTables.log[b]) % 255u];
+  }
+};
+
+constexpr NibbleTables kNibbles{};
+
+#if defined(__x86_64__)
+
+/// dst[i] ^= c * src[i] over the whole 32-byte chunks of [0, n); returns
+/// the number of bytes it covered.
+__attribute__((target("avx2"))) std::size_t mul_span_accum_avx2(
+    GF256::Elem* dst, const GF256::Elem* src, std::size_t n, GF256::Elem c) {
+  const __m256i lo = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibbles.lo[c].data())));
+  const __m256i hi = _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kNibbles.hi[c].data())));
+  const __m256i low_nibble = _mm256_set1_epi8(0x0F);
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    const __m256i product = _mm256_xor_si256(
+        _mm256_shuffle_epi8(lo, _mm256_and_si256(x, low_nibble)),
+        _mm256_shuffle_epi8(
+            hi, _mm256_and_si256(_mm256_srli_epi64(x, 4), low_nibble)));
+    auto* out = reinterpret_cast<__m256i*>(dst + i);
+    _mm256_storeu_si256(out,
+                        _mm256_xor_si256(_mm256_loadu_si256(out), product));
+  }
+  return i;
+}
+
+/// True when the CPU has AVX2 and the OS saves the YMM registers
+/// (CPUID.1:ECX.OSXSAVE, XCR0 bits 1-2, CPUID.7.0:EBX.AVX2). Probed
+/// inline through <cpuid.h>: __builtin_cpu_supports would link libgcc's
+/// CPU-model constructor into every program that links this library.
+bool have_avx2() {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ecx & bit_OSXSAVE) == 0) {
+    return false;
+  }
+  unsigned xcr0_lo = 0;
+  unsigned xcr0_hi = 0;
+  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  if ((xcr0_lo & 0x6u) != 0x6u) {
+    return false;  // the OS does not save the XMM and YMM state
+  }
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+         (ebx & bit_AVX2) != 0;
+}
+
+#endif
+
 }  // namespace
 
 const std::array<GF256::Elem, 255>& GF256::exp_table() { return kTables.exp; }
@@ -47,6 +126,21 @@ const GF256::Elem* GF256::mul_row(Elem c) {
     return table;
   }();
   return kMul.data() + static_cast<std::size_t>(c) * 256;
+}
+
+void GF256::mul_span_accum(Elem* dst, const Elem* src, std::size_t n,
+                           Elem c) {
+  if (c == 0) {
+    return;
+  }
+  std::size_t done = 0;
+#if defined(__x86_64__)
+  static const bool kHaveAvx2 = have_avx2();  // probed once, on first use
+  if (kHaveAvx2) {
+    done = mul_span_accum_avx2(dst, src, n, c);
+  }
+#endif
+  mul_span_accum_scalar(dst + done, src + done, n - done, c);
 }
 
 }  // namespace pramsim::ida

@@ -6,9 +6,12 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11D); alpha = 2 is a generator. exp/log
 // tables are generated at compile time, so multiplication and division
 // are two table lookups — the hot operations of dispersal coding.
+// Bulk coding goes through mul_span_accum, whose vector kernel is
+// described below.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/assert.hpp"
@@ -59,7 +62,11 @@ class GF256 {
     if (a == 0) {
       return 0;
     }
-    return exp_table()[(static_cast<std::uint32_t>(log_table()[a]) * e) % 255];
+    // The multiplicative group has order 255, so the exponent reduces
+    // mod 255 first; log[a] * e itself would wrap uint32_t for large e.
+    return exp_table()[(static_cast<std::uint32_t>(log_table()[a]) *
+                        (e % 255u)) %
+                       255u];
   }
 
   /// alpha^i for i in [0, 255); alpha = 2 generates the multiplicative
@@ -68,13 +75,17 @@ class GF256 {
     return exp_table()[i % 255];
   }
 
-  // ----- table-sliced span arithmetic (bulk encode/decode) -----
+  // ----- span arithmetic (bulk encode/decode) -----
   //
   // A linear-combination step over a span multiplies every byte by ONE
-  // field constant c. Slicing the 256x256 product table by c turns the
-  // inner loop into a single table load per byte — no log/exp lookups,
-  // no mod-255 — and the c == 0 / c == 1 rows degenerate to a skip and a
-  // plain (auto-vectorizable) xor.
+  // field constant c. Multiplication by c is linear over GF(2), so
+  // c * x = c * (x & 0x0F) ^ c * (x & 0xF0): two 16-entry tables per
+  // constant (8 KiB for all 256, built at compile time) cover every
+  // product. On x86-64 hosts with AVX2 (probed once per process, on
+  // first use), mul_span_accum looks both nibbles of 32 bytes up at
+  // once with vpshufb; the bytes past the last whole 32-byte chunk, and
+  // every byte on other hosts, go through the scalar loop below. Both
+  // are exact field arithmetic, so they agree bit for bit.
 
   /// Row c of the full multiplication table: mul_row(c)[x] == c * x.
   [[nodiscard]] static const Elem* mul_row(Elem c);
@@ -83,7 +94,13 @@ class GF256 {
   /// GF(256) matrix-vector product over byte spans. dst and src must not
   /// overlap unless they are equal ranges.
   static void mul_span_accum(Elem* dst, const Elem* src, std::size_t n,
-                             Elem c) {
+                             Elem c);
+
+  /// The scalar form of mul_span_accum, one load from the 64 KiB product
+  /// row per byte (c == 0 skips, c == 1 is a plain xor): the fallback,
+  /// the vector kernel's tail, and the reference tests compare it with.
+  static void mul_span_accum_scalar(Elem* dst, const Elem* src,
+                                    std::size_t n, Elem c) {
     if (c == 0) {
       return;
     }

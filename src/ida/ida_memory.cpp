@@ -1,6 +1,7 @@
 #include "ida/ida_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,15 +29,16 @@ IdaMemory::IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config)
   flag_base_ = static_cast<std::size_t>(config_.d) * R *
                (config_.check_shares ? 2 : 1);
   row_words_ = flag_base_ + (R + 63) / 64;
-  // One encoding of the all-zero block serves every untouched block, so
-  // construction is O(d) regardless of m (sparse storage).
-  const std::vector<pram::Word> zero_block(config_.b, 0);
-  zero_shares_ = disperser_.encode_words(zero_block);
+  const std::size_t rows_per_chunk = std::bit_floor(std::max<std::size_t>(
+      kChunkBytes / (row_words_ * sizeof(pram::Word)), 1));
+  chunk_shift_ = static_cast<unsigned>(std::countr_zero(rows_per_chunk));
+  chunk_mask_ = static_cast<std::uint32_t>(rows_per_chunk - 1);
   identity_indices_.resize(config_.b);
   for (std::uint32_t j = 0; j < config_.b; ++j) {
     identity_indices_[j] = j;
   }
   encode_scratch_.resize(config_.d);
+  block_placement_.resize(config_.d);
 }
 
 pram::Word IdaMemory::share_checksum(std::uint64_t block, std::uint32_t j,
@@ -46,31 +48,41 @@ pram::Word IdaMemory::share_checksum(std::uint64_t block, std::uint32_t j,
   return mix.next();
 }
 
-std::vector<pram::Word>& IdaMemory::region_row(std::uint64_t block) {
-  const auto [it, fresh] = shares_.try_emplace(region_of_block(block));
-  if (fresh) {
-    auto& row = it->second;
-    row.assign(row_words_, 0);
-    // Every block slot starts as the shared zero encoding; checksums and
-    // written-block flags stay 0 (checksum_at falls back to the salted
-    // zero checksum for blocks whose flag is still clear).
-    const std::size_t R = config_.region_blocks;
-    for (std::uint32_t s = 0; s < config_.d; ++s) {
-      std::fill_n(row.begin() + static_cast<std::ptrdiff_t>(s * R), R,
-                  zero_shares_[s]);
-    }
+pram::Word* IdaMemory::region_row(std::uint64_t region) {
+  PRAMSIM_ASSERT(region < n_regions_);
+  if (region >= row_of_region_.size()) {
+    row_of_region_.resize(region + 1, kNoRow);
   }
-  return it->second;
+  std::uint32_t& id = row_of_region_[region];
+  if (id != kNoRow) {
+    return row_data(id);
+  }
+  id = rows_++;
+  if ((id & chunk_mask_) == 0) {
+    row_chunks_.push_back(std::make_unique_for_overwrite<pram::Word[]>(
+        (static_cast<std::size_t>(chunk_mask_) + 1) * row_words_));
+  }
+  // All zero: the zero block encodes to zero shares, and checksums and
+  // written-block flags start clear (checksum_at falls back to the
+  // salted zero checksum for blocks whose flag is still clear).
+  pram::Word* row = row_data(id);
+  std::fill_n(row, row_words_, 0);
+  return row;
+}
+
+void IdaMemory::clear_rows() {
+  row_of_region_.clear();
+  row_chunks_.clear();
+  rows_ = 0;
 }
 
 bool IdaMemory::block_written(std::uint64_t block) const {
-  const auto it = shares_.find(region_of_block(block));
-  if (it == shares_.end()) {
+  const pram::Word* row = find_row(region_of_block(block));
+  if (row == nullptr) {
     return false;
   }
   const std::uint64_t t = block % config_.region_blocks;
-  const auto bits =
-      static_cast<std::uint64_t>(it->second[flag_base_ + t / 64]);
+  const auto bits = static_cast<std::uint64_t>(row[flag_base_ + t / 64]);
   return ((bits >> (t % 64)) & 1ULL) != 0;
 }
 
@@ -79,21 +91,21 @@ pram::Word IdaMemory::checksum_at(std::uint64_t block,
   if (!block_written(block)) {
     // Unwritten block: the stored checksum is, by definition, the one
     // the zero encoding's writer would have computed.
-    return share_checksum(block, j, zero_shares_[j]);
+    return share_checksum(block, j, 0);
   }
-  const auto& row = shares_.at(region_of_block(block));
   const std::size_t R = config_.region_blocks;
-  return row[static_cast<std::size_t>(config_.d) * R +
-             static_cast<std::size_t>(j) * R + block % R];
+  const pram::Word* checksums = find_row(region_of_block(block)) +
+                                static_cast<std::size_t>(config_.d) * R;
+  return checksums[static_cast<std::size_t>(j) * R + block % R];
 }
 
 pram::Word IdaMemory::share_at(std::uint64_t block, std::uint32_t j) const {
-  const auto it = shares_.find(region_of_block(block));
-  if (it == shares_.end()) {
-    return zero_shares_[j];
+  const pram::Word* row = find_row(region_of_block(block));
+  if (row == nullptr) {
+    return 0;
   }
   const std::size_t R = config_.region_blocks;
-  return it->second[static_cast<std::size_t>(j) * R + block % R];
+  return row[static_cast<std::size_t>(j) * R + block % R];
 }
 
 void IdaMemory::placement_into_current(std::uint64_t block,
@@ -110,14 +122,20 @@ void IdaMemory::placement_into_current(std::uint64_t block,
   }
 }
 
-std::vector<pram::Word> IdaMemory::recover_block(std::uint64_t block,
-                                                 std::uint32_t* erased,
-                                                 std::uint32_t* faulty,
-                                                 bool* ok) const {
+bool IdaMemory::recover_block(std::uint64_t block, pram::Word* out,
+                              std::uint32_t* erased,
+                              std::uint32_t* faulty) const {
   if (hooks_ == nullptr) {
-    std::vector<pram::Word> out(config_.b);
-    decode_blocks_healthy(block, 1, out.data());
-    return out;
+    const std::size_t R = config_.region_blocks;
+    const pram::Word* row = find_row(region_of_block(block));
+    if (row == nullptr) {
+      // Untouched region: the zero block decodes to zeros, exactly.
+      std::fill_n(out, config_.b, 0);
+    } else {
+      disperser_.decode_regions(identity_indices_, row + block % R, R, 1,
+                                out);
+    }
+    return true;
   }
   std::vector<std::uint32_t> indices;
   std::vector<pram::Word> vals;
@@ -159,60 +177,64 @@ std::vector<pram::Word> IdaMemory::recover_block(std::uint64_t block,
     vals.push_back(value);
   }
   if (indices.size() < config_.b) {
-    *ok = false;
-    return std::vector<pram::Word>(config_.b, 0);
+    std::fill_n(out, config_.b, 0);
+    return false;
   }
   // Same interpolation recover_words performs, routed through the bulk
   // codec (count 1, stride 1): the recovery matrix folds the
   // value-independent Lagrange factors, so the words are bit-identical
   // by exact GF(256) arithmetic.
-  std::vector<pram::Word> out(config_.b);
-  disperser_.decode_regions(indices, vals.data(), 1, 1, out.data());
-  return out;
+  disperser_.decode_regions(indices, vals.data(), 1, 1, out);
+  return true;
 }
 
-void IdaMemory::decode_blocks_healthy(std::uint64_t first_block,
-                                      std::uint32_t count,
-                                      pram::Word* out) const {
-  PRAMSIM_ASSERT(count >= 1);
-  PRAMSIM_ASSERT(region_of_block(first_block) ==
-                 region_of_block(first_block + count - 1));
-  const auto it = shares_.find(region_of_block(first_block));
-  if (it == shares_.end()) {
-    // Untouched region: the zero block decodes to zeros, exactly.
-    std::fill_n(out, static_cast<std::size_t>(count) * config_.b, 0);
+void IdaMemory::decode_groups_healthy(const pram::AccessPlan& plan) {
+  const std::size_t n_groups = plan.num_groups();
+  if (n_groups == 0) {
     return;
   }
-  disperser_.decode_regions(identity_indices_,
-                            it->second.data() + first_block %
-                                                    config_.region_blocks,
-                            config_.region_blocks, count, out);
-}
-
-std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block) {
-  std::uint32_t erased = 0;
-  std::uint32_t faulty = 0;
-  bool ok = true;
-  auto vals = recover_block(block, &erased, &faulty, &ok);
-  if (hooks_ != nullptr) {
-    // Share-unit counters accrue per decode; the READ-unit counters
-    // (faults_masked, uncorrectable) are attributed per variable read
-    // in step(), so cross-scheme reliability ratios compare like units.
-    reliability_.erasures_skipped += erased;
-    reliability_.units_faulty += erased + faulty;
-    if (!ok) {
-      reliability_.shares_short +=
-          config_.b - (config_.d - std::min(erased, config_.d));
-      failed_blocks_.insert(block);
-      obs_event(obs::EventKind::kUncorrectable, block, erased, faulty);
-      obs_count("ida.blocks.lost");
-    } else if (erased + faulty > 0) {
-      degraded_blocks_.insert(block);
-      obs_event(obs::EventKind::kDegradedDecode, block, erased, faulty);
-      obs_count("ida.blocks.degraded");
+  const std::size_t R = config_.region_blocks;
+  share_spans_.resize(n_groups * config_.b);
+  pram::Word* spans = share_spans_.data();
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const std::uint64_t blk = plan.group_keys[g];
+    const pram::Word* row = find_row(region_of_block(blk));
+    for (std::uint32_t j = 0; j < config_.b; ++j) {
+      // Untouched rows read as zeros: the zero block's shares.
+      spans[j * n_groups + g] = row == nullptr ? 0 : row[j * R + blk % R];
     }
   }
-  return vals;
+  disperser_.decode_regions(identity_indices_, spans, n_groups,
+                            static_cast<std::uint32_t>(n_groups),
+                            decoded_store_.data());
+}
+
+IdaMemory::DecodeStatus IdaMemory::decode_block(std::uint64_t block,
+                                                pram::Word* out) {
+  std::uint32_t erased = 0;
+  std::uint32_t faulty = 0;
+  const bool ok = recover_block(block, out, &erased, &faulty);
+  if (hooks_ == nullptr) {
+    return DecodeStatus::kOk;
+  }
+  // Share-unit counters accrue per decode; the READ-unit counters
+  // (faults_masked, uncorrectable) are attributed per variable read by
+  // the caller, so cross-scheme reliability ratios compare like units.
+  reliability_.erasures_skipped += erased;
+  reliability_.units_faulty += erased + faulty;
+  if (!ok) {
+    reliability_.shares_short +=
+        config_.b - (config_.d - std::min(erased, config_.d));
+    obs_event(obs::EventKind::kUncorrectable, block, erased, faulty);
+    obs_count("ida.blocks.lost");
+    return DecodeStatus::kFailed;
+  }
+  if (erased + faulty > 0) {
+    obs_event(obs::EventKind::kDegradedDecode, block, erased, faulty);
+    obs_count("ida.blocks.degraded");
+    return DecodeStatus::kDegraded;
+  }
+  return DecodeStatus::kOk;
 }
 
 void IdaMemory::encode_block(std::uint64_t block,
@@ -221,42 +243,44 @@ void IdaMemory::encode_block(std::uint64_t block,
   // words densely into the scratch) — same Horner products the classic
   // per-word encode_words computed, via the generator-matrix rows.
   disperser_.encode_regions(values.data(), 1, encode_scratch_.data(), 1);
-  auto& row = region_row(block);
+  if (hooks_ != nullptr) {
+    placement_into_current(block, block_placement_);
+  }
+  store_block(block, encode_scratch_.data(), 1, block_placement_);
+}
+
+void IdaMemory::store_block(std::uint64_t block, const pram::Word* shares,
+                            std::size_t stride,
+                            std::span<const ModuleId> modules) {
   const std::size_t R = config_.region_blocks;
+  pram::Word* row = region_row(region_of_block(block));
   const std::uint64_t t = block % R;
   row[flag_base_ + t / 64] = static_cast<pram::Word>(
       static_cast<std::uint64_t>(row[flag_base_ + t / 64]) |
       (1ULL << (t % 64)));
-  const std::size_t check_base = static_cast<std::size_t>(config_.d) * R;
-  if (hooks_ == nullptr) {
-    for (std::uint32_t j = 0; j < config_.d; ++j) {
-      row[static_cast<std::size_t>(j) * R + t] = encode_scratch_[j];
-      if (config_.check_shares) {
-        row[check_base + static_cast<std::size_t>(j) * R + t] =
-            share_checksum(block, j, encode_scratch_[j]);
+  pram::Word* checksums = row + static_cast<std::size_t>(config_.d) * R;
+  if (hooks_ != nullptr) {
+    ++store_ops_;
+  }
+  for (std::uint32_t j = 0; j < config_.d; ++j) {
+    const pram::Word encoded = shares[j * stride];
+    pram::Word word = encoded;
+    if (hooks_ != nullptr) {
+      if (hooks_->module_dead(modules[j], steps_served())) {
+        ++reliability_.writes_dropped;
+        continue;
+      }
+      if (hooks_->corrupt_write(block, j, store_ops_, steps_served(),
+                                word)) {
+        ++reliability_.corrupt_stores;
       }
     }
-    return;
-  }
-  ++store_ops_;
-  std::vector<ModuleId> modules(config_.d);
-  placement_into_current(block, modules);
-  for (std::uint32_t j = 0; j < config_.d; ++j) {
-    if (hooks_->module_dead(modules[j], steps_served())) {
-      ++reliability_.writes_dropped;
-      continue;
-    }
-    pram::Word word = encode_scratch_[j];
-    if (hooks_->corrupt_write(block, j, store_ops_, steps_served(), word)) {
-      ++reliability_.corrupt_stores;
-    }
-    row[static_cast<std::size_t>(j) * R + t] = word;
+    row[j * R + t] = word;
     if (config_.check_shares) {
       // The checksum is computed by the WRITER from the true encoded
       // word (and modeled as stored intact), so a corrupted data word
       // leaves a mismatched pair the next decode detects.
-      row[check_base + static_cast<std::size_t>(j) * R + t] =
-          share_checksum(block, j, encode_scratch_[j]);
+      checksums[j * R + t] = share_checksum(block, j, encoded);
     }
   }
 }
@@ -272,9 +296,11 @@ pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
   obs::PhaseSet* timing = obs_timing();
   pram::MemStepCost cost;
   const std::uint64_t share_accesses_before = share_accesses_;
-  failed_blocks_.clear();
-  degraded_blocks_.clear();
   flagged_reads_.clear();
+  // Blocks whose decode fell below threshold / reconstructed around >= 1
+  // bad share this step.
+  std::unordered_set<std::uint64_t> failed_blocks;
+  std::unordered_set<std::uint64_t> degraded_blocks;
 
   // ---- gather per-block work --------------------------------------
   std::unordered_set<std::uint64_t> read_blocks;
@@ -332,15 +358,26 @@ pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
     vars_processed_ += config_.b;
   };
 
+  std::unordered_map<std::uint64_t, std::vector<pram::Word>> decoded;
+  auto decode_into_map = [&](std::uint64_t blk) {
+    std::vector<pram::Word> vals(config_.b);
+    const DecodeStatus status = decode_block(blk, vals.data());
+    if (status == DecodeStatus::kFailed) {
+      failed_blocks.insert(blk);
+    } else if (status == DecodeStatus::kDegraded) {
+      degraded_blocks.insert(blk);
+    }
+    decoded.emplace(blk, std::move(vals));
+  };
+
   // ---- phase 1: reads (pre-step state) -----------------------------
   for (const auto blk : read_block_order) {
     charge_read_block(blk);
   }
-  std::unordered_map<std::uint64_t, std::vector<pram::Word>> decoded;
   {
     obs::ScopedPhase timer(timing, obs::Phase::kDecode);
     for (const auto blk : read_block_order) {
-      decoded.emplace(blk, decode_block(blk));
+      decode_into_map(blk);
     }
   }
   if (hooks_ != nullptr) {
@@ -354,10 +391,10 @@ pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
       ++reliability_.reads_served;
       // Every read of an under-threshold block is a FLAGGED loss;
       // reads of a degraded-but-reconstructed block are masked faults.
-      if (failed_blocks_.count(blk) != 0) {
+      if (failed_blocks.count(blk) != 0) {
         flagged_reads_[i] = 1;
         ++reliability_.uncorrectable;
-      } else if (degraded_blocks_.count(blk) != 0) {
+      } else if (degraded_blocks.count(blk) != 0) {
         ++reliability_.faults_masked;
       }
     }
@@ -376,7 +413,7 @@ pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
     // it, then re-encoded and fully rewritten (d shares).
     if (read_blocks.find(blk) == read_blocks.end()) {
       charge_read_block(blk);
-      decoded.emplace(blk, decode_block(blk));
+      decode_into_map(blk);
     }
     charge_write_block(blk);
     auto block_vals = decoded.at(blk);
@@ -413,24 +450,31 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   obs::PhaseSet* timing = obs_timing();
   pram::MemStepCost cost;
   const std::uint64_t share_accesses_before = share_accesses_;
-  failed_blocks_.clear();
-  degraded_blocks_.clear();
   flagged_reads_.clear();
+  const std::uint32_t b = config_.b;
+  const std::uint32_t d = config_.d;
 
-  // The plan's groups are this scheme's blocks, ascending; one decode
-  // (and at most one re-encode) per group replaces the old per-step
-  // read_blocks set / writes_by_block map entirely.
+  // The plan's groups are this scheme's blocks, ascending; each group is
+  // read, written, or both. Its placement is computed once per step.
+  constexpr std::uint8_t kGroupRead = 1;
+  constexpr std::uint8_t kGroupWrite = 2;
   const std::size_t n_groups = plan.num_groups();
-  group_has_read_.assign(n_groups, 0);
-  group_status_.assign(n_groups, 0);
+  group_ops_.assign(n_groups, 0);
+  group_status_.assign(n_groups, DecodeStatus::kOk);
+  placements_.resize(n_groups * d);
   for (std::size_t g = 0; g < n_groups; ++g) {
     for (std::uint32_t i = plan.group_offsets[g];
          i < plan.group_offsets[g + 1]; ++i) {
-      if (plan.requests[plan.group_requests[i]].is_read) {
-        group_has_read_[g] = 1;
-        break;
+      const std::uint32_t req = plan.group_requests[i];
+      if (plan.requests[req].is_read) {
+        group_ops_[g] |= kGroupRead;
+      }
+      if (plan.request_write[req] != pram::AccessPlan::kNone) {
+        group_ops_[g] |= kGroupWrite;
       }
     }
+    placement_into_current(plan.group_keys[g],
+                           {placements_.data() + g * d, d});
   }
 
   // Module round accounting: modules serve one share per round, so a
@@ -438,8 +482,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   // array is per-instance and reset via the touched list; the phase max
   // is tracked incrementally.
   module_load_.resize(config_.n_modules, 0);
-  copy_scratch_.resize(config_.d);
-  order_.resize(config_.d);
+  pick_keys_.resize(d);
   std::uint32_t phase_max = 0;
   auto reset_loads = [&] {
     for (const auto module : touched_modules_) {
@@ -448,98 +491,67 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
     touched_modules_.clear();
     phase_max = 0;
   };
-  auto bump = [&](std::uint32_t module) {
-    if (module_load_[module]++ == 0) {
-      touched_modules_.push_back(module);
+  auto bump = [&](ModuleId module) {
+    const auto m = static_cast<std::uint32_t>(module.index());
+    if (module_load_[m]++ == 0) {
+      touched_modules_.push_back(m);
     }
-    phase_max = std::max(phase_max, module_load_[module]);
+    phase_max = std::max(phase_max, module_load_[m]);
   };
-  auto charge_read_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_scratch_);
+  auto charge_read_group = [&](std::size_t g) {
     // Pick the b least-loaded modules among the d holding shares — the
-    // d-b slack is what lets the scheme dodge congestion. Sorting by
-    // (load, share index) reproduces the stable least-loaded order.
-    for (std::uint32_t j = 0; j < config_.d; ++j) {
-      order_[j] = j;
+    // d-b slack is what lets the scheme dodge congestion. Each key packs
+    // (load, share index), read once before any bump, so the b smallest
+    // keys are the first b of the stable least-loaded order (d <= 255,
+    // so the share index fits the low byte).
+    const ModuleId* modules = placements_.data() + g * d;
+    for (std::uint32_t j = 0; j < d; ++j) {
+      pick_keys_[j] =
+          (static_cast<std::uint64_t>(module_load_[modules[j].index()])
+           << 8) |
+          j;
     }
-    std::sort(order_.begin(), order_.end(),
-              [&](std::uint32_t a, std::uint32_t b2) {
-                const std::uint32_t la =
-                    module_load_[copy_scratch_[a].index()];
-                const std::uint32_t lb =
-                    module_load_[copy_scratch_[b2].index()];
-                return la != lb ? la < lb : a < b2;
-              });
-    for (std::uint32_t j = 0; j < config_.b; ++j) {
-      bump(static_cast<std::uint32_t>(copy_scratch_[order_[j]].index()));
+    if (b < d) {
+      std::nth_element(pick_keys_.begin(), pick_keys_.begin() + b,
+                       pick_keys_.end());
     }
-    share_accesses_ += config_.b;
-    vars_processed_ += config_.b;
+    for (std::uint32_t j = 0; j < b; ++j) {
+      bump(modules[pick_keys_[j] & 0xFF]);
+    }
+    share_accesses_ += b;
+    vars_processed_ += b;
   };
-  auto charge_write_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_scratch_);
-    for (std::uint32_t j = 0; j < config_.d; ++j) {
-      bump(static_cast<std::uint32_t>(copy_scratch_[j].index()));
+  auto charge_write_group = [&](std::size_t g) {
+    const ModuleId* modules = placements_.data() + g * d;
+    for (std::uint32_t j = 0; j < d; ++j) {
+      bump(modules[j]);
     }
-    share_accesses_ += config_.d;
-    vars_processed_ += config_.b;
+    share_accesses_ += d;
+    vars_processed_ += b;
   };
-
-  decoded_store_.resize(n_groups * config_.b);
-  auto decode_group = [&](std::size_t g) {
-    const std::uint64_t blk = plan.group_keys[g];
-    if (hooks_ == nullptr) {
-      decode_blocks_healthy(blk, 1, decoded_store_.data() + g * config_.b);
-      return;
-    }
-    const auto vals = decode_block(blk);
-    std::copy(vals.begin(), vals.end(),
-              decoded_store_.begin() + static_cast<std::ptrdiff_t>(
-                                           g * config_.b));
-    if (hooks_ != nullptr) {
-      if (failed_blocks_.count(blk) != 0) {
-        group_status_[g] = 2;
-      } else if (degraded_blocks_.count(blk) != 0) {
-        group_status_[g] = 1;
-      }
-    }
+  decoded_store_.resize(n_groups * b);
+  auto decode_faulted_group = [&](std::size_t g) {
+    group_status_[g] =
+        decode_block(plan.group_keys[g], decoded_store_.data() + g * b);
   };
 
   // ---- phase 1: reads (pre-step state) -----------------------------
   reset_loads();
   for (std::size_t g = 0; g < n_groups; ++g) {
-    if (group_has_read_[g]) {
-      charge_read_block(plan.group_keys[g]);
+    if (group_ops_[g] & kGroupRead) {
+      charge_read_group(g);
     }
   }
   {
     obs::ScopedPhase timer(timing, obs::Phase::kDecode);
     if (hooks_ == nullptr) {
-      // Healthy fast path: group keys ascend, and consecutive groups land
-      // block-major in decoded_store_, so each maximal run of consecutive
-      // read blocks inside one storage region recodes through ONE bulk
-      // decode_regions call over the stored share spans.
-      std::size_t g = 0;
-      while (g < n_groups) {
-        if (!group_has_read_[g]) {
-          ++g;
-          continue;
-        }
-        const std::uint64_t blk0 = plan.group_keys[g];
-        std::uint32_t len = 1;
-        while (g + len < n_groups && group_has_read_[g + len] &&
-               plan.group_keys[g + len] == blk0 + len &&
-               region_of_block(blk0 + len) == region_of_block(blk0)) {
-          ++len;
-        }
-        decode_blocks_healthy(blk0, len,
-                              decoded_store_.data() + g * config_.b);
-        g += len;
-      }
+      // Healthy: every group decodes now, write-only ones included (their
+      // read-modify-write fetch), in one bulk codec call.
+      decode_groups_healthy(plan);
     } else {
       for (std::size_t g = 0; g < n_groups; ++g) {
-        if (group_has_read_[g]) {
-          decode_group(g);
+        if (group_ops_[g] & kGroupRead) {
+          decode_faulted_group(g);
         }
       }
     }
@@ -548,18 +560,17 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
     flagged_reads_.assign(plan.reads.size(), 0);
   }
   for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-    const std::uint32_t g = plan.request_group[plan.read_request[i]];
-    read_values[i] =
-        decoded_store_[g * config_.b + plan.reads[i].index() % config_.b];
+    const std::size_t g = plan.request_group[plan.read_request[i]];
+    read_values[i] = decoded_store_[g * b + plan.reads[i].index() % b];
     ++vars_accessed_;
     if (hooks_ != nullptr) {
       ++reliability_.reads_served;
       // Every read of an under-threshold block is a FLAGGED loss;
       // reads of a degraded-but-reconstructed block are masked faults.
-      if (group_status_[g] == 2) {
+      if (group_status_[g] == DecodeStatus::kFailed) {
         flagged_reads_[i] = 1;
         ++reliability_.uncorrectable;
-      } else if (group_status_[g] == 1) {
+      } else if (group_status_[g] == DecodeStatus::kDegraded) {
         ++reliability_.faults_masked;
       }
     }
@@ -569,40 +580,50 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   // ---- phase 2: writes (read-modify-write per block) ---------------
   reset_loads();
   obs::ScopedPhase encode_timer(timing, obs::Phase::kEncode);
+  written_groups_.clear();
   for (std::size_t g = 0; g < n_groups; ++g) {
-    bool has_write = false;
-    for (std::uint32_t j = plan.group_offsets[g];
-         j < plan.group_offsets[g + 1]; ++j) {
-      if (plan.request_write[plan.group_requests[j]] !=
-          pram::AccessPlan::kNone) {
-        has_write = true;
-        break;
-      }
-    }
-    if (!has_write) {
+    if (!(group_ops_[g] & kGroupWrite)) {
       continue;
     }
     // The block must be fetched (b shares) unless this step already read
     // it, then re-encoded and fully rewritten (d shares).
-    const std::uint64_t blk = plan.group_keys[g];
-    if (!group_has_read_[g]) {
-      charge_read_block(blk);
-      decode_group(g);
+    if (!(group_ops_[g] & kGroupRead)) {
+      charge_read_group(g);
+      if (hooks_ != nullptr) {
+        decode_faulted_group(g);
+      }
     }
-    charge_write_block(blk);
-    const std::span<pram::Word> block_vals{
-        decoded_store_.data() + g * config_.b, config_.b};
+    charge_write_group(g);
+    pram::Word* block_vals = decoded_store_.data() + g * b;
     for (std::uint32_t j = plan.group_offsets[g];
          j < plan.group_offsets[g + 1]; ++j) {
       const std::uint32_t w = plan.request_write[plan.group_requests[j]];
       if (w == pram::AccessPlan::kNone) {
         continue;
       }
-      block_vals[plan.writes[w].var.index() % config_.b] =
-          plan.writes[w].value;
+      block_vals[plan.writes[w].var.index() % b] = plan.writes[w].value;
       ++vars_accessed_;
     }
-    encode_block(blk, block_vals);
+    written_groups_.push_back(static_cast<std::uint32_t>(g));
+  }
+  // One bulk encode of every written block, then the stores, ascending.
+  const std::size_t n_written = written_groups_.size();
+  if (n_written > 0) {
+    write_blocks_.resize(n_written * b);
+    for (std::size_t w = 0; w < n_written; ++w) {
+      std::copy_n(decoded_store_.data() +
+                      static_cast<std::size_t>(written_groups_[w]) * b,
+                  b, write_blocks_.data() + w * b);
+    }
+    share_spans_.resize(n_written * d);
+    disperser_.encode_regions(write_blocks_.data(),
+                              static_cast<std::uint32_t>(n_written),
+                              share_spans_.data(), n_written);
+    for (std::size_t w = 0; w < n_written; ++w) {
+      const std::size_t g = written_groups_[w];
+      store_block(plan.group_keys[g], share_spans_.data() + w, n_written,
+                  {placements_.data() + g * d, d});
+    }
   }
   const std::uint32_t write_rounds = phase_max;
 
@@ -617,15 +638,16 @@ pram::Word IdaMemory::peek(VarId var) const {
   PRAMSIM_ASSERT(var.index() < m_vars_);
   std::uint32_t erased = 0;
   std::uint32_t faulty = 0;
-  bool ok = true;
-  return recover_block(block_of(var), &erased, &faulty,
-                       &ok)[var.index() % config_.b];
+  std::vector<pram::Word> vals(config_.b);
+  (void)recover_block(block_of(var), vals.data(), &erased, &faulty);
+  return vals[var.index() % config_.b];
 }
 
 void IdaMemory::poke(VarId var, pram::Word value) {
   PRAMSIM_ASSERT(var.index() < m_vars_);
   const auto blk = block_of(var);
-  auto vals = decode_block(blk);
+  std::vector<pram::Word> vals(config_.b);
+  (void)decode_block(blk, vals.data());
   vals[var.index() % config_.b] = value;
   encode_block(blk, vals);
 }
@@ -671,9 +693,9 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
       return relocated;
     };
     if (!block_written(block)) {
-      // Unwritten block: every share at index j still reads the shared
-      // zero encoding zero_shares_[j] (whether or not a neighbor write
-      // materialized its region row), which relocation preserves — so
+      // Unwritten block: every share still reads 0, the zero block's
+      // share (whether or not a neighbor write materialized its region
+      // row), which relocation preserves — so
       // re-homing the dead shares restores full redundancy without
       // writing any share words.
       const std::uint32_t relocated = relocate_dead();
@@ -686,10 +708,10 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
     }
     std::uint32_t erased = 0;
     std::uint32_t faulty = 0;
-    bool ok = true;
     // Reconstruct OUTSIDE the read path: recover_block counts nothing
     // into the read telemetry, so scrubbing never inflates masked rates.
-    const auto vals = recover_block(block, &erased, &faulty, &ok);
+    std::vector<pram::Word> vals(config_.b);
+    const bool ok = recover_block(block, vals.data(), &erased, &faulty);
     result.work += config_.b;
     if (!ok) {
       continue;  // below threshold: the block is lost, not repairable
@@ -716,11 +738,14 @@ void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, config_.check_shares ? 1u : 0u);
   put_u64(sink, row_words_);
 
-  const auto rows = util::sorted_entries(shares_);
-  put_u64(sink, rows.size());
-  for (const auto& [region, row] : rows) {
-    put_u64(sink, region);
-    sink.write(row->data(), row->size() * sizeof(pram::Word));
+  // Rows in ascending region order: the directory walk is the sort.
+  put_u64(sink, rows_);
+  for (std::uint64_t region = 0; region < row_of_region_.size(); ++region) {
+    if (row_of_region_[region] != kNoRow) {
+      put_u64(sink, region);
+      sink.write(row_data(row_of_region_[region]),
+                 row_words_ * sizeof(pram::Word));
+    }
   }
 
   const auto relocated = util::sorted_entries(relocated_);
@@ -751,7 +776,7 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
 
   // Rows and overlay keys arrive strictly ascending and in range, as
   // snapshot_body writes them; anything else is a forged frame.
-  shares_.clear();
+  clear_rows();
   std::uint64_t n_rows = 0;
   if (!get_u64(source, n_rows) || n_rows > n_regions_) {
     return false;
@@ -759,14 +784,10 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
   std::uint64_t next_region = 0;
   for (std::uint64_t i = 0; i < n_rows; ++i) {
     std::uint64_t region = 0;
-    if (!get_ascending_key(source, next_region, n_regions_, region)) {
+    if (!get_ascending_key(source, next_region, n_regions_, region) ||
+        !source.read(region_row(region), row_words_ * sizeof(pram::Word))) {
       return false;
     }
-    std::vector<pram::Word> row(row_words_);
-    if (!source.read(row.data(), row_words_ * sizeof(pram::Word))) {
-      return false;
-    }
-    shares_.emplace(region, std::move(row));
   }
 
   relocated_.clear();

@@ -13,8 +13,9 @@
 // see pre-step state), then writes commit.
 //
 // Share storage is sparse (same trick as the sparse majority::CopyStore):
-// a block's d shares are materialized on its first write; untouched
-// blocks decode from one precomputed all-zero encoding, so full-scale
+// a region's share row is materialized on the first write into it;
+// untouched blocks read as all-zero shares, which is exactly the
+// encoding of the all-zero block (the code is linear), so full-scale
 // memories (m = n^k) are cheap to build.
 //
 // Under pram::FaultHooks the scheme runs degraded: shares on dead modules
@@ -28,8 +29,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ida/dispersal.hpp"
@@ -54,11 +55,11 @@ struct IdaMemoryConfig {
   bool check_shares = false;
   /// Storage region granularity in BLOCKS: each region row stores the
   /// shares of this many consecutive blocks contiguously per share index
-  /// (share-major), so the healthy serve path recodes whole runs of
-  /// blocks with one bulk Disperser::decode_regions/encode_regions call
-  /// over the stored spans. 1 (the default) reproduces the classic
-  /// one-row-per-block layout bit for bit. Fault and checksum
-  /// granularity stay per share WORD at any width.
+  /// (share-major). 1 (the default) reproduces the classic
+  /// one-row-per-block layout bit for bit. serve() recodes a whole step
+  /// in bulk codec calls at any width; the width only changes how many
+  /// blocks share a row. Fault and checksum granularity stay per share
+  /// WORD at any width.
   std::uint32_t region_blocks = 1;
 };
 
@@ -71,13 +72,24 @@ class IdaMemory final : public pram::MemorySystem {
                          std::span<const pram::VarWrite> writes) override;
 
   /// Native plan path: the plan's groups ARE this scheme's blocks
-  /// (plan_group_of = block index), so the per-step block sets/maps
-  /// disappear — phase 1 walks read groups, phase 2 write groups, both
-  /// in ascending block order, decoding into a per-instance flat buffer.
-  /// Value-equivalent to step(); cost is identical up to the (now
-  /// deterministic, ascending-block) least-loaded module selection order.
-  /// Serial under every backend: the least-loaded share pick makes
-  /// groups interdependent, so this scheme does not advertise
+  /// (plan_group_of = block index). Each group's share placement is
+  /// computed once per step; phase 1 charges read groups, phase 2 write
+  /// groups, both in ascending block order. The coding is step-batched:
+  ///   * healthy: every group is read or written (writes are
+  ///     read-modify-write), so the b stored shares of EVERY group are
+  ///     gathered into share-major spans and decoded by one
+  ///     Disperser::decode_regions call;
+  ///   * under fault hooks: each block decodes alone from its own
+  ///     survivor set, read groups in phase 1 and write-only groups in
+  ///     phase 2, so journal events and counters keep their order;
+  ///   * both: after the writes are applied, one encode_regions call
+  ///     recodes every written block, and store_block stores them in
+  ///     ascending block order.
+  /// Exact field arithmetic makes the batched codec bit-identical to
+  /// per-block coding. Value-equivalent to step(); cost is identical up
+  /// to the (now deterministic, ascending-block) least-loaded module
+  /// selection order. Serial under every backend: the least-loaded share
+  /// pick makes groups interdependent, so this scheme does not advertise
   /// kGroupParallel.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
@@ -130,9 +142,7 @@ class IdaMemory final : public pram::MemorySystem {
   /// Regions with at least one written share (sparse-storage accounting;
   /// with region_blocks == 1 this is exactly "blocks with >= 1 written
   /// share", the classic meaning).
-  [[nodiscard]] std::uint64_t touched_blocks() const {
-    return shares_.size();
-  }
+  [[nodiscard]] std::uint64_t touched_blocks() const { return rows_; }
   /// Variables processed (decoded) per variable accessed so far.
   [[nodiscard]] double work_amplification() const;
   [[nodiscard]] std::uint64_t share_accesses() const {
@@ -159,21 +169,40 @@ class IdaMemory final : public pram::MemorySystem {
   //   share s of the region's t-th block        at row[s*R + t]
   //   its checksum word (check_shares only)     at row[d*R + s*R + t]
   //   written-block flag bits (one per block)   at row[flag_base_ + t/64]
-  // so share s's words for a run of blocks are one contiguous span the
-  // bulk codec reads/writes in place (stride R between shares). R = 1
-  // collapses to the classic one-row-per-block layout: d shares, then d
-  // checksums, byte-for-byte as before (plus the one trailing flag word
-  // that used to be implied by the row's existence).
+  // so share s's words for a run of blocks are one contiguous span
+  // (stride R between shares). R = 1 collapses to the classic
+  // one-row-per-block layout: d shares, then d checksums, byte-for-byte
+  // as before (plus the one trailing flag word that used to be implied
+  // by the row's existence).
+  //
+  // Rows are flat: a directory maps each region to a row id, and row ids
+  // index fixed chunks of rows, allocated as rows are first written.
+  // Rows never move, and there is no per-row node or heap block.
   [[nodiscard]] std::uint64_t region_of_block(std::uint64_t block) const {
     return block / config_.region_blocks;
   }
-  /// The row of `block`'s region, materialized on first use: every block
-  /// slot starts as the shared zero encoding, checksums 0, flags clear.
-  std::vector<pram::Word>& region_row(std::uint64_t block);
+  /// The region's row, or nullptr when no write ever reached it.
+  [[nodiscard]] const pram::Word* find_row(std::uint64_t region) const {
+    if (region >= row_of_region_.size() ||
+        row_of_region_[region] == kNoRow) {
+      return nullptr;
+    }
+    return row_data(row_of_region_[region]);
+  }
+  [[nodiscard]] pram::Word* row_data(std::uint32_t id) const {
+    return row_chunks_[id >> chunk_shift_].get() +
+           static_cast<std::size_t>(id & chunk_mask_) * row_words_;
+  }
+  /// The row of `region`, materialized on first use: all zero, i.e. every
+  /// block slot holds the zero block's shares, checksums 0, flags clear.
+  [[nodiscard]] pram::Word* region_row(std::uint64_t region);
+  /// Drop every row (restore starts from this blank state).
+  void clear_rows();
   /// True when encode_block has ever run for `block` (the classic
   /// "row exists" signal, kept per block inside the region row).
   [[nodiscard]] bool block_written(std::uint64_t block) const;
-  /// Share j of `block` as stored (all-zero encoding if untouched).
+  /// Share j of `block` as stored (0, the zero block's share, if
+  /// untouched).
   [[nodiscard]] pram::Word share_at(std::uint64_t block,
                                     std::uint32_t j) const;
   /// Stored checksum word of share j; unwritten blocks fall back to the
@@ -187,26 +216,31 @@ class IdaMemory final : public pram::MemorySystem {
   [[nodiscard]] static pram::Word share_checksum(std::uint64_t block,
                                                  std::uint32_t j,
                                                  pram::Word value);
-  /// Decode a block and account erasures/threshold misses into
-  /// reliability_ when running under fault hooks.
-  [[nodiscard]] std::vector<pram::Word> decode_block(std::uint64_t block);
-  /// The recovery rule itself (shared by decode_block and peek): healthy
-  /// path reads shares 0..b-1; under fault hooks it interpolates from
-  /// the first b SURVIVING share indices. Reports dead shares in
-  /// `erased`, stuck shares that silently joined the interpolation in
-  /// `faulty`, and clears `ok` (returning the zero block) when fewer
-  /// than b shares survive.
-  [[nodiscard]] std::vector<pram::Word> recover_block(std::uint64_t block,
-                                                      std::uint32_t* erased,
-                                                      std::uint32_t* faulty,
-                                                      bool* ok) const;
-  /// Healthy bulk decode of `count` consecutive blocks (all within one
-  /// region) straight from the stored share spans into block-major
-  /// `out`; untouched regions decode to zeros (the zero block's exact
-  /// recovery). No telemetry: callers use it only when hooks_ == nullptr.
-  void decode_blocks_healthy(std::uint64_t first_block, std::uint32_t count,
-                             pram::Word* out) const;
+  /// Outcome of one block decode under fault hooks.
+  enum class DecodeStatus : std::uint8_t { kOk, kDegraded, kFailed };
+  /// Decode a block into out[0, b) and account erasures/threshold misses
+  /// into reliability_ and the journal when running under fault hooks.
+  DecodeStatus decode_block(std::uint64_t block, pram::Word* out);
+  /// The recovery rule itself (shared by decode_block, peek and scrub):
+  /// healthy path reads shares 0..b-1; under fault hooks it
+  /// interpolates from the first b SURVIVING share indices. Reports dead
+  /// shares in `erased` and stuck shares that silently joined the
+  /// interpolation in `faulty`; returns false (leaving the zero block in
+  /// `out`) when fewer than b shares survive.
+  [[nodiscard]] bool recover_block(std::uint64_t block, pram::Word* out,
+                                   std::uint32_t* erased,
+                                   std::uint32_t* faulty) const;
+  /// Healthy decode of every plan group into decoded_store_: gather the
+  /// b stored shares of each group share-major, then one bulk decode.
+  void decode_groups_healthy(const pram::AccessPlan& plan);
+  /// Encode one block and store it (poke, scrub, step()).
   void encode_block(std::uint64_t block, std::span<const pram::Word> values);
+  /// Store `block`'s d encoded shares (share j at shares[j * stride]) and
+  /// set its written flag. Under fault hooks each store counts one
+  /// store_ops_ stamp: shares on dead modules (per `modules`, the
+  /// block's current placement) are dropped and stores may corrupt.
+  void store_block(std::uint64_t block, const pram::Word* shares,
+                   std::size_t stride, std::span<const ModuleId> modules);
   /// The block's CURRENT share placement: the hashed placement with
   /// scrub relocations applied on top.
   void placement_into_current(std::uint64_t block,
@@ -219,13 +253,22 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t n_regions_;
   std::size_t flag_base_ = 0;  ///< row offset of the written-block bits
   std::size_t row_words_ = 0;  ///< full region-row length
-  /// Sparse share storage: region -> its packed share rows (layout
-  /// above), materialized on first write anywhere in the region.
-  /// Untouched blocks read as zero_shares_.
-  std::unordered_map<std::uint64_t, std::vector<pram::Word>> shares_;
-  std::vector<pram::Word> zero_shares_;  ///< encoding of the zero block
+  // ----- flat share rows (layout above) -----
+  static constexpr std::uint32_t kNoRow = ~0u;
+  /// Upper bound on one chunk's bytes (at least one row per chunk).
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+  /// region -> row id (kNoRow = never written); grown only as far as the
+  /// highest region written.
+  std::vector<std::uint32_t> row_of_region_;
+  /// Row storage: chunk i holds rows [i << chunk_shift_, (i + 1) <<
+  /// chunk_shift_), in the order regions were first written.
+  std::vector<std::unique_ptr<pram::Word[]>> row_chunks_;
+  unsigned chunk_shift_ = 0;       ///< log2(rows per chunk)
+  std::uint32_t chunk_mask_ = 0;  ///< rows per chunk - 1
+  std::uint32_t rows_ = 0;        ///< materialized rows
   std::vector<std::uint32_t> identity_indices_;  ///< {0..b-1} (healthy set)
   std::vector<pram::Word> encode_scratch_;       ///< d share words
+  std::vector<ModuleId> block_placement_;        ///< encode_block's d modules
   /// Placement of each block's d shares over the modules.
   memmap::HashedMap placement_;
   std::uint64_t share_accesses_ = 0;
@@ -238,20 +281,21 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t scrub_cursor_ = 0;  ///< next block a scrub pass scans
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  /// Blocks whose last decode fell below threshold (reset per step).
-  std::unordered_set<std::uint64_t> failed_blocks_;
-  /// Blocks reconstructed around >= 1 bad share (reset per step).
-  std::unordered_set<std::uint64_t> degraded_blocks_;
   std::vector<std::uint8_t> flagged_reads_;  ///< last step's outage flags
 
   // ----- serve() scratch (reused across steps; meaningless between) -----
   std::vector<std::uint32_t> module_load_;     ///< dense, reset via touched
   std::vector<std::uint32_t> touched_modules_;
-  std::vector<std::uint32_t> order_;           ///< least-loaded share pick
-  std::vector<ModuleId> copy_scratch_;
+  std::vector<std::uint64_t> pick_keys_;       ///< (load << 8 | share) keys
+  std::vector<ModuleId> placements_;           ///< group g at [g*d,(g+1)*d)
+  std::vector<std::uint8_t> group_ops_;        ///< kGroupRead | kGroupWrite
+  std::vector<DecodeStatus> group_status_;
   std::vector<pram::Word> decoded_store_;      ///< group g at [g*b,(g+1)*b)
-  std::vector<std::uint8_t> group_has_read_;
-  std::vector<std::uint8_t> group_status_;     ///< 0 ok, 1 degraded, 2 failed
+  std::vector<std::uint32_t> written_groups_;  ///< ascending
+  std::vector<pram::Word> write_blocks_;       ///< written blocks, in order
+  /// Share-major spans: the gathered shares for the bulk decode, then
+  /// the written blocks' d encoded shares.
+  std::vector<pram::Word> share_spans_;
 };
 
 }  // namespace pramsim::ida

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "durability/checkpoint.hpp"
 #include "durability/crc32.hpp"
@@ -28,6 +29,7 @@
 #include "faults/faultable_memory.hpp"
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/serve_context.hpp"
 #include "pram/snapshot.hpp"
 
 namespace pramsim {
@@ -346,6 +348,8 @@ struct GoldenCheckpoint {
   bool faulted;  ///< modules die mid-run, so the scrub pass relocates
   std::uint64_t bytes;
   std::uint32_t crc;  ///< CRC-32 of the whole file
+  /// Serve the steps as plans through serve(plan, ctx) instead of step().
+  bool served = false;
 };
 
 /// A fixed state: 24 steps of 64 writes each, through the step clock,
@@ -355,15 +359,26 @@ std::unique_ptr<pram::MemorySystem> golden_memory(
   auto memory = golden.make();
   const std::vector<VarId> no_reads;
   std::vector<pram::Word> no_values;
+  core::PlanBuilder builder;
+  pram::ServeContext ctx;
   for (std::uint64_t step = 1; step <= 24; ++step) {
     std::vector<pram::VarWrite> writes;
+    pram::AccessBatch batch;
     for (std::uint64_t i = 0; i < 64; ++i) {
       writes.push_back(
           {VarId(static_cast<std::uint32_t>((step * 37 + i * 101) %
                                             memory->size())),
            static_cast<pram::Word>(step * 1000 + i)});
+      batch.push_back({ProcId(static_cast<std::uint32_t>(i)),
+                       pram::AccessOp::kWrite, writes.back().var,
+                       writes.back().value});
     }
-    memory->step(no_reads, no_values, writes);
+    if (golden.served) {
+      ctx.bind(no_values);
+      memory->serve(builder.build(batch, *memory), ctx);
+    } else {
+      memory->step(no_reads, no_values, writes);
+    }
   }
   scrubbed = memory->scrub(memory->size());
   return memory;
@@ -378,7 +393,10 @@ std::unique_ptr<pram::MemorySystem> golden_scheme(
 // The file format is pinned: these sizes and CRCs are those of the files
 // the buffered (whole-image) writer produced for the same state, before
 // checkpoints streamed, and (for the region-width and faulted rows) those
-// the hash-map CopyStore produced before rows moved into pages. Every
+// the hash-map CopyStore produced before rows moved into pages. The two
+// served IDA rows were recorded with the per-block IDA serve path and
+// the hash-map share rows, before the step-batched recode and the flat
+// rows replaced them. Every
 // payload spans several 64 KiB stream blocks. The faulted row carries a
 // non-empty relocation overlay: modules die mid-run and the final scrub
 // pass re-homes their copies.
@@ -392,6 +410,15 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
                           .onset_min = 4,
                           .onset_max = 16});
   };
+  const auto faulted_ida = [] {
+    return std::make_unique<faults::FaultableMemory>(
+        golden_scheme(core::SchemeKind::kIda),
+        faults::FaultSpec{.seed = 41,
+                          .module_kill_rate = 0.1,
+                          .corruption_rate = 0.05,
+                          .onset_min = 4,
+                          .onset_max = 16});
+  };
   const GoldenCheckpoint table[] = {
       {"dmmpc",
        [] { return golden_scheme(core::SchemeKind::kDmmpc); }, false,
@@ -402,6 +429,11 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
        [] { return golden_scheme(core::SchemeKind::kDmmpc, 8); }, false,
        462940, 0x755998fdu},
       {"dmmpc_faulted_scrubbed", faulted_dmmpc, true, 245596, 0xf04877c7u},
+      {"ida_w64_served",
+       [] { return golden_scheme(core::SchemeKind::kIda, 64); }, false,
+       67452, 0x1c92a380u, true},
+      {"ida_faulted_scrubbed_served", faulted_ida, true, 110016, 0x1304645du,
+       true},
   };
   for (const GoldenCheckpoint& golden : table) {
     SCOPED_TRACE(golden.name);

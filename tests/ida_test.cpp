@@ -2,14 +2,25 @@
 // and the Schuster IdaMemory scheme.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/plan_builder.hpp"
+#include "core/schemes.hpp"
+#include "durability/checkpoint.hpp"
+#include "durability/crc32.hpp"
+#include "faults/faultable_memory.hpp"
 #include "ida/dispersal.hpp"
 #include "ida/gf256.hpp"
 #include "ida/ida_memory.hpp"
+#include "obs/sink.hpp"
+#include "pram/serve_context.hpp"
 #include "util/rng.hpp"
 
 namespace pramsim::ida {
@@ -95,6 +106,70 @@ TEST(Gf256, PowMatchesRepeatedMul) {
   }
 }
 
+// log[a] * e overflowed uint32_t once e >= 2^32 / 254; the group order
+// is 255, so pow must equal pow of the reduced exponent.
+TEST(Gf256, PowReducesLargeExponents) {
+  const GF256::Elem top = GF256::alpha_pow(254);
+  EXPECT_EQ(GF256::pow(top, 4'000'000'000u), 51);
+  EXPECT_EQ(GF256::pow(top, 4'000'000'000u), GF256::pow(top, 130));
+  util::Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto a = static_cast<GF256::Elem>(rng.between(1, 255));
+    const auto e = static_cast<std::uint32_t>(rng.next());
+    ASSERT_EQ(GF256::pow(a, e), GF256::pow(a, e % 255)) << "e=" << e;
+  }
+  for (int a = 1; a < 256; ++a) {
+    for (const std::uint32_t k : {1u, 2u, 1000u, 16'843'009u}) {
+      ASSERT_EQ(GF256::pow(static_cast<GF256::Elem>(a), 255 * k), 1)
+          << "a=" << a << " k=" << k;
+    }
+  }
+}
+
+// The vector kernel behind mul_span_accum against the scalar reference:
+// every constant, every length through four 32-byte chunks plus a tail,
+// misaligned sources and destinations, and the in-place (dst == src)
+// form. Bytes outside the span must stay untouched.
+TEST(Gf256, MulSpanAccumMatchesScalarReferenceAtEveryLengthAndOffset) {
+  constexpr std::size_t kMaxLen = 130;
+  constexpr std::size_t kPad = 32 + 8;
+  util::Rng rng(5);
+  std::vector<GF256::Elem> src(kMaxLen + kPad);
+  std::vector<GF256::Elem> dst0(kMaxLen + kPad);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<GF256::Elem>(rng.below(256));
+    dst0[i] = static_cast<GF256::Elem>(rng.below(256));
+  }
+  std::vector<GF256::Elem> got;
+  std::vector<GF256::Elem> want;
+  for (int ci = 0; ci < 256; ++ci) {
+    const auto c = static_cast<GF256::Elem>(ci);
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      for (const std::size_t src_off : {0, 1, 2, 3, 31}) {
+        for (const std::size_t dst_off : {0, 1, 2, 3, 31}) {
+          got = dst0;
+          want = dst0;
+          GF256::mul_span_accum(got.data() + dst_off, src.data() + src_off,
+                                len, c);
+          GF256::mul_span_accum_scalar(want.data() + dst_off,
+                                       src.data() + src_off, len, c);
+          ASSERT_EQ(got, want) << "c=" << ci << " len=" << len
+                               << " src+" << src_off << " dst+" << dst_off;
+        }
+      }
+      for (const std::size_t off : {0, 1, 31}) {
+        got = dst0;
+        want = dst0;
+        GF256::mul_span_accum(got.data() + off, got.data() + off, len, c);
+        GF256::mul_span_accum_scalar(want.data() + off, want.data() + off,
+                                     len, c);
+        ASSERT_EQ(got, want) << "in place: c=" << ci << " len=" << len
+                             << " off=" << off;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- dispersal -----
 
 class DispersalRoundTrip
@@ -177,12 +252,21 @@ TEST(Gf256, MulSpanAccumMatchesScalarMul) {
 // decode_regions (identity AND arbitrary surviving-index sets) against
 // Lagrange recover_words. This is the equivalence the width-1 storage
 // rule leans on.
-TEST(Dispersal, BulkRegionCodecMatchesPerWordCodec) {
-  const std::uint32_t b = 4;
-  const std::uint32_t d = 8;
-  const std::uint32_t count = 6;  // blocks per region
+//
+// (b, d) = (10, 20) is the benchmark's shape; its counts put the span
+// lengths (8 bytes per block) below one 32-byte vector chunk, at exactly
+// one, and at whole chunks plus 8- and 24-byte tails, so the vector
+// body and the scalar tail both run in encode and in decode.
+struct BulkCodecShape {
+  std::uint32_t b;
+  std::uint32_t d;
+  std::uint32_t count;  ///< blocks per codec call
+};
+
+void expect_bulk_codec_matches_per_word_codec(const BulkCodecShape& shape) {
+  const auto [b, d, count] = shape;
   Disperser disperser({b, d});
-  util::Rng rng(31);
+  util::Rng rng(31 + count);
   std::vector<pram::Word> blocks(static_cast<std::size_t>(count) * b);
   for (auto& w : blocks) {
     w = static_cast<pram::Word>(rng.next());
@@ -227,14 +311,34 @@ TEST(Dispersal, BulkRegionCodecMatchesPerWordCodec) {
                              out.data());
     ASSERT_EQ(out, blocks) << "trial " << trial;
 
-    // And per-block agreement with the classic Lagrange path.
-    std::vector<pram::Word> vals(b);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      vals[j] = packed[static_cast<std::size_t>(j) * count];
+    // And per-block agreement with the classic Lagrange path, for the
+    // first block and the last (which sits in the scalar tail).
+    for (const std::uint32_t t : {0u, count - 1}) {
+      std::vector<pram::Word> vals(b);
+      for (std::uint32_t j = 0; j < b; ++j) {
+        vals[j] = packed[static_cast<std::size_t>(j) * count + t];
+      }
+      const auto classic = disperser.recover_words(indices, vals);
+      for (std::uint32_t j = 0; j < b; ++j) {
+        ASSERT_EQ(out[static_cast<std::size_t>(t) * b + j], classic[j])
+            << "trial " << trial << " t=" << t;
+      }
     }
-    const auto classic = disperser.recover_words(indices, vals);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      ASSERT_EQ(out[j], classic[j]) << "trial " << trial;
+  }
+}
+
+TEST(Dispersal, BulkRegionCodecMatchesPerWordCodec) {
+  for (const BulkCodecShape shape :
+       {BulkCodecShape{4, 8, 6}, BulkCodecShape{10, 20, 1},
+        BulkCodecShape{10, 20, 3}, BulkCodecShape{10, 20, 4},
+        BulkCodecShape{10, 20, 5}, BulkCodecShape{10, 20, 33},
+        BulkCodecShape{10, 20, 1019}}) {
+    SCOPED_TRACE("b=" + std::to_string(shape.b) + " d=" +
+                 std::to_string(shape.d) + " count=" +
+                 std::to_string(shape.count));
+    expect_bulk_codec_matches_per_word_codec(shape);
+    if (HasFatalFailure()) {
+      return;
     }
   }
 }
@@ -437,6 +541,231 @@ TEST(IdaMemory, TimeReflectsModuleContention) {
   // 64 blocks x 4 shares over 8 modules: >= 32 rounds.
   EXPECT_GE(cost.time, 32u);
 }
+
+// ------------------------------------------- serve fingerprints -------
+//
+// Golden fingerprints pin IdaMemory::serve bit for bit. Each case drives
+// core::make_memory(kIda) (optionally inside faults::FaultableMemory)
+// through core::PlanBuilder and serve() and folds everything a step
+// exposes: read values, outage flags, time/work/max_queue, scrub
+// results, the journal, and at the end every ReliabilityStats field. The
+// final checkpoint image's size and CRC pin the stored share words. The
+// constants were recorded with the per-block serve path (one codec call
+// per run of consecutive read blocks, one encode per written block),
+// which the step-batched recode replaced.
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
+
+/// One step's traffic: every tenth step (from step 3) is empty and every
+/// tenth (from step 7) writes only; a quarter of the accesses land in a
+/// 16-word hot window, so several writes share a block and some variables
+/// are both read and written.
+pram::AccessBatch fingerprint_batch(std::uint64_t step, std::uint32_t n,
+                                    std::uint64_t m, double write_fraction,
+                                    util::Rng& rng) {
+  pram::AccessBatch batch;
+  if (step % 10 == 3) {
+    return batch;
+  }
+  const bool write_only = step % 10 == 7;
+  const std::uint64_t hot = rng.below(m - 16);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const std::uint64_t var =
+        rng.below(4) == 0 ? hot + rng.below(16) : rng.below(m);
+    const bool write = write_only || rng.bernoulli(write_fraction);
+    batch.push_back({ProcId(p),
+                     write ? pram::AccessOp::kWrite : pram::AccessOp::kRead,
+                     VarId(static_cast<std::uint32_t>(var)),
+                     write ? static_cast<Word>(rng.next()) : 0});
+  }
+  return batch;
+}
+
+struct ServeFingerprintCase {
+  const char* name;
+  core::SchemeSpec spec;
+  /// Wrap in FaultableMemory with this spec (inert = bare scheme).
+  faults::FaultSpec faults;
+  std::uint64_t steps;
+  double write_fraction;
+  std::uint64_t scrub_every;  ///< 0 = never scrub
+  std::uint64_t want;
+  std::uint64_t image_bytes;
+  std::uint32_t image_crc;
+};
+
+void PrintTo(const ServeFingerprintCase& fc, std::ostream* os) {
+  *os << fc.name;
+}
+
+class ServeFingerprintTest
+    : public ::testing::TestWithParam<ServeFingerprintCase> {};
+
+TEST_P(ServeFingerprintTest, ServeMatchesTheGoldenRun) {
+  const ServeFingerprintCase& fc = GetParam();
+  std::unique_ptr<pram::MemorySystem> memory =
+      core::make_memory(fc.spec);
+  if (!fc.faults.inert()) {
+    memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
+                                                       fc.faults);
+  }
+  obs::Sink sink(obs::SinkOptions{.journal_capacity = 1 << 20});
+  memory->set_observer(&sink);
+  util::Rng rng(fc.spec.seed * 1000 + 7);
+  core::PlanBuilder builder;
+  pram::ServeContext ctx;
+  std::vector<Word> values;
+  std::uint64_t h = 0;
+  std::uint64_t flagged = 0;
+  for (std::uint64_t step = 0; step < fc.steps; ++step) {
+    const auto batch = fingerprint_batch(step, fc.spec.n, memory->size(),
+                                         fc.write_fraction, rng);
+    const auto& plan = builder.build(batch, *memory);
+    values.assign(plan.reads.size(), 0);
+    ctx.bind(values);
+    const auto cost = memory->serve(plan, ctx);
+    for (const std::uint64_t v : {cost.time, cost.work, cost.max_queue}) {
+      h = fold(h, v);
+    }
+    for (const Word v : values) {
+      h = fold(h, static_cast<std::uint64_t>(v));
+    }
+    h = fold(h, ctx.flags().size());
+    for (const std::uint8_t f : ctx.flags()) {
+      h = fold(h, f);
+      flagged += f != 0 ? 1 : 0;
+    }
+    if (fc.scrub_every != 0 && step % fc.scrub_every == fc.scrub_every - 1) {
+      const auto scrub = memory->scrub(200);
+      for (const std::uint64_t v :
+           {scrub.scanned, scrub.repaired, scrub.relocated, scrub.work}) {
+        h = fold(h, v);
+      }
+    }
+  }
+  const pram::ReliabilityStats rel = memory->reliability();
+  for (const std::uint64_t v :
+       {rel.reads_served, rel.faults_masked, rel.units_faulty,
+        rel.erasures_skipped, rel.shares_short, rel.uncorrectable,
+        rel.wrong_reads, rel.writes_dropped, rel.corrupt_stores,
+        rel.units_repaired, rel.units_relocated}) {
+    h = fold(h, v);
+  }
+  sink.journal.flush();
+  h = fold(h, sink.journal.recorded());
+  for (const obs::Event& e : sink.journal.events()) {
+    for (const std::uint64_t v :
+         {e.step, static_cast<std::uint64_t>(e.kind),
+          static_cast<std::uint64_t>(e.unit), e.entity, e.a, e.b}) {
+      h = fold(h, v);
+    }
+  }
+  // Each faulted case must reach the paths it is there to pin.
+  if (fc.faults.corruption_rate > 0.0) {
+    EXPECT_GT(rel.corrupt_stores, 0u);
+    EXPECT_GT(rel.writes_dropped, 0u);
+    EXPECT_GT(rel.units_relocated, 0u);
+    EXPECT_GT(rel.faults_masked, 0u);
+  }
+  if (fc.faults.module_kill_rate >= 0.5) {
+    EXPECT_GT(flagged, 0u);
+    EXPECT_GT(rel.uncorrectable, 0u);
+  }
+  const auto image = durability::Checkpointer::file_image(*memory, fc.steps);
+  EXPECT_EQ(image.size(), fc.image_bytes);
+  EXPECT_EQ(durability::crc32(image.data(), image.size()), fc.image_crc)
+      << std::hex << durability::crc32(image.data(), image.size());
+  EXPECT_EQ(h, fc.want) << std::hex << h;
+}
+
+constexpr faults::FaultSpec kDynamicFaults{.seed = 41,
+                                           .module_kill_rate = 0.1,
+                                           .stuck_rate = 0.01,
+                                           .corruption_rate = 0.05,
+                                           .onset_min = 4,
+                                           .onset_max = 40};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, ServeFingerprintTest,
+    ::testing::Values(
+        ServeFingerprintCase{"n64_w1",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 64,
+                              .eps = 0.0,
+                              .seed = 3},
+                             {},
+                             60,
+                             0.5,
+                             0,
+                             0x6aa1c92e0b8bc10eULL,
+                             69212,
+                             0x12d6d5d5u},
+        ServeFingerprintCase{"ida_wide_map",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 1024,
+                              .seed = 17,
+                              .region_words = 64},
+                             {},
+                             12,
+                             0.5,
+                             0,
+                             0xd3c13fbcd0930cb2ULL,
+                             3873852,
+                             0xfc9818adu},
+        ServeFingerprintCase{"checked_w8",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 64,
+                              .eps = 0.5,
+                              .seed = 3,
+                              .ida_check_shares = true,
+                              .region_words = 8},
+                             {},
+                             60,
+                             0.7,
+                             0,
+                             0xeb01ea9cad704746ULL,
+                             135724,
+                             0x571f1f2fu},
+        ServeFingerprintCase{"faulted_w1",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 64,
+                              .seed = 3},
+                             kDynamicFaults,
+                             60,
+                             0.5,
+                             5,
+                             0xfe1e28d7ae0abccdULL,
+                             102848,
+                             0x61eb0cf7u},
+        ServeFingerprintCase{"faulted_checked_w8",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 64,
+                              .seed = 3,
+                              .ida_check_shares = true,
+                              .region_words = 8},
+                             kDynamicFaults,
+                             60,
+                             0.5,
+                             5,
+                             0xe420b2f741c4d4c0ULL,
+                             162080,
+                             0x21255689u},
+        ServeFingerprintCase{"uncorrectable",
+                             {.kind = core::SchemeKind::kIda,
+                              .n = 64,
+                              .seed = 3},
+                             {.seed = 9, .module_kill_rate = 0.6},
+                             30,
+                             0.5,
+                             0,
+                             0x1df0bab380b9eea2ULL,
+                             65580,
+                             0xe2c5560bu}),
+    [](const ::testing::TestParamInfo<ServeFingerprintCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pramsim::ida
