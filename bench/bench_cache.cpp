@@ -18,9 +18,9 @@
 
 #include "bench_common.hpp"
 #include "cache/cached_memory.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/trace.hpp"
 #include "util/rng.hpp"
@@ -45,7 +45,7 @@ std::vector<pram::AccessBatch> make_zipf_trace(std::uint32_t n,
 
 /// Prebuild plans for `memory` (grouping follows its wants_plan_groups).
 struct PlanSet {
-  std::vector<std::unique_ptr<core::PlanBuilder>> builders;
+  std::vector<std::unique_ptr<pram::PlanBuilder>> builders;
   std::vector<const pram::AccessPlan*> plans;
 };
 
@@ -55,7 +55,7 @@ PlanSet build_plans(const std::vector<pram::AccessBatch>& trace,
   set.builders.reserve(trace.size());
   set.plans.reserve(trace.size());
   for (const auto& batch : trace) {
-    set.builders.push_back(std::make_unique<core::PlanBuilder>());
+    set.builders.push_back(std::make_unique<pram::PlanBuilder>());
     set.plans.push_back(&set.builders.back()->build(batch, memory));
   }
   return set;

@@ -104,7 +104,8 @@ int main() {
     for (std::uint32_t i = 0; i < batch.size(); ++i) {
       reqs.push_back({batch[i], ProcId(i)});
     }
-    const auto result = inst.engine->run_step(reqs);
+    majority::EngineResult result;
+    inst.engine->run_step_into(reqs, result);
     util::Table decay({"round", "live variables", "fraction of n"});
     decay.set_title("live-set decay, adversarial step (n=4096, eps=0.25, all-at-once, r=" +
                     std::to_string(inst.r) + ")");

@@ -1,12 +1,10 @@
-// Serve-path throughput: steps/sec for every SchemeKind, native plan
-// path (MemorySystem::serve over prebuilt arena-backed AccessPlans)
-// versus the legacy step() adapter (the default serve() body: forward
-// plan.reads/plan.writes to step(), which rebuilds its per-step dedup
-// containers). Written to BENCH_throughput.json via bench::Reporter —
-// this file seeds the repo's perf trajectory, so keep the configurations
-// stable across PRs.
+// Serve-path throughput: steps/sec for every SchemeKind through
+// MemorySystem::serve over prebuilt arena-backed AccessPlans, then the
+// serial backend against kGroupParallel. Written to
+// BENCH_throughput.json via bench::Reporter — this file seeds the repo's
+// perf trajectory, so keep the configurations stable across PRs.
 //
-// A second table measures the pipeline end to end: run_stress wall time
+// A third table measures the pipeline end to end: run_stress wall time
 // with the double-buffered, within-trial-sharded driver.
 #include <cstdio>
 #include <memory>
@@ -14,8 +12,8 @@
 
 #include "bench_common.hpp"
 #include "core/driver.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/trace.hpp"
 #include "util/parallel.hpp"
@@ -43,70 +41,45 @@ std::vector<pram::AccessBatch> make_bench_trace(std::uint32_t n,
   return trace;
 }
 
-struct Throughput {
-  double legacy_steps_per_sec = 0.0;
-  double plan_steps_per_sec = 0.0;
-};
-
-/// Time both entries on fresh instances of the same spec over the same
-/// prebuilt plans. Plans are built once outside both timed loops: the
-/// contrast isolated here is "consume the precomputed joins" vs "rebuild
-/// the per-step containers inside step()".
-Throughput measure(const core::SchemeSpec& spec,
-                   const std::vector<pram::AccessBatch>& trace,
-                   double budget_sec) {
-  Throughput out;
-  auto native = core::make_memory(spec);
-  auto legacy = core::make_memory(spec);
-
-  std::vector<std::unique_ptr<core::PlanBuilder>> builders;
+/// Steps/sec of serve() on a fresh instance of `spec` over plans built
+/// once, outside the timed loop.
+double measure(const core::SchemeSpec& spec,
+               const std::vector<pram::AccessBatch>& trace,
+               double budget_sec) {
+  auto memory = core::make_memory(spec);
+  std::vector<std::unique_ptr<pram::PlanBuilder>> builders;
   builders.reserve(trace.size());
   std::vector<const pram::AccessPlan*> plans;
   plans.reserve(trace.size());
   for (const auto& batch : trace) {
-    builders.push_back(std::make_unique<core::PlanBuilder>());
-    plans.push_back(&builders.back()->build(batch, *native));
+    builders.push_back(std::make_unique<pram::PlanBuilder>());
+    plans.push_back(&builders.back()->build(batch, *memory));
   }
 
   std::vector<pram::Word> values;
   pram::ServeContext ctx;
-  auto run = [&](pram::MemorySystem& memory, bool plan_path) {
-    std::size_t steps = 0;
-    const util::Stopwatch watch;
-    double elapsed = 0.0;
-    do {
-      for (const auto* plan : plans) {
-        values.resize(plan->reads.size());
-        if (plan_path) {
-          ctx.bind(values);
-          memory.serve(*plan, ctx);
-        } else {
-          // The legacy serve body, spelled out: forward the combined
-          // lists to step(), which redoes its own dedup/grouping.
-          memory.step(plan->reads, values, plan->writes);
-        }
-      }
-      steps += plans.size();
-      elapsed = watch.elapsed_seconds();
-    } while (elapsed < budget_sec);
-    return static_cast<double>(steps) / elapsed;
+  auto serve_all = [&] {
+    for (const auto* plan : plans) {
+      values.resize(plan->reads.size());
+      ctx.bind(values);
+      memory->serve(*plan, ctx);
+    }
   };
-
-  // Warm both instances once (first-touch allocations, sparse stores).
-  for (const auto* plan : plans) {
-    values.resize(plan->reads.size());
-    ctx.bind(values);
-    native->serve(*plan, ctx);
-    legacy->step(plan->reads, values, plan->writes);
-  }
-  out.legacy_steps_per_sec = run(*legacy, /*plan_path=*/false);
-  out.plan_steps_per_sec = run(*native, /*plan_path=*/true);
-  return out;
+  serve_all();  // warm-up: first-touch allocations, sparse stores
+  std::size_t steps = 0;
+  const util::Stopwatch watch;
+  double elapsed = 0.0;
+  do {
+    serve_all();
+    steps += plans.size();
+    elapsed = watch.elapsed_seconds();
+  } while (elapsed < budget_sec);
+  return static_cast<double>(steps) / elapsed;
 }
 
 /// Serve-path throughput of one backend at a pinned executor worker
-/// count (0 = the hardware-aware automatic policy), through the v2
-/// context entry over prebuilt plans. The worker override steers
+/// count (0 = the hardware-aware automatic policy), through the context
+/// entry over prebuilt plans. The worker override steers
 /// Executor::plan_workers; ">1 workers" really fans chunks across the
 /// parked pool even when the host has fewer cores than that (the forced
 /// columns chart dispatch overhead; the auto column is what the
@@ -119,12 +92,12 @@ double measure_backend(const core::SchemeSpec& spec,
                        const std::vector<pram::AccessBatch>& trace,
                        std::size_t workers, double budget_sec) {
   auto memory = core::make_memory(spec);
-  std::vector<std::unique_ptr<core::PlanBuilder>> builders;
+  std::vector<std::unique_ptr<pram::PlanBuilder>> builders;
   std::vector<const pram::AccessPlan*> plans;
   builders.reserve(trace.size());
   plans.reserve(trace.size());
   for (const auto& batch : trace) {
-    builders.push_back(std::make_unique<core::PlanBuilder>());
+    builders.push_back(std::make_unique<pram::PlanBuilder>());
     plans.push_back(&builders.back()->build(batch, *memory));
   }
 
@@ -157,15 +130,12 @@ double measure_backend(const core::SchemeSpec& spec,
 
 int main() {
   bench::Reporter reporter(
-      "throughput", "serve-path throughput (plan vs legacy step adapter)",
-      "the arena-backed plan path serves >= 2x steps/sec over the legacy "
-      "per-step-container path on kDmmpc and kHashed at n >= 2^12, and "
+      "throughput", "serve-path throughput (serial and group-parallel)",
       "the kGroupParallel backend serves >= 1.3x the serial backend on "
       "kDmmpc or kHashed at n = 2^12 (auto worker policy)");
 
   {
-    util::Table table({"scheme", "n", "m", "region w", "steps/s legacy",
-                       "steps/s plan", "speedup"});
+    util::Table table({"scheme", "n", "m", "region w", "steps/s"});
     table.set_title("per-step serve throughput, prebuilt plans "
                     "(permutation+uniform traffic; region w = storage "
                     "granularity in words, 1 = classic layout)");
@@ -179,8 +149,8 @@ int main() {
     for (const auto kind : core::all_scheme_kinds()) {
       configs.push_back({kind, 256, 0.2});
     }
-    // The acceptance configurations: the two schemes the refactor must
-    // speed up >= 2x, at production-ish scale.
+    // Production-ish scale, m = n^2: the sparse-memory rows CI runs
+    // under its peak-RSS ceiling.
     configs.push_back({core::SchemeKind::kDmmpc, 4096, 0.5});
     configs.push_back({core::SchemeKind::kHashed, 4096, 0.5});
     // Region-granular storage rows (same traffic, wide rows): the value
@@ -195,13 +165,11 @@ int main() {
       const auto instance = core::make_scheme(spec);
       const std::size_t steps = config.n >= 4096 ? 8 : 16;
       const auto trace = make_bench_trace(config.n, instance.m, steps);
-      const auto t = measure(spec, trace, config.budget);
       table.add_row({core::to_string(config.kind),
                      static_cast<std::int64_t>(config.n),
                      static_cast<std::int64_t>(instance.m),
                      static_cast<std::int64_t>(instance.region_words),
-                     t.legacy_steps_per_sec, t.plan_steps_per_sec,
-                     t.plan_steps_per_sec / t.legacy_steps_per_sec});
+                     measure(spec, trace, config.budget)});
       std::fflush(stdout);
     }
     reporter.table(table, 1);

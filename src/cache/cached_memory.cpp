@@ -29,13 +29,11 @@ CachedMemory::CachedMemory(std::unique_ptr<pram::MemorySystem> inner,
 }
 
 void CachedMemory::begin_step() {
-  arena_.reset();
   residual_reads_.clear();
   residual_to_outer_.clear();
   fill_slot_.clear();
   residual_writes_.clear();
   residual_write_index_.clear();
-  residual_read_index_.clear();
   step_stats_ = {};
 }
 
@@ -127,8 +125,6 @@ void CachedMemory::classify_reads(std::span<const VarId> reads,
       drop_line(it->second);
     }
     ++step_stats_.misses;
-    residual_read_index_.try_emplace(
-        var.index(), static_cast<std::uint32_t>(residual_reads_.size()));
     residual_to_outer_.push_back(static_cast<std::uint32_t>(i));
     residual_reads_.push_back(var);
   }
@@ -182,40 +178,28 @@ void CachedMemory::reserve_fills(std::uint64_t now) {
 }
 
 void CachedMemory::commit_results(
-    std::span<pram::Word> out, std::span<const pram::Word> residual_values,
-    std::span<const std::uint8_t> residual_flags, std::size_t n_reads,
-    pram::ServeContext* ctx) {
+    pram::ServeContext& ctx, std::span<const std::uint8_t> residual_flags) {
+  const std::span<pram::Word> out = ctx.read_values();
   bool any_flag = false;
   for (std::size_t j = 0; j < residual_reads_.size(); ++j) {
     const std::uint32_t outer = residual_to_outer_[j];
-    out[outer] = residual_values[j];
-    const bool flagged =
-        j < residual_flags.size() && residual_flags[j] != 0;
-    if (flagged) {
-      if (!any_flag) {
-        any_flag = true;
-        flagged_.assign(n_reads, 0);
-        if (ctx != nullptr) {
-          ctx->enable_flags();
-        }
-      }
-      flagged_[outer] = 1;
-      if (ctx != nullptr) {
-        ctx->flag_read(outer);
-      }
-      // Never cache a flagged loss: release the reserved line so the
-      // next access retries the inner scheme (which may have scrubbed).
+    out[outer] = residual_values_[j];
+    if (j >= residual_flags.size() || residual_flags[j] == 0) {
       if (fill_slot_[j] != kNoSlot) {
-        drop_line(fill_slot_[j]);
+        lines_[fill_slot_[j]].value = residual_values_[j];
       }
       continue;
     }
-    if (fill_slot_[j] != kNoSlot) {
-      lines_[fill_slot_[j]].value = residual_values[j];
+    if (!any_flag) {
+      any_flag = true;
+      ctx.enable_flags();
     }
-  }
-  if (!any_flag) {
-    flagged_.clear();
+    ctx.flag_read(outer);
+    // Never cache a flagged loss: release the reserved line so the next
+    // access retries the inner scheme (which may have scrubbed).
+    if (fill_slot_[j] != kNoSlot) {
+      drop_line(fill_slot_[j]);
+    }
   }
 }
 
@@ -319,134 +303,22 @@ void CachedMemory::queue_residual_write(VarId var, pram::Word value) {
   }
 }
 
-pram::AccessPlan CachedMemory::build_residual_plan() {
-  pram::AccessPlan plan;
-  const std::size_t n_r = residual_reads_.size();
-  const std::size_t n_w = residual_writes_.size();
-
-  // Eviction write-backs can never target a missed read's variable (a
-  // write-back victim had a live line at classification, so if read it
-  // was a hit), but a BYPASSED client write can: the variable missed as
-  // a read, then every slot was pinned when its write arrived. Such a
-  // variable carries one request with op = kWrite and is_read = true —
-  // the plan contract allows each variable exactly once.
-  std::size_t n_shared = 0;
-  for (const auto& write : residual_writes_) {
-    if (residual_read_index_.find(write.var.index()) != nullptr) {
-      ++n_shared;
-    }
-  }
-  const std::size_t n_q = n_r + n_w - n_shared;
-
-  const auto reads = arena_.alloc<VarId>(n_r);
-  std::copy(residual_reads_.begin(), residual_reads_.end(), reads.begin());
-  const auto writes = arena_.alloc<pram::VarWrite>(n_w);
-  std::copy(residual_writes_.begin(), residual_writes_.end(),
-            writes.begin());
-  const auto requests = arena_.alloc<pram::PlanRequest>(n_q);
-  const auto read_request = arena_.alloc<std::uint32_t>(n_r);
-  const auto write_request = arena_.alloc<std::uint32_t>(n_w);
-  const auto request_write = arena_.alloc<std::uint32_t>(n_q);
-
-  for (std::size_t i = 0; i < n_r; ++i) {
-    requests[i] = {reads[i], pram::AccessOp::kRead, /*is_read=*/true};
-    read_request[i] = static_cast<std::uint32_t>(i);
-    request_write[i] = pram::AccessPlan::kNone;
-  }
-  std::size_t next_q = n_r;
-  for (std::size_t i = 0; i < n_w; ++i) {
-    const std::uint32_t* read_idx =
-        residual_read_index_.find(writes[i].var.index());
-    if (read_idx != nullptr) {
-      requests[*read_idx].op = pram::AccessOp::kWrite;
-      write_request[i] = *read_idx;
-      request_write[*read_idx] = static_cast<std::uint32_t>(i);
-      continue;
-    }
-    requests[next_q] = {writes[i].var, pram::AccessOp::kWrite,
-                        /*is_read=*/false};
-    write_request[i] = static_cast<std::uint32_t>(next_q);
-    request_write[next_q] = static_cast<std::uint32_t>(i);
-    ++next_q;
-  }
-
-  plan.reads = reads;
-  plan.writes = writes;
-  plan.requests = requests;
-  plan.read_request = read_request;
-  plan.write_request = write_request;
-  plan.request_write = request_write;
-
-  if (inner_->wants_plan_groups()) {
-    group_scratch_.clear();
-    group_scratch_.reserve(n_q);
-    for (std::size_t q = 0; q < n_q; ++q) {
-      group_scratch_.emplace_back(inner_->plan_group_of(requests[q].var),
-                                  static_cast<std::uint32_t>(q));
-    }
-    std::sort(group_scratch_.begin(), group_scratch_.end());
-    std::size_t n_groups = 0;
-    for (std::size_t q = 0; q < n_q; ++q) {
-      if (q == 0 ||
-          group_scratch_[q].first != group_scratch_[q - 1].first) {
-        ++n_groups;
-      }
-    }
-    const auto group_keys = arena_.alloc<std::uint64_t>(n_groups);
-    const auto group_offsets = arena_.alloc<std::uint32_t>(n_groups + 1);
-    const auto group_requests = arena_.alloc<std::uint32_t>(n_q);
-    const auto request_group = arena_.alloc<std::uint32_t>(n_q);
-    std::size_t g = 0;
-    for (std::size_t q = 0; q < n_q; ++q) {
-      if (q == 0 ||
-          group_scratch_[q].first != group_scratch_[q - 1].first) {
-        group_keys[g] = group_scratch_[q].first;
-        group_offsets[g] = static_cast<std::uint32_t>(q);
-        ++g;
-      }
-      group_requests[q] = group_scratch_[q].second;
-      request_group[group_scratch_[q].second] =
-          static_cast<std::uint32_t>(g - 1);
-    }
-    group_offsets[n_groups] = static_cast<std::uint32_t>(n_q);
-    plan.group_keys = group_keys;
-    plan.group_offsets = group_offsets;
-    plan.group_requests = group_requests;
-    plan.request_group = request_group;
-  }
-  return plan;
-}
-
-pram::MemStepCost CachedMemory::step(std::span<const VarId> reads,
-                                     std::span<pram::Word> read_values,
-                                     std::span<const pram::VarWrite> writes) {
-  const std::uint64_t now = advance_step_clock();
-  refresh_fault_epoch(now);
-  begin_step();
-  classify_reads(reads, read_values, now);
-  apply_writes(writes, now);
-  reserve_fills(now);
-  residual_values_.assign(residual_reads_.size(), 0);
-  pram::MemStepCost cost =
-      inner_->step(residual_reads_, residual_values_, residual_writes_);
-  commit_results(read_values, residual_values_, inner_->flagged_reads(),
-                 reads.size(), nullptr);
-  publish_step_stats();
-  cost.time = std::max<std::uint64_t>(cost.time, 1);
-  return cost;
-}
-
 pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
                                       pram::ServeContext& ctx) {
   const std::uint64_t now = advance_step_clock();
   ctx.stamp_step(now);
   refresh_fault_epoch(now);
   begin_step();
-  const auto out = ctx.read_values();
-  classify_reads(plan.reads, out, now);
+  classify_reads(plan.reads, ctx.read_values(), now);
   apply_writes(plan.writes, now);
   reserve_fills(now);
-  const pram::AccessPlan residual = build_residual_plan();
+  // Eviction write-backs can never target a missed read's variable (a
+  // write-back victim had a live line at classification, so if read it
+  // was a hit), but a BYPASSED client write can: the variable missed as
+  // a read, then every slot was pinned when its write arrived. The
+  // builder joins such a variable into one request.
+  const pram::AccessPlan& residual =
+      residual_builder_.build(residual_reads_, residual_writes_, *inner_);
   residual_values_.assign(residual_reads_.size(), 0);
   residual_ctx_.bind(residual_values_);
   residual_ctx_.set_executor(ctx.executor());
@@ -454,8 +326,7 @@ pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
   // step clock stays aligned with ours — fault onsets and scrub stamps
   // compare against one consistent clock across the layers.
   pram::MemStepCost cost = inner_->serve(residual, residual_ctx_);
-  commit_results(out, residual_values_, residual_ctx_.flags(), out.size(),
-                 &ctx);
+  commit_results(ctx, residual_ctx_.flags());
   publish_step_stats();
   cost.time = std::max<std::uint64_t>(cost.time, 1);
   return cost;

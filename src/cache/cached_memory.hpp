@@ -14,13 +14,12 @@
 //    clock hand with one reference bit (second chance);
 //  * writes allocate: the line absorbs the store (dirty) and the inner
 //    scheme sees it only when the line is written back on eviction;
-//  * serve(plan, ctx) is served natively: every plan read probes the
-//    cache, and the misses plus the step's write-back/bypass traffic
-//    form a RESIDUAL AccessPlan (built into a private arena, grouped by
-//    the inner scheme's plan_group_of when it wants groups) that is
-//    forwarded to the inner scheme in ONE inner step. Inner results
-//    scatter back into the caller's ServeContext span, and inner outage
-//    flags fold into the caller's flag surface.
+//  * serve(plan, ctx): every plan read probes the cache, and the misses
+//    plus the step's write-back/bypass traffic form a RESIDUAL step that
+//    a private pram::PlanBuilder joins (and groups, when the inner scheme
+//    wants groups) and the inner scheme serves as ONE inner step. Inner
+//    results scatter back into the caller's ServeContext span, and inner
+//    outage flags fold into the caller's context.
 //
 // Fault consistency (see docs/fault-model.md): when the inner scheme
 // accepts replica-level FaultHooks, the cache tracks the step-stamped
@@ -50,7 +49,7 @@
 
 #include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
-#include "util/arena.hpp"
+#include "pram/plan_builder.hpp"
 #include "util/scratch_map.hpp"
 
 namespace pramsim::cache {
@@ -84,13 +83,9 @@ class CachedMemory final : public pram::MemorySystem {
  public:
   CachedMemory(std::unique_ptr<pram::MemorySystem> inner, CacheConfig config);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native serve: probe per plan read, forward a residual plan of
-  /// misses + write-backs to the inner scheme, scatter results and
-  /// outage flags back into `ctx`.
+  /// Probe per plan read, forward a residual plan of misses +
+  /// write-backs to the inner scheme, scatter results and outage flags
+  /// back into `ctx`.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
@@ -146,11 +141,6 @@ class CachedMemory final : public pram::MemorySystem {
   /// lines filled before the move are invalidated on their next hit.
   pram::ScrubResult scrub(std::uint64_t budget) override;
 
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_;
-  }
-
   /// One sink observes both layers (step stamps order the events).
   void set_observer(obs::Sink* sink) override {
     pram::MemorySystem::set_observer(sink);
@@ -189,7 +179,7 @@ class CachedMemory final : public pram::MemorySystem {
 
   enum class Staleness : std::uint8_t { kFresh, kDeadBacking, kRelocated };
 
-  /// Reset per-step scratch (residual lists, arena, step-local tallies).
+  /// Reset per-step scratch (residual lists, step-local tallies).
   void begin_step();
   /// Track the fault clock: bump last_death_step_ when the dead-module
   /// count grew (O(num_modules) scan, only while hooks are installed).
@@ -208,20 +198,13 @@ class CachedMemory final : public pram::MemorySystem {
   /// Reserve fill targets for the residual reads BEFORE serving the
   /// inner step, so fill evictions' write-backs join the same residual.
   void reserve_fills(std::uint64_t now);
-  /// Scatter inner results into `out`, commit fills (flagged reads
-  /// release their reserved line instead of caching a known loss), and
-  /// fold inner outage flags into flagged_ / the outer context.
-  void commit_results(std::span<pram::Word> out,
-                      std::span<const pram::Word> residual_values,
-                      std::span<const std::uint8_t> residual_flags,
-                      std::size_t n_reads, pram::ServeContext* ctx);
+  /// Scatter inner results into ctx's output, commit fills (flagged
+  /// reads release their reserved line instead of caching a known loss),
+  /// and fold the inner outage flags into ctx.
+  void commit_results(pram::ServeContext& ctx,
+                      std::span<const std::uint8_t> residual_flags);
   /// Mirror this step's stat deltas into the obs registry.
   void publish_step_stats();
-  /// Assemble the residual AccessPlan (misses + write-back/bypass
-  /// writes) into the private arena, grouped by the inner scheme's
-  /// plan_group_of keys when it wants groups. Spans are valid until the
-  /// next begin_step().
-  [[nodiscard]] pram::AccessPlan build_residual_plan();
 
   /// Free or evictable slot, or kNoSlot when every line is pinned by the
   /// current step. Eviction write-backs queue residual writes.
@@ -250,20 +233,17 @@ class CachedMemory final : public pram::MemorySystem {
 
   CacheStats stats_;
   CacheStats step_stats_;
-  std::vector<std::uint8_t> flagged_;
 
-  // Residual-step scratch (reused across steps; arena backs the plan).
-  util::Arena arena_;
+  // Residual-step scratch (reused across steps).
   std::vector<VarId> residual_reads_;
   std::vector<std::uint32_t> residual_to_outer_;
   std::vector<std::uint32_t> fill_slot_;
   std::vector<pram::VarWrite> residual_writes_;
   util::ScratchMap<std::uint32_t> residual_write_index_;
-  /// var -> index into residual_reads_, so build_residual_plan can merge
-  /// a bypassed write of a missed-read variable into one request.
-  util::ScratchMap<std::uint32_t> residual_read_index_;
   std::vector<pram::Word> residual_values_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> group_scratch_;
+  /// Joins the residual step; a variable both missed as a read and
+  /// bypassed as a write becomes one request.
+  pram::PlanBuilder residual_builder_;
   pram::ServeContext residual_ctx_;
 };
 

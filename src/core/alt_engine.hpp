@@ -6,7 +6,7 @@
 // destination module (a Batcher network of depth log n (log n + 1)/2),
 // delivering along the sorted order, and returning replies the same way
 // — O(log n log m) total. We model it faithfully at the round level: the
-// round structure comes from the real two-stage scheduler over an
+// round structure comes from the real two-stage DMMPC schedule over an
 // M = n, r = Theta(log m) map (the MPC geometry the scheme assumes), and
 // each round is charged the *exact* depth of the concrete Batcher
 // network plus 2 log n delivery hops. The comparator network itself is
@@ -31,14 +31,15 @@ class AltBdnEngine final : public majority::AccessEngine {
   AltBdnEngine(std::shared_ptr<const memmap::MemoryMap> map,
                majority::SchedulerConfig scheduler);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  /// The DMMPC schedule's rounds, each charged cycles_per_round().
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
-    return *map_;
+    return rounds_.map();
   }
   [[nodiscard]] std::uint32_t n_processors() const override {
-    return scheduler_.n_processors;
+    return rounds_.n_processors();
   }
   /// Cycles charged per protocol round: sort depth + delivery.
   [[nodiscard]] std::uint64_t cycles_per_round() const {
@@ -49,8 +50,7 @@ class AltBdnEngine final : public majority::AccessEngine {
   }
 
  private:
-  std::shared_ptr<const memmap::MemoryMap> map_;
-  majority::SchedulerConfig scheduler_;
+  majority::DmmpcEngine rounds_;  ///< the protocol's round structure
   sortnet::ComparatorNetwork network_;
   std::uint64_t cycles_per_round_ = 1;
 };

@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <utility>
-#include <vector>
 
-#include "majority/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -20,31 +18,31 @@ RanadeButterflyEngine::RanadeButterflyEngine(
   PRAMSIM_ASSERT(n_processors_ >= 1);
 }
 
-majority::EngineResult RanadeButterflyEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  majority::EngineResult result;
-  result.accessed_mask.assign(requests.size(), 1);  // the single copy
+void RanadeButterflyEngine::run_step_into(
+    std::span<const majority::VarRequest> requests,
+    majority::EngineResult& out) {
+  out.time = 0;
+  out.work = requests.size();
+  out.stats = {};
+  out.accessed_mask.assign(requests.size(), 1);  // the single copy
   if (requests.empty()) {
-    return result;
+    return;
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  pairs.reserve(requests.size());
-  std::vector<ModuleId> copy(1);
+  pairs_.clear();
+  ModuleId copy[1];
   for (const auto& req : requests) {
     map_->copies_into(req.var, copy);
     // Source: the requester's input row (processors spread over rows).
     const std::uint32_t src =
         req.requester.value() % shape_.rows;
-    pairs.emplace_back(src, copy[0].value());
+    pairs_.emplace_back(src, copy[0].value());
   }
-  const auto load = net::route_congestion(shape_, pairs);
+  const auto load = net::route_congestion(shape_, pairs_);
   // Pipelined store-and-forward with combining: dilation + congestion - 1
   // cycles for the batch, doubled for the reply sweep.
-  result.time = 2ULL * (load.dilation + load.max_congestion - 1);
-  result.work = requests.size();
-  result.stats.phases = 1;
-  result.stats.max_queue = load.max_congestion;
-  return result;
+  out.time = 2ULL * (load.dilation + load.max_congestion - 1);
+  out.stats.phases = 1;
+  out.stats.max_queue = load.max_congestion;
 }
 
 std::uint32_t hb_c(std::uint64_t m_vars) {
@@ -59,24 +57,19 @@ HbExpanderEngine::HbExpanderEngine(
     std::shared_ptr<const memmap::MemoryMap> map,
     majority::SchedulerConfig scheduler, std::uint32_t graph_degree,
     std::uint64_t graph_seed)
-    : map_(std::move(map)),
-      scheduler_(scheduler),
+    : rounds_(std::move(map), scheduler),
       graph_(scheduler.n_processors, graph_degree, graph_seed),
       network_diameter_(graph_.diameter()) {
-  PRAMSIM_ASSERT(map_ != nullptr);
-  PRAMSIM_ASSERT(map_->redundancy() == 2 * scheduler_.c - 1);
-  PRAMSIM_ASSERT_MSG(map_->num_modules() == scheduler_.n_processors,
+  PRAMSIM_ASSERT_MSG(rounds_.map().num_modules() == scheduler.n_processors,
                      "HB's BDN has one module per node");
   PRAMSIM_ASSERT_MSG(graph_.connected(), "expander must be connected");
 }
 
-majority::EngineResult HbExpanderEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  const auto schedule = majority::schedule_step(*map_, requests, scheduler_);
-  majority::EngineResult result;
-  majority::copy_schedule(schedule, result);
-  result.time = schedule.rounds * network_diameter_;
-  return result;
+void HbExpanderEngine::run_step_into(
+    std::span<const majority::VarRequest> requests,
+    majority::EngineResult& out) {
+  rounds_.run_step_into(requests, out);
+  out.time *= network_diameter_;
 }
 
 }  // namespace pramsim::core

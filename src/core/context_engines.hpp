@@ -13,7 +13,7 @@
 //  * HbExpanderEngine — Herley & Bilardi (1988): deterministic simulation
 //    on bounded-degree expander-based networks with redundancy
 //    r = Theta(log m / log log m). The protocol rounds come from the real
-//    two-stage scheduler over an M = n map at that redundancy; each round
+//    two-stage DMMPC schedule over an M = n map at that redundancy; each round
 //    is charged the MEASURED diameter of a concrete random-regular
 //    expander (an actual graph, audited for connectivity, diameter and
 //    spectral gap — standing in for HB's constructive expanders exactly
@@ -27,6 +27,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "majority/engine.hpp"
 #include "memmap/memory_map.hpp"
@@ -41,8 +43,8 @@ class RanadeButterflyEngine final : public majority::AccessEngine {
   RanadeButterflyEngine(std::shared_ptr<const memmap::MemoryMap> map,
                         std::uint32_t n_processors);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
@@ -56,6 +58,8 @@ class RanadeButterflyEngine final : public majority::AccessEngine {
   std::shared_ptr<const memmap::MemoryMap> map_;
   std::uint32_t n_processors_;
   net::ButterflyShape shape_;
+  /// (source row, target module) per request, reused across steps.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
 };
 
 class HbExpanderEngine final : public majority::AccessEngine {
@@ -66,14 +70,15 @@ class HbExpanderEngine final : public majority::AccessEngine {
                    majority::SchedulerConfig scheduler,
                    std::uint32_t graph_degree, std::uint64_t graph_seed);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  /// The DMMPC schedule's rounds, each charged the network diameter.
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
-    return *map_;
+    return rounds_.map();
   }
   [[nodiscard]] std::uint32_t n_processors() const override {
-    return scheduler_.n_processors;
+    return rounds_.n_processors();
   }
   [[nodiscard]] const net::RegularGraph& graph() const { return graph_; }
   [[nodiscard]] std::uint32_t cycles_per_round() const {
@@ -81,8 +86,7 @@ class HbExpanderEngine final : public majority::AccessEngine {
   }
 
  private:
-  std::shared_ptr<const memmap::MemoryMap> map_;
-  majority::SchedulerConfig scheduler_;
+  majority::DmmpcEngine rounds_;  ///< the protocol's round structure
   net::RegularGraph graph_;
   std::uint32_t network_diameter_;
 };

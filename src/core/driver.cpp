@@ -109,7 +109,7 @@ TraceRunResult run_trace_pipelined(pram::MemorySystem& memory,
   // shard level leaves workers free for intra-step (group) fan-out.
   pram::ServeContext ctx({}, executor);
   if (!double_buffer || trace.size() < 4) {
-    PlanBuilder builder;
+    pram::PlanBuilder builder;
     for (std::size_t i = 0; i < trace.size(); ++i) {
       obs::PhaseSet* phases = timing(i + 1);
       const pram::AccessPlan* plan;
@@ -128,7 +128,7 @@ TraceRunResult run_trace_pipelined(pram::MemorySystem& memory,
     return result;
   }
 
-  PlanBuilder slots[2];
+  pram::PlanBuilder slots[2];
   std::mutex mutex;
   std::condition_variable cv;
   std::size_t built = 0;   // plans fully built
@@ -288,7 +288,7 @@ TraceRunResult SimulationPipeline::run_stress_impl(
       shard.storage_factor = memory->storage_redundancy();
       const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
                                obs_sink};
-      PlanBuilder builder;
+      pram::PlanBuilder builder;
       std::vector<pram::Word> values;
       pram::ServeContext ctx({}, shard_level_serial ? &executor : nullptr);
       for (std::size_t step = 0; step < options.steps_per_family; ++step) {
@@ -470,7 +470,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     durability::Checkpointer checkpointer(
         {dur.directory, dur.keep_checkpoints}, obs_sink);
 
-    PlanBuilder builder;
+    pram::PlanBuilder builder;
     std::vector<pram::Word> values;
     util::Executor executor;
     pram::ServeContext ctx({}, &executor);
@@ -570,7 +570,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   auto reference = build_memory();
   faults::TraceChecker committed;
   {
-    PlanBuilder builder;
+    pram::PlanBuilder builder;
     std::vector<pram::Word> values;
     util::Executor executor;
     pram::ServeContext ctx({}, &executor);
@@ -642,7 +642,7 @@ RecoveryResult SimulationPipeline::run_recovery(
   const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
                            obs_sink};
 
-  PlanBuilder builder;
+  pram::PlanBuilder builder;
   std::vector<pram::Word> values;
   util::Executor executor;
   pram::ServeContext ctx({}, &executor);

@@ -2,7 +2,7 @@
 // (pram/trace.hpp) and map-adversarial batches through any memory
 // organization behind the unified pram::MemorySystem interface. Each
 // batch is combined ONCE into an arena-backed pram::AccessPlan
-// (core::PlanBuilder) and served through MemorySystem::serve; stress
+// (pram::PlanBuilder) and served through MemorySystem::serve; stress
 // traffic is double-buffered (a generator thread builds plan N+1 while
 // the worker serves plan N) and sharded WITHIN trials — every
 // (trial, family) pair is an independent shard — with util::parallel_for,
@@ -18,7 +18,7 @@
 
 #include <string>
 
-#include "core/plan_builder.hpp"
+#include "pram/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "durability/recovery.hpp"
 #include "faults/fault_model.hpp"
@@ -363,7 +363,7 @@ class SimulationPipeline {
   SchemeSpec spec_;
   SchemeInstance instance_;
   /// Plan slot for one-shot run_batch serving on the prototype.
-  PlanBuilder builder_;
+  pram::PlanBuilder builder_;
   /// Group-fan-out workers for one-shot serving on the prototype (the
   /// stress/recovery paths keep per-shard executors of their own).
   util::Executor executor_;

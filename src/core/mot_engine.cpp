@@ -176,13 +176,6 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
   std::uint64_t cycles_ = 0;
 };
 
-majority::EngineResult MotEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  majority::EngineResult result;
-  run_step_into(requests, result);
-  return result;
-}
-
 void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
                               majority::EngineResult& out) {
   std::uint64_t prom = 0;

@@ -78,11 +78,8 @@ class MotEngine final : public majority::AccessEngine {
   MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
             MotEngineConfig config);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
-
   /// Schedules over per-instance scratch (protocol state, packets and the
-  /// router's claim table); run_step returns the same result by value.
+  /// router's claim table).
   void run_step_into(std::span<const majority::VarRequest> requests,
                      majority::EngineResult& out) override;
 

@@ -1,86 +1,13 @@
-// PlanBuilder: combines one raw access batch into an arena-backed
-// pram::AccessPlan — the reusable execution state of the serve path.
-//
-// This subsumes the old free-standing combine_batch()/to_requests()
-// helpers (kept below as thin compatibility wrappers): the builder owns
-// all the scratch the combining pass needs — the epoch-stamped dedup
-// table, the (key, request) sort buffer for module grouping, and the
-// arena the plan's SoA arrays live in — so a warmed-up builder combines
-// and groups a step with zero heap allocations.
-//
-// One builder = one plan slot: the emitted plan aliases the builder's
-// arena and stays valid until the next build(). The double-buffered
-// pipeline keeps two builders and flips between them, letting a generator
-// thread build plan N+1 while a worker serves plan N.
+// The plan builder lives in pram/plan_builder.hpp, beside the AccessPlan
+// it builds. This alias header remains only because
+// benchmark/pramsim_bench.cpp includes it; new code includes
+// pram/plan_builder.hpp.
 #pragma once
 
-#include <cstdint>
-#include <utility>
-#include <vector>
-
-#include "majority/scheduler.hpp"
-#include "pram/access_plan.hpp"
-#include "pram/memory_system.hpp"
-#include "pram/types.hpp"
-#include "util/arena.hpp"
-#include "util/scratch_map.hpp"
+#include "pram/plan_builder.hpp"
 
 namespace pramsim::core {
 
-/// One P-RAM step after concurrent-access combining: distinct read
-/// variables, and distinct writes with their winning values. A variable
-/// both read and written appears in both lists (the read sees the
-/// pre-step value; the write commits after).
-struct CombinedStep {
-  std::vector<VarId> reads;
-  std::vector<pram::VarWrite> writes;
-};
-
-class PlanBuilder {
- public:
-  PlanBuilder() = default;
-  PlanBuilder(const PlanBuilder&) = delete;
-  PlanBuilder& operator=(const PlanBuilder&) = delete;
-
-  /// Combine `batch` and group it for `memory` (per its plan_group_of /
-  /// wants_plan_groups). The returned plan aliases this builder's arena:
-  /// valid until the next build() on this builder.
-  const pram::AccessPlan& build(const pram::AccessBatch& batch,
-                                const pram::MemorySystem& memory);
-
-  /// Most recently built plan.
-  [[nodiscard]] const pram::AccessPlan& plan() const { return plan_; }
-
-  /// Combine a raw access batch: concurrent reads collapse to one read,
-  /// concurrent writes resolve to the lowest-processor-id writer (the
-  /// deterministic CW convention used machine-wide). Owning-vector form
-  /// of the combining half of build().
-  [[nodiscard]] CombinedStep combine(const pram::AccessBatch& batch);
-
-  /// Deduplicate a raw access batch into distinct-variable requests for
-  /// engine-level drivers, in first-appearance order across ALL accesses.
-  /// A variable both read and written produces a single request that
-  /// PRESERVES THE WRITE: op = kWrite and the requester is the winning
-  /// (lowest-id) writer, never whichever access happened to come first.
-  [[nodiscard]] std::vector<majority::VarRequest> to_requests(
-      const pram::AccessBatch& batch);
-
- private:
-  /// var -> index into the array being deduplicated (requests or plan
-  /// rows), epoch-cleared per build.
-  util::ScratchMap<std::uint32_t> index_;
-  /// Winning writer per write row (CW resolution scratch).
-  std::vector<ProcId> writer_;
-  /// (group key, request index) pairs, sorted to derive the CSR groups.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> sort_scratch_;
-  util::Arena arena_;
-  pram::AccessPlan plan_;
-};
-
-/// Compatibility wrappers over a throwaway PlanBuilder; hot paths should
-/// hold a PlanBuilder and reuse it instead.
-[[nodiscard]] CombinedStep combine_batch(const pram::AccessBatch& batch);
-[[nodiscard]] std::vector<majority::VarRequest> to_requests(
-    const pram::AccessBatch& batch);
+using PlanBuilder = pram::PlanBuilder;
 
 }  // namespace pramsim::core

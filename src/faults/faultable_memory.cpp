@@ -45,116 +45,71 @@ ModuleId FaultableMemory::synthetic_module(VarId var) const {
       util::SplitMix64(var.index() * 0x9E3779B97F4A7C15ULL).next() % M));
 }
 
-pram::MemStepCost FaultableMemory::step(std::span<const VarId> reads,
-                                        std::span<pram::Word> read_values,
-                                        std::span<const pram::VarWrite> writes) {
-  const std::uint64_t step = advance_step_clock();
-  emit_onsets(step);
-  pram::MemStepCost cost;
-  // Reads flagged as known-bad (dead module / under-threshold block)
-  // this step: excluded from the silent-wrong count — a flagged loss is
-  // an outage, not a lie. Held in flagged_ so serve()-path callers can
-  // observe the wrapper's outage view via flagged_reads().
-  flagged_.assign(reads.size(), 0);
-
-  if (inner_injects_) {
-    cost = inner_->step(reads, read_values, writes);
-    const std::span<const std::uint8_t> inner_flags =
-        inner_->flagged_reads();
-    for (std::size_t i = 0; i < reads.size() && i < inner_flags.size();
-         ++i) {
-      flagged_[i] = inner_flags[i];
+pram::MemStepCost FaultableMemory::serve_degraded(
+    const pram::AccessPlan& plan, pram::ServeContext& ctx,
+    std::uint64_t step) {
+  // Writes to dead synthetic modules drop; surviving stores may corrupt.
+  degraded_writes_.clear();
+  for (const auto& write : plan.writes) {
+    if (model_.module_dead(synthetic_module(write.var), step)) {
+      ++wrapper_stats_.writes_dropped;
+      continue;
     }
-  } else {
-    // Wrapper-level degradation: drop writes whose synthetic module is
-    // dead, corrupt the words of surviving stores.
-    std::vector<pram::VarWrite> degraded;
-    degraded.reserve(writes.size());
-    for (const auto& write : writes) {
-      if (model_.module_dead(synthetic_module(write.var), step)) {
-        ++wrapper_stats_.writes_dropped;
-        continue;
-      }
-      pram::VarWrite w = write;
-      if (model_.corrupt_write(w.var.index(), 0, step, step, w.value)) {
-        ++wrapper_stats_.corrupt_stores;
-      }
-      degraded.push_back(w);
+    pram::VarWrite w = write;
+    if (model_.corrupt_write(w.var.index(), 0, step, step, w.value)) {
+      ++wrapper_stats_.corrupt_stores;
     }
-    cost = inner_->step(reads, read_values, degraded);
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      ++wrapper_stats_.reads_served;
-      if (model_.module_dead(synthetic_module(reads[i]), step)) {
-        read_values[i] = 0;
-        flagged_[i] = 1;
-        ++wrapper_stats_.uncorrectable;
-        ++wrapper_stats_.erasures_skipped;
-        ++wrapper_stats_.units_faulty;
-        continue;
-      }
-      pram::Word stuck = 0;
-      if (model_.stuck_at(reads[i].index(), 0, step, stuck)) {
-        read_values[i] = stuck;
-        ++wrapper_stats_.units_faulty;
-      }
-    }
+    degraded_writes_.push_back(w);
   }
+  const pram::MemStepCost cost = inner_->serve(
+      builder_.build(plan.reads, degraded_writes_, *inner_), ctx);
 
-  // Oracle pass (reads observe pre-step state, so check before the
-  // writes commit to the checker). Flagged reads are excluded from the
-  // mismatch count — both injection regimes report exactly which reads
-  // were served below threshold, so wrong_reads counts ONLY silent lies.
-  {
-    obs::ScopedPhase timer(obs_timing(), obs::Phase::kOracle);
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      if (flagged_[i] != 0) {
-        (void)checker_.check_read(reads[i], checker_.expected(reads[i]));
-        continue;  // counted as checked-consistent: the loss was flagged
-      }
-      if (!checker_.check_read(reads[i], read_values[i])) {
-        ++wrapper_stats_.wrong_reads;
-        obs_event(obs::EventKind::kWrongRead, reads[i].index(), 0,
-                  read_values[i], checker_.expected(reads[i]));
-        obs_count("oracle.wrong_reads");
-      }
-    }
+  // Dead modules and stuck cells degrade the reads; any flags the inner
+  // memory raised stay set.
+  const std::span<pram::Word> read_values = ctx.read_values();
+  if (ctx.flags().empty()) {
+    ctx.enable_flags();
   }
-
-  for (const auto& write : writes) {
-    checker_.record_write(write.var, write.value);
+  for (std::size_t i = 0; i < plan.reads.size(); ++i) {
+    ++wrapper_stats_.reads_served;
+    if (model_.module_dead(synthetic_module(plan.reads[i]), step)) {
+      read_values[i] = 0;
+      ctx.flag_read(i);
+      ++wrapper_stats_.uncorrectable;
+      ++wrapper_stats_.erasures_skipped;
+      ++wrapper_stats_.units_faulty;
+      continue;
+    }
+    pram::Word stuck = 0;
+    if (model_.stuck_at(plan.reads[i].index(), 0, step, stuck)) {
+      read_values[i] = stuck;
+      ++wrapper_stats_.units_faulty;
+    }
   }
   return cost;
 }
 
 pram::MemStepCost FaultableMemory::serve(const pram::AccessPlan& plan,
                                          pram::ServeContext& ctx) {
-  if (!inner_injects_) {
-    // Wrapper-level injection must observe every access: the default
-    // adapter funnels the plan through this wrapper's step() override.
-    return pram::MemorySystem::serve(plan, ctx);
-  }
-  advance_step_clock();
-  emit_onsets(steps_served());
-  const pram::MemStepCost cost = inner_->serve(plan, ctx);
+  const std::uint64_t step = advance_step_clock();
+  emit_onsets(step);
+  const pram::MemStepCost cost = inner_injects_
+                                     ? inner_->serve(plan, ctx)
+                                     : serve_degraded(plan, ctx, step);
 
-  // Mirror the context's outage flags (the inner scheme's view) so
-  // step()-level callers of flagged_reads() see them here too.
+  // Oracle pass (reads observe pre-step state, so check before the
+  // writes commit to the checker). Flagged reads are excluded from the
+  // mismatch count — both injection regimes report exactly which reads
+  // were served below threshold, so wrong_reads counts ONLY silent lies.
   const std::span<const std::uint8_t> flags = ctx.flags();
-  flagged_.assign(plan.reads.size(), 0);
-  for (std::size_t i = 0; i < plan.reads.size() && i < flags.size(); ++i) {
-    flagged_[i] = flags[i];
-  }
-
-  // Oracle pass, identical to step()'s: flagged losses are outages, not
-  // lies; everything else must match the trace-consistency expectation.
   const std::span<pram::Word> read_values = ctx.read_values();
   {
     obs::ScopedPhase timer(obs_timing(), obs::Phase::kOracle);
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      if (flagged_[i] != 0) {
+      if (i < flags.size() && flags[i] != 0) {
         (void)checker_.check_read(plan.reads[i],
                                   checker_.expected(plan.reads[i]));
-        continue;
+        continue;  // counted as checked-consistent: the loss was flagged
       }
       if (!checker_.check_read(plan.reads[i], read_values[i])) {
         ++wrapper_stats_.wrong_reads;
@@ -226,16 +181,21 @@ bool FaultableMemory::restore_body(pram::SnapshotSource& source) {
   if (!inner_->restore(source)) {
     return false;
   }
+  // The oracle image arrives with strictly ascending variables, as
+  // snapshot_body writes it; a repeated or descending variable is a
+  // forged frame.
   checker_.reset();
+  const std::uint64_t m = inner_->size();
   std::uint64_t count = 0;
-  if (!get_u64(source, count)) {
+  if (!get_u64(source, count) || count > m) {
     return false;
   }
+  std::uint64_t next = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t var = 0;
     pram::Word value = 0;
-    if (!get_u64(source, var) || !get_word(source, value) ||
-        var >= inner_->size()) {
+    if (!get_ascending_key(source, next, m, var) ||
+        !get_word(source, value)) {
       return false;
     }
     checker_.record_write(VarId(static_cast<std::uint32_t>(var)), value);

@@ -12,10 +12,12 @@
 //    only contributes the oracle check (silent-wrong-read detection).
 //
 //  * wrapper-level (fallback): for schemes without replica hooks the
-//    wrapper degrades traffic externally — writes to dead (synthetic)
-//    modules are dropped, stored words may corrupt, stuck cells override
-//    reads. Coarser, but it makes every memory organization, even an
-//    opaque one, fault-sweepable.
+//    wrapper degrades traffic externally, on plans — writes to dead
+//    (synthetic) modules are dropped and stored words may corrupt before
+//    the inner memory serves the degraded step, then dead modules and
+//    stuck cells override the reads and flag them in the context.
+//    Coarser, but it makes every memory organization, even an opaque
+//    one, fault-sweepable.
 //
 // reliability() merges the wrapper's oracle counters with the inner
 // scheme's own telemetry, so callers read one struct either way.
@@ -29,6 +31,7 @@
 #include "faults/fault_model.hpp"
 #include "faults/trace_checker.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 
 namespace pramsim::faults {
 
@@ -36,23 +39,21 @@ class FaultableMemory final : public pram::MemorySystem {
  public:
   FaultableMemory(std::unique_ptr<pram::MemorySystem> inner, FaultSpec spec);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Replica-level injection serves plans NATIVELY: the plan forwards to
-  /// the inner scheme's own serve (which applies the hooks at copy/share
-  /// granularity — including a group-parallel backend fanning groups
-  /// across ctx's executor) and the wrapper contributes only the oracle
-  /// pass, reading outage flags from the context. Wrapper-level
-  /// injection keeps the pre-v2 behavior: the default adapter funnels
-  /// the plan through step(), which degrades traffic externally.
+  /// Replica-level injection forwards the plan to the inner scheme's own
+  /// serve (which applies the hooks at copy/share granularity —
+  /// including a group-parallel backend fanning groups across ctx's
+  /// executor). Wrapper-level injection degrades the step on plans: the
+  /// writes drop or corrupt, the inner scheme serves a plan of the
+  /// degraded step, and dead modules and stuck cells then override the
+  /// read values and flag them in `ctx`. Either way the wrapper runs the
+  /// oracle pass last, reading outage flags from the context.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
   /// Plan grouping passes through under replica-level injection (the
   /// plan reaches the inner scheme verbatim); wrapper-level injection
-  /// serves via step(), so grouping would be wasted sort work.
+  /// builds the inner plan itself, so outer groups would be wasted sort
+  /// work.
   [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override {
     return inner_->plan_group_of(var);
   }
@@ -107,18 +108,6 @@ class FaultableMemory final : public pram::MemorySystem {
   /// schemes have nothing to rebuild from, so the pass is a no-op).
   pram::ScrubResult scrub(std::uint64_t budget) override;
 
-  /// The wrapper's own outage view: the inner scheme's flags under
-  /// replica-level injection, the synthetic dead-module flags under
-  /// wrapper-level injection. Populated by every serving entry (the
-  /// default serve() funnels through step(), which fills this), so
-  /// ServeContext callers see flags through the wrapper too — before the
-  /// ServeContext migration the wrapper computed these flags internally
-  /// and silently dropped them.
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_;
-  }
-
   [[nodiscard]] const FaultModel& model() const { return model_; }
   [[nodiscard]] const TraceChecker& checker() const { return checker_; }
   /// True when the wrapped scheme injects at its own replica/share
@@ -149,12 +138,22 @@ class FaultableMemory final : public pram::MemorySystem {
   /// attached, so a sink attached mid-run still sees every onset.
   void emit_onsets(std::uint64_t step);
 
+  /// Wrapper-level injection: drop or corrupt the plan's writes, serve
+  /// the degraded step through the inner scheme, then apply dead-module
+  /// and stuck-cell effects to ctx's read values and flags.
+  pram::MemStepCost serve_degraded(const pram::AccessPlan& plan,
+                                   pram::ServeContext& ctx,
+                                   std::uint64_t step);
+
   std::unique_ptr<pram::MemorySystem> inner_;
   FaultModel model_;
   TraceChecker checker_;
   bool inner_injects_ = false;
   pram::ReliabilityStats wrapper_stats_;
-  std::vector<std::uint8_t> flagged_;  ///< last step's outage flags
+  // Wrapper-level scratch: the surviving (possibly corrupted) writes and
+  // the builder that joins the degraded step for the inner scheme.
+  std::vector<pram::VarWrite> degraded_writes_;
+  pram::PlanBuilder builder_;
   /// The realized kill set as (onset step, module), sorted by onset —
   /// the emit_onsets cursor walks it as the step clock advances.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets_;

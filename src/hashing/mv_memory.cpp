@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -21,69 +20,6 @@ std::uint32_t MvMemory::module_of(VarId var) const {
   return static_cast<std::uint32_t>(hash_(var.value()));
 }
 
-pram::MemStepCost MvMemory::step(std::span<const VarId> reads,
-                                 std::span<pram::Word> read_values,
-                                 std::span<const pram::VarWrite> writes) {
-  PRAMSIM_ASSERT(reads.size() == read_values.size());
-  advance_step_clock();
-  obs_count("hashed.steps");
-  obs_count("hashed.reads", reads.size());
-  obs_count("hashed.writes", writes.size());
-  // Distinct variables touched this step, per module.
-  std::unordered_map<std::uint32_t, std::uint32_t> load;
-  std::unordered_set<std::uint32_t> seen;
-  auto touch = [&](VarId var) {
-    if (seen.insert(var.value()).second) {
-      ++load[module_of(var)];
-    }
-  };
-  for (const auto var : reads) {
-    PRAMSIM_ASSERT(var.index() < cells_.size());
-    touch(var);
-  }
-  for (const auto& w : writes) {
-    PRAMSIM_ASSERT(w.var.index() < cells_.size());
-    touch(w.var);
-  }
-  std::uint32_t max_load = 0;
-  // pramlint: ordered-fold (max over per-module counts is commutative)
-  for (const auto& [module, count] : load) {
-    (void)module;
-    max_load = std::max(max_load, count);
-  }
-  load_stats_.add(static_cast<double>(max_load));
-
-  flagged_reads_.clear();
-  if (hooks_ != nullptr) {
-    flagged_reads_.assign(reads.size(), false);
-  }
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    bool flagged = false;
-    read_values[i] = faulted_read(reads[i], &flagged, reliability_);
-    if (hooks_ != nullptr) {
-      flagged_reads_[i] = flagged ? 1 : 0;
-    }
-  }
-  for (const auto& w : writes) {
-    faulted_write(w.var, w.value, reliability_);
-  }
-
-  if (config_.rehash_threshold != 0 && max_load > config_.rehash_threshold) {
-    // Draw a fresh hash function. In a real machine this migrates every
-    // cell (an O(m/M + log n) expected-time global operation); we charge
-    // one extra max_load of time and count the event.
-    hash_ = PolynomialHash(config_.k_wise, config_.n_modules, rng_);
-    ++rehashes_;
-    obs_event(obs::EventKind::kRehash, rehashes_, 0, max_load);
-    obs_count("hashed.rehashes");
-  }
-
-  return pram::MemStepCost{.time = max_load,
-                           .work = seen.size(),
-                           .live_after_stage1 = 0,
-                           .max_queue = max_load};
-}
-
 pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
                                   pram::ServeContext& ctx) {
   const std::span<pram::Word> read_values = ctx.read_values();
@@ -94,13 +30,15 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   obs_count("hashed.reads", plan.reads.size());
   obs_count("hashed.writes", plan.writes.size());
 
-  if (backend_ == pram::ServeBackend::kGroupParallel && plan.grouped()) {
+  // An empty plan has no groups to fan out; the serial loops serve it.
+  if (backend_ == pram::ServeBackend::kGroupParallel &&
+      plan.num_groups() > 0) {
     return serve_groups_parallel(plan, ctx);
   }
 
   // The plan's requests are the distinct variables of the step: count
-  // them straight into the dense per-module load array (same numbers the
-  // legacy unordered_map produced, same max taken over touched modules).
+  // them straight into the dense per-module load array and take the max
+  // over the touched modules.
   load_scratch_.resize(config_.n_modules, 0);
   touched_scratch_.clear();
   std::uint32_t max_load = 0;
@@ -117,15 +55,14 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   }
   load_stats_.add(static_cast<double>(max_load));
 
-  flagged_reads_.clear();
   if (hooks_ != nullptr) {
-    flagged_reads_.assign(plan.reads.size(), 0);
+    ctx.enable_flags();
   }
   for (std::size_t i = 0; i < plan.reads.size(); ++i) {
     bool flagged = false;
     read_values[i] = faulted_read(plan.reads[i], &flagged, reliability_);
-    if (hooks_ != nullptr) {
-      flagged_reads_[i] = flagged ? 1 : 0;
+    if (flagged) {
+      ctx.flag_read(i);
     }
   }
   for (const auto& w : plan.writes) {
@@ -133,12 +70,14 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   }
 
   if (config_.rehash_threshold != 0 && max_load > config_.rehash_threshold) {
+    // Draw a fresh hash function. In a real machine this migrates every
+    // cell (an O(m/M + log n) expected-time global operation); we charge
+    // one extra max_load of time and count the event.
     hash_ = PolynomialHash(config_.k_wise, config_.n_modules, rng_);
     ++rehashes_;
     obs_event(obs::EventKind::kRehash, rehashes_, 0, max_load);
     obs_count("hashed.rehashes");
   }
-  adopt_legacy_flags(ctx);
 
   return pram::MemStepCost{.time = max_load,
                            .work = plan.requests.size(),
@@ -209,7 +148,6 @@ pram::MemStepCost MvMemory::serve_groups_parallel(
     max_load = std::max(max_load, tally.max_load);
   }
   load_stats_.add(static_cast<double>(max_load));
-  flagged_reads_.assign(ctx.flags().begin(), ctx.flags().end());
 
   return pram::MemStepCost{.time = max_load,
                            .work = plan.requests.size(),

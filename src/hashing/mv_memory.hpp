@@ -32,15 +32,10 @@ class MvMemory final : public pram::MemorySystem {
  public:
   MvMemory(std::uint64_t m_vars, MvMemoryConfig config);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native plan path: the plan's request list is already the distinct
-  /// variable union, so the per-step dedup set disappears and module
-  /// loads accumulate into a dense per-instance scratch array instead of
-  /// a fresh unordered_map. Bit-identical to step() in both values and
-  /// cost. Under ServeBackend::kGroupParallel the plan's groups ARE the
+  /// The plan's request list is the distinct variable union, so module
+  /// loads accumulate into a dense per-instance scratch array. Reads of
+  /// a dead module are flagged in `ctx`. Under
+  /// ServeBackend::kGroupParallel the plan's groups ARE the
   /// touched modules (plan_group_of = module_of), so a group's load is
   /// its size and the value loops fan across ctx.executor()'s workers
   /// with per-chunk telemetry folded in chunk order.
@@ -85,10 +80,6 @@ class MvMemory final : public pram::MemorySystem {
   }
   [[nodiscard]] pram::ReliabilityStats reliability() const override {
     return reliability_;
-  }
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_reads_;
   }
   /// The known-hash preimage attack: the adversary (who can read the
   /// hash function out of the machine) returns `count` distinct
@@ -139,7 +130,6 @@ class MvMemory final : public pram::MemorySystem {
   util::RunningStats load_stats_;  ///< per-step max module load
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  std::vector<std::uint8_t> flagged_reads_;  ///< last step's outage flags
 };
 
 }  // namespace pramsim::hashing

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -285,161 +283,10 @@ void IdaMemory::store_block(std::uint64_t block, const pram::Word* shares,
   }
 }
 
-pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
-                                  std::span<pram::Word> read_values,
-                                  std::span<const pram::VarWrite> writes) {
-  PRAMSIM_ASSERT(reads.size() == read_values.size());
-  advance_step_clock();
-  obs_count("ida.steps");
-  obs_count("ida.reads", reads.size());
-  obs_count("ida.writes", writes.size());
-  obs::PhaseSet* timing = obs_timing();
-  pram::MemStepCost cost;
-  const std::uint64_t share_accesses_before = share_accesses_;
-  flagged_reads_.clear();
-  // Blocks whose decode fell below threshold / reconstructed around >= 1
-  // bad share this step.
-  std::unordered_set<std::uint64_t> failed_blocks;
-  std::unordered_set<std::uint64_t> degraded_blocks;
-
-  // ---- gather per-block work --------------------------------------
-  std::unordered_set<std::uint64_t> read_blocks;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> writes_by_block;
-  for (const auto var : reads) {
-    read_blocks.insert(block_of(var));
-  }
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    writes_by_block[block_of(writes[i].var)].push_back(i);
-  }
-  // Canonical block order for both phases: the least-loaded-share
-  // selection in charge_read_block consults module_load as it
-  // accumulates, so the fold order reaches the round telemetry —
-  // iterate blocks sorted, never in hash order.
-  // pramlint: ordered-fold (keys collected then sorted before any fold)
-  std::vector<std::uint64_t> read_block_order(read_blocks.begin(),
-                                              read_blocks.end());
-  std::sort(read_block_order.begin(), read_block_order.end());
-  std::vector<std::uint64_t> write_block_order;
-  write_block_order.reserve(writes_by_block.size());
-  // pramlint: ordered-fold (keys collected then sorted before any fold)
-  for (const auto& [blk, idxs] : writes_by_block) {
-    (void)idxs;
-    write_block_order.push_back(blk);
-  }
-  std::sort(write_block_order.begin(), write_block_order.end());
-
-  // Module round accounting: modules serve one share per round, so a
-  // phase's duration is its maximum per-module share count.
-  std::vector<std::uint32_t> module_load(config_.n_modules, 0);
-  std::vector<ModuleId> copy_buf(config_.d);
-  auto charge_read_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_buf);
-    // Pick the b least-loaded modules among the d holding shares — the
-    // d-b slack is what lets the scheme dodge congestion.
-    std::vector<std::uint32_t> order(config_.d);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b2) {
-                       return module_load[copy_buf[a].index()] <
-                              module_load[copy_buf[b2].index()];
-                     });
-    for (std::uint32_t j = 0; j < config_.b; ++j) {
-      ++module_load[copy_buf[order[j]].index()];
-    }
-    share_accesses_ += config_.b;
-    vars_processed_ += config_.b;
-  };
-  auto charge_write_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_buf);
-    for (std::uint32_t j = 0; j < config_.d; ++j) {
-      ++module_load[copy_buf[j].index()];
-    }
-    share_accesses_ += config_.d;
-    vars_processed_ += config_.b;
-  };
-
-  std::unordered_map<std::uint64_t, std::vector<pram::Word>> decoded;
-  auto decode_into_map = [&](std::uint64_t blk) {
-    std::vector<pram::Word> vals(config_.b);
-    const DecodeStatus status = decode_block(blk, vals.data());
-    if (status == DecodeStatus::kFailed) {
-      failed_blocks.insert(blk);
-    } else if (status == DecodeStatus::kDegraded) {
-      degraded_blocks.insert(blk);
-    }
-    decoded.emplace(blk, std::move(vals));
-  };
-
-  // ---- phase 1: reads (pre-step state) -----------------------------
-  for (const auto blk : read_block_order) {
-    charge_read_block(blk);
-  }
-  {
-    obs::ScopedPhase timer(timing, obs::Phase::kDecode);
-    for (const auto blk : read_block_order) {
-      decode_into_map(blk);
-    }
-  }
-  if (hooks_ != nullptr) {
-    flagged_reads_.assign(reads.size(), 0);
-  }
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    const auto blk = block_of(reads[i]);
-    read_values[i] = decoded.at(blk)[reads[i].index() % config_.b];
-    ++vars_accessed_;
-    if (hooks_ != nullptr) {
-      ++reliability_.reads_served;
-      // Every read of an under-threshold block is a FLAGGED loss;
-      // reads of a degraded-but-reconstructed block are masked faults.
-      if (failed_blocks.count(blk) != 0) {
-        flagged_reads_[i] = 1;
-        ++reliability_.uncorrectable;
-      } else if (degraded_blocks.count(blk) != 0) {
-        ++reliability_.faults_masked;
-      }
-    }
-  }
-  const std::uint32_t read_rounds =
-      module_load.empty() ? 0
-                          : *std::max_element(module_load.begin(),
-                                              module_load.end());
-
-  // ---- phase 2: writes (read-modify-write per block) ---------------
-  std::fill(module_load.begin(), module_load.end(), 0);
-  obs::ScopedPhase encode_timer(timing, obs::Phase::kEncode);
-  for (const auto blk : write_block_order) {
-    const auto& idxs = writes_by_block.at(blk);
-    // The block must be fetched (b shares) unless this step already read
-    // it, then re-encoded and fully rewritten (d shares).
-    if (read_blocks.find(blk) == read_blocks.end()) {
-      charge_read_block(blk);
-      decode_into_map(blk);
-    }
-    charge_write_block(blk);
-    auto block_vals = decoded.at(blk);
-    for (const auto i : idxs) {
-      block_vals[writes[i].var.index() % config_.b] = writes[i].value;
-      ++vars_accessed_;
-    }
-    encode_block(blk, block_vals);
-  }
-  const std::uint32_t write_rounds =
-      module_load.empty() ? 0
-                          : *std::max_element(module_load.begin(),
-                                              module_load.end());
-
-  cost.time = read_rounds + write_rounds;
-  cost.work = share_accesses_ - share_accesses_before;
-  cost.max_queue = std::max(read_rounds, write_rounds);
-  return cost;
-}
-
 pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
                                    pram::ServeContext& ctx) {
-  if (!plan.grouped()) {
-    // Defensive: a plan built for another target has no block groups.
-    return pram::MemorySystem::serve(plan, ctx);
-  }
+  // An empty plan serves as a step with no groups, grouped or not.
+  PRAMSIM_ASSERT(plan.grouped() || plan.requests.empty());
   const std::span<pram::Word> read_values = ctx.read_values();
   PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
   advance_step_clock();
@@ -450,7 +297,6 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   obs::PhaseSet* timing = obs_timing();
   pram::MemStepCost cost;
   const std::uint64_t share_accesses_before = share_accesses_;
-  flagged_reads_.clear();
   const std::uint32_t b = config_.b;
   const std::uint32_t d = config_.d;
 
@@ -557,7 +403,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
     }
   }
   if (hooks_ != nullptr) {
-    flagged_reads_.assign(plan.reads.size(), 0);
+    ctx.enable_flags();
   }
   for (std::size_t i = 0; i < plan.reads.size(); ++i) {
     const std::size_t g = plan.request_group[plan.read_request[i]];
@@ -568,7 +414,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
       // Every read of an under-threshold block is a FLAGGED loss;
       // reads of a degraded-but-reconstructed block are masked faults.
       if (group_status_[g] == DecodeStatus::kFailed) {
-        flagged_reads_[i] = 1;
+        ctx.flag_read(i);
         ++reliability_.uncorrectable;
       } else if (group_status_[g] == DecodeStatus::kDegraded) {
         ++reliability_.faults_masked;
@@ -630,7 +476,6 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   cost.time = read_rounds + write_rounds;
   cost.work = share_accesses_ - share_accesses_before;
   cost.max_queue = std::max(read_rounds, write_rounds);
-  adopt_legacy_flags(ctx);
   return cost;
 }
 

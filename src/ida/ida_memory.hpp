@@ -67,11 +67,7 @@ class IdaMemory final : public pram::MemorySystem {
  public:
   IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native plan path: the plan's groups ARE this scheme's blocks
+  /// The plan's groups ARE this scheme's blocks
   /// (plan_group_of = block index). Each group's share placement is
   /// computed once per step; phase 1 charges read groups, phase 2 write
   /// groups, both in ascending block order. The coding is step-batched:
@@ -86,9 +82,9 @@ class IdaMemory final : public pram::MemorySystem {
   ///     recodes every written block, and store_block stores them in
   ///     ascending block order.
   /// Exact field arithmetic makes the batched codec bit-identical to
-  /// per-block coding. Value-equivalent to step(); cost is identical up
-  /// to the (now deterministic, ascending-block) least-loaded module
-  /// selection order. Serial under every backend: the least-loaded share
+  /// per-block coding. Reads of an under-threshold block are flagged in
+  /// `ctx`. Every non-empty plan must be grouped (plans built for this
+  /// memory are). Serial under every backend: the least-loaded share
   /// pick makes groups interdependent, so this scheme does not advertise
   /// kGroupParallel.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
@@ -124,10 +120,6 @@ class IdaMemory final : public pram::MemorySystem {
   pram::ScrubResult scrub(std::uint64_t budget) override;
   [[nodiscard]] pram::ReliabilityStats reliability() const override {
     return reliability_;
-  }
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_reads_;
   }
 
   // ----- scheme accounting -----
@@ -233,7 +225,7 @@ class IdaMemory final : public pram::MemorySystem {
   /// Healthy decode of every plan group into decoded_store_: gather the
   /// b stored shares of each group share-major, then one bulk decode.
   void decode_groups_healthy(const pram::AccessPlan& plan);
-  /// Encode one block and store it (poke, scrub, step()).
+  /// Encode one block and store it (poke, scrub).
   void encode_block(std::uint64_t block, std::span<const pram::Word> values);
   /// Store `block`'s d encoded shares (share j at shares[j * stride]) and
   /// set its written flag. Under fault hooks each store counts one
@@ -281,7 +273,6 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t scrub_cursor_ = 0;  ///< next block a scrub pass scans
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  std::vector<std::uint8_t> flagged_reads_;  ///< last step's outage flags
 
   // ----- serve() scratch (reused across steps; meaningless between) -----
   std::vector<std::uint32_t> module_load_;     ///< dense, reset via touched

@@ -25,12 +25,6 @@ DmmpcEngine::DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
   PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
 }
 
-EngineResult DmmpcEngine::run_step(std::span<const VarRequest> requests) {
-  EngineResult result;
-  copy_schedule(schedule_step(*map_, requests, config_), result);
-  return result;
-}
-
 void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
                                 EngineResult& out) {
   protocol_.run(*map_, requests, config_, round_, schedule_);

@@ -10,7 +10,10 @@
 //                                   the LPP baseline, and the crossbar).
 //
 // MajorityMemory combines any engine with the timestamped CopyStore to
-// form a full pram::MemorySystem.
+// form a full pram::MemorySystem. run_step_into is an engine's one
+// schedule entry: it reuses the result's buffers and the engine's own
+// scratch across steps; run_step is its by-value form for tests and
+// benches.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +57,16 @@ class AccessEngine {
   AccessEngine(const AccessEngine&) = delete;
   AccessEngine& operator=(const AccessEngine&) = delete;
 
-  /// Requests must hold distinct variables.
-  [[nodiscard]] virtual EngineResult run_step(
-      std::span<const VarRequest> requests) = 0;
-
-  /// In-place variant for the hot serve path: reuses `out`'s buffers
-  /// across steps (same results as run_step). Engines with per-instance
-  /// scratch override this; the default copies through run_step().
+  /// Schedule one step's requests (distinct variables) into `out`,
+  /// reusing its buffers across steps.
   virtual void run_step_into(std::span<const VarRequest> requests,
-                             EngineResult& out) {
-    out = run_step(requests);
+                             EngineResult& out) = 0;
+
+  /// By-value form of run_step_into.
+  [[nodiscard]] EngineResult run_step(std::span<const VarRequest> requests) {
+    EngineResult out;
+    run_step_into(requests, out);
+    return out;
   }
 
   [[nodiscard]] virtual const memmap::MemoryMap& map() const = 0;
@@ -80,12 +83,8 @@ class DmmpcEngine final : public AccessEngine {
   DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
               SchedulerConfig config);
 
-  /// The step() path: schedule_step's ascending-module resolution.
-  [[nodiscard]] EngineResult run_step(
-      std::span<const VarRequest> requests) override;
-
-  /// The serve path: the first-claim DMMPC round over per-instance
-  /// scratch, allocation-free after warm-up.
+  /// The first-claim DMMPC round over per-instance scratch,
+  /// allocation-free after warm-up.
   void run_step_into(std::span<const VarRequest> requests,
                      EngineResult& out) override;
 

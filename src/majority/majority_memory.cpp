@@ -1,7 +1,6 @@
 #include "majority/majority_memory.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,12 +59,14 @@ void MajorityMemory::copies_into_current(VarId var,
   }
 }
 
-std::uint64_t MajorityMemory::degraded_serve(
-    std::span<const VarId> reads, std::span<pram::Word> read_values,
-    std::span<const pram::VarWrite> writes) {
+std::uint64_t MajorityMemory::degraded_serve(const pram::AccessPlan& plan,
+                                             pram::ServeContext& ctx) {
   // Degraded-mode protocol: majority-vote reads over every surviving
   // copy, write-through to every surviving copy. The engine's schedule
   // still prices the step; the widened copy traffic is extra work.
+  const std::span<const VarId> reads = plan.reads;
+  const std::span<const pram::VarWrite> writes = plan.writes;
+  const std::span<pram::Word> read_values = ctx.read_values();
   const std::uint32_t r = engine_->map().redundancy();
   const std::uint64_t stamp = steps_served();
   std::uint64_t fault_work = 0;
@@ -74,7 +75,7 @@ std::uint64_t MajorityMemory::degraded_serve(
   std::uint64_t erased_total = 0;
   std::uint64_t dropped = 0;
   std::vector<ModuleId> modules(r);
-  flagged_reads_.assign(reads.size(), 0);
+  ctx.enable_flags();
   for (std::size_t i = 0; i < reads.size(); ++i) {
     copies_into_current(reads[i], modules);
     const auto outcome = store_.vote(reads[i], modules, stamp, *hooks_);
@@ -86,7 +87,7 @@ std::uint64_t MajorityMemory::degraded_serve(
     erased_total += outcome.erased;
     if (outcome.survivors == 0) {
       ++reliability_.uncorrectable;
-      flagged_reads_[i] = 1;
+      ctx.flag_read(i);
       ++uncorrectable;
       obs_event(obs::EventKind::kUncorrectable, reads[i].index(),
                 outcome.erased, outcome.dissenting);
@@ -129,81 +130,6 @@ void MajorityMemory::obs_degraded_counts(std::uint64_t masked,
   }
 }
 
-pram::MemStepCost MajorityMemory::step(std::span<const VarId> reads,
-                                       std::span<pram::Word> read_values,
-                                       std::span<const pram::VarWrite> writes) {
-  PRAMSIM_ASSERT(reads.size() == read_values.size());
-  const std::uint64_t stamp = advance_step_clock();
-  obs_count("majority.steps");
-  obs_count("majority.reads", reads.size());
-  obs_count("majority.writes", writes.size());
-  obs::PhaseSet* timing = obs_timing();
-
-  // Union of accessed variables: one protocol request per distinct var.
-  // A variable that is both read and written this step is accessed once;
-  // the accessed copy set serves the read (pre-step value) and then takes
-  // the write. (This is the LEGACY per-step dedup; the plan path in
-  // serve() consumes the same union precomputed by core::PlanBuilder.)
-  std::vector<VarRequest> requests;
-  requests.reserve(reads.size() + writes.size());
-  std::vector<std::size_t> read_req(reads.size());
-  std::vector<std::size_t> write_req(writes.size());
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  std::uint32_t next_proc = 0;
-  auto request_for = [&](VarId var, pram::AccessOp op) {
-    auto [it, fresh] = index.try_emplace(var.value(), requests.size());
-    if (fresh) {
-      requests.push_back({var, ProcId(next_proc % n_processors_), op});
-      ++next_proc;
-    } else if (op == pram::AccessOp::kWrite) {
-      requests[it->second].op = pram::AccessOp::kWrite;
-    }
-    return it->second;
-  };
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    read_req[i] = request_for(reads[i], pram::AccessOp::kRead);
-  }
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    write_req[i] = request_for(writes[i].var, pram::AccessOp::kWrite);
-  }
-
-  EngineResult result;
-  {
-    obs::ScopedPhase timer(timing, obs::Phase::kEngineSchedule);
-    result = engine_->run_step(requests);
-  }
-  time_stats_.add(static_cast<double>(result.time));
-  last_stats_ = result.stats;
-
-  const std::uint32_t r = engine_->map().redundancy();
-  std::uint64_t fault_work = 0;
-  flagged_reads_.clear();
-  obs::ScopedPhase value_timer(timing, obs::Phase::kValuePhase);
-  if (hooks_ == nullptr) {
-    // Healthy protocol: reads take the freshest stamp among the >= c
-    // accessed copies; writes stamp exactly the accessed copies.
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      read_values[i] =
-          store_.freshest(reads[i], result.accessed_mask[read_req[i]]).value;
-    }
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      const std::uint64_t mask = result.accessed_mask[write_req[i]];
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        if ((mask >> copy) & 1ULL) {
-          store_.write(writes[i].var, copy, writes[i].value, stamp);
-        }
-      }
-    }
-  } else {
-    fault_work = degraded_serve(reads, read_values, writes);
-  }
-
-  return pram::MemStepCost{.time = result.time,
-                           .work = result.work + fault_work,
-                           .live_after_stage1 = result.stats.live_after_stage1,
-                           .max_queue = result.stats.max_queue};
-}
-
 pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
                                         pram::ServeContext& ctx) {
   const std::span<pram::Word> read_values = ctx.read_values();
@@ -215,9 +141,9 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
   obs_count("majority.writes", plan.writes.size());
   obs::PhaseSet* timing = obs_timing();
 
-  // The plan's request list IS the access union in step()'s order (reads
-  // first, then write-only variables); requesters are synthesized
-  // round-robin exactly as the legacy dedup did.
+  // The plan's request list is the access union (reads first, then
+  // write-only variables); requesters are synthesized round-robin over
+  // the engine's processors.
   request_scratch_.clear();
   request_scratch_.reserve(plan.requests.size());
   for (std::uint32_t j = 0; j < plan.requests.size(); ++j) {
@@ -238,7 +164,6 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
 
   const std::uint32_t r = engine_->map().redundancy();
   std::uint64_t fault_work = 0;
-  flagged_reads_.clear();
   obs::ScopedPhase value_timer(timing, obs::Phase::kValuePhase);
   // Fan the value phase only when the executor would actually hand out
   // more than one chunk: at one worker the plain read/write loops below
@@ -270,8 +195,7 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
       }
     }
   } else {
-    fault_work = degraded_serve(plan.reads, read_values, plan.writes);
-    adopt_legacy_flags(ctx);
+    fault_work = degraded_serve(plan, ctx);
   }
 
   return pram::MemStepCost{.time = result.time,
@@ -427,9 +351,6 @@ std::uint64_t MajorityMemory::serve_groups_parallel(
     }
   }
   obs_degraded_counts(masked, uncorrectable, erased_total, dropped);
-  if (hooks_ != nullptr) {
-    flagged_reads_.assign(ctx.flags().begin(), ctx.flags().end());
-  }
   return fault_work;
 }
 

@@ -39,15 +39,11 @@ class MajorityMemory final : public pram::MemorySystem {
   MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
                  SchedulerConfig scheduler, std::uint32_t region_words = 1);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native plan path: consumes the plan's precomputed request list and
-  /// read/write joins instead of rebuilding the per-step dedup map, and
-  /// schedules through the engine's scratch-backed run_step_into.
-  /// Value-equivalent to step(); request order (reads first, then
-  /// write-only variables) matches step()'s synthesized order exactly.
+  /// Serves the plan's request list (reads first, then write-only
+  /// variables; requesters synthesized round-robin over the engine's
+  /// processors) through the engine's run_step_into, then runs the value
+  /// phase over the precomputed read/write joins. Under fault hooks the
+  /// degraded protocol flags reads with no surviving copy in `ctx`.
   /// Under ServeBackend::kGroupParallel the value phase (healthy
   /// freshest/commit, degraded vote/store) fans the plan's module groups
   /// across ctx.executor()'s workers — the engine schedule stays serial
@@ -109,10 +105,6 @@ class MajorityMemory final : public pram::MemorySystem {
   [[nodiscard]] pram::ReliabilityStats reliability() const override {
     return reliability_;
   }
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_reads_;
-  }
 
   // ----- introspection for tests / benches -----
   [[nodiscard]] AccessEngine& engine() { return *engine_; }
@@ -141,12 +133,11 @@ class MajorityMemory final : public pram::MemorySystem {
   [[nodiscard]] bool restore_body(pram::SnapshotSource& source) override;
 
  private:
-  /// Degraded-mode protocol shared by step() and serve(): majority-vote
-  /// reads over every surviving copy, write-through to every survivor.
-  /// Returns the extra copy traffic (fault work).
-  std::uint64_t degraded_serve(std::span<const VarId> reads,
-                               std::span<pram::Word> read_values,
-                               std::span<const pram::VarWrite> writes);
+  /// Serial degraded-mode protocol: majority-vote reads over every
+  /// surviving copy (flagging reads with none in `ctx`), write-through to
+  /// every survivor. Returns the extra copy traffic (fault work).
+  std::uint64_t degraded_serve(const pram::AccessPlan& plan,
+                               pram::ServeContext& ctx);
   /// The variable's CURRENT copy placement: the map's assignment with
   /// scrub relocations applied on top. Identical to the map until the
   /// first relocation.
@@ -187,7 +178,6 @@ class MajorityMemory final : public pram::MemorySystem {
   std::vector<ChunkTally> chunk_scratch_;
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  std::vector<std::uint8_t> flagged_reads_;  ///< last step's outage flags
   /// Scrub relocation overlay: (var * r + copy) -> replacement module for
   /// copies moved off dead modules. Lookup-only (order never observed).
   std::unordered_map<std::uint64_t, ModuleId> relocated_;

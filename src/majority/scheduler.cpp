@@ -45,48 +45,6 @@ void for_each_probe(const ClusterProtocol& protocol,
   }
 }
 
-/// schedule_step's round: the DMMPC round with claims in a hash table and
-/// winners resolved in ascending module order.
-class AscendingModuleRound final : public ClusterProtocol::Kernel {
- public:
-  RoundOutcome round(ClusterProtocol& protocol,
-                     std::span<const std::uint32_t> active,
-                     Stage /*stage*/) override {
-    const auto requests = protocol.requests();
-    claims_.clear();
-    for_each_probe(protocol, active,
-                   [&](std::uint32_t module, std::uint32_t idx,
-                       std::uint32_t copy) {
-                     auto [claim, fresh] =
-                         claims_.try_emplace(module, {module, idx, copy, 1});
-                     if (!fresh) {
-                       contend(*claim, requests, idx, copy);
-                     }
-                   });
-    sorted_.clear();
-    for (const auto slot : claims_.touched()) {
-      sorted_.push_back(claims_.value_at(slot));
-    }
-    std::sort(sorted_.begin(), sorted_.end(),
-              [](const ModuleClaim& a, const ModuleClaim& b) {
-                return a.module < b.module;
-              });
-    RoundOutcome outcome;
-    for (const ModuleClaim& claim : sorted_) {
-      outcome.max_queue =
-          std::max<std::uint64_t>(outcome.max_queue, claim.queue);
-      if (protocol.access(claim.request, claim.copy)) {
-        ++outcome.served;
-      }
-    }
-    return outcome;
-  }
-
- private:
-  util::ScratchMap<ModuleClaim> claims_;
-  std::vector<ModuleClaim> sorted_;
-};
-
 }  // namespace
 
 void ClusterProtocol::play(Kernel& kernel,
@@ -273,16 +231,6 @@ RoundOutcome FirstClaimRound::round(ClusterProtocol& protocol,
     }
   }
   return outcome;
-}
-
-ScheduleResult schedule_step(const memmap::MemoryMap& map,
-                             std::span<const VarRequest> requests,
-                             const SchedulerConfig& config) {
-  ClusterProtocol protocol;
-  AscendingModuleRound round;
-  ScheduleResult result;
-  protocol.run(map, requests, config, round, result);
-  return result;
 }
 
 }  // namespace pramsim::majority

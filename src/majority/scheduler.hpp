@@ -21,9 +21,8 @@
 //   * FirstClaimRound (here) - one DMMPC round: every module serves at
 //     most one copy access, winners resolved in first-claim order. Its
 //     returned round count *is* the DMMPC simulation time of the step
-//     (Theorem 2's measurable);
-//   * schedule_step's kernel (scheduler.cpp) - the same round resolved in
-//     ascending module order, for the step() path and the BDN engines;
+//     (Theorem 2's measurable); the BDN baselines charge each of its
+//     rounds a network cost;
 //   * core::MotEngine's routed phase - real packets on a 2DMOT, charged
 //     in network cycles.
 //
@@ -203,15 +202,5 @@ class FirstClaimRound final : public ClusterProtocol::Kernel {
   /// Contended module -> best of its later probes (queue counts them).
   util::ScratchMap<ModuleClaim> later_;
 };
-
-/// Schedule one P-RAM step's worth of distinct-variable requests with
-/// ascending-module resolution. Allocating: it builds a fresh protocol
-/// and claim table per call. The step() path (DmmpcEngine::run_step) and
-/// the BDN engines use it; the serve path's first-claim schedule differs
-/// only in deterministic tie-break detail, and both access >= c copies of
-/// every request, which is all the value protocol relies on.
-[[nodiscard]] ScheduleResult schedule_step(const memmap::MemoryMap& map,
-                                           std::span<const VarRequest> requests,
-                                           const SchedulerConfig& config);
 
 }  // namespace pramsim::majority

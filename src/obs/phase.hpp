@@ -40,7 +40,7 @@ inline constexpr bool kEnabled = true;
 /// The engine phases the scoped timers bracket. One enum for the whole
 /// repo so exporters and dashboards agree on names.
 enum class Phase : std::uint8_t {
-  kPlanBuild = 0,   ///< batch -> arena-backed AccessPlan (core::PlanBuilder)
+  kPlanBuild = 0,   ///< batch -> arena-backed AccessPlan (pram::PlanBuilder)
   kServe,           ///< one whole MemorySystem::serve call
   kEngineSchedule,  ///< majority access-engine protocol (global, serial)
   kValuePhase,      ///< value loops: freshest/commit or vote/store

@@ -1,15 +1,15 @@
 // AccessPlan: one P-RAM step, combined and pre-grouped for the serve path.
 //
-// The legacy step() interface hands every memory organization raw
-// (reads, writes) lists and leaves the per-step bookkeeping — deduping
-// the variable union, pairing reads with their requests, grouping by
-// target module/block — to be rebuilt from scratch inside each scheme.
-// An AccessPlan is that bookkeeping computed ONCE (by core::PlanBuilder),
+// Every memory organization serves a step through serve(plan, ctx), and
+// the plan is the per-step bookkeeping each of them needs — the distinct
+// variable union, the pairing of reads and writes with their requests,
+// the grouping by target module/block — computed ONCE (by
+// pram::PlanBuilder, or by pram::Machine from its own combining tables),
 // stored SoA in a reusable arena, and shared by every layer that serves
 // the step: schemes read precomputed index arrays instead of rebuilding
-// unordered_maps.
+// hash tables.
 //
-// Lifetime: every span aliases the owning PlanBuilder's arena and is valid
+// Lifetime: every span aliases the owning builder's storage and is valid
 // until that builder's next build(). Plans are immutable once built, so a
 // generator thread can build plan N+1 while a worker serves plan N (the
 // double-buffered pipeline in core::SimulationPipeline).
@@ -33,14 +33,12 @@ struct PlanRequest {
   bool is_read = false;
 };
 
-/// The combined step. reads/writes carry exactly the arguments the legacy
-/// step() entry expects (distinct reads in first-appearance order;
-/// CW-resolved distinct writes), so the default serve() adapter is a
-/// zero-copy forward. The remaining arrays are the precomputed joins.
+/// The combined step: distinct reads and distinct CW-resolved writes
+/// (the lists MemorySystem::step takes), plus the precomputed joins.
 struct AccessPlan {
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  /// Distinct read variables, first-appearance order.
+  /// Distinct read variables (first-appearance order for batches).
   std::span<const VarId> reads;
   /// Distinct writes with their winning (lowest-writer-id) values.
   std::span<const VarWrite> writes;
@@ -59,7 +57,7 @@ struct AccessPlan {
   std::span<const std::uint32_t> request_write;
 
   // ----- target grouping (populated iff the target memory opted in via
-  // MemorySystem::wants_plan_groups) -----
+  // MemorySystem::wants_plan_groups, empty plans included) -----
   //
   // Requests bucketed by MemorySystem::plan_group_of (module / block /
   // shard key), CSR layout: group g spans

@@ -8,6 +8,26 @@
 
 namespace pramsim::pram {
 
+namespace {
+
+// Register arithmetic wraps in two's complement, like the machine word it
+// models: a word read back from faulted storage can hold any bit pattern,
+// and signed overflow must not be undefined behavior.
+Word wrap_add(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) +
+                           static_cast<std::uint64_t>(b));
+}
+Word wrap_sub(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) -
+                           static_cast<std::uint64_t>(b));
+}
+Word wrap_mul(Word a, Word b) {
+  return static_cast<Word>(static_cast<std::uint64_t>(a) *
+                           static_cast<std::uint64_t>(b));
+}
+
+}  // namespace
+
 std::string ConflictInfo::to_string() const {
   return "conflict on var " + std::to_string(var.value()) + " between P" +
          std::to_string(proc_a.value()) + " and P" +
@@ -125,13 +145,13 @@ StepOutcome Machine::step() {
         r[ins.r1] = r[ins.r2];
         break;
       case Opcode::kAdd:
-        r[ins.r1] = r[ins.r2] + r[ins.r3];
+        r[ins.r1] = wrap_add(r[ins.r2], r[ins.r3]);
         break;
       case Opcode::kSub:
-        r[ins.r1] = r[ins.r2] - r[ins.r3];
+        r[ins.r1] = wrap_sub(r[ins.r2], r[ins.r3]);
         break;
       case Opcode::kMul:
-        r[ins.r1] = r[ins.r2] * r[ins.r3];
+        r[ins.r1] = wrap_mul(r[ins.r2], r[ins.r3]);
         break;
       case Opcode::kDiv:
         if (r[ins.r3] == 0) {
@@ -187,10 +207,10 @@ StepOutcome Machine::step() {
         r[ins.r1] = r[ins.r2] != r[ins.r3] ? 1 : 0;
         break;
       case Opcode::kAddImm:
-        r[ins.r1] = r[ins.r2] + ins.imm;
+        r[ins.r1] = wrap_add(r[ins.r2], ins.imm);
         break;
       case Opcode::kMulImm:
-        r[ins.r1] = r[ins.r2] * ins.imm;
+        r[ins.r1] = wrap_mul(r[ins.r2], ins.imm);
         break;
       case Opcode::kJmp:
         next_pc = static_cast<std::uint64_t>(ins.imm);
@@ -365,12 +385,45 @@ StepOutcome Machine::step() {
   std::sort(combined_writes_.begin(), combined_writes_.end(),
             [](const VarWrite& a, const VarWrite& b) { return a.var < b.var; });
 
-  // ---- phase 3: serve via the memory system ---------------------------
+  // ---- phase 3: serve the combined step as a plan ----------------------
   StepOutcome outcome;
   read_values_.assign(combined_reads_.size(), 0);
   if (!combined_reads_.empty() || !combined_writes_.empty()) {
-    outcome.mem_cost =
-        memory_->step(combined_reads_, read_values_, combined_writes_);
+    // Join the plan from the combining tables: request i serves combined
+    // read i, write-only variables follow in write order, and a variable
+    // both read and written (CRCW) is one request that carries the write.
+    const auto n_reads = static_cast<std::uint32_t>(combined_reads_.size());
+    requests_.clear();
+    read_request_.clear();
+    write_request_.clear();
+    request_write_.assign(n_reads, AccessPlan::kNone);
+    for (std::uint32_t i = 0; i < n_reads; ++i) {
+      requests_.push_back({combined_reads_[i], AccessOp::kRead, true});
+      read_request_.push_back(i);
+    }
+    for (std::uint32_t w = 0; w < combined_writes_.size(); ++w) {
+      const VarId var = combined_writes_[w].var;
+      const auto read = read_slot.find(var.value());
+      auto req = static_cast<std::uint32_t>(requests_.size());
+      if (read == read_slot.end()) {
+        requests_.push_back({var, AccessOp::kWrite, false});
+        request_write_.push_back(w);
+      } else {
+        req = static_cast<std::uint32_t>(read->second);
+        requests_[req].op = AccessOp::kWrite;
+        request_write_[req] = w;
+      }
+      write_request_.push_back(req);
+    }
+    plan_.reads = combined_reads_;
+    plan_.writes = combined_writes_;
+    plan_.requests = requests_;
+    plan_.read_request = read_request_;
+    plan_.write_request = write_request_;
+    plan_.request_write = request_write_;
+    grouper_.group(plan_, *memory_);
+    ctx_.bind(read_values_);
+    outcome.mem_cost = memory_->serve(plan_, ctx_);
     shared_accesses_ += raw_batch_.size();
   }
   for (const auto& pr : pending_reads_) {

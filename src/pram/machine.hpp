@@ -4,10 +4,10 @@
 // Every step, each running processor executes one instruction in lock-step.
 // Shared accesses are collected, checked against the configured conflict
 // policy (EREW/CREW/CRCW), combined (concurrent reads deduplicated,
-// concurrent writes resolved), and served by the attached MemorySystem —
-// either the ideal FlatMemory or one of the simulation schemes, which is
-// exactly how the paper's "simulating machine" plugs underneath the P-RAM
-// program.
+// concurrent writes resolved), joined into an AccessPlan and served by the
+// attached MemorySystem's serve(plan, ctx) — either the ideal FlatMemory
+// or one of the simulation schemes, which is exactly how the paper's
+// "simulating machine" plugs underneath the P-RAM program.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/program.hpp"
+#include "pram/serve_context.hpp"
 #include "pram/types.hpp"
 #include "util/bitset.hpp"
 
@@ -134,6 +137,15 @@ class Machine {
   std::vector<VarId> combined_reads_;
   std::vector<Word> read_values_;
   std::vector<VarWrite> combined_writes_;
+  // The served plan's joins, built from the combining tables above; only
+  // the grouping is shared with PlanBuilder.
+  std::vector<PlanRequest> requests_;
+  std::vector<std::uint32_t> read_request_;
+  std::vector<std::uint32_t> write_request_;
+  std::vector<std::uint32_t> request_write_;
+  PlanGrouper grouper_;
+  AccessPlan plan_;
+  ServeContext ctx_;
 };
 
 }  // namespace pramsim::pram

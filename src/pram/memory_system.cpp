@@ -1,5 +1,6 @@
 #include "pram/memory_system.hpp"
 
+#include "pram/plan_builder.hpp"
 #include "util/assert.hpp"
 
 namespace pramsim::pram {
@@ -10,6 +11,33 @@ namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x50534E50u;
 constexpr std::uint32_t kSnapshotVersion = 1;
 }  // namespace
+
+struct MemorySystem::StepAdapter {
+  PlanBuilder builder;
+  ServeContext ctx;
+};
+
+MemorySystem::MemorySystem() = default;
+MemorySystem::~MemorySystem() = default;
+
+MemStepCost MemorySystem::step(std::span<const VarId> reads,
+                               std::span<Word> read_values,
+                               std::span<const VarWrite> writes) {
+  PRAMSIM_ASSERT(reads.size() == read_values.size());
+  if (step_adapter_ == nullptr) {
+    step_adapter_ = std::make_unique<StepAdapter>();
+  }
+  StepAdapter& adapter = *step_adapter_;
+  adapter.ctx.bind(read_values);
+  return serve(adapter.builder.build(reads, writes, *this), adapter.ctx);
+}
+
+std::span<const std::uint8_t> MemorySystem::flagged_reads() const {
+  if (step_adapter_ == nullptr) {
+    return {};
+  }
+  return step_adapter_->ctx.flags();
+}
 
 void MemorySystem::snapshot(SnapshotSink& sink) {
   put_u32(sink, kSnapshotMagic);
@@ -54,15 +82,19 @@ void MemorySystem::snapshot_body(SnapshotSink& sink) {
 }
 
 bool MemorySystem::restore_body(SnapshotSource& source) {
+  // Pairs arrive with strictly ascending variables, as snapshot_body
+  // writes them; a repeated or descending variable is a forged frame.
+  const std::uint64_t m = size();
   std::uint64_t count = 0;
-  if (!get_u64(source, count)) {
+  if (!get_u64(source, count) || count > m) {
     return false;
   }
-  const std::uint64_t m = size();
+  std::uint64_t next = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t var = 0;
     Word value = 0;
-    if (!get_u64(source, var) || !get_word(source, value) || var >= m) {
+    if (!get_ascending_key(source, next, m, var) ||
+        !get_word(source, value)) {
       return false;
     }
     poke(VarId(static_cast<std::uint32_t>(var)), value);
@@ -79,6 +111,12 @@ const char* to_string(ServeBackend backend) {
 }
 
 FlatMemory::FlatMemory(std::uint64_t m_cells) : cells_(m_cells, 0) {}
+
+MemStepCost FlatMemory::serve(const AccessPlan& plan, ServeContext& ctx) {
+  const MemStepCost cost = step(plan.reads, ctx.read_values(), plan.writes);
+  ctx.stamp_step(steps_served());
+  return cost;
+}
 
 MemStepCost FlatMemory::step(std::span<const VarId> reads,
                              std::span<Word> read_values,

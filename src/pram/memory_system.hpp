@@ -2,15 +2,15 @@
 //
 // The ideal P-RAM reads/writes a flat array in unit time. Every simulation
 // scheme in this repository (DMMPC majority, 2DMOT, IDA, hashing) is a
-// MemorySystem implementation whose step() reports how long the simulating
-// machine took, in that machine's native time unit (protocol rounds for
-// complete-interconnect models, network cycles for bounded-degree ones).
-// Plugging a scheme into pram::Machine yields the end-to-end simulated
-// P-RAM the paper describes.
+// MemorySystem implementation whose serve() reports how long the
+// simulating machine took, in that machine's native time unit (protocol
+// rounds for complete-interconnect models, network cycles for
+// bounded-degree ones). Plugging a scheme into pram::Machine yields the
+// end-to-end simulated P-RAM the paper describes.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -77,42 +77,31 @@ enum class ServeBackend : std::uint8_t {
 ///
 /// Semantics contract (matching the P-RAM step semantics): all reads
 /// observe the state prior to this step's writes; reads/writes within a
-/// call are one P-RAM step. `reads` and `writes` each contain distinct
-/// variables (concurrent accesses are combined by the machine first).
+/// call are one P-RAM step. A step's reads and writes each hold distinct
+/// variables (concurrent accesses are combined before the memory sees
+/// them).
 class MemorySystem {
  public:
-  virtual ~MemorySystem() = default;
-
-  MemorySystem() = default;
+  // Out of line: the step() adapter's scratch type is private to
+  // memory_system.cpp.
+  MemorySystem();
+  virtual ~MemorySystem();
   MemorySystem(const MemorySystem&) = delete;
   MemorySystem& operator=(const MemorySystem&) = delete;
 
-  /// Serve one P-RAM step. read_values[i] receives the value of reads[i].
-  virtual MemStepCost step(std::span<const VarId> reads,
-                           std::span<Word> read_values,
-                           std::span<const VarWrite> writes) = 0;
-
-  // ----- the plan-based serve entry (three-part contract) ---------------
+  // ----- the one serve entry --------------------------------------------
   //
-  // serve(plan, ctx) is the hot batched entry: the driver combines/groups
-  // each step ONCE into an arena-backed AccessPlan (core::PlanBuilder)
-  // and hands the per-step I/O surface — output span, step clock, outage
-  // flags, executor — in one caller-owned ServeContext. The contract
-  // backends must honor:
+  // serve(plan, ctx) is how every organization and wrapper serves a step:
+  // the caller combines and groups the step ONCE into an arena-backed
+  // AccessPlan (pram::PlanBuilder, or pram::Machine from its own
+  // combining tables) and hands the per-step I/O surface — output span,
+  // step clock, outage flags, executor — in one caller-owned
+  // ServeContext. The contract:
   //
-  //  * The DEFAULT serve() adapts to step() by forwarding plan.reads /
-  //    plan.writes verbatim (and mirroring the legacy flagged_reads()
-  //    surface into the context afterwards), so implementing step() alone
-  //    keeps a scheme fully functional. Wrappers (e.g.
-  //    faults::FaultableMemory) that must observe every access intercept
-  //    step() and inherit this default, which funnels plans through their
-  //    step() override.
-  //  * A native serve() override must be value-equivalent to step() for
-  //    the same combined step: same read_values, same committed state,
-  //    same outage flags. Cost/telemetry may differ only by deterministic
-  //    scheduling detail.
+  //  * Outage flags travel only through the context (ctx.enable_flags /
+  //    ctx.flag_read); wrappers read their inner memory's flags there.
   //  * serve() may keep per-instance scratch; it is called from one
-  //    thread at a time like step(). A scheme advertising kGroupParallel
+  //    thread at a time. A scheme advertising kGroupParallel
   //    (capabilities()) and switched to ServeBackend::kGroupParallel may
   //    additionally fan the plan's groups across ctx.executor()'s
   //    workers — but group results must merge DETERMINISTICALLY: output
@@ -124,19 +113,32 @@ class MemorySystem {
   //    publishes the stamp via ctx.stamp_step, so fault hooks and probes
   //    share one clock instead of per-scheme counters.
 
-  /// Serve one pre-combined step. ctx.read_values()[i] receives the
-  /// value of plan.reads[i].
-  virtual MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) {
-    const MemStepCost cost = step(plan.reads, ctx.read_values(),
-                                  plan.writes);
-    ctx.stamp_step(steps_served());
-    adopt_legacy_flags(ctx);
-    return cost;
-  }
+  /// Serve one combined step. ctx.read_values()[i] receives the value of
+  /// plan.reads[i]; ctx.flags() marks the reads served as flagged losses.
+  virtual MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) = 0;
+
+  /// Serve one already-combined step without a caller-built plan: builds
+  /// the step's plan, serves it and returns the cost. read_values[i]
+  /// receives the value of reads[i]; flagged_reads() then holds the
+  /// step's outage flags. The plan scratch is allocated on the first
+  /// call, so memories served only through serve() never carry it.
+  /// FlatMemory, the reference memory, overrides it to serve without a
+  /// plan; it stays virtual because benchmark/timed_memory.hpp overrides
+  /// it too.
+  virtual MemStepCost step(std::span<const VarId> reads,
+                           std::span<Word> read_values,
+                           std::span<const VarWrite> writes);
+
+  /// Outage flags of the most recent step() call: flags[i] != 0 means
+  /// reads[i] fell below the scheme's reconstruction threshold and its
+  /// value is a FLAGGED loss, not a candidate lie. Empty when that step
+  /// flagged nothing. On the serve path ServeContext::flags() carries
+  /// them. Virtual only because benchmark/timed_memory.hpp overrides it.
+  [[nodiscard]] virtual std::span<const std::uint8_t> flagged_reads() const;
 
   /// Stable per-variable grouping key for plan building (target module /
   /// block / shard). Must be immutable for the memory's lifetime and safe
-  /// to call concurrently with serve()/step() — the plan generator thread
+  /// to call concurrently with serve() — the plan generator thread
   /// runs ahead of the serving thread. Schemes whose placement can change
   /// mid-run (e.g. rehashing baselines) must NOT expose it.
   [[nodiscard]] virtual std::uint64_t plan_group_of(VarId var) const {
@@ -163,11 +165,10 @@ class MemorySystem {
     return ServeBackend::kSerial;
   }
 
-  /// Steps served so far — the engine-wide step clock. Every serving
-  /// entry advances it exactly once per P-RAM step (schemes call
-  /// advance_step_clock at the top of step()/serve()); fault hooks,
-  /// scrub passes, and peek/poke verification all read this one clock
-  /// instead of per-scheme stamp counters.
+  /// Steps served so far — the engine-wide step clock. serve() advances
+  /// it exactly once per P-RAM step (schemes call advance_step_clock at
+  /// its top); fault hooks, scrub passes, and peek/poke verification all
+  /// read this one clock instead of per-scheme stamp counters.
   [[nodiscard]] std::uint64_t steps_served() const { return step_clock_; }
 
   /// Number of addressable shared variables (m).
@@ -224,19 +225,6 @@ class MemorySystem {
   /// Reliability telemetry accumulated while serving under fault hooks
   /// (all-zero when none are installed or the scheme ignores them).
   [[nodiscard]] virtual ReliabilityStats reliability() const { return {}; }
-
-  /// LEGACY per-read outage surface: flags for the most recent step
-  /// served under fault hooks; flags[i] != 0 means reads[i] fell below
-  /// the scheme's reconstruction threshold and its value is a FLAGGED
-  /// loss, not a candidate lie (the trace-consistency oracle must not
-  /// count it as a silent wrong read). Empty when the last step flagged
-  /// nothing. ServeContext::flags() is the primary transport on the
-  /// serve path; this accessor remains for step()-level callers and must
-  /// stay populated by BOTH entries.
-  [[nodiscard]] virtual std::span<const std::uint8_t> flagged_reads()
-      const {
-    return {};
-  }
 
   /// Scheme-chosen worst-case traffic: up to `count` distinct variables
   /// crafted against the scheme's own placement knowledge (e.g. the
@@ -305,26 +293,9 @@ class MemorySystem {
   [[nodiscard]] virtual bool restore_body(SnapshotSource& source);
 
   /// Advance the engine step clock by one P-RAM step and return the new
-  /// stamp. Called exactly once per served step, by whichever entry
-  /// serves it (never by adapters that delegate to another entry).
+  /// stamp. Called exactly once per served step, by serve() (never by
+  /// the step() adapter, which delegates to serve()).
   std::uint64_t advance_step_clock() { return ++step_clock_; }
-
-  /// Mirror the legacy flagged_reads() surface into the context (used by
-  /// the default serve() adapter after funneling through step()).
-  void adopt_legacy_flags(ServeContext& ctx) const {
-    const auto flags = flagged_reads();
-    if (flags.empty()) {
-      return;
-    }
-    ctx.enable_flags();
-    const std::size_t n = std::min(flags.size(),
-                                   ctx.read_values().size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (flags[i] != 0) {
-        ctx.flag_read(i);
-      }
-    }
-  }
 
   // ----- observability hook helpers (no-ops unless a sink is attached,
   // and compiled away entirely under PRAMSIM_OBS=OFF) -------------------
@@ -366,15 +337,22 @@ class MemorySystem {
   obs::Sink* obs_ = nullptr;
 
  private:
+  /// step()'s plan builder and context, created on its first call.
+  struct StepAdapter;
+  std::unique_ptr<StepAdapter> step_adapter_;
   std::uint64_t step_clock_ = 0;  ///< P-RAM steps served (fault clock)
 };
 
 /// The ideal P-RAM's own memory: a flat array with unit access time.
 /// Serves as the reference implementation for end-to-end equivalence tests.
+/// Its step() override serves a combined step directly, without building
+/// a plan, so a replica checked beside a served memory adds no plan
+/// scratch.
 class FlatMemory final : public MemorySystem {
  public:
   explicit FlatMemory(std::uint64_t m_cells);
 
+  MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) override;
   MemStepCost step(std::span<const VarId> reads, std::span<Word> read_values,
                    std::span<const VarWrite> writes) override;
 

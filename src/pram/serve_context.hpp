@@ -1,19 +1,15 @@
 // ServeContext: everything one serve() call needs beyond the plan itself.
 //
-// The original serve entry took only the read-value output span, so every
-// additional per-step channel grew its own side surface: per-scheme
-// steps_/stamp_ counters for the fault clock, the flagged_reads() accessor
-// for outage flags, and no way at all to hand a scheme worker threads.
-// A ServeContext is that whole per-step surface in one object the caller
-// owns and the scheme fills:
+// A ServeContext is the whole per-step I/O surface in one object the
+// caller owns and the scheme fills:
 //
 //   * read_values()  - the output span (read_values[i] <- plan.reads[i]);
 //   * step()         - the step number the scheme stamped this serve with
 //                      (the engine-wide clock in MemorySystem advances it);
 //   * outage flags   - per-read "this value is a FLAGGED loss, not a
-//                      candidate lie" bits, replacing flagged_reads() as
-//                      the primary transport (the accessor remains as a
-//                      read-only legacy view);
+//                      candidate lie" bits; the context is the only
+//                      channel they travel on (MemorySystem::step's
+//                      adapter reads them back out of its own context);
 //   * executor()     - a util::Executor for schemes whose capabilities()
 //                      include kGroupParallel: the plan's module groups
 //                      are independent work units, and the executor fans
@@ -78,11 +74,11 @@ class ServeContext {
   [[nodiscard]] std::uint64_t step() const { return step_; }
   void stamp_step(std::uint64_t step) { step_ = step; }
 
-  // ----- per-read outage flags (absorbs flagged_reads()) -----
+  // ----- per-read outage flags -----
 
   /// Materialize the flag array (one byte per read, all clear). Schemes
-  /// serving under fault hooks call this up front — before any group
-  /// fan-out — exactly where they used to assign flagged_reads_.
+  /// serving under fault hooks call this up front, before any group
+  /// fan-out.
   void enable_flags() { flags_.assign(read_values_.size(), 0); }
 
   /// Mark plan.reads[i] as a flagged loss (below the scheme's

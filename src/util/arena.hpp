@@ -1,6 +1,6 @@
 // Bump arena for per-step scratch storage.
 //
-// The hot serve path (core::PlanBuilder and the native AccessPlan
+// The hot serve path (pram::PlanBuilder and the native AccessPlan
 // implementations) rebuilds the same families of arrays every P-RAM step.
 // Allocating them from the heap each step dominated the serve loop; the
 // arena hands out typed spans from reusable blocks and recycles the whole

@@ -12,13 +12,13 @@
 
 #include "cache/cached_memory.hpp"
 #include "core/driver.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
 #include "obs/export.hpp"
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/snapshot.hpp"
 #include "pram/trace.hpp"
@@ -28,7 +28,7 @@
 namespace pramsim {
 namespace {
 
-/// Combine a raw batch and serve it through the legacy step() entry.
+/// Combine a raw batch and serve it through the step() adapter.
 /// Returns the distinct reads with their values (combine order).
 struct StepIo {
   std::vector<VarId> reads;
@@ -36,12 +36,12 @@ struct StepIo {
   std::vector<pram::VarWrite> writes;
 };
 
-StepIo run_step(pram::MemorySystem& memory, core::PlanBuilder& builder,
+StepIo run_step(pram::MemorySystem& memory, pram::PlanBuilder& builder,
                 const pram::AccessBatch& batch) {
-  auto combined = builder.combine(batch);
+  const pram::AccessPlan& plan = builder.build(batch, memory);
   StepIo io;
-  io.reads = std::move(combined.reads);
-  io.writes = std::move(combined.writes);
+  io.reads.assign(plan.reads.begin(), plan.reads.end());
+  io.writes.assign(plan.writes.begin(), plan.writes.end());
   io.values.assign(io.reads.size(), 0);
   memory.step(io.reads, io.values, io.writes);
   return io;
@@ -115,13 +115,13 @@ TEST(CachedMemory, BitExactVsFlatMemoryAcrossFamilies) {
     params.working_set_period = 8;
     util::Rng rng(7);
     const auto trace = pram::make_trace(family, n, m, 60, rng, params);
-    core::PlanBuilder builder;
+    pram::PlanBuilder builder;
     for (const auto& batch : trace) {
-      auto combined = builder.combine(batch);
-      std::vector<pram::Word> want(combined.reads.size(), 0);
-      std::vector<pram::Word> got(combined.reads.size(), 0);
-      reference.step(combined.reads, want, combined.writes);
-      cached.step(combined.reads, got, combined.writes);
+      const pram::AccessPlan& plan = builder.build(batch, reference);
+      std::vector<pram::Word> want(plan.reads.size(), 0);
+      std::vector<pram::Word> got(plan.reads.size(), 0);
+      reference.step(plan.reads, want, plan.writes);
+      cached.step(plan.reads, got, plan.writes);
       ASSERT_EQ(want, got) << pram::to_string(family);
     }
     EXPECT_GT(cached.stats().hits, 0u) << pram::to_string(family);
@@ -152,13 +152,13 @@ TEST(CachedMemory, BypassedWritesStayReadBeforeWrite) {
   util::Rng rng(17);
   const auto trace =
       pram::make_trace(pram::TraceFamily::kHotspot, n, m, 80, rng, params);
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   for (const auto& batch : trace) {
-    auto combined = builder.combine(batch);
-    std::vector<pram::Word> want(combined.reads.size(), 0);
-    std::vector<pram::Word> got(combined.reads.size(), 0);
-    reference.step(combined.reads, want, combined.writes);
-    cached.step(combined.reads, got, combined.writes);
+    const pram::AccessPlan& plan = builder.build(batch, reference);
+    std::vector<pram::Word> want(plan.reads.size(), 0);
+    std::vector<pram::Word> got(plan.reads.size(), 0);
+    reference.step(plan.reads, want, plan.writes);
+    cached.step(plan.reads, got, plan.writes);
     ASSERT_EQ(want, got);
   }
   EXPECT_GT(cached.stats().bypasses, 0u)
@@ -185,7 +185,7 @@ TEST(CachedMemory, HitRateGrowsWithZipfSkew) {
     const auto trace =
         pram::make_trace(pram::TraceFamily::kZipfian, n, m, 100, rng,
                          params);
-    core::PlanBuilder builder;
+    pram::PlanBuilder builder;
     for (const auto& batch : trace) {
       run_step(cached, builder, batch);
     }
@@ -197,8 +197,8 @@ TEST(CachedMemory, HitRateGrowsWithZipfSkew) {
       << "skew 1.4 vs 0.2 should move the hit rate decisively";
 }
 
-// serve(plan, ctx) and the legacy step() funnel must produce identical
-// values and identical cache statistics over a mixed trace, with a real
+// serve(plan, ctx) and the step() adapter must produce identical values
+// and identical cache statistics over a mixed trace, with a real
 // redundant scheme behind the cache.
 TEST(CachedMemory, ServeMatchesStepOverScheme) {
   const std::uint32_t n = 16;
@@ -216,8 +216,8 @@ TEST(CachedMemory, ServeMatchesStepOverScheme) {
   util::Rng rng(31);
   const auto trace = pram::make_trace(pram::TraceFamily::kZipfian, n, m,
                                       40, rng, params);
-  core::PlanBuilder step_builder;
-  core::PlanBuilder serve_builder;
+  pram::PlanBuilder step_builder;
+  pram::PlanBuilder serve_builder;
   pram::ServeContext ctx;
   for (const auto& batch : trace) {
     const auto io = run_step(by_step, step_builder, batch);
@@ -272,10 +272,9 @@ class RelocatingMemory final : public pram::MemorySystem {
  public:
   explicit RelocatingMemory(std::uint64_t m) : flat_(m) {}
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override {
-    return flat_.step(reads, read_values, writes);
+  pram::MemStepCost serve(const pram::AccessPlan& plan,
+                          pram::ServeContext& ctx) override {
+    return flat_.serve(plan, ctx);
   }
   [[nodiscard]] std::uint64_t size() const override { return flat_.size(); }
   [[nodiscard]] pram::Word peek(VarId var) const override {

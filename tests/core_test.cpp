@@ -12,6 +12,8 @@
 #include "core/driver.hpp"
 #include "core/mot_engine.hpp"
 #include "core/schemes.hpp"
+#include "faults/fault_model.hpp"
+#include "faults/faultable_memory.hpp"
 #include "majority/majority_memory.hpp"
 #include "memmap/memory_map.hpp"
 #include "pram/machine.hpp"
@@ -236,53 +238,199 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// Golden fingerprints pin what pram::Machine reports through every
+// SchemeKind, bare at widths 1 and 8 and, for kDmmpc and kIda, behind a
+// cache and behind dynamic module kills with write corruption. Each case
+// runs a randomized EREW program and a bitonic sort and folds every
+// step's memory cost, the memory's reliability counters and the final
+// shared memory. The constants were recorded when Machine still served
+// its steps through the per-scheme step() bodies.
+enum class MachineWrap : std::uint8_t { kPlain, kCached, kFaulted };
+
+struct MachineFingerprintCase {
+  const char* name;
+  SchemeSpec spec;
+  MachineWrap wrap;
+  std::uint64_t want;
+};
+
+class MachineFingerprint
+    : public ::testing::TestWithParam<MachineFingerprintCase> {};
+
+constexpr std::uint32_t kMachineProcessors = 16;
+
+std::uint64_t fold_machine_run(const MachineFingerprintCase& fc,
+                               pram::programs::ProgramSpec program,
+                               std::uint64_t init_seed, std::uint64_t h) {
+  const std::uint32_t n = kMachineProcessors;
+  SchemeSpec spec = fc.spec;
+  spec.n = n;
+  spec.seed = 17;
+  spec.min_vars = program.m_required;
+  if (fc.wrap == MachineWrap::kCached) {
+    spec.cache_lines = 24;
+  }
+  std::unique_ptr<pram::MemorySystem> memory = make_memory(spec);
+  if (fc.wrap == MachineWrap::kFaulted) {
+    memory = std::make_unique<faults::FaultableMemory>(
+        std::move(memory), faults::FaultSpec{.seed = 29,
+                                             .module_kill_rate = 0.3,
+                                             .corruption_rate = 0.02,
+                                             .onset_min = 1,
+                                             .onset_max = 20});
+  }
+  pram::Machine machine({.n_processors = n,
+                         .m_shared_cells = program.m_required,
+                         .policy = pram::ConflictPolicy::kErew},
+                        std::move(program.program), std::move(memory));
+  util::Rng init(init_seed);
+  for (std::uint64_t i = 0; i < program.m_required; ++i) {
+    machine.poke_shared(VarId(static_cast<std::uint32_t>(i)),
+                        static_cast<pram::Word>(init.below(1000)));
+  }
+  for (std::uint32_t step = 0; step < 10'000 && !machine.all_halted();
+       ++step) {
+    const pram::StepOutcome outcome = machine.step();
+    EXPECT_EQ(outcome.status, pram::StepStatus::kOk);
+    if (outcome.status != pram::StepStatus::kOk) {
+      return h;
+    }
+    for (const std::uint64_t v :
+         {outcome.mem_cost.time, outcome.mem_cost.work,
+          outcome.mem_cost.live_after_stage1, outcome.mem_cost.max_queue}) {
+      h = fold(h, v);
+    }
+  }
+  EXPECT_TRUE(machine.all_halted());
+  h = fold(h, machine.steps_executed());
+  const pram::ReliabilityStats rel = machine.memory().reliability();
+  for (const std::uint64_t v :
+       {rel.reads_served, rel.faults_masked, rel.uncorrectable,
+        rel.erasures_skipped, rel.units_faulty, rel.writes_dropped,
+        rel.corrupt_stores, rel.wrong_reads, rel.shares_short,
+        rel.units_repaired, rel.units_relocated}) {
+    h = fold(h, v);
+  }
+  for (std::uint64_t i = 0; i < machine.config().m_shared_cells; ++i) {
+    h = fold(h, static_cast<std::uint64_t>(
+                    machine.shared(VarId(static_cast<std::uint32_t>(i)))));
+  }
+  return h;
+}
+
+TEST_P(MachineFingerprint, MachineRunMatchesTheGoldenRecord) {
+  const MachineFingerprintCase& fc = GetParam();
+  std::uint64_t h = 0;
+  h = fold_machine_run(
+      fc, pram::programs::random_exclusive(kMachineProcessors, 12, 11), 977,
+      h);
+  h = fold_machine_run(fc, pram::programs::bitonic_sort(kMachineProcessors),
+                       4242, h);
+  EXPECT_EQ(h, fc.want) << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, MachineFingerprint,
+    ::testing::Values(
+        MachineFingerprintCase{"hp_mot_w1", {.kind = SchemeKind::kHpMot},
+                               MachineWrap::kPlain,
+                               0x35e3e83fd11f3493ULL},
+        MachineFingerprintCase{"hp_mot_w8",
+                               {.kind = SchemeKind::kHpMot,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x35e3e83fd11f3493ULL},
+        MachineFingerprintCase{"crossbar_w1",
+                               {.kind = SchemeKind::kCrossbar},
+                               MachineWrap::kPlain,
+                               0x942ac1006c5ff4dbULL},
+        MachineFingerprintCase{"crossbar_w8",
+                               {.kind = SchemeKind::kCrossbar,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x942ac1006c5ff4dbULL},
+        MachineFingerprintCase{"lpp_mot_w1", {.kind = SchemeKind::kLppMot},
+                               MachineWrap::kPlain,
+                               0x834ca195bc83888bULL},
+        MachineFingerprintCase{"lpp_mot_w8",
+                               {.kind = SchemeKind::kLppMot,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x834ca195bc83888bULL},
+        MachineFingerprintCase{"dmmpc_w1", {.kind = SchemeKind::kDmmpc},
+                               MachineWrap::kPlain,
+                               0x2d8d46fedff5d29fULL},
+        MachineFingerprintCase{"dmmpc_w8",
+                               {.kind = SchemeKind::kDmmpc,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x2d8d46fedff5d29fULL},
+        MachineFingerprintCase{"uw_mpc_w1", {.kind = SchemeKind::kUwMpc},
+                               MachineWrap::kPlain,
+                               0x5a4a7d9e3a4816c1ULL},
+        MachineFingerprintCase{"uw_mpc_w8",
+                               {.kind = SchemeKind::kUwMpc,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x5a4a7d9e3a4816c1ULL},
+        MachineFingerprintCase{"alt_bdn_w1", {.kind = SchemeKind::kAltBdn},
+                               MachineWrap::kPlain,
+                               0xe4dd84792d8f4818ULL},
+        MachineFingerprintCase{"alt_bdn_w8",
+                               {.kind = SchemeKind::kAltBdn,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0xe4dd84792d8f4818ULL},
+        MachineFingerprintCase{"hb_expander_w1",
+                               {.kind = SchemeKind::kHbExpander},
+                               MachineWrap::kPlain,
+                               0x2572c9c121bf9d5aULL},
+        MachineFingerprintCase{"hb_expander_w8",
+                               {.kind = SchemeKind::kHbExpander,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x2572c9c121bf9d5aULL},
+        MachineFingerprintCase{"ranade_w1", {.kind = SchemeKind::kRanade},
+                               MachineWrap::kPlain,
+                               0x0e18a59c8b5f1c32ULL},
+        MachineFingerprintCase{"ranade_w8",
+                               {.kind = SchemeKind::kRanade,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x0e18a59c8b5f1c32ULL},
+        MachineFingerprintCase{"ida_w1", {.kind = SchemeKind::kIda},
+                               MachineWrap::kPlain,
+                               0x5f8d44732308ae57ULL},
+        MachineFingerprintCase{"ida_w8",
+                               {.kind = SchemeKind::kIda,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x5f8d44732308ae57ULL},
+        MachineFingerprintCase{"hashed_w1", {.kind = SchemeKind::kHashed},
+                               MachineWrap::kPlain,
+                               0x1f894bf03dd6a43bULL},
+        MachineFingerprintCase{"hashed_w8",
+                               {.kind = SchemeKind::kHashed,
+                                .region_words = 8},
+                               MachineWrap::kPlain,
+                               0x1f894bf03dd6a43bULL},
+        MachineFingerprintCase{"dmmpc_cached", {.kind = SchemeKind::kDmmpc},
+                               MachineWrap::kCached,
+                               0x1fafdd067831546fULL},
+        MachineFingerprintCase{"ida_cached", {.kind = SchemeKind::kIda},
+                               MachineWrap::kCached,
+                               0x8f1504b4b9ec6bbaULL},
+        MachineFingerprintCase{"dmmpc_faulted", {.kind = SchemeKind::kDmmpc},
+                               MachineWrap::kFaulted,
+                               0xda55023aa16d3148ULL},
+        MachineFingerprintCase{"ida_faulted", {.kind = SchemeKind::kIda},
+                               MachineWrap::kFaulted,
+                               0xc4f03b89f47350fcULL}),
+    [](const ::testing::TestParamInfo<MachineFingerprintCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---------------------------------------------------------- driver ------
-
-TEST(Driver, ToRequestsDeduplicates) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(0), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(1), pram::AccessOp::kWrite, VarId(5), 1});
-  batch.push_back({ProcId(2), pram::AccessOp::kRead, VarId(9), 0});
-  const auto reqs = to_requests(batch);
-  ASSERT_EQ(reqs.size(), 2u);
-  EXPECT_EQ(reqs[0].var, VarId(5));
-  // Read + write of one variable collapse to a single request that
-  // preserves the write — not whichever access came first.
-  EXPECT_EQ(reqs[0].op, pram::AccessOp::kWrite);
-  EXPECT_EQ(reqs[0].requester, ProcId(1));
-  EXPECT_EQ(reqs[1].var, VarId(9));
-  EXPECT_EQ(reqs[1].op, pram::AccessOp::kRead);
-  EXPECT_EQ(reqs[1].requester, ProcId(2));
-}
-
-TEST(Driver, ToRequestsLowestWriterWins) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(4), pram::AccessOp::kWrite, VarId(3), 40});
-  batch.push_back({ProcId(2), pram::AccessOp::kWrite, VarId(3), 20});
-  batch.push_back({ProcId(6), pram::AccessOp::kWrite, VarId(3), 60});
-  const auto reqs = to_requests(batch);
-  ASSERT_EQ(reqs.size(), 1u);
-  EXPECT_EQ(reqs[0].op, pram::AccessOp::kWrite);
-  EXPECT_EQ(reqs[0].requester, ProcId(2));
-}
-
-TEST(Driver, CombineBatchResolvesConcurrentAccesses) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(0), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(3), pram::AccessOp::kWrite, VarId(5), 33});
-  batch.push_back({ProcId(1), pram::AccessOp::kWrite, VarId(5), 11});
-  batch.push_back({ProcId(2), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(4), pram::AccessOp::kRead, VarId(9), 0});
-  const auto combined = combine_batch(batch);
-  // Var 5 is both read and written: it must appear once in each list,
-  // with the lowest-id writer's value committing.
-  ASSERT_EQ(combined.reads.size(), 2u);
-  EXPECT_EQ(combined.reads[0], VarId(5));
-  EXPECT_EQ(combined.reads[1], VarId(9));
-  ASSERT_EQ(combined.writes.size(), 1u);
-  EXPECT_EQ(combined.writes[0].var, VarId(5));
-  EXPECT_EQ(combined.writes[0].value, 11);
-}
 
 TEST(Driver, StressAggregatesAllFamilies) {
   SimulationPipeline pipeline({.kind = SchemeKind::kDmmpc, .n = 64});

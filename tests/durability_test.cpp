@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "durability/checkpoint.hpp"
 #include "durability/crc32.hpp"
@@ -29,6 +28,7 @@
 #include "faults/faultable_memory.hpp"
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/snapshot.hpp"
 
@@ -359,7 +359,7 @@ std::unique_ptr<pram::MemorySystem> golden_memory(
   auto memory = golden.make();
   const std::vector<VarId> no_reads;
   std::vector<pram::Word> no_values;
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   pram::ServeContext ctx;
   for (std::uint64_t step = 1; step <= 24; ++step) {
     std::vector<pram::VarWrite> writes;
@@ -632,6 +632,79 @@ TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
       auto target = core::make_memory(spec);
       pram::BufferSource source(sink.bytes());
       EXPECT_EQ(target->restore(source), forged.accepted);
+    }
+  }
+}
+
+// Hand-built frames for the two sparse (variable, value) images: the
+// default body that kHashed and every scheme without a native body use,
+// and the oracle image FaultableMemory appends after its inner frame.
+// Both writers emit strictly ascending variables, so a repeated or
+// descending variable, or a count above m, is a forged frame.
+TEST(Restore, SparseBodiesRejectRepeatedDescendingAndOversizedFrames) {
+  const core::SchemeSpec spec{
+      .kind = core::SchemeKind::kHashed, .n = 16, .seed = 3};
+  const auto make_plain = [&] { return core::make_memory(spec); };
+  const auto make_faulted = [&]() -> std::unique_ptr<pram::MemorySystem> {
+    return std::make_unique<faults::FaultableMemory>(
+        core::make_memory(spec), faults::FaultSpec{.seed = 5});
+  };
+  struct Pair {
+    std::uint64_t var;
+    pram::Word value;
+  };
+  struct Frame {
+    const char* name;
+    std::uint64_t count;  ///< the entry count the frame claims
+    std::vector<Pair> pairs;
+    bool accepted;
+  };
+  const std::uint64_t m = make_plain()->size();
+  std::vector<Pair> every_var;
+  for (std::uint64_t v = 0; v < m; ++v) {
+    every_var.push_back({v, static_cast<pram::Word>(v + 1)});
+  }
+  const Frame frames[] = {
+      {"well_formed", 2, {{1, 11}, {5, 55}}, true},
+      {"repeated_var", 2, {{5, 11}, {5, 55}}, false},
+      {"descending_var", 2, {{9, 11}, {5, 55}}, false},
+      {"count_past_m", m + 1, every_var, false},
+  };
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faultable_oracle" : "default_body");
+    const auto make = faulted ? std::function(make_faulted)
+                              : std::function(make_plain);
+    pram::BufferSink blank;
+    make()->snapshot(blank);
+    // Both images end in their entry count, zero for a fresh memory.
+    const std::vector<std::uint8_t>& bytes = blank.bytes();
+    const std::size_t prefix = bytes.size() - sizeof(std::uint64_t);
+    for (const Frame& frame : frames) {
+      SCOPED_TRACE(frame.name);
+      pram::BufferSink sink;
+      sink.write(bytes.data(), prefix);
+      pram::put_u64(sink, frame.count);
+      for (const Pair& pair : frame.pairs) {
+        pram::put_u64(sink, pair.var);
+        pram::put_word(sink, pair.value);
+      }
+      auto target = make();
+      pram::BufferSource source(sink.bytes());
+      const bool restored = target->restore(source);
+      EXPECT_EQ(restored, frame.accepted);
+      if (!restored || !frame.accepted) {
+        continue;
+      }
+      for (const Pair& pair : frame.pairs) {
+        const VarId var(static_cast<std::uint32_t>(pair.var));
+        if (faulted) {
+          const auto& wrapper =
+              static_cast<const faults::FaultableMemory&>(*target);
+          EXPECT_EQ(wrapper.checker().expected(var), pair.value);
+        } else {
+          EXPECT_EQ(target->peek(var), pair.value);
+        }
+      }
     }
   }
 }

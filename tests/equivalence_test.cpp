@@ -16,12 +16,12 @@
 
 #include "cache/cached_memory.hpp"
 #include "core/driver.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
 #include "obs/sink.hpp"
 #include "pram/machine.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/programs.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/snapshot.hpp"
@@ -387,8 +387,8 @@ TEST_P(AllKindsTest, SnapshotRestoreEveryStepIsTransparent) {
   const auto trace =
       pram::make_trace(pram::TraceFamily::kUniform, 16, m, 12, trace_rng);
 
-  core::PlanBuilder ref_builder;
-  core::PlanBuilder hop_builder;
+  pram::PlanBuilder ref_builder;
+  pram::PlanBuilder hop_builder;
   pram::ServeContext ref_ctx;
   pram::ServeContext hop_ctx;
   std::vector<pram::Word> ref_values;

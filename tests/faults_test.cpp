@@ -392,8 +392,8 @@ TEST(FaultableMemory, WrapperLevelFallbackDegradesOpaqueSchemes) {
 TEST(FaultableMemory, FlaggedBlockOutagesAreNotCountedAsSilentLies) {
   // Regression: multiple reads of one under-threshold IDA block in a
   // single step are all FLAGGED outages; the oracle must attribute them
-  // per read (via flagged_reads), not per block decode, and report zero
-  // silent wrong reads under erasure-only faults.
+  // per read (via the context's flags), not per block decode, and report
+  // zero silent wrong reads under erasure-only faults.
   const ida::IdaMemoryConfig config{
       .b = 4, .d = 8, .n_modules = 8, .seed = 25};
   auto inner = std::make_unique<ida::IdaMemory>(64, config);

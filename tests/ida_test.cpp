@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "durability/checkpoint.hpp"
 #include "durability/crc32.hpp"
@@ -20,6 +19,7 @@
 #include "ida/gf256.hpp"
 #include "ida/ida_memory.hpp"
 #include "obs/sink.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "util/rng.hpp"
 
@@ -546,7 +546,7 @@ TEST(IdaMemory, TimeReflectsModuleContention) {
 //
 // Golden fingerprints pin IdaMemory::serve bit for bit. Each case drives
 // core::make_memory(kIda) (optionally inside faults::FaultableMemory)
-// through core::PlanBuilder and serve() and folds everything a step
+// through pram::PlanBuilder and serve() and folds everything a step
 // exposes: read values, outage flags, time/work/max_queue, scrub
 // results, the journal, and at the end every ReliabilityStats field. The
 // final checkpoint image's size and CRC pin the stored share words. The
@@ -614,7 +614,7 @@ TEST_P(ServeFingerprintTest, ServeMatchesTheGoldenRun) {
   obs::Sink sink(obs::SinkOptions{.journal_capacity = 1 << 20});
   memory->set_observer(&sink);
   util::Rng rng(fc.spec.seed * 1000 + 7);
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   pram::ServeContext ctx;
   std::vector<Word> values;
   std::uint64_t h = 0;

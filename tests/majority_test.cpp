@@ -486,6 +486,19 @@ SchedulerConfig config_for(std::uint32_t c, std::uint32_t n) {
   return cfg;
 }
 
+/// One DMMPC schedule through the scratch-backed kernel
+/// DmmpcEngine::run_step_into drives: the cluster protocol with the
+/// first-claim round.
+ScheduleResult schedule(const memmap::MemoryMap& map,
+                        std::span<const VarRequest> requests,
+                        const SchedulerConfig& config) {
+  ClusterProtocol protocol;
+  FirstClaimRound round;
+  ScheduleResult result;
+  protocol.run(map, requests, config, round, result);
+  return result;
+}
+
 std::vector<VarRequest> distinct_requests(std::uint32_t count,
                                           std::uint64_t m, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -502,7 +515,7 @@ TEST(Scheduler, EveryRequestReachesThreshold) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(64, params.m, 7);
-  const auto result = schedule_step(map, reqs, config_for(params.c, 64));
+  const auto result = schedule(map, reqs, config_for(params.c, 64));
   ASSERT_EQ(result.accessed_mask.size(), 64u);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
@@ -517,7 +530,7 @@ TEST(Scheduler, EmptyBatchIsFree) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto result =
-      schedule_step(map, {}, config_for(params.c, 64));
+      schedule(map, {}, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 0u);
   EXPECT_EQ(result.total_copy_accesses, 0u);
 }
@@ -529,7 +542,7 @@ TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const std::vector<VarRequest> reqs = {{VarId(3), ProcId(0)}};
-  const auto result = schedule_step(map, reqs, config_for(params.c, 64));
+  const auto result = schedule(map, reqs, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 1u);
   EXPECT_GE(result.total_copy_accesses, params.c);
 }
@@ -538,8 +551,8 @@ TEST(Scheduler, DeterministicAcrossRuns) {
   const auto params = memmap::derive_params(128, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(128, params.m, 11);
-  const auto a = schedule_step(map, reqs, config_for(params.c, 128));
-  const auto b = schedule_step(map, reqs, config_for(params.c, 128));
+  const auto a = schedule(map, reqs, config_for(params.c, 128));
+  const auto b = schedule(map, reqs, config_for(params.c, 128));
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.accessed_mask, b.accessed_mask);
   EXPECT_EQ(a.total_copy_accesses, b.total_copy_accesses);
@@ -550,9 +563,9 @@ TEST(Scheduler, AllAtOnceNeverSlower) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(128, params.m, 13);
   auto cfg = config_for(params.c, 128);
-  const auto clustered = schedule_step(map, reqs, cfg);
+  const auto clustered = schedule(map, reqs, cfg);
   cfg.all_at_once = true;
-  const auto flat = schedule_step(map, reqs, cfg);
+  const auto flat = schedule(map, reqs, cfg);
   EXPECT_LE(flat.rounds, clustered.rounds);
   for (const auto mask : flat.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
@@ -568,7 +581,7 @@ TEST(Scheduler, Stage1LeavesBoundedLiveSet) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto reqs = distinct_requests(256, params.m, seed);
-    const auto result = schedule_step(map, reqs, config_for(params.c, 256));
+    const auto result = schedule(map, reqs, config_for(params.c, 256));
     EXPECT_LE(result.live_after_stage1, 256u / params.r + 1)
         << "seed " << seed;
   }
@@ -586,7 +599,7 @@ TEST(Scheduler, HotModuleMapStillCompletes) {
   cfg.c = 3;
   cfg.cluster_size = 5;
   cfg.n_processors = 32;
-  const auto result = schedule_step(map, reqs, cfg);
+  const auto result = schedule(map, reqs, cfg);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(__builtin_popcountll(mask), 3);
   }
@@ -604,7 +617,7 @@ TEST(Scheduler, RoundsGrowSublinearlyInN) {
     const auto params = memmap::derive_params(n, 2.0, 1.0, b);
     HashedMap map(params.m, params.n_modules, params.r, 5);
     const auto reqs = distinct_requests(n, params.m, 17);
-    const auto result = schedule_step(map, reqs, config_for(params.c, n));
+    const auto result = schedule(map, reqs, config_for(params.c, n));
     rounds.push_back(static_cast<double>(result.rounds));
   }
   EXPECT_LT(rounds[2], rounds[0] * 16.0);  // 16x n -> far less than 16x time
@@ -612,13 +625,12 @@ TEST(Scheduler, RoundsGrowSublinearlyInN) {
 
 // ------------------------------------------- schedule fingerprints -----
 //
-// Golden fingerprints pin both DMMPC schedule entries bit for bit: the
+// Golden fingerprints pin the DMMPC schedule bit for bit: the
 // scratch-backed DmmpcEngine::run_step_into (first-claim resolution, the
-// MajorityMemory::serve path) and the allocating schedule_step
-// (ascending-module resolution, the step() path). Each case folds every
+// schedule every DMMPC-round engine serves). Each case folds every
 // observable field of a short sequence of batches served by ONE engine,
 // so stale per-engine scratch shows up too. The constants were recorded
-// with the hash-map round implementations that preceded the shared
+// with the hash-map round implementation that preceded the shared
 // cluster-protocol driver.
 
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
@@ -681,13 +693,12 @@ struct FingerprintCase {
   bool all_at_once;
   BatchShape shape;
   std::uint64_t want_run_step_into;
-  std::uint64_t want_schedule_step;
 };
 
 class ScheduleFingerprintTest
     : public ::testing::TestWithParam<FingerprintCase> {};
 
-TEST_P(ScheduleFingerprintTest, BothEntriesMatchTheGoldenSchedule) {
+TEST_P(ScheduleFingerprintTest, RunStepIntoMatchesTheGoldenSchedule) {
   const FingerprintCase& fc = GetParam();
   auto map = std::make_shared<HashedMap>(fc.m, fc.modules, 2 * fc.c - 1,
                                          /*seed=*/17);
@@ -697,7 +708,6 @@ TEST_P(ScheduleFingerprintTest, BothEntriesMatchTheGoldenSchedule) {
   DmmpcEngine engine(map, cfg);
   EngineResult out;
   std::uint64_t into = 0;
-  std::uint64_t legacy = 0;
   // Full, third-size and full again: the scratch shrinks and regrows.
   const std::uint32_t sizes[] = {fc.n, fc.n / 3, fc.n};
   for (std::uint64_t b = 0; b < 3; ++b) {
@@ -710,14 +720,8 @@ TEST_P(ScheduleFingerprintTest, BothEntriesMatchTheGoldenSchedule) {
                          out.stats.stage2_phases,
                          out.stats.live_after_stage1, out.stats.max_queue,
                          out.stats.live_per_phase, out.accessed_mask);
-    const ScheduleResult s = schedule_step(*map, reqs, cfg);
-    legacy = fold_schedule(legacy, s.rounds, s.total_copy_accesses,
-                           s.stage1_rounds, s.stage2_rounds,
-                           s.live_after_stage1, s.max_module_queue,
-                           s.live_per_round, s.accessed_mask);
   }
   EXPECT_EQ(into, fc.want_run_step_into) << std::hex << into;
-  EXPECT_EQ(legacy, fc.want_schedule_step) << std::hex << legacy;
 }
 
 // serve_dmmpc's map (n = 4096, m = n^1.5, M = m, r = 5) and
@@ -731,31 +735,31 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FingerprintCase{"serve_dmmpc", kServeM, kServeM, 3, 4096, 2, false,
                         BatchShape::kDistinct,
-                        0xa6a036fc353bbf13ULL, 0xff8addf68fd7d204ULL},
+                        0xa6a036fc353bbf13ULL},
         FingerprintCase{"durable_faults", kDurableM, kDurableM, 4, 1024, 2,
                         false, BatchShape::kDistinct,
-                        0x920160571912c69eULL, 0x518cc9921c36e5dfULL},
+                        0x920160571912c69eULL},
         FingerprintCase{"contended", kServeM, 4096, 3, 4096, 2, false,
                         BatchShape::kDistinct,
-                        0x2fbc6fd615dae521ULL, 0x342e42fc89a6c4feULL},
+                        0x2fbc6fd615dae521ULL},
         FingerprintCase{"one_stage1_turn", kServeM, 4096, 3, 4096, 1, false,
                         BatchShape::kDistinct,
-                        0x6131ffba4874be2dULL, 0x93b8c219918a16e9ULL},
+                        0x6131ffba4874be2dULL},
         FingerprintCase{"all_at_once", kServeM, kServeM, 3, 4096, 2, true,
                         BatchShape::kDistinct,
-                        0x15ac105791d62321ULL, 0xeb274805555a1004ULL},
+                        0x15ac105791d62321ULL},
         FingerprintCase{"shared_requesters", kServeM, kServeM, 3, 4096, 2,
                         false, BatchShape::kSharedRequesters,
-                        0x8dc364f0151d5595ULL, 0x5aefa92128c815fbULL},
+                        0x8dc364f0151d5595ULL},
         FingerprintCase{"requesters_past_n", kServeM, kServeM, 3, 4096, 2,
                         false, BatchShape::kRequestersPastN,
-                        0xba9bfdf974c4cc59ULL, 0x752a2a8102723815ULL},
+                        0xba9bfdf974c4cc59ULL},
         FingerprintCase{"hot_modules", 4096, 64, 3, 1024, 2, false,
                         BatchShape::kDistinct,
-                        0xa8231f43b481833fULL, 0x808b5b8d82d91e1cULL},
+                        0xa8231f43b481833fULL},
         FingerprintCase{"empty", kServeM, kServeM, 3, 4096, 2, false,
                         BatchShape::kEmpty,
-                        0x128408c4d9f41432ULL, 0x128408c4d9f41432ULL}),
+                        0x128408c4d9f41432ULL}),
     [](const ::testing::TestParamInfo<FingerprintCase>& info) {
       return std::string(info.param.name);
     });

@@ -1,15 +1,15 @@
 // The AccessPlan / PlanBuilder gate: the arena-backed plan must carry
 // exactly the joins the serve path consumes (request union, read/write
-// index maps, block groups), and MemorySystem::serve — native overrides
-// AND the default step() adapter — must stay value-equivalent to the
-// legacy step() path for every SchemeKind, including wrapped in
+// index maps, block groups) from both builder entries, under one grouping
+// rule, and MemorySystem::serve must stay bit-exact against a FlatMemory
+// replica for every SchemeKind, including wrapped in
 // faults::FaultableMemory at fault rate 0.
 //
-// Engine API v2 additions gated here too: serve(plan, ctx) under the
-// kGroupParallel backend must be value-equivalent to step() AND
-// bit-identical to the serial backend at any executor worker count, and
-// per-read outage flags must reach ServeContext identically on every
-// path (native serve, default adapter, FaultableMemory wrapper).
+// The serve surface is gated here too: serve(plan, ctx) under the
+// kGroupParallel backend must match the replica AND be bit-identical to
+// the serial backend at any executor worker count, and per-read outage
+// flags must reach ServeContext identically on every path (native serve,
+// the step() adapter, the FaultableMemory wrapper).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/trace.hpp"
 #include "util/parallel.hpp"
@@ -44,7 +44,7 @@ pram::AccessBatch mixed_batch() {
 
 TEST(PlanBuilder, PlanCarriesCombinedListsAndJoins) {
   pram::FlatMemory memory(16);
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   const auto& plan = builder.build(mixed_batch(), memory);
 
   // Combined lists: reads in first-appearance order, CW-resolved writes.
@@ -86,13 +86,86 @@ TEST(PlanBuilder, PlanCarriesCombinedListsAndJoins) {
   EXPECT_FALSE(plan.grouped());
 }
 
+TEST(PlanBuilder, CombinedStepEntryJoinsLikeTheBatchEntry) {
+  pram::FlatMemory memory(16);
+  pram::PlanBuilder from_batch;
+  pram::PlanBuilder from_step;
+  const auto& want = from_batch.build(mixed_batch(), memory);
+  const std::vector<VarId> reads(want.reads.begin(), want.reads.end());
+  const std::vector<pram::VarWrite> writes(want.writes.begin(),
+                                           want.writes.end());
+  const auto& plan = from_step.build(reads, writes, memory);
+
+  ASSERT_EQ(plan.reads.size(), want.reads.size());
+  ASSERT_EQ(plan.writes.size(), want.writes.size());
+  ASSERT_EQ(plan.requests.size(), want.requests.size());
+  for (std::size_t j = 0; j < plan.requests.size(); ++j) {
+    EXPECT_EQ(plan.requests[j].var, want.requests[j].var);
+    EXPECT_EQ(plan.requests[j].op, want.requests[j].op);
+    EXPECT_EQ(plan.requests[j].is_read, want.requests[j].is_read);
+    EXPECT_EQ(plan.request_write[j], want.request_write[j]);
+  }
+  for (std::size_t i = 0; i < plan.reads.size(); ++i) {
+    EXPECT_EQ(plan.reads[i], want.reads[i]);
+    EXPECT_EQ(plan.read_request[i], want.read_request[i]);
+  }
+  for (std::size_t i = 0; i < plan.writes.size(); ++i) {
+    EXPECT_EQ(plan.writes[i].var, want.writes[i].var);
+    EXPECT_EQ(plan.writes[i].value, want.writes[i].value);
+    EXPECT_EQ(plan.write_request[i], want.write_request[i]);
+  }
+  // The plan copies the lists: it does not alias the caller's spans.
+  EXPECT_NE(plan.reads.data(), reads.data());
+  EXPECT_NE(plan.writes.data(), writes.data());
+}
+
+// One grouping rule for both entries: a plan is grouped exactly when its
+// target wants groups, empty plans included — and every memory serves
+// such an empty plan as a free step.
+TEST(PlanBuilder, EmptyPlansAreGroupedExactlyWhenTheTargetWantsGroups) {
+  auto ida = core::make_memory({.kind = core::SchemeKind::kIda,
+                                .n = 16,
+                                .seed = 5});
+  auto hashed_gp =
+      core::make_memory({.kind = core::SchemeKind::kHashed,
+                         .n = 16,
+                         .seed = 5,
+                         .backend = pram::ServeBackend::kGroupParallel});
+  pram::FlatMemory flat(16);
+  ASSERT_TRUE(ida->wants_plan_groups());
+  ASSERT_TRUE(hashed_gp->wants_plan_groups());
+  ASSERT_FALSE(flat.wants_plan_groups());
+  pram::PlanBuilder builder;
+  util::Executor executor;
+  pram::ServeContext ctx({}, &executor);
+  for (pram::MemorySystem* memory :
+       {ida.get(), hashed_gp.get(),
+        static_cast<pram::MemorySystem*>(&flat)}) {
+    const bool wants = memory->wants_plan_groups();
+    const auto& from_batch = builder.build(pram::AccessBatch{}, *memory);
+    EXPECT_EQ(from_batch.grouped(), wants);
+    EXPECT_EQ(from_batch.num_groups(), 0u);
+    const auto& from_step = builder.build({}, {}, *memory);
+    EXPECT_EQ(from_step.grouped(), wants);
+    EXPECT_EQ(from_step.num_groups(), 0u);
+    if (wants) {
+      ASSERT_EQ(from_step.group_offsets.size(), 1u);
+      EXPECT_EQ(from_step.group_offsets[0], 0u);
+    }
+    ctx.bind({});
+    const pram::MemStepCost cost = memory->serve(from_step, ctx);
+    EXPECT_EQ(cost.work, 0u);
+    EXPECT_TRUE(ctx.flags().empty());
+  }
+}
+
 TEST(PlanBuilder, GroupsMatchTargetKeysAndPartitionRequests) {
   auto memory = core::make_memory({.kind = core::SchemeKind::kIda,
                                    .n = 16,
                                    .seed = 5});
   ASSERT_TRUE(memory->wants_plan_groups());
   util::Rng rng(7);
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   const auto batch = pram::make_batch(pram::TraceFamily::kUniform, 16,
                                       memory->size(), rng);
   const auto& plan = builder.build(batch, *memory);
@@ -123,13 +196,13 @@ TEST(PlanBuilder, GroupsMatchTargetKeysAndPartitionRequests) {
 
 TEST(PlanBuilder, ReusedBuilderMatchesFreshBuilder) {
   pram::FlatMemory memory(1 << 12);
-  core::PlanBuilder reused;
+  pram::PlanBuilder reused;
   util::Rng rng(11);
   for (int round = 0; round < 20; ++round) {
     const auto batch = pram::make_batch(pram::TraceFamily::kUniform, 64,
                                         1 << 12, rng);
     const auto& plan = reused.build(batch, memory);
-    core::PlanBuilder fresh;
+    pram::PlanBuilder fresh;
     const auto& expected = fresh.build(batch, memory);
     ASSERT_EQ(plan.reads.size(), expected.reads.size()) << round;
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
@@ -144,62 +217,60 @@ TEST(PlanBuilder, ReusedBuilderMatchesFreshBuilder) {
   }
 }
 
-// The cross-path value-equivalence gate: for EVERY SchemeKind, serving
-// random traffic through serve(plan) must produce the same read values
-// and the same committed memory as the legacy step() path — including
-// with the scheme wrapped in a FaultableMemory at fault rate 0, where
-// serve() funnels through the wrapper's default adapter.
+// The bit-exactness gate on the serve path: for EVERY SchemeKind,
+// serving random traffic through serve(plan) must produce the same read
+// values and the same committed memory as a FlatMemory replica served the
+// same plans — including with the scheme wrapped in a FaultableMemory at
+// fault rate 0.
 class PlanServeTest : public ::testing::TestWithParam<core::SchemeKind> {};
 
-void expect_serve_matches_step(pram::MemorySystem& via_serve,
-                               pram::MemorySystem& via_step,
-                               std::uint32_t n, const char* name) {
+void expect_serve_matches_flat(pram::MemorySystem& memory,
+                               util::Executor* executor, std::uint32_t n,
+                               const char* name) {
   util::Rng rng(23);
-  pram::ServeContext ctx;
-  core::PlanBuilder builder;
-  const std::uint64_t m = via_serve.size();
+  pram::ServeContext ctx({}, executor);
+  pram::PlanBuilder builder;
+  const std::uint64_t m = memory.size();
+  pram::FlatMemory replica(m);
   for (int s = 0; s < 12; ++s) {
     const auto family = s % 2 == 0 ? pram::TraceFamily::kUniform
                                    : pram::TraceFamily::kPermutation;
     auto family_rng = rng.split();
     const auto batch = pram::make_batch(family, n, m, family_rng);
-    const auto& plan = builder.build(batch, via_serve);
+    const auto& plan = builder.build(batch, memory);
     std::vector<pram::Word> serve_values(plan.reads.size());
-    std::vector<pram::Word> step_values(plan.reads.size());
+    std::vector<pram::Word> want(plan.reads.size());
     ctx.bind(serve_values);
-    via_serve.serve(plan, ctx);
-    via_step.step(plan.reads, step_values, plan.writes);
+    memory.serve(plan, ctx);
+    replica.step(plan.reads, want, plan.writes);
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      ASSERT_EQ(serve_values[i], step_values[i])
+      ASSERT_EQ(serve_values[i], want[i])
           << name << " step " << s << " read " << i;
     }
   }
-  for (std::uint32_t v = 0; v < 2 * n; ++v) {
-    ASSERT_EQ(via_serve.peek(VarId(v)), via_step.peek(VarId(v)))
+  for (std::uint64_t v = 0; v < m; ++v) {
+    ASSERT_EQ(memory.peek(VarId(static_cast<std::uint32_t>(v))),
+              replica.peek(VarId(static_cast<std::uint32_t>(v))))
         << name << " cell " << v;
   }
 }
 
-TEST_P(PlanServeTest, ServeMatchesStepBitExact) {
+TEST_P(PlanServeTest, ServeMatchesFlatReplicaBitExact) {
   const std::uint32_t n = 16;
   const core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
-  auto via_serve = core::make_memory(spec);
-  auto via_step = core::make_memory(spec);
-  expect_serve_matches_step(*via_serve, *via_step, n,
+  auto memory = core::make_memory(spec);
+  expect_serve_matches_flat(*memory, nullptr, n,
                             core::to_string(GetParam()));
 }
 
-TEST_P(PlanServeTest, ServeMatchesStepUnderInertFaultWrapper) {
+TEST_P(PlanServeTest, ServeMatchesFlatReplicaUnderInertFaultWrapper) {
   const std::uint32_t n = 16;
   const core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
   const faults::FaultSpec inert{.seed = 77};
   ASSERT_TRUE(inert.inert());
-  faults::FaultableMemory via_serve(core::make_memory(spec), inert);
-  faults::FaultableMemory via_step(core::make_memory(spec), inert);
-  expect_serve_matches_step(via_serve, via_step, n,
-                            core::to_string(GetParam()));
-  EXPECT_EQ(via_serve.reliability().wrong_reads, 0u);
-  EXPECT_EQ(via_step.reliability().wrong_reads, 0u);
+  faults::FaultableMemory memory(core::make_memory(spec), inert);
+  expect_serve_matches_flat(memory, nullptr, n, core::to_string(GetParam()));
+  EXPECT_EQ(memory.reliability().wrong_reads, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(EverySchemeKind, PlanServeTest,
@@ -221,46 +292,22 @@ struct WorkerOverrideGuard {
   ~WorkerOverrideGuard() { util::set_parallel_workers_override(0); }
 };
 
-// ----- Engine API v2: ServeContext + group-parallel backend ------------
+// ----- ServeContext + group-parallel backend ---------------------------
 
 // For EVERY SchemeKind, the kGroupParallel backend (downgraded to serial
-// by schemes without the capability) must stay value-equivalent to the
-// legacy step() path when served through the context entry with a live
-// executor fanning groups across workers.
-TEST_P(PlanServeTest, GroupParallelServeMatchesStep) {
+// by schemes without the capability) must match the FlatMemory replica
+// when served through the context entry with a live executor fanning
+// groups across workers.
+TEST_P(PlanServeTest, GroupParallelServeMatchesFlatReplica) {
   WorkerOverrideGuard guard;
   util::set_parallel_workers_override(4);
   const std::uint32_t n = 16;
   core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
   spec.backend = pram::ServeBackend::kGroupParallel;
-  auto via_serve = core::make_scheme(spec);
-  auto via_step = core::make_memory(spec);
-
-  util::Rng rng(23);
+  auto memory = core::make_memory(spec);
   util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
-  core::PlanBuilder builder;
-  const std::uint64_t m = via_serve.memory->size();
-  for (int s = 0; s < 12; ++s) {
-    const auto family = s % 2 == 0 ? pram::TraceFamily::kUniform
-                                   : pram::TraceFamily::kPermutation;
-    auto family_rng = rng.split();
-    const auto batch = pram::make_batch(family, n, m, family_rng);
-    const auto& plan = builder.build(batch, *via_serve.memory);
-    std::vector<pram::Word> serve_values(plan.reads.size());
-    std::vector<pram::Word> step_values(plan.reads.size());
-    ctx.bind(serve_values);
-    via_serve.memory->serve(plan, ctx);
-    via_step->step(plan.reads, step_values, plan.writes);
-    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      ASSERT_EQ(serve_values[i], step_values[i])
-          << core::to_string(GetParam()) << " step " << s << " read " << i;
-    }
-  }
-  for (std::uint32_t v = 0; v < 2 * n; ++v) {
-    ASSERT_EQ(via_serve.memory->peek(VarId(v)), via_step->peek(VarId(v)))
-        << core::to_string(GetParam()) << " cell " << v;
-  }
+  expect_serve_matches_flat(*memory, &executor, n,
+                            core::to_string(GetParam()));
 }
 
 // The schemes shipping native group-parallel serve must actually engage
@@ -295,7 +342,7 @@ void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
   util::Rng rng(31);
   util::Executor executor;
   pram::ServeContext ctx({}, &executor);
-  core::PlanBuilder builder;
+  pram::PlanBuilder builder;
   std::vector<pram::Word> values;
   for (int s = 0; s < 10; ++s) {
     const auto batch = pram::make_batch(pram::TraceFamily::kUniform,
@@ -310,12 +357,6 @@ void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
     } else {
       all_flags.insert(all_flags.end(), ctx.flags().begin(),
                        ctx.flags().end());
-    }
-    // The legacy accessor must mirror the context on every path.
-    const auto legacy = memory->flagged_reads();
-    ASSERT_EQ(legacy.size(), ctx.flags().size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      ASSERT_EQ(legacy[i] != 0, ctx.flags()[i] != 0);
     }
   }
   stats = memory->reliability();
@@ -385,11 +426,21 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_w" + std::to_string(std::get<1>(info.param));
     });
 
-// Regression for the flagged_reads migration: reads under erasure served
-// through serve(plan, ctx) must be flagged exactly as the step() path
-// flags them — for the native serve overrides AND through the
-// FaultableMemory wrapper (whose pre-v2 serve path computed flags
-// internally and dropped them).
+/// Per-read flags as 0/1 bytes, one per read (an empty span means none).
+std::vector<std::uint8_t> flag_bytes(std::span<const std::uint8_t> flags,
+                                     std::size_t n_reads) {
+  std::vector<std::uint8_t> out(n_reads, 0);
+  for (std::size_t i = 0; i < flags.size() && i < n_reads; ++i) {
+    out[i] = flags[i] != 0 ? 1 : 0;
+  }
+  return out;
+}
+
+// Reads under erasure must be flagged identically whether a scheme with
+// hooks installed directly is served through serve(plan, ctx) or through
+// the step() adapter, and every read left unflagged must match a
+// FlatMemory replica: with erasures only, a read either survives intact
+// or is a flagged loss.
 TEST(ServeContextFlags, ErasureFlagsIdenticalOnServeAndStepPaths) {
   const std::uint32_t n = 16;
   const faults::FaultSpec fault_spec{.seed = 99, .module_kill_rate = 0.6};
@@ -397,16 +448,16 @@ TEST(ServeContextFlags, ErasureFlagsIdenticalOnServeAndStepPaths) {
        {core::SchemeKind::kDmmpc, core::SchemeKind::kIda,
         core::SchemeKind::kHashed}) {
     const core::SchemeSpec spec{.kind = kind, .n = n, .seed = 5};
-    // Native path: hooks installed directly on both instances.
     auto via_serve = core::make_memory(spec);
     auto via_step = core::make_memory(spec);
     const faults::FaultModel model(fault_spec, via_serve->num_modules());
     ASSERT_TRUE(via_serve->set_fault_hooks(&model));
     ASSERT_TRUE(via_step->set_fault_hooks(&model));
+    pram::FlatMemory replica(via_serve->size());
 
     util::Rng rng(41);
     pram::ServeContext ctx;
-    core::PlanBuilder builder;
+    pram::PlanBuilder builder;
     std::uint64_t flagged_total = 0;
     for (int s = 0; s < 8; ++s) {
       const auto batch = pram::make_batch(pram::TraceFamily::kUniform, n,
@@ -414,16 +465,23 @@ TEST(ServeContextFlags, ErasureFlagsIdenticalOnServeAndStepPaths) {
       const auto& plan = builder.build(batch, *via_serve);
       std::vector<pram::Word> serve_values(plan.reads.size());
       std::vector<pram::Word> step_values(plan.reads.size());
+      std::vector<pram::Word> want(plan.reads.size());
       ctx.bind(serve_values);
       via_serve->serve(plan, ctx);
       via_step->step(plan.reads, step_values, plan.writes);
-      const auto step_flags = via_step->flagged_reads();
-      ASSERT_EQ(ctx.flags().size(), step_flags.size())
+      replica.step(plan.reads, want, plan.writes);
+      const auto flags = flag_bytes(ctx.flags(), plan.reads.size());
+      ASSERT_EQ(flags, flag_bytes(via_step->flagged_reads(),
+                                  plan.reads.size()))
           << core::to_string(kind) << " step " << s;
-      for (std::size_t i = 0; i < step_flags.size(); ++i) {
-        ASSERT_EQ(ctx.flags()[i] != 0, step_flags[i] != 0)
-            << core::to_string(kind) << " step " << s << " read " << i;
-        flagged_total += step_flags[i] != 0 ? 1 : 0;
+      ASSERT_EQ(serve_values, step_values)
+          << core::to_string(kind) << " step " << s;
+      for (std::size_t i = 0; i < plan.reads.size(); ++i) {
+        if (flags[i] == 0) {
+          ASSERT_EQ(serve_values[i], want[i])
+              << core::to_string(kind) << " step " << s << " read " << i;
+        }
+        flagged_total += flags[i];
       }
     }
     // A 60% module kill must flag something, or the test tests nothing.
@@ -431,6 +489,10 @@ TEST(ServeContextFlags, ErasureFlagsIdenticalOnServeAndStepPaths) {
   }
 }
 
+// The FaultableMemory wrapper must hand its inner scheme's flags through
+// the context unchanged: served through the wrapper, a scheme flags and
+// reads exactly like a twin served with the same fault model installed
+// directly.
 TEST(ServeContextFlags, WrapperExposesFlagsThroughServeContext) {
   const std::uint32_t n = 16;
   const faults::FaultSpec fault_spec{.seed = 7, .module_kill_rate = 0.8};
@@ -438,28 +500,36 @@ TEST(ServeContextFlags, WrapperExposesFlagsThroughServeContext) {
        {core::SchemeKind::kDmmpc, core::SchemeKind::kHashed,
         core::SchemeKind::kRanade}) {
     const core::SchemeSpec spec{.kind = kind, .n = n, .seed = 5};
-    faults::FaultableMemory via_serve(core::make_memory(spec), fault_spec);
-    faults::FaultableMemory via_step(core::make_memory(spec), fault_spec);
+    faults::FaultableMemory wrapped(core::make_memory(spec), fault_spec);
+    ASSERT_TRUE(wrapped.replica_level_injection());
+    auto twin = core::make_memory(spec);
+    const faults::FaultModel model(fault_spec, twin->num_modules());
+    ASSERT_TRUE(twin->set_fault_hooks(&model));
 
     util::Rng rng(43);
     pram::ServeContext ctx;
-    core::PlanBuilder builder;
+    pram::ServeContext twin_ctx;
+    pram::PlanBuilder builder;
+    pram::PlanBuilder twin_builder;
     std::uint64_t flagged_total = 0;
     for (int s = 0; s < 8; ++s) {
       const auto batch = pram::make_batch(pram::TraceFamily::kUniform, n,
-                                          via_serve.size(), rng);
-      const auto& plan = builder.build(batch, via_serve);
-      std::vector<pram::Word> serve_values(plan.reads.size());
-      std::vector<pram::Word> step_values(plan.reads.size());
-      ctx.bind(serve_values);
-      via_serve.serve(plan, ctx);
-      via_step.step(plan.reads, step_values, plan.writes);
-      const auto step_flags = via_step.flagged_reads();
-      ASSERT_EQ(ctx.flags().size(), step_flags.size());
-      for (std::size_t i = 0; i < step_flags.size(); ++i) {
-        ASSERT_EQ(ctx.flags()[i] != 0, step_flags[i] != 0)
-            << core::to_string(kind) << " step " << s << " read " << i;
-        flagged_total += step_flags[i] != 0 ? 1 : 0;
+                                          wrapped.size(), rng);
+      const auto& plan = builder.build(batch, wrapped);
+      const auto& twin_plan = twin_builder.build(batch, *twin);
+      std::vector<pram::Word> values(plan.reads.size());
+      std::vector<pram::Word> twin_values(twin_plan.reads.size());
+      ctx.bind(values);
+      twin_ctx.bind(twin_values);
+      wrapped.serve(plan, ctx);
+      twin->serve(twin_plan, twin_ctx);
+      const auto flags = flag_bytes(ctx.flags(), plan.reads.size());
+      ASSERT_EQ(flags, flag_bytes(twin_ctx.flags(), twin_plan.reads.size()))
+          << core::to_string(kind) << " step " << s;
+      ASSERT_EQ(values, twin_values)
+          << core::to_string(kind) << " step " << s;
+      for (const std::uint8_t flag : flags) {
+        flagged_total += flag;
       }
     }
     EXPECT_GT(flagged_total, 0u) << core::to_string(kind);

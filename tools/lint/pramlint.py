@@ -42,6 +42,13 @@ Rule catalog (docs/static-analysis.md is the narrative version):
                     annotation on the loop (same line or the two lines
                     above) stating why order cannot be observed.
 
+  Interface (src/ only)
+    serve-entry     a `step(...)` declaration marked `override` outside
+                    src/pram/ — serve(plan, ctx) is the one entry a
+                    memory implements; step() is the base class's
+                    adapter (FlatMemory, in src/pram/, is the one
+                    override)
+
   Cross-artifact consistency (whole-tree runs only)
     xa-obs-events   obs::EventKind (src/obs/journal.hpp) vs
                     journal.cpp to_string vs EVENT_KINDS in
@@ -127,6 +134,8 @@ RULES = {
     "ban-thread": "raw threading primitive outside src/util/parallel.*",
     "unordered-iter": "iteration over an unordered container "
                       "(implementation-defined order)",
+    "serve-entry": "step() override outside src/pram/ (memories "
+                   "implement serve(plan, ctx))",
     "xa-obs-events": "obs::EventKind vocabulary drift across artifacts",
     "xa-phase-vocab": "obs::Phase vocabulary drift across artifacts",
     "xa-scheme-table": "SchemeKind drift across enum / README / factory",
@@ -157,6 +166,7 @@ HINTS = {
                       "or annotate the loop with "
                       "`// pramlint: ordered-fold (<invariant>)` if the "
                       "fold is provably order-free",
+    "serve-entry": "implement serve(plan, ctx)",
     "xa-obs-events": "update src/obs/journal.{hpp,cpp}, "
                      "tools/check_obs_schema.py EVENT_KINDS and "
                      "docs/observability.md together",
@@ -430,6 +440,42 @@ def check_bans(relpath, view, findings):
             findings.append(Finding(
                 relpath, view.line_of(m.start()), rule,
                 f"{what} — {RULES[rule]}"))
+
+
+# ---- the one serve entry ---------------------------------------------------
+
+STEP_DECL_RE = re.compile(r"\bstep\s*\(")
+OVERRIDE_RE = re.compile(r"\boverride\b")
+
+
+def check_serve_entry(relpath, view, findings):
+    """A `step(...)` declarator followed by `override` (before the body
+    or the `;`) overrides MemorySystem::step. Only src/pram/ may: the
+    base adapter and FlatMemory live there."""
+    sub = subsystem_of(relpath)
+    if sub is None or sub == "pram":
+        return
+    code = view.code
+    for m in STEP_DECL_RE.finditer(code):
+        depth = 0
+        end = None
+        for i in range(m.end() - 1, len(code)):
+            if code[i] == "(":
+                depth += 1
+            elif code[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    end = i
+                    break
+        if end is None:
+            continue
+        stop = end + 1
+        while stop < len(code) and code[stop] not in ";{}(":
+            stop += 1
+        if OVERRIDE_RE.search(code, end + 1, stop):
+            findings.append(Finding(
+                relpath, view.line_of(m.start()), "serve-entry",
+                RULES["serve-entry"]))
 
 
 # ---- unordered-container iteration ---------------------------------------
@@ -955,6 +1001,7 @@ def scan_tree(root):
         sub = subsystem_of(rel)
         check_includes(rel, view, findings)
         check_bans(rel, view, findings)
+        check_serve_entry(rel, view, findings)
         check_unordered_iteration(
             rel, view, dir_members.get(sub, set()),
             dir_accessors.get(sub, set()), findings)
@@ -1025,6 +1072,7 @@ def run_self_test(fixtures_root):
         sub = subsystem_of(rel)
         check_includes(rel, view, findings)
         check_bans(rel, view, findings)
+        check_serve_entry(rel, view, findings)
         check_unordered_iteration(
             rel, view, dir_members.get(sub, set()),
             dir_accessors.get(sub, set()), findings)
