@@ -76,11 +76,11 @@ int main() {
 
   // The scrubbed probe also carries the observability sink: the journal
   // table below reads the recovery story straight off the event stream.
-  probe.obs_enabled = true;
+  probe.obs = obs::SinkOptions{};
 
   core::RecoveryOptions control = probe;
   control.scrub_interval = 0;  // no scrubbing: degradation is permanent
-  control.obs_enabled = false;
+  control.obs = std::nullopt;
 
   util::Table summary({"scheme", "r", "storage x", "onset", "degraded @",
                        "recovered @", "recovery steps", "peak rate",

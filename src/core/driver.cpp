@@ -4,8 +4,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
@@ -41,110 +44,124 @@ void TraceRunResult::merge(const TraceRunResult& other) {
 
 namespace {
 
-void record_step(TraceRunResult& result, const pram::MemStepCost& cost) {
-  result.time.add(static_cast<double>(cost.time));
-  result.work.add(static_cast<double>(cost.work));
-  result.live_after_stage1.add(static_cast<double>(cost.live_after_stage1));
-  result.max_queue.add(static_cast<double>(cost.max_queue));
-  ++result.steps;
-}
-
-/// Interleaved background-scrub cadence (StressOptions scrub knobs).
-struct ScrubCadence {
-  std::uint32_t interval = 0;  ///< scrub every this many served steps
-  std::uint64_t budget = 0;
-  obs::Sink* sink = nullptr;  ///< optional: time passes, count repairs
-
-  [[nodiscard]] bool enabled() const { return interval > 0 && budget > 0; }
-
-  /// Run a pass when the cadence says so; `served` is the number of
-  /// steps completed on this memory. Accumulates into `result`.
-  void maybe_scrub(pram::MemorySystem& memory, std::size_t served,
-                   TraceRunResult& result) const {
-    if (!enabled() || served % interval != 0) {
-      return;
-    }
-    ++result.scrub_passes;
-    pram::ScrubResult pass;
-    {
-      obs::ScopedPhase timer(
-          sink != nullptr && sink->sample(served) ? &sink->phases : nullptr,
-          obs::Phase::kScrub);
-      pass = memory.scrub(budget);
-    }
-    if (sink != nullptr) {
-      sink->metrics.add("scrub.passes");
-      sink->metrics.add("scrub.scanned", pass.scanned);
-      sink->metrics.add("scrub.repaired", pass.repaired);
-      sink->metrics.add("scrub.relocated", pass.relocated);
-      sink->metrics.add("scrub.work", pass.work);
-    }
-    result.scrub.merge(pass);
-  }
+/// How the step loop serves one run: the executor every step's context
+/// carries, the observer its timers and scrub counters write into, the
+/// background-scrub cadence, and whether plan building may run ahead of
+/// serving.
+struct StepLoop {
+  util::Executor* executor = nullptr;
+  obs::Sink* sink = nullptr;
+  /// Scrub every this many served steps (0 = never), between steps.
+  std::uint32_t scrub_interval = 0;
+  std::uint64_t scrub_budget = 0;
+  /// The source is a pre-generated trace and the caller's shard level is
+  /// serial, so a generator thread may build plan i+1 while plan i is
+  /// served. The loop engages it for runs of at least 4 steps.
+  bool overlap = false;
 };
 
-/// Serve `trace` through the plan path. With `double_buffer` (and a trace
-/// long enough to amortize the thread), a generator thread builds plan
-/// N+1 into the spare builder slot while this thread serves plan N —
-/// batch combining/grouping fully overlaps engine stepping. Results are
-/// identical to the serial loop: plans are served strictly in trace
-/// order, and plan building never touches memory state (plan_group_of is
-/// immutable by contract). Scrub passes run on the serving thread after
-/// a step completes, so they are ordered with serving either way.
-TraceRunResult run_trace_pipelined(pram::MemorySystem& memory,
-                                   std::span<const pram::AccessBatch> trace,
-                                   bool double_buffer,
-                                   const ScrubCadence& scrub = {},
-                                   util::Executor* executor = nullptr,
-                                   obs::Sink* sink = nullptr) {
-  TraceRunResult result;
-  result.storage_factor = memory.storage_redundancy();
-  std::vector<pram::Word> values;
-  // Sampling decision for step i+1 (0 = never time), shared by the
-  // kPlanBuild and kServe timers around that step.
-  const auto timing = [sink](std::size_t step) -> obs::PhaseSet* {
-    return sink != nullptr && sink->sample(step) ? &sink->phases : nullptr;
+/// Yields batch i of a run, or null to end the run early. Overlapped runs
+/// call it on the generator thread and never end early.
+using BatchSource = std::function<const pram::AccessBatch*(std::size_t)>;
+
+/// Runs on the serving thread after step `step` (1-based) was served and
+/// any scrub pass that was due ran (`scrub`, null when none did). The
+/// plan stays valid during the call.
+using AfterStep =
+    std::function<void(std::size_t step, const pram::AccessPlan& plan,
+                       const pram::MemStepCost& cost,
+                       const pram::ScrubResult* scrub)>;
+
+BatchSource from_trace(std::span<const pram::AccessBatch> trace) {
+  return [trace](std::size_t i) { return &trace[i]; };
+}
+
+/// The one step loop every run serves through. Each step binds the
+/// context, serves the plan, runs the scrub cadence, then calls `after`.
+/// Overlapped, a generator thread builds plan i+1 into the spare builder
+/// slot while this thread serves plan i. Results are identical either
+/// way: plans are served strictly in order, plan building never touches
+/// memory state (plan_group_of is immutable by contract), and scrub
+/// passes and hooks run on the serving thread between steps.
+void serve_steps(pram::MemorySystem& memory, const StepLoop& loop,
+                 std::size_t steps, const BatchSource& source,
+                 const AfterStep& after) {
+  // Sampling decision for `step` (null = not timed), shared by every
+  // timer around that step.
+  const auto timing = [&loop](std::size_t step) -> obs::PhaseSet* {
+    return loop.sink != nullptr && loop.sink->sample(step)
+               ? &loop.sink->phases
+               : nullptr;
   };
-  // One context per run: rebound per step, executor attached when the
-  // shard level leaves workers free for intra-step (group) fan-out.
-  pram::ServeContext ctx({}, executor);
-  if (!double_buffer || trace.size() < 4) {
+  std::vector<pram::Word> values;
+  pram::ServeContext ctx({}, loop.executor);
+  const auto serve_step = [&](std::size_t step,
+                               const pram::AccessPlan& plan) {
+    values.resize(plan.reads.size());
+    ctx.bind(values);
+    pram::MemStepCost cost;
+    {
+      obs::ScopedPhase timer(timing(step), obs::Phase::kServe);
+      cost = memory.serve(plan, ctx);
+    }
+    pram::ScrubResult pass;
+    const bool scrub_due = loop.scrub_interval != 0 &&
+                           loop.scrub_budget != 0 &&
+                           step % loop.scrub_interval == 0;
+    if (scrub_due) {
+      {
+        obs::ScopedPhase timer(timing(step), obs::Phase::kScrub);
+        pass = memory.scrub(loop.scrub_budget);
+      }
+      if (loop.sink != nullptr) {
+        loop.sink->metrics.add("scrub.passes");
+        loop.sink->metrics.add("scrub.scanned", pass.scanned);
+        loop.sink->metrics.add("scrub.repaired", pass.repaired);
+        loop.sink->metrics.add("scrub.relocated", pass.relocated);
+        loop.sink->metrics.add("scrub.work", pass.work);
+      }
+    }
+    after(step, plan, cost, scrub_due ? &pass : nullptr);
+  };
+
+  if (!loop.overlap || steps < 4) {
     pram::PlanBuilder builder;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      obs::PhaseSet* phases = timing(i + 1);
+    for (std::size_t i = 0; i < steps; ++i) {
+      const pram::AccessBatch* batch = source(i);
+      if (batch == nullptr) {
+        return;
+      }
       const pram::AccessPlan* plan;
       {
-        obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-        plan = &builder.build(trace[i], memory);
+        obs::ScopedPhase timer(timing(i + 1), obs::Phase::kPlanBuild);
+        plan = &builder.build(*batch, memory);
       }
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      {
-        obs::ScopedPhase timer(phases, obs::Phase::kServe);
-        record_step(result, memory.serve(*plan, ctx));
-      }
-      scrub.maybe_scrub(memory, i + 1, result);
+      serve_step(i + 1, *plan);
     }
-    return result;
+    return;
   }
 
   pram::PlanBuilder slots[2];
   std::mutex mutex;
-  std::condition_variable cv;
+  std::condition_variable_any cv;
   std::size_t built = 0;   // plans fully built
   std::size_t served = 0;  // plans fully served (their slot is free)
-  std::thread generator([&] {
-    for (std::size_t i = 0; i < trace.size(); ++i) {
+  // When serving or a hook throws, the generator's destructor stops it at
+  // its next slot wait and joins it before the slots go away.
+  std::jthread generator([&](const std::stop_token& stop) {
+    for (std::size_t i = 0; i < steps; ++i) {
       {
         std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return i < served + 2; });
+        if (!cv.wait(lock, stop, [&] { return i < served + 2; })) {
+          return;
+        }
       }
       {
         // The generator thread writes ONLY the kPlanBuild row; the
         // serving thread writes kServe/kScrub — distinct PhaseSet slots,
         // single writer each (see obs/phase.hpp).
         obs::ScopedPhase timer(timing(i + 1), obs::Phase::kPlanBuild);
-        slots[i % 2].build(trace[i], memory);
+        slots[i % 2].build(*source(i), memory);
       }
       {
         const std::lock_guard lock(mutex);
@@ -153,34 +170,69 @@ TraceRunResult run_trace_pipelined(pram::MemorySystem& memory,
       cv.notify_all();
     }
   });
-  for (std::size_t i = 0; i < trace.size(); ++i) {
+  for (std::size_t i = 0; i < steps; ++i) {
     {
       std::unique_lock lock(mutex);
       cv.wait(lock, [&] { return built > i; });
     }
-    const pram::AccessPlan& plan = slots[i % 2].plan();
-    values.resize(plan.reads.size());
-    ctx.bind(values);
-    {
-      obs::ScopedPhase timer(timing(i + 1), obs::Phase::kServe);
-      record_step(result, memory.serve(plan, ctx));
-    }
-    scrub.maybe_scrub(memory, i + 1, result);
+    serve_step(i + 1, slots[i % 2].plan());
     {
       const std::lock_guard lock(mutex);
       served = i + 1;
     }
     cv.notify_all();
   }
-  generator.join();
-  return result;
+}
+
+/// The stress hook: fold each step's cost and scrub pass into `result`.
+AfterStep tally(TraceRunResult& result) {
+  return [&result](std::size_t, const pram::AccessPlan&,
+                   const pram::MemStepCost& cost,
+                   const pram::ScrubResult* scrub) {
+    result.time.add(static_cast<double>(cost.time));
+    result.work.add(static_cast<double>(cost.work));
+    result.live_after_stage1.add(static_cast<double>(cost.live_after_stage1));
+    result.max_queue.add(static_cast<double>(cost.max_queue));
+    ++result.steps;
+    if (scrub != nullptr) {
+      ++result.scrub_passes;
+      result.scrub.merge(*scrub);
+    }
+  };
+}
+
+/// A fresh memory for `spec`, behind a FaultableMemory when `fault_spec`
+/// is set.
+std::unique_ptr<pram::MemorySystem> assemble(
+    const SchemeSpec& spec, const faults::FaultSpec* fault_spec) {
+  std::unique_ptr<pram::MemorySystem> memory = make_memory(spec);
+  if (fault_spec != nullptr) {
+    memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
+                                                       *fault_spec);
+  }
+  return memory;
+}
+
+/// Make `sink` the run's observer when `options` asks for one (and the
+/// build compiled the hooks in); returns it, or null.
+obs::Sink* observe(obs::Sink& sink,
+                   const std::optional<obs::SinkOptions>& options) {
+  if (!obs::kEnabled || !options) {
+    return nullptr;
+  }
+  sink = obs::Sink(*options);
+  return &sink;
 }
 
 }  // namespace
 
 TraceRunResult run_trace(pram::MemorySystem& memory,
                          std::span<const pram::AccessBatch> trace) {
-  return run_trace_pipelined(memory, trace, /*double_buffer=*/false);
+  TraceRunResult result;
+  result.storage_factor = memory.storage_redundancy();
+  serve_steps(memory, {.overlap = true}, trace.size(), from_trace(trace),
+              tally(result));
+  return result;
 }
 
 SimulationPipeline::SimulationPipeline(SchemeSpec spec)
@@ -227,7 +279,6 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   // oversubscribe.
   const bool shard_level_serial =
       util::parallel_workers(trials * stages) == 1;
-  const bool double_buffer = options.double_buffer && shard_level_serial;
 
   std::vector<TraceRunResult> shards(trials * stages);
   util::parallel_for(0, trials * stages, [&](std::size_t s) {
@@ -237,27 +288,25 @@ TraceRunResult SimulationPipeline::run_stress_impl(
     // fixed; the traffic stream derives from (seed, trial, family)).
     // Under fault injection every shard of a trial shares the trial's
     // fault seed: one machine's static fault set, observed per family.
-    auto instance = make_scheme(spec_);
-    std::unique_ptr<pram::MemorySystem> memory = std::move(instance.memory);
+    faults::FaultSpec trial_faults;
     if (fault_spec != nullptr) {
-      faults::FaultSpec trial_faults = *fault_spec;
+      trial_faults = *fault_spec;
       trial_faults.seed += trial * 0xC2B2AE3D27D4EB4FULL;
-      memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
-                                                         trial_faults);
     }
+    const auto memory =
+        assemble(spec_, fault_spec != nullptr ? &trial_faults : nullptr);
     util::Rng rng(options.seed + trial * 0x9E3779B97F4A7C15ULL);
     util::Executor executor;
     TraceRunResult& shard = shards[s];
-    // Shard-local sink, folded into the merged result in shard order
-    // below. Kept outside `shard` while serving: the family stage
-    // assigns the whole TraceRunResult at once.
-    obs::Sink sink(obs::SinkOptions{options.obs_sample_interval,
-                                    options.obs_journal_capacity});
-    obs::Sink* obs_sink =
-        obs::kEnabled && options.obs_enabled ? &sink : nullptr;
-    if (obs_sink != nullptr) {
-      memory->set_observer(obs_sink);
-    }
+    shard.storage_factor = memory->storage_redundancy();
+    // Shard-local sink, folded into the merged result in shard order below.
+    obs::Sink* sink = observe(shard.obs, options.obs);
+    memory->set_observer(sink);
+    StepLoop loop{.executor = shard_level_serial ? &executor : nullptr,
+                  .sink = sink,
+                  .scrub_interval = options.scrub_interval,
+                  .scrub_budget = options.scrub_budget,
+                  .overlap = shard_level_serial};
     if (stage < families.size()) {
       // Reach this family's stream: family f uses the (f+1)-th split of
       // the trial generator, exactly as the sequential loop drew them.
@@ -268,11 +317,8 @@ TraceRunResult SimulationPipeline::run_stress_impl(
       const auto trace = pram::make_trace(families[stage], n, m,
                                           options.steps_per_family,
                                           family_rng, options.trace);
-      shard = run_trace_pipelined(
-          *memory, trace, double_buffer,
-          ScrubCadence{options.scrub_interval, options.scrub_budget,
-                       obs_sink},
-          shard_level_serial ? &executor : nullptr, obs_sink);
+      serve_steps(*memory, loop, trace.size(), from_trace(trace),
+                  tally(shard));
     } else {
       for (std::size_t f = 0; f < families.size(); ++f) {
         (void)rng.split();
@@ -281,63 +327,42 @@ TraceRunResult SimulationPipeline::run_stress_impl(
       // otherwise the scheme's own adversary (e.g. the hashed baseline's
       // known-hash preimage attack). Schemes with neither are skipped.
       // Generation stays interleaved with serving — never pre-built or
-      // double-buffered — so a state-dependent adversary (virtual
+      // overlapped — so a state-dependent adversary (virtual
       // adversarial_vars) keeps tracking any placement change serving
       // causes (e.g. a rehashing backend redrawing its hash).
       const memmap::MemoryMap* map = memory->memory_map();
-      shard.storage_factor = memory->storage_redundancy();
-      const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
-                               obs_sink};
-      pram::PlanBuilder builder;
-      std::vector<pram::Word> values;
-      pram::ServeContext ctx({}, shard_level_serial ? &executor : nullptr);
-      for (std::size_t step = 0; step < options.steps_per_family; ++step) {
-        const auto vars =
-            map != nullptr ? memmap::adversarial_batch(*map, n, rng.next())
-                           : memory->adversarial_vars(n, rng.next());
-        if (vars.empty()) {
-          break;
-        }
-        pram::AccessBatch batch;
-        batch.reserve(vars.size());
-        for (std::uint32_t i = 0; i < vars.size(); ++i) {
-          batch.push_back({ProcId(i % n), pram::AccessOp::kRead, vars[i], 0});
-        }
-        obs::PhaseSet* phases = obs_sink != nullptr &&
-                                        obs_sink->sample(step + 1)
-                                    ? &obs_sink->phases
-                                    : nullptr;
-        const pram::AccessPlan* plan;
-        {
-          obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-          plan = &builder.build(batch, *memory);
-        }
-        values.resize(plan->reads.size());
-        ctx.bind(values);
-        {
-          obs::ScopedPhase timer(phases, obs::Phase::kServe);
-          record_step(shard, memory->serve(*plan, ctx));
-        }
-        scrub.maybe_scrub(*memory, step + 1, shard);
-      }
+      pram::AccessBatch batch;
+      loop.overlap = false;
+      serve_steps(
+          *memory, loop, options.steps_per_family,
+          [&](std::size_t) -> const pram::AccessBatch* {
+            const auto vars =
+                map != nullptr ? memmap::adversarial_batch(*map, n, rng.next())
+                               : memory->adversarial_vars(n, rng.next());
+            if (vars.empty()) {
+              return nullptr;
+            }
+            batch.clear();
+            batch.reserve(vars.size());
+            for (std::uint32_t i = 0; i < vars.size(); ++i) {
+              batch.push_back(
+                  {ProcId(i % n), pram::AccessOp::kRead, vars[i], 0});
+            }
+            return &batch;
+          },
+          tally(shard));
     }
     shard.reliability = memory->reliability();
-    if (obs_sink != nullptr) {
-      memory->set_observer(nullptr);
-      sink.journal.flush();
-      shard.obs = std::move(sink);
-    }
+    memory->set_observer(nullptr);
+    shard.obs.journal.flush();
   });
 
   // Deterministic merge in (trial, family, step) order — shard order is
   // fixed by construction, so the fold is identical at any thread count.
   TraceRunResult merged;
   merged.storage_factor = instance_.memory->storage_redundancy();
-  if (obs::kEnabled && options.obs_enabled) {
-    // Same ring bound for the merged journal as for each shard's.
-    merged.obs = obs::Sink(obs::SinkOptions{options.obs_sample_interval,
-                                            options.obs_journal_capacity});
-  }
+  // Same ring bound for the merged journal as for each shard's.
+  (void)observe(merged.obs, options.obs);
   for (const auto& shard : shards) {
     merged.merge(shard);
   }
@@ -361,9 +386,9 @@ FaultSweepResult SimulationPipeline::run_fault_sweep(
         level.run.reliability.uncorrectable > 0) {
       result.first_uncorrectable_rate = rate;
     }
-    if (options.measure_recovery && !level_spec.inert()) {
+    if (options.recovery && !level_spec.inert()) {
       level.recovery_steps =
-          run_recovery(level_spec, options.recovery).recovery_steps;
+          run_recovery(level_spec, *options.recovery).recovery_steps;
       if (level.recovery_steps > result.worst_recovery_steps) {
         result.worst_recovery_steps = level.recovery_steps;
       }
@@ -427,31 +452,16 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   const auto trace = pram::make_trace(options.family, spec_.n, instance_.m,
                                       steps, trace_rng, options.trace);
 
-  obs::Sink sink(obs::SinkOptions{options.obs_sample_interval,
-                                  options.obs_journal_capacity});
-  obs::Sink* obs_sink =
-      obs::kEnabled && options.obs_enabled ? &sink : nullptr;
+  obs::Sink* sink = observe(result.obs, options.obs);
+  util::Executor executor;
 
+  durability::Wal::RecordSpan torn_span;
   // The crashed run, the recovered machine, and the reference run must
   // be three instances of the SAME configuration (scheme seed and fault
   // seed included), or restore/compare would be meaningless.
-  const auto build_memory = [&]() -> std::unique_ptr<pram::MemorySystem> {
-    auto instance = make_scheme(spec_);
-    std::unique_ptr<pram::MemorySystem> memory =
-        std::move(instance.memory);
-    if (fault_spec != nullptr) {
-      memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
-                                                         *fault_spec);
-    }
-    return memory;
-  };
-
-  durability::Wal::RecordSpan torn_span;
   {
-    auto memory = build_memory();
-    if (obs_sink != nullptr) {
-      memory->set_observer(obs_sink);
-    }
+    const auto memory = assemble(spec_, fault_spec);
+    memory->set_observer(sink);
     // Fault-onset acknowledgements: the durable run logs each realized
     // onset once the step clock crosses it, so the post-crash log shows
     // which failures the run had already acknowledged.
@@ -466,37 +476,33 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     }
     std::size_t onset_cursor = 0;
 
-    durability::Wal wal({wal_path, dur.wal_flush_interval}, obs_sink);
+    durability::Wal wal({wal_path, dur.wal_flush_interval}, sink);
     durability::Checkpointer checkpointer(
-        {dur.directory, dur.keep_checkpoints}, obs_sink);
+        {dur.directory, dur.keep_checkpoints}, sink);
 
-    pram::PlanBuilder builder;
-    std::vector<pram::Word> values;
-    util::Executor executor;
-    pram::ServeContext ctx({}, &executor);
-    for (std::uint64_t step = 1; step <= kill; ++step) {
-      const pram::AccessPlan* plan;
-      plan = &builder.build(trace[step - 1], *memory);
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      (void)memory->serve(*plan, ctx);
-      while (onset_cursor < onsets.size() &&
-             onsets[onset_cursor].first <= step) {
-        wal.append_onset(step, onsets[onset_cursor].second);
-        ++onset_cursor;
-      }
-      wal.append_step(step, plan->writes);
-      if (step == kill) {
-        break;
-      }
-      wal.maybe_flush(step);
-      if (dur.checkpoint_interval != 0 &&
-          step % dur.checkpoint_interval == 0) {
-        wal.flush();
-        checkpointer.write(*memory, step);
-        wal.truncate_through(step);
-      }
-    }
+    // The durable run serves the trace's first `kill` steps. The kill
+    // step's record is appended, then the kill point below takes over.
+    serve_steps(*memory, {.executor = &executor, .sink = sink, .overlap = true},
+                kill, from_trace(trace),
+                [&](std::size_t step, const pram::AccessPlan& plan,
+                    const pram::MemStepCost&, const pram::ScrubResult*) {
+                  while (onset_cursor < onsets.size() &&
+                         onsets[onset_cursor].first <= step) {
+                    wal.append_onset(step, onsets[onset_cursor].second);
+                    ++onset_cursor;
+                  }
+                  wal.append_step(step, plan.writes);
+                  if (step == kill) {
+                    return;
+                  }
+                  wal.maybe_flush(step);
+                  if (dur.checkpoint_interval != 0 &&
+                      step % dur.checkpoint_interval == 0) {
+                    wal.flush();
+                    checkpointer.write(*memory, step);
+                    wal.truncate_through(step);
+                  }
+                });
 
     switch (options.kill_point) {
       case KillPoint::kCleanShutdown:
@@ -537,9 +543,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
         break;
     }
     result.checkpoint_bytes = checkpointer.last_bytes();
-    if (obs_sink != nullptr) {
-      memory->set_observer(nullptr);
-    }
+    memory->set_observer(nullptr);
   }  // the crash: Wal closes here WITHOUT flushing any buffered tail
 
   if (options.kill_point == KillPoint::kMidWalAppend &&
@@ -550,41 +554,29 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   result.wal_bytes = fs::exists(wal_path) ? fs::file_size(wal_path) : 0;
 
   // Restart: a fresh machine recovers from what survived on disk.
-  auto recovered = build_memory();
-  if (obs_sink != nullptr) {
-    recovered->set_observer(obs_sink);
-  }
+  const auto recovered = assemble(spec_, fault_spec);
+  recovered->set_observer(sink);
   util::Stopwatch timer;
   result.recovery = durability::recover(*recovered, wal_path,
                                         dur.directory, dur.scrub_budget,
-                                        obs_sink);
+                                        sink);
   result.recovery_seconds = timer.elapsed_seconds();
   result.durable_step = result.recovery.recovered_step;
-  if (obs_sink != nullptr) {
-    recovered->set_observer(nullptr);
-  }
+  recovered->set_observer(nullptr);
 
   // Reference: an uninterrupted run of the same trace, stopped at the
   // durable horizon. Its committed-write trace doubles as the oracle for
   // the zero-lost-durable-writes check.
-  auto reference = build_memory();
+  const auto reference = assemble(spec_, fault_spec);
   faults::TraceChecker committed;
-  {
-    pram::PlanBuilder builder;
-    std::vector<pram::Word> values;
-    util::Executor executor;
-    pram::ServeContext ctx({}, &executor);
-    for (std::uint64_t step = 1; step <= result.durable_step; ++step) {
-      const pram::AccessPlan* plan =
-          &builder.build(trace[step - 1], *reference);
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      (void)reference->serve(*plan, ctx);
-      for (const pram::VarWrite& write : plan->writes) {
-        committed.record_write(write.var, write.value);
-      }
-    }
-  }
+  serve_steps(*reference, {.executor = &executor, .overlap = true},
+              result.durable_step, from_trace(trace),
+              [&](std::size_t, const pram::AccessPlan& plan,
+                  const pram::MemStepCost&, const pram::ScrubResult*) {
+                for (const pram::VarWrite& write : plan.writes) {
+                  committed.record_write(write.var, write.value);
+                }
+              });
 
   result.bit_exact = true;
   const std::uint64_t m = reference->size();
@@ -607,10 +599,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
       }
     }
   }
-  if (obs_sink != nullptr) {
-    sink.journal.flush();
-    result.obs = std::move(sink);
-  }
+  result.obs.journal.flush();
   return result;
 }
 
@@ -618,80 +607,58 @@ RecoveryResult SimulationPipeline::run_recovery(
     const faults::FaultSpec& fault_spec,
     const RecoveryOptions& options) const {
   RecoveryResult result;
-  // One fresh machine, wrapped for injection + oracle checking; the whole
-  // probe is served on this thread so the trajectory is bit-identical at
-  // any worker-thread count.
-  auto instance = make_scheme(spec_);
-  const std::uint64_t m = instance.m;
-  auto memory = std::make_unique<faults::FaultableMemory>(
-      std::move(instance.memory), fault_spec);
+  // One fresh machine, wrapped for injection + oracle checking. Plan
+  // building may overlap serving and groups may fan across the executor:
+  // the trajectory is bit-identical at any worker-thread count.
+  const auto memory =
+      std::make_unique<faults::FaultableMemory>(make_memory(spec_), fault_spec);
   result.onset_step =
       static_cast<std::int64_t>(memory->model().first_onset());
-
-  obs::Sink* obs_sink = nullptr;
-  if (obs::kEnabled && options.obs_enabled) {
-    result.obs = obs::Sink(obs::SinkOptions{options.obs_sample_interval,
-                                            options.obs_journal_capacity});
-    obs_sink = &result.obs;
-    memory->set_observer(obs_sink);
-  }
+  obs::Sink* sink = observe(result.obs, options.obs);
+  memory->set_observer(sink);
 
   util::Rng rng(options.seed);
-  const auto trace = pram::make_trace(options.family, spec_.n, m,
+  const auto trace = pram::make_trace(options.family, spec_.n, instance_.m,
                                       options.steps, rng, options.trace);
-  const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
-                           obs_sink};
-
-  pram::PlanBuilder builder;
-  std::vector<pram::Word> values;
   util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
   pram::ReliabilityStats prev;
   result.trajectory.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    obs::PhaseSet* phases =
-        obs_sink != nullptr && obs_sink->sample(i + 1) ? &obs_sink->phases
-                                                       : nullptr;
-    const pram::AccessPlan* plan;
-    {
-      obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-      plan = &builder.build(trace[i], *memory);
-    }
-    values.resize(plan->reads.size());
-    ctx.bind(values);
-    {
-      obs::ScopedPhase timer(phases, obs::Phase::kServe);
-      (void)memory->serve(*plan, ctx);
-    }
-    // Scrub AFTER sampling? No: scrub between steps, then sample, so a
-    // step's point reflects the reads it served and the repairs that
-    // followed it — the next step is the first to benefit.
-    TraceRunResult scrub_sink;
-    scrub.maybe_scrub(*memory, i + 1, scrub_sink);
-    result.scrub.merge(scrub_sink.scrub);
-
-    const pram::ReliabilityStats now = memory->reliability();
-    RecoveryPoint point;
-    point.step = i + 1;
-    point.reads = now.reads_served - prev.reads_served;
-    point.masked = now.faults_masked - prev.faults_masked;
-    point.uncorrectable = now.uncorrectable - prev.uncorrectable;
-    point.wrong = now.wrong_reads - prev.wrong_reads;
-    point.repaired = now.units_repaired - prev.units_repaired;
-    point.relocated = now.units_relocated - prev.units_relocated;
-    point.degraded_rate =
-        point.reads > 0 ? static_cast<double>(point.masked +
-                                              point.uncorrectable) /
-                              static_cast<double>(point.reads)
-                        : 0.0;
-    prev = now;
-    result.trajectory.push_back(point);
-  }
+  // A step's point is sampled after the scrub pass that followed it, so
+  // it reflects the reads the step served and the repairs after them —
+  // the next step is the first to benefit.
+  serve_steps(
+      *memory,
+      {.executor = &executor,
+       .sink = sink,
+       .scrub_interval = options.scrub_interval,
+       .scrub_budget = options.scrub_budget,
+       .overlap = true},
+      trace.size(), from_trace(trace),
+      [&](std::size_t step, const pram::AccessPlan&, const pram::MemStepCost&,
+          const pram::ScrubResult* scrub) {
+        if (scrub != nullptr) {
+          result.scrub.merge(*scrub);
+        }
+        const pram::ReliabilityStats now = memory->reliability();
+        RecoveryPoint point;
+        point.step = step;
+        point.reads = now.reads_served - prev.reads_served;
+        point.masked = now.faults_masked - prev.faults_masked;
+        point.uncorrectable = now.uncorrectable - prev.uncorrectable;
+        point.wrong = now.wrong_reads - prev.wrong_reads;
+        point.repaired = now.units_repaired - prev.units_repaired;
+        point.relocated = now.units_relocated - prev.units_relocated;
+        point.degraded_rate =
+            point.reads > 0 ? static_cast<double>(point.masked +
+                                                  point.uncorrectable) /
+                                  static_cast<double>(point.reads)
+                            : 0.0;
+        prev = now;
+        result.trajectory.push_back(point);
+      });
   result.reliability = memory->reliability();
-  if (obs_sink != nullptr) {
-    memory->set_observer(nullptr);
-    result.obs.journal.flush();
-  }
+  memory->set_observer(nullptr);
+  result.obs.journal.flush();
 
   // Read the recovery time off the trajectory: the first over-threshold
   // step is the injury, and recovery is the first step from which the

@@ -2,17 +2,20 @@
 // (pram/trace.hpp) and map-adversarial batches through any memory
 // organization behind the unified pram::MemorySystem interface. Each
 // batch is combined ONCE into an arena-backed pram::AccessPlan
-// (pram::PlanBuilder) and served through MemorySystem::serve; stress
-// traffic is double-buffered (a generator thread builds plan N+1 while
-// the worker serves plan N) and sharded WITHIN trials — every
-// (trial, family) pair is an independent shard — with util::parallel_for,
-// then merged in deterministic (trial, family, step) order so results are
-// bit-identical at any worker-thread count. This is the measurement loop
-// behind every cross-scheme bench; no caller builds a per-scheme loop by
-// hand.
+// (pram::PlanBuilder) and served through MemorySystem::serve by one step
+// loop that every run shares: serve, then any due scrub pass, then the
+// run's between-step hook. Trace-fed runs overlap plan building with
+// serving (a generator thread builds plan N+1 while plan N is served)
+// unless they already run inside parallel shards. Stress traffic is
+// sharded WITHIN trials — every (trial, family) pair is an independent
+// shard — with util::parallel_for, then merged in deterministic (trial,
+// family, step) order so results are bit-identical at any worker-thread
+// count. This is the measurement loop behind every cross-scheme bench; no
+// caller builds a per-scheme loop by hand.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,7 +53,7 @@ struct TraceRunResult {
   /// scrubbing): passes the driver interleaved and what they performed.
   std::uint64_t scrub_passes = 0;
   pram::ScrubResult scrub;
-  /// Observability capture (StressOptions::obs_enabled): per-shard sinks
+  /// Observability capture (StressOptions::obs): per-shard sinks
   /// folded in shard order, so counters and journal are bit-identical at
   /// any worker count; phase timings are wall-clock (see obs/sink.hpp).
   /// Empty unless the run enabled observation.
@@ -66,9 +69,10 @@ struct TraceRunResult {
   void merge(const TraceRunResult& other);
 };
 
-/// Run every batch of `trace` through `memory`: one PlanBuilder combines
-/// each batch once and memory.serve() consumes the plan. Single-threaded
-/// (the double-buffered variant lives inside run_stress).
+/// Run every batch of `trace` through `memory`: each batch is combined
+/// once into a plan and memory.serve() consumes it. A trace of at least 4
+/// batches builds its plans on a generator thread while the calling
+/// thread serves; the result is the same either way.
 [[nodiscard]] TraceRunResult run_trace(
     pram::MemorySystem& memory, std::span<const pram::AccessBatch> trace);
 
@@ -98,39 +102,27 @@ struct StressOptions {
   bool include_map_adversarial = true;
   /// Independent trials (fresh memory, shifted traffic seed).
   std::size_t trials = 1;
-  /// Overlap plan building with serving inside each shard (a generator
-  /// thread builds plan N+1 while the shard serves plan N). Results are
-  /// identical either way. Engaged only when the shard level is not
-  /// already saturating the host's cores (and never for the adversarial
-  /// phase, whose state-dependent batch generation must stay interleaved
-  /// with serving); off disables the overlap entirely.
-  bool double_buffer = true;
   /// Background scrubbing: every `scrub_interval` served steps the driver
   /// calls memory.scrub(scrub_budget) between steps (0 = disabled). The
   /// pass runs on the serving thread, after the step completes and
-  /// before the next plan is served, so double-buffered plan building is
+  /// before the next plan is served, so overlapped plan building is
   /// unaffected (plans never depend on memory state).
   std::uint32_t scrub_interval = 0;
   std::uint64_t scrub_budget = 0;
-  /// Observability: attach an obs::Sink to every shard's memory (scheme
-  /// counters, phase timers, event journal) and fold the sinks in shard
-  /// order into TraceRunResult::obs. Off by default — the hot loop then
+  /// Observability: when set, attach an obs::Sink with these options
+  /// (phase-timer sampling, journal ring bound) to every shard's memory
+  /// and fold the sinks in shard order into TraceRunResult::obs; the
+  /// merged journal keeps the same ring bound. Unset, the hot loop
   /// carries a null observer and the hooks cost one predicted branch.
-  bool obs_enabled = false;
-  /// Phase-timer sampling interval (SinkOptions::sample_interval): time
-  /// step s when s % interval == 0; 0 disables timers but keeps
-  /// counters/journal. No effect on deterministic sections.
-  std::uint32_t obs_sample_interval = 1;
-  /// Event-journal ring bound per shard (and for the merged result).
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 /// Recovery-probe parameters: a single machine serves one trace family
 /// while dynamic faults (the spec's onset window) land mid-run and a
 /// budgeted scrub pass runs every `scrub_interval` steps; the probe
 /// records the per-step masked-fault trajectory the recovery time is
-/// read off. Single-threaded by construction: trajectories are
-/// bit-identical at any worker-thread count.
+/// read off. Plan building overlaps serving and groups fan across an
+/// executor; trajectories are bit-identical at any worker-thread count.
 struct RecoveryOptions {
   std::size_t steps = 64;
   std::uint64_t seed = 1;
@@ -143,11 +135,9 @@ struct RecoveryOptions {
   /// A step is "recovered" when its masked+uncorrectable rate (bad reads
   /// per read) is at or below this.
   double recovery_threshold = 0.02;
-  /// Observability knobs, as StressOptions: capture the probe's fault
-  /// onsets / degraded votes / scrub repairs into RecoveryResult::obs.
-  bool obs_enabled = false;
-  std::uint32_t obs_sample_interval = 1;
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  /// Observability, as StressOptions: capture the probe's fault onsets /
+  /// degraded votes / scrub repairs into RecoveryResult::obs.
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 /// Fault-sweep parameters: ramp the prototype's rate axes through
@@ -162,12 +152,12 @@ struct FaultSweepOptions {
       .seed = 1, .dead_modules = 0, .module_kill_rate = 1.0,
       .stuck_rate = 0.0, .corruption_rate = 1.0};
   StressOptions stress;
-  /// Additionally run a single-machine recovery probe (run_recovery) at
-  /// each level and report steps-to-recover alongside the breaking
-  /// point. Meaningful with a dynamic-onset proto + scrubbing enabled in
-  /// `recovery`; the probe never affects the sweep's own telemetry.
-  bool measure_recovery = false;
-  RecoveryOptions recovery;
+  /// When set, additionally run a single-machine recovery probe
+  /// (run_recovery) with these options at each level and report
+  /// steps-to-recover alongside the breaking point. Meaningful with a
+  /// dynamic-onset proto + scrubbing enabled; the probe never affects the
+  /// sweep's own telemetry.
+  std::optional<RecoveryOptions> recovery = std::nullopt;
 };
 
 /// One step of a recovery trajectory (per-step deltas, not cumulative).
@@ -200,9 +190,9 @@ struct RecoveryResult {
   double final_degraded_rate = 0.0;  ///< last recorded step's rate
   pram::ReliabilityStats reliability;  ///< run totals
   pram::ScrubResult scrub;             ///< scrub totals
-  /// Observability capture (RecoveryOptions::obs_enabled): the probe is
-  /// single-threaded, so the journal IS the onset->repair story in step
-  /// order. Empty unless enabled.
+  /// Observability capture (RecoveryOptions::obs): the probe is one
+  /// machine, so the journal IS the onset->repair story in step order.
+  /// Empty unless enabled.
   obs::Sink obs;
 };
 
@@ -211,7 +201,7 @@ struct FaultLevelResult {
   double rate = 0.0;
   TraceRunResult run;
   /// Scrub-driven recovery time at this level (FaultSweepOptions::
-  /// measure_recovery); semantics as RecoveryResult::recovery_steps.
+  /// recovery); semantics as RecoveryResult::recovery_steps.
   std::int64_t recovery_steps = -1;
 };
 
@@ -278,11 +268,9 @@ struct CrashRecoveryOptions {
   KillPoint kill_point = KillPoint::kAfterWalFlush;
   /// Kill after serving this step (1-based); 0 = derive from the seed.
   std::uint64_t kill_step = 0;
-  /// Observability knobs, as StressOptions: capture the run + recovery's
+  /// Observability, as StressOptions: capture the run + recovery's
   /// checkpoint/replay events into CrashRecoveryResult::obs.
-  bool obs_enabled = false;
-  std::uint32_t obs_sample_interval = 1;
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 struct CrashRecoveryResult {
@@ -300,7 +288,7 @@ struct CrashRecoveryResult {
   double recovery_seconds = 0.0;  ///< wall clock around recover()
   std::uint64_t checkpoint_bytes = 0;  ///< last checkpoint's file size
   std::uint64_t wal_bytes = 0;         ///< WAL size at the crash
-  /// Observability capture (CrashRecoveryOptions::obs_enabled).
+  /// Observability capture (CrashRecoveryOptions::obs).
   obs::Sink obs;
 };
 

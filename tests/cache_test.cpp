@@ -388,7 +388,7 @@ TEST(CachedMemory, GroupParallelCachedPipelineBitIdenticalAcrossWorkers) {
   options.trace.zipf_exponent = 1.1;
   options.scrub_interval = 2;
   options.scrub_budget = 64;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
 
   obs::SnapshotOptions snapshot;
   snapshot.include_timings = false;

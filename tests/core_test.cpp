@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -483,6 +484,43 @@ TEST(Driver, StressUsesKnownHashPreimageAttackForMaplessSchemes) {
   }
   const auto cost = pipeline.run_batch(batch);
   EXPECT_EQ(cost.time, 64u);  // one module serves all 64 requests serially
+}
+
+// Serves like FlatMemory until its `throw_at`-th step, which throws.
+class ThrowingMemory final : public pram::MemorySystem {
+ public:
+  ThrowingMemory(std::uint64_t m, std::uint64_t throw_at)
+      : flat_(m), throw_at_(throw_at) {}
+
+  pram::MemStepCost serve(const pram::AccessPlan& plan,
+                          pram::ServeContext& ctx) override {
+    if (++served_ == throw_at_) {
+      throw std::runtime_error("serve failed");
+    }
+    return flat_.serve(plan, ctx);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return flat_.size(); }
+  [[nodiscard]] pram::Word peek(VarId var) const override {
+    return flat_.peek(var);
+  }
+  void poke(VarId var, pram::Word value) override { flat_.poke(var, value); }
+
+ private:
+  pram::FlatMemory flat_;
+  std::uint64_t throw_at_;
+  std::uint64_t served_ = 0;
+};
+
+// run_trace builds a trace of at least 4 batches on a generator thread
+// while it serves. An exception from serving must still reach the
+// caller: the generator is stopped and joined, not left to terminate
+// the process.
+TEST(Driver, RunTraceServeExceptionReachesTheCaller) {
+  ThrowingMemory memory(256, 3);
+  util::Rng rng(7);
+  const auto trace =
+      pram::make_trace(pram::TraceFamily::kUniform, 16, 256, 8, rng, {});
+  EXPECT_THROW((void)run_trace(memory, trace), std::runtime_error);
 }
 
 // ------------------------------------- end-to-end, all schemes ----------

@@ -903,7 +903,7 @@ TEST(CrashRecovery, JournalsCheckpointAndReplayEvents) {
   options.kill_point = core::KillPoint::kAfterWalFlush;
   options.durability.directory = scratch_dir("crash_obs");
   options.durability.checkpoint_interval = 4;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
 
   const auto result = pipeline.run_crash_recovery(options);
   EXPECT_TRUE(result.bit_exact);
@@ -937,6 +937,35 @@ TEST(CrashRecovery, JournalsCheckpointAndReplayEvents) {
   EXPECT_GT(counter("checkpoint.bytes"), 0u);
   EXPECT_EQ(counter("checkpoint.loads"), 1u);
   EXPECT_EQ(counter("wal.replayed_records"), 3u);
+}
+
+// The durable run serves through the same step loop as every other run,
+// so with every step sampled it times one plan build and one serve per
+// step it served, at every kill point.
+TEST(CrashRecovery, TimesPlanBuildAndServeLikeEveryRun) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "compiled with PRAMSIM_OBS=OFF";
+  }
+  core::SimulationPipeline pipeline(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+  for (const core::KillPoint point : core::all_kill_points()) {
+    core::CrashRecoveryOptions options;
+    options.steps = 16;
+    options.seed = 5;
+    options.kill_step = 15;
+    options.kill_point = point;
+    options.durability.directory = scratch_dir("crash_phases");
+    options.durability.checkpoint_interval = 4;
+    options.obs = obs::SinkOptions{.sample_interval = 1};
+
+    const auto result = pipeline.run_crash_recovery(options);
+    EXPECT_TRUE(result.bit_exact) << core::to_string(point);
+    EXPECT_EQ(result.obs.phases[obs::Phase::kPlanBuild].count,
+              result.kill_step)
+        << core::to_string(point);
+    EXPECT_EQ(result.obs.phases[obs::Phase::kServe].count, result.kill_step)
+        << core::to_string(point);
+  }
 }
 
 // Recovery cost must scale with the WAL tail, not the run length: a long

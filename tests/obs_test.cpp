@@ -253,7 +253,7 @@ TEST(ObsPipeline, StressRunCapturesMetricsAndJournal) {
   core::StressOptions options{.steps_per_family = 4, .seed = 9, .trials = 2};
   options.scrub_interval = 2;
   options.scrub_budget = 64;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
   const auto run = pipeline.run_with_faults(fault_spec, options);
 
   EXPECT_GT(run.obs.metrics.counters().at("majority.steps"), 0u);
@@ -269,7 +269,7 @@ TEST(ObsPipeline, StressRunCapturesMetricsAndJournal) {
   EXPECT_TRUE(saw_onset);
 
   // Detached runs stay observability-free.
-  options.obs_enabled = false;
+  options.obs = std::nullopt;
   const auto plain = pipeline.run_with_faults(fault_spec, options);
   EXPECT_TRUE(plain.obs.empty());
 }
@@ -281,8 +281,7 @@ TEST(ObsPipeline, SampleIntervalZeroKeepsCountersButNoTimers) {
   core::SimulationPipeline pipeline(
       {.kind = core::SchemeKind::kHashed, .n = 16, .seed = 3});
   core::StressOptions options{.steps_per_family = 4, .seed = 9};
-  options.obs_enabled = true;
-  options.obs_sample_interval = 0;
+  options.obs = obs::SinkOptions{.sample_interval = 0};
   const auto run = pipeline.run_stress(options);
   EXPECT_GT(run.obs.metrics.counters().at("hashed.steps"), 0u);
   EXPECT_TRUE(run.obs.phases.empty());

@@ -550,9 +550,8 @@ TEST(Recovery, FaultSweepReportsRecoveryAlongsideBreakingPoint) {
   options.proto.onset_min = 8;
   options.proto.onset_max = 8;
   options.stress = {.steps_per_family = 2, .seed = 19};
-  options.measure_recovery = true;
-  options.recovery = {.steps = 48, .seed = 23, .scrub_interval = 4,
-                      .scrub_budget = 128};
+  options.recovery = {{.steps = 48, .seed = 23, .scrub_interval = 4,
+                       .scrub_budget = 128}};
   const auto sweep = pipeline.run_fault_sweep(options);
   ASSERT_EQ(sweep.levels.size(), 2u);
   EXPECT_EQ(sweep.levels[0].recovery_steps, -1);  // inert level: skipped
