@@ -1,5 +1,5 @@
-// Shared helpers for the experiment binaries: experiment banners keyed to
-// DESIGN.md's index, scaling-fit reporting against the paper's predicted
+// Shared helpers for the experiment binaries: experiment banners keyed by
+// experiment id, scaling-fit reporting against the paper's predicted
 // shapes, and a Reporter that mirrors every printed table/fit into a
 // machine-readable BENCH_<id>.json so the perf trajectory can be tracked
 // across PRs.
@@ -107,8 +107,7 @@ inline void print_fit(const FitReport& report) {
               report.predicted_shape.c_str(), report.predicted_r2,
               report.best_shape.c_str(), report.best_r2,
               report.reproduced ? "REPRODUCED (within tie margin)"
-                                : "shape differs — see EXPERIMENTS.md "
-                                  "discussion");
+                                : "shape differs");
 }
 
 /// Print the R^2 of every candidate shape for a measured series and call

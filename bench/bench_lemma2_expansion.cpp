@@ -91,8 +91,8 @@ int main() {
     std::printf(
         "\nEvery sampled live set at the paper's own (c, b) satisfies the\n"
         "expansion requirement with margin > 1: the non-constructive map\n"
-        "is realized by a seeded pseudorandom placement (DESIGN.md, "
-        "substitution 1).\n");
+        "is realized by a seeded pseudorandom placement\n"
+        "(src/memmap/memory_map.hpp).\n");
   }
   return 0;
 }

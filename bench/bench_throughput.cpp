@@ -1,6 +1,7 @@
 // Serve-path throughput: steps/sec for every SchemeKind through
 // MemorySystem::serve over prebuilt arena-backed AccessPlans, then the
-// serial backend against kGroupParallel. Written to
+// serial backend against kGroupParallel (request ranges of the value
+// phase fanned across executor workers). Written to
 // BENCH_throughput.json via bench::Reporter — this file seeds the repo's
 // perf trajectory, so keep the configurations stable across PRs.
 //
@@ -82,14 +83,11 @@ double measure(const core::SchemeSpec& spec,
 /// Serve-path throughput of one backend at a pinned executor worker
 /// count (0 = the hardware-aware automatic policy), through the context
 /// entry over prebuilt plans. The worker override steers
-/// Executor::plan_workers; ">1 workers" really fans chunks across the
-/// parked pool even when the host has fewer cores than that (the forced
-/// columns chart dispatch overhead; the auto column is what the
-/// pipeline actually runs). Caveat for reading the w1 column: MvMemory
-/// takes the group loop at any worker count, but MajorityMemory falls
-/// back to its plain value loops when only one chunk would run — so for
-/// kDmmpc, w1-vs-w2 differences mix group-indirection cost with
-/// dispatch cost; only the kHashed rows isolate dispatch overhead.
+/// Executor::plan_workers; ">1 workers" really fans request ranges
+/// across the parked pool even when the host has fewer cores than that
+/// (the forced columns chart dispatch overhead; the auto column is what
+/// the pipeline actually runs). At one worker both backends run the
+/// same value-phase body as one chunk.
 double measure_backend(const core::SchemeSpec& spec,
                        const std::vector<pram::AccessBatch>& trace,
                        std::size_t workers, double budget_sec) {
@@ -180,15 +178,13 @@ int main() {
   {
     // The parallel-serve trajectory: serial backend vs kGroupParallel at
     // 1/2/4 executor workers, same prebuilt plans, same context entry.
-    // Group-parallel wins twice — the precomputed groups replace the
-    // per-request placement hashing in the load loop, and the value
-    // phase fans across the parked worker pool.
     util::Table table({"scheme", "n", "region w", "steps/s serial",
                        "steps/s gp", "gp / serial", "steps/s gp 1wk",
                        "steps/s gp 2wk", "steps/s gp 4wk"});
-    table.set_title("group-parallel serve backend (plan module groups "
-                    "fanned across ServeContext executor workers; 'gp' = "
-                    "hardware-aware auto policy, wN = forced N workers)");
+    table.set_title("group-parallel serve backend (value-phase request "
+                    "ranges fanned across ServeContext executor workers; "
+                    "'gp' = hardware-aware auto policy, wN = forced N "
+                    "workers)");
     struct Config {
       core::SchemeKind kind;
       std::uint32_t n;

@@ -35,10 +35,10 @@
 //
 // Determinism: all cache state lives on the serving thread. The residual
 // plan hands the caller's executor through to the inner scheme, so a
-// group-parallel inner backend still fans residual groups across
-// workers — but hit/miss classification, eviction order, and telemetry
-// are serial, keeping results and obs snapshots bit-identical at any
-// worker count.
+// group-parallel inner backend still fans the residual's request ranges
+// across workers — but hit/miss classification, eviction order, and
+// telemetry are serial, keeping results and obs snapshots bit-identical
+// at any worker count.
 #pragma once
 
 #include <cstdint>

@@ -273,10 +273,10 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   const std::size_t stages =
       families.size() + (options.include_map_adversarial ? 1 : 0);
   // Overlap plan building with serving — and hand shards an executor
-  // for intra-step group fan-out — only when the shard level is not
-  // already saturating the host's cores: a generator thread (or a group
-  // worker pool) per shard on top of a full parallel_for would just
-  // oversubscribe.
+  // for intra-step fan-out of request ranges — only when the shard
+  // level is not already saturating the host's cores: a generator
+  // thread (or a worker pool) per shard on top of a full parallel_for
+  // would just oversubscribe.
   const bool shard_level_serial =
       util::parallel_workers(trials * stages) == 1;
 
@@ -608,8 +608,8 @@ RecoveryResult SimulationPipeline::run_recovery(
     const RecoveryOptions& options) const {
   RecoveryResult result;
   // One fresh machine, wrapped for injection + oracle checking. Plan
-  // building may overlap serving and groups may fan across the executor:
-  // the trajectory is bit-identical at any worker-thread count.
+  // building may overlap serving and the value phase may fan across the
+  // executor: the trajectory is bit-identical at any worker-thread count.
   const auto memory =
       std::make_unique<faults::FaultableMemory>(make_memory(spec_), fault_spec);
   result.onset_step =

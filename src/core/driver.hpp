@@ -121,8 +121,9 @@ struct StressOptions {
 /// while dynamic faults (the spec's onset window) land mid-run and a
 /// budgeted scrub pass runs every `scrub_interval` steps; the probe
 /// records the per-step masked-fault trajectory the recovery time is
-/// read off. Plan building overlaps serving and groups fan across an
-/// executor; trajectories are bit-identical at any worker-thread count.
+/// read off. Plan building overlaps serving and the value phase fans
+/// across an executor; trajectories are bit-identical at any
+/// worker-thread count.
 struct RecoveryOptions {
   std::size_t steps = 64;
   std::uint64_t seed = 1;

@@ -26,7 +26,7 @@
 // unit-capacity module ports; elapsed time is network cycles. A
 // per-phase control overhead of ceil(log2 n) cycles accounts for the
 // prefix/sorting control work the LPP machinery performs on the trees
-// between phases (see DESIGN.md substitutions).
+// between phases.
 #pragma once
 
 #include <cstdint>

@@ -41,8 +41,8 @@ class FaultableMemory final : public pram::MemorySystem {
 
   /// Replica-level injection forwards the plan to the inner scheme's own
   /// serve (which applies the hooks at copy/share granularity —
-  /// including a group-parallel backend fanning groups across ctx's
-  /// executor). Wrapper-level injection degrades the step on plans: the
+  /// including a group-parallel backend fanning request ranges across
+  /// ctx's executor). Wrapper-level injection degrades the step on plans: the
   /// writes drop or corrupt, the inner scheme serves a plan of the
   /// degraded step, and dead modules and stuck cells then override the
   /// read values and flag them in `ctx`. Either way the wrapper runs the

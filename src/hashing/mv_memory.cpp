@@ -30,12 +30,6 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   obs_count("hashed.reads", plan.reads.size());
   obs_count("hashed.writes", plan.writes.size());
 
-  // An empty plan has no groups to fan out; the serial loops serve it.
-  if (backend_ == pram::ServeBackend::kGroupParallel &&
-      plan.num_groups() > 0) {
-    return serve_groups_parallel(plan, ctx);
-  }
-
   // The plan's requests are the distinct variables of the step: count
   // them straight into the dense per-module load array and take the max
   // over the touched modules.
@@ -55,18 +49,47 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   }
   load_stats_.add(static_cast<double>(max_load));
 
+  // The value phase: requests are distinct cells, so request ranges
+  // serve independently — a read+write of one variable is one request,
+  // served read-before-write by its range.
   if (hooks_ != nullptr) {
     ctx.enable_flags();
   }
-  for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-    bool flagged = false;
-    read_values[i] = faulted_read(plan.reads[i], &flagged, reliability_);
-    if (flagged) {
-      ctx.flag_read(i);
+  const std::size_t n_reads = plan.reads.size();
+  const std::size_t n_requests = plan.requests.size();
+  util::Executor* executor = ctx.executor();
+  const std::size_t workers =
+      backend_ == pram::ServeBackend::kGroupParallel && executor != nullptr
+          ? executor->plan_workers(n_requests)
+          : 1;
+  chunk_stats_.assign(workers, {});
+  auto body = [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+    pram::ReliabilityStats& stats = chunk_stats_[chunk];
+    for (std::size_t j = lo; j < hi; ++j) {
+      // Requests lead with the reads in plan order, so a request index
+      // below n_reads IS its read index.
+      if (j < n_reads) {
+        bool flagged = false;
+        read_values[j] = faulted_read(plan.reads[j], &flagged, stats);
+        if (flagged) {
+          ctx.flag_read(j);
+        }
+      }
+      const std::uint32_t w = plan.request_write[j];
+      if (w != pram::AccessPlan::kNone) {
+        faulted_write(plan.writes[w].var, plan.writes[w].value, stats);
+      }
     }
+  };
+  if (workers > 1) {
+    executor->run_with(n_requests, workers, body);
+  } else {
+    body(0, 0, n_requests);
   }
-  for (const auto& w : plan.writes) {
-    faulted_write(w.var, w.value, reliability_);
+  // Counters are commutative sums: any worker count folds to the same
+  // totals.
+  for (const auto& stats : chunk_stats_) {
+    reliability_.merge(stats);
   }
 
   if (config_.rehash_threshold != 0 && max_load > config_.rehash_threshold) {
@@ -78,76 +101,6 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
     obs_event(obs::EventKind::kRehash, rehashes_, 0, max_load);
     obs_count("hashed.rehashes");
   }
-
-  return pram::MemStepCost{.time = max_load,
-                           .work = plan.requests.size(),
-                           .live_after_stage1 = 0,
-                           .max_queue = max_load};
-}
-
-pram::MemStepCost MvMemory::serve_groups_parallel(
-    const pram::AccessPlan& plan, pram::ServeContext& ctx) {
-  const std::span<pram::Word> read_values = ctx.read_values();
-  const std::size_t n_reads = plan.reads.size();
-  if (hooks_ != nullptr) {
-    ctx.enable_flags();
-  }
-
-  // Plan groups ARE the touched modules (plan_group_of = module_of), so
-  // a group's load is its size — the dense counting array disappears —
-  // and groups touch disjoint cells, so the value loops fan freely: a
-  // read+write of one variable is one request inside one group, served
-  // read-before-write by that group's worker.
-  const pram::GroupRange groups(plan);
-  util::Executor* executor = ctx.executor();
-  const std::size_t workers =
-      executor != nullptr
-          ? executor->plan_workers(groups.size(), plan.requests.size())
-          : 1;
-  const std::size_t chunk = (groups.size() + workers - 1) / workers;
-  chunk_scratch_.assign(workers, {});
-
-  auto body = [&](std::size_t g_lo, std::size_t g_hi) {
-    ChunkTally& tally = chunk_scratch_[g_lo / chunk];
-    for (std::size_t g = g_lo; g < g_hi; ++g) {
-      const auto unit = groups[g];
-      tally.max_load = std::max(
-          tally.max_load, static_cast<std::uint32_t>(unit.requests.size()));
-      for (const std::uint32_t j : unit.requests) {
-        PRAMSIM_ASSERT(plan.requests[j].var.index() < cells_.size());
-        // Requests lead with the reads in plan order, so a request index
-        // below n_reads IS its read index.
-        if (j < n_reads) {
-          bool flagged = false;
-          read_values[j] =
-              faulted_read(plan.reads[j], &flagged, tally.stats);
-          if (flagged) {
-            ctx.flag_read(j);
-          }
-        }
-        const std::uint32_t w = plan.request_write[j];
-        if (w != pram::AccessPlan::kNone) {
-          faulted_write(plan.writes[w].var, plan.writes[w].value,
-                        tally.stats);
-        }
-      }
-    }
-  };
-  if (executor != nullptr && workers > 1) {
-    executor->run_with(groups.size(), workers, body);
-  } else {
-    body(0, groups.size());
-  }
-
-  // Deterministic post-merge in chunk order: counters are commutative
-  // sums and the load reduction is a max, so any worker count folds to
-  // the same totals.
-  std::uint32_t max_load = 0;
-  for (const auto& tally : chunk_scratch_) {
-    reliability_.merge(tally.stats);
-    max_load = std::max(max_load, tally.max_load);
-  }
-  load_stats_.add(static_cast<double>(max_load));
 
   return pram::MemStepCost{.time = max_load,
                            .work = plan.requests.size(),

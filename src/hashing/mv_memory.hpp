@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "hashing/universal.hpp"
@@ -34,33 +33,19 @@ class MvMemory final : public pram::MemorySystem {
 
   /// The plan's request list is the distinct variable union, so module
   /// loads accumulate into a dense per-instance scratch array. Reads of
-  /// a dead module are flagged in `ctx`. Under
-  /// ServeBackend::kGroupParallel the plan's groups ARE the
-  /// touched modules (plan_group_of = module_of), so a group's load is
-  /// its size and the value loops fan across ctx.executor()'s workers
-  /// with per-chunk telemetry folded in chunk order.
+  /// a dead module are flagged in `ctx`. The value phase is one body
+  /// over a range of request indices: the serial backend runs it as one
+  /// chunk, ServeBackend::kGroupParallel fans request ranges across
+  /// ctx.executor()'s workers with per-chunk telemetry folded in chunk
+  /// order. The load count and the rehash stay on the serving thread.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
-  /// Group key = the copy's module. ONLY exposed on the group-parallel
-  /// backend, which requires the rehash policy off: a redrawable hash
-  /// must not leak into plans built ahead of time (set_serve_backend
-  /// refuses kGroupParallel when rehash_threshold != 0).
-  [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override {
-    return module_of(var);
-  }
-  [[nodiscard]] bool wants_plan_groups() const override {
-    return backend_ == pram::ServeBackend::kGroupParallel;
-  }
   [[nodiscard]] std::uint32_t capabilities() const override {
-    return config_.rehash_threshold == 0
-               ? std::uint32_t{pram::kGroupParallel}
-               : std::uint32_t{0};
+    return pram::kGroupParallel;
   }
   pram::ServeBackend set_serve_backend(pram::ServeBackend backend) override {
-    backend_ = (capabilities() & pram::kGroupParallel) != 0
-                   ? backend
-                   : pram::ServeBackend::kSerial;
+    backend_ = backend;
     return backend_;
   }
 
@@ -95,26 +80,16 @@ class MvMemory final : public pram::MemorySystem {
   }
 
  private:
-  /// Per-chunk telemetry slot for the group-parallel value phase, folded
-  /// in chunk order after the fan-out.
-  struct ChunkTally {
-    pram::ReliabilityStats stats;
-    std::uint32_t max_load = 0;
-  };
-
   /// Read the single copy under fault injection (dead module ->
   /// uncorrectable zero with *flagged set, stuck cell -> silently wrong
-  /// stuck value). Stats accrue into `stats` (chunk-local under the
-  /// group-parallel backend, reliability_ otherwise).
+  /// stuck value). Stats accrue into `stats` (a value-phase chunk's
+  /// tally, or reliability_ for poke).
   [[nodiscard]] pram::Word faulted_read(VarId var, bool* flagged,
                                         pram::ReliabilityStats& stats);
   /// Commit a write unless the cell's module is dead; the committed word
   /// may be silently corrupted.
   void faulted_write(VarId var, pram::Word value,
                      pram::ReliabilityStats& stats);
-  /// The group-parallel value phase (plan groups = modules).
-  pram::MemStepCost serve_groups_parallel(const pram::AccessPlan& plan,
-                                          pram::ServeContext& ctx);
 
   MvMemoryConfig config_;
   util::Rng rng_;
@@ -125,7 +100,9 @@ class MvMemory final : public pram::MemorySystem {
   /// touched modules (for O(touched) reset), reused across steps.
   std::vector<std::uint32_t> load_scratch_;
   std::vector<std::uint32_t> touched_scratch_;
-  std::vector<ChunkTally> chunk_scratch_;
+  /// Per-chunk reliability tallies of the value phase, folded in chunk
+  /// order after the fan-out.
+  std::vector<pram::ReliabilityStats> chunk_stats_;
   std::uint64_t rehashes_ = 0;
   util::RunningStats load_stats_;  ///< per-step max module load
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy

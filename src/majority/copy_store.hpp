@@ -95,14 +95,14 @@ class CopyStore {
                         var.index() % w_] = Copy{value, stamp};
   }
 
-  // ----- group-parallel serve surface -----
+  // ----- value-phase serve surface -----
   //
-  // The page directory and touched bits must not change while group
-  // workers write concurrently, so the parallel value phase is two-phase:
-  // the serving thread materializes every written variable's region row
-  // up front (ensure_row: allocates the page, grows the directory, sets
-  // the touched bit), then workers update DISTINCT variables' slots in
-  // place (write_prepared) — pure lookups, no allocation, no growth.
+  // The page directory and touched bits must not change while value-phase
+  // workers write concurrently, so the value phase is two-phase: the
+  // serving thread materializes every written variable's region row up
+  // front (ensure_row: allocates the page, grows the directory, sets the
+  // touched bit), then workers update DISTINCT variables' slots in place
+  // (write_prepared) — pure lookups, no allocation, no growth.
   // Distinct variables of a SHARED row or page touch disjoint Copy slots,
   // so the frozen-structure rule carries over to any region width.
 
@@ -170,7 +170,7 @@ class CopyStore {
                           const pram::FaultHooks& hooks,
                           std::uint64_t& corrupt_stores);
 
-  /// store_all for the group-parallel degraded path: identical effects,
+  /// store_all for the value phase's degraded path: identical effects,
   /// but writes through write_prepared — the caller must have
   /// ensure_row'd `var` on the serving thread first.
   std::uint32_t store_all_prepared(VarId var,
@@ -261,7 +261,7 @@ class CopyStore {
   }
   /// The region's row in its page, or nullptr when the page is absent. A
   /// row in an allocated page that was never written reads all {0, 0}.
-  /// Never allocates, so it is safe during a group-parallel fan-out.
+  /// Never allocates, so it is safe during a value-phase fan-out.
   [[nodiscard]] Copy* find_row(std::uint64_t region) const {
     const std::uint64_t page = region >> shift_;
     if (page >= pages_.size() || pages_[page] == nullptr) {

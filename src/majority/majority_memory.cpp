@@ -34,16 +34,6 @@ MajorityMemory::MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
     : MajorityMemory(std::make_unique<DmmpcEngine>(std::move(map), scheduler),
                      region_words) {}
 
-std::uint64_t MajorityMemory::plan_group_of(VarId var) const {
-  // The base map's first copy module (r <= 64 by CopyStore contract, so
-  // a stack buffer suffices and the call is allocation-free and
-  // thread-safe for the plan generator).
-  ModuleId modules[64];
-  const std::uint32_t r = engine_->map().redundancy();
-  engine_->map().copies_into(var, std::span<ModuleId>(modules, r));
-  return modules[0].index();
-}
-
 void MajorityMemory::copies_into_current(VarId var,
                                          std::span<ModuleId> out) const {
   engine_->map().copies_into(var, out);
@@ -59,81 +49,9 @@ void MajorityMemory::copies_into_current(VarId var,
   }
 }
 
-std::uint64_t MajorityMemory::degraded_serve(const pram::AccessPlan& plan,
-                                             pram::ServeContext& ctx) {
-  // Degraded-mode protocol: majority-vote reads over every surviving
-  // copy, write-through to every surviving copy. The engine's schedule
-  // still prices the step; the widened copy traffic is extra work.
-  const std::span<const VarId> reads = plan.reads;
-  const std::span<const pram::VarWrite> writes = plan.writes;
-  const std::span<pram::Word> read_values = ctx.read_values();
-  const std::uint32_t r = engine_->map().redundancy();
-  const std::uint64_t stamp = steps_served();
-  std::uint64_t fault_work = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t uncorrectable = 0;
-  std::uint64_t erased_total = 0;
-  std::uint64_t dropped = 0;
-  std::vector<ModuleId> modules(r);
-  ctx.enable_flags();
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    copies_into_current(reads[i], modules);
-    const auto outcome = store_.vote(reads[i], modules, stamp, *hooks_);
-    read_values[i] = outcome.winner.value;
-    ++reliability_.reads_served;
-    reliability_.erasures_skipped += outcome.erased;
-    reliability_.units_faulty += outcome.erased + outcome.dissenting;
-    fault_work += outcome.survivors;
-    erased_total += outcome.erased;
-    if (outcome.survivors == 0) {
-      ++reliability_.uncorrectable;
-      ctx.flag_read(i);
-      ++uncorrectable;
-      obs_event(obs::EventKind::kUncorrectable, reads[i].index(),
-                outcome.erased, outcome.dissenting);
-    } else if (outcome.erased + outcome.dissenting > 0) {
-      ++reliability_.faults_masked;
-      ++masked;
-      obs_event(obs::EventKind::kDegradedVote, reads[i].index(),
-                outcome.erased, outcome.dissenting, outcome.survivors);
-    }
-  }
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    copies_into_current(writes[i].var, modules);
-    const std::uint32_t d =
-        store_.store_all(writes[i].var, modules, writes[i].value, stamp,
-                         stamp, stamp, *hooks_,
-                         reliability_.corrupt_stores);
-    reliability_.writes_dropped += d;
-    dropped += d;
-    fault_work += r;
-  }
-  obs_degraded_counts(masked, uncorrectable, erased_total, dropped);
-  return fault_work;
-}
-
-void MajorityMemory::obs_degraded_counts(std::uint64_t masked,
-                                         std::uint64_t uncorrectable,
-                                         std::uint64_t erased,
-                                         std::uint64_t dropped) const {
-  if (masked != 0) {
-    obs_count("majority.votes.masked", masked);
-  }
-  if (uncorrectable != 0) {
-    obs_count("majority.votes.uncorrectable", uncorrectable);
-  }
-  if (erased != 0) {
-    obs_count("majority.erasures", erased);
-  }
-  if (dropped != 0) {
-    obs_count("majority.stores.dropped", dropped);
-  }
-}
-
 pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
                                         pram::ServeContext& ctx) {
-  const std::span<pram::Word> read_values = ctx.read_values();
-  PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
+  PRAMSIM_ASSERT(plan.reads.size() == ctx.read_values().size());
   const std::uint64_t stamp = advance_step_clock();
   ctx.stamp_step(stamp);
   obs_count("majority.steps");
@@ -162,40 +80,74 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
   time_stats_.add(static_cast<double>(result.time));
   last_stats_ = result.stats;
 
-  const std::uint32_t r = engine_->map().redundancy();
-  std::uint64_t fault_work = 0;
   obs::ScopedPhase value_timer(timing, obs::Phase::kValuePhase);
-  // Fan the value phase only when the executor would actually hand out
-  // more than one chunk: at one worker the plain read/write loops below
-  // do the same work without the group indirection (identical values and
-  // telemetry either way — the backends are bit-equivalent by contract).
-  const bool fan =
-      backend_ == pram::ServeBackend::kGroupParallel && plan.grouped() &&
-      ctx.executor() != nullptr &&
-      ctx.executor()->plan_workers(plan.num_groups(),
-                                   plan.requests.size()) > 1;
-  if (fan) {
-    fault_work = serve_groups_parallel(plan, ctx, result);
-  } else if (hooks_ == nullptr) {
-    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      read_values[i] =
-          store_
-              .freshest(plan.reads[i],
-                        result.accessed_mask[plan.read_request[i]])
-              .value;
+  // Two-phase for the paged store: rows this step will write are
+  // materialized up front on the serving thread, so serve_range only
+  // mutates distinct pre-existing rows (the page directory and touched
+  // bits stay frozen while ranges run). Under the degraded protocol each
+  // write's placement is computed here once and kept for serve_range,
+  // and a write whose every module is dead stores nothing, so its row
+  // stays untouched.
+  const std::uint32_t r = engine_->map().redundancy();
+  if (hooks_ == nullptr) {
+    for (const auto& w : plan.writes) {
+      store_.ensure_row(w.var);
     }
+  } else {
+    ctx.enable_flags();
+    write_modules_.resize(plan.writes.size() * r);
     for (std::size_t i = 0; i < plan.writes.size(); ++i) {
-      const std::uint64_t mask =
-          result.accessed_mask[plan.write_request[i]];
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        if ((mask >> copy) & 1ULL) {
-          store_.write(plan.writes[i].var, copy, plan.writes[i].value,
-                       stamp);
+      const std::span<ModuleId> modules(write_modules_.data() + i * r, r);
+      copies_into_current(plan.writes[i].var, modules);
+      for (const ModuleId module : modules) {
+        if (!hooks_->module_dead(module, stamp)) {
+          store_.ensure_row(plan.writes[i].var);
+          break;
         }
       }
     }
+  }
+
+  const std::size_t n_requests = plan.requests.size();
+  util::Executor* executor = ctx.executor();
+  const std::size_t workers =
+      backend_ == pram::ServeBackend::kGroupParallel && executor != nullptr
+          ? executor->plan_workers(n_requests)
+          : 1;
+  chunk_scratch_.assign(workers, {});
+  auto body = [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+    serve_range(plan, ctx, result, lo, hi, chunk_scratch_[chunk]);
+  };
+  if (workers > 1) {
+    executor->run_with(n_requests, workers, body);
   } else {
-    fault_work = degraded_serve(plan, ctx);
+    body(0, 0, n_requests);
+  }
+
+  // Deterministic post-merge: chunk tallies fold in chunk order (every
+  // field is a commutative sum, so any worker count folds identically;
+  // journal events re-sort canonically at step commit).
+  std::uint64_t fault_work = 0;
+  pram::ReliabilityStats step_stats;
+  for (const auto& tally : chunk_scratch_) {
+    step_stats.merge(tally.stats);
+    fault_work += tally.fault_work;
+    for (const auto& event : tally.events) {
+      obs_event(event.kind, event.entity, event.unit, event.a, event.b);
+    }
+  }
+  reliability_.merge(step_stats);
+  if (step_stats.faults_masked != 0) {
+    obs_count("majority.votes.masked", step_stats.faults_masked);
+  }
+  if (step_stats.uncorrectable != 0) {
+    obs_count("majority.votes.uncorrectable", step_stats.uncorrectable);
+  }
+  if (step_stats.erasures_skipped != 0) {
+    obs_count("majority.erasures", step_stats.erasures_skipped);
+  }
+  if (step_stats.writes_dropped != 0) {
+    obs_count("majority.stores.dropped", step_stats.writes_dropped);
   }
 
   return pram::MemStepCost{.time = result.time,
@@ -204,154 +156,81 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
                            .max_queue = result.stats.max_queue};
 }
 
-std::uint64_t MajorityMemory::serve_groups_parallel(
-    const pram::AccessPlan& plan, pram::ServeContext& ctx,
-    const EngineResult& result) {
+void MajorityMemory::serve_range(const pram::AccessPlan& plan,
+                                 pram::ServeContext& ctx,
+                                 const EngineResult& result, std::size_t lo,
+                                 std::size_t hi, ChunkTally& tally) {
   const std::span<pram::Word> read_values = ctx.read_values();
   const std::uint32_t r = engine_->map().redundancy();
   const std::uint64_t stamp = steps_served();
+  // Requests lead with the reads in plan order, so a request index below
+  // n_reads IS its read index.
   const std::size_t n_reads = plan.reads.size();
-
-  // Two-phase for the paged store: rows this step will write are
-  // materialized up front on the serving thread, so group workers only
-  // mutate distinct pre-existing rows (the page directory and touched
-  // bits are frozen during the fan-out). Under the degraded protocol a
-  // write whose every module is dead stores nothing — leave its row
-  // untouched so the store's state matches the serial path exactly
-  // (scrub treats untouched rows specially).
   if (hooks_ == nullptr) {
-    for (const auto& w : plan.writes) {
-      store_.ensure_row(w.var);
-    }
-  } else {
-    ctx.enable_flags();
-    std::vector<ModuleId> modules(r);
-    for (const auto& w : plan.writes) {
-      copies_into_current(w.var, modules);
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        if (!hooks_->module_dead(modules[copy], stamp)) {
-          store_.ensure_row(w.var);
-          break;
-        }
+    for (std::size_t j = lo; j < hi; ++j) {
+      const std::uint64_t mask = result.accessed_mask[j];
+      if (j < n_reads) {
+        read_values[j] = store_.freshest(plan.reads[j], mask).value;
       }
-    }
-  }
-
-  const pram::GroupRange groups(plan);
-  util::Executor* executor = ctx.executor();
-  const std::size_t workers =
-      executor != nullptr
-          ? executor->plan_workers(groups.size(), plan.requests.size())
-          : 1;
-  const std::size_t chunk = (groups.size() + workers - 1) / workers;
-  chunk_scratch_.assign(workers, {});
-  // Workers buffer journal events per chunk; the fold below appends them
-  // in chunk order so the journal matches the serial path (the per-step
-  // canonical sort makes intra-step order irrelevant).
-  const bool journal_events = obs::kEnabled && observer() != nullptr;
-
-  auto body = [&](std::size_t g_lo, std::size_t g_hi) {
-    ChunkTally& tally = chunk_scratch_[g_lo / chunk];
-    ModuleId modules[64];
-    const std::span<ModuleId> module_span(modules, r);
-    for (std::size_t g = g_lo; g < g_hi; ++g) {
-      const auto unit = groups[g];
-      if (hooks_ == nullptr) {
-        for (const std::uint32_t j : unit.requests) {
-          // Requests lead with the reads in plan order, so a request
-          // index below n_reads IS its read index.
-          if (j < n_reads) {
-            read_values[j] =
-                store_.freshest(plan.reads[j], result.accessed_mask[j])
-                    .value;
-          }
-          const std::uint32_t w = plan.request_write[j];
-          if (w != pram::AccessPlan::kNone) {
-            const std::uint64_t mask = result.accessed_mask[j];
-            for (std::uint32_t copy = 0; copy < r; ++copy) {
-              if ((mask >> copy) & 1ULL) {
-                store_.write_prepared(plan.writes[w].var, copy,
-                                      plan.writes[w].value, stamp);
-              }
-            }
-          }
-        }
+      const std::uint32_t w = plan.request_write[j];
+      if (w == pram::AccessPlan::kNone) {
         continue;
       }
-      // Degraded protocol, group-local: the group's reads vote first
-      // (pre-step state), then its writes store through. Groups touch
-      // disjoint variables, so cross-group interleaving cannot change
-      // any value; telemetry lands in this chunk's tally.
-      for (const std::uint32_t j : unit.requests) {
-        if (j >= n_reads) {
-          continue;
+      for (std::uint32_t copy = 0; copy < r; ++copy) {
+        if ((mask >> copy) & 1ULL) {
+          store_.write_prepared(plan.writes[w].var, copy,
+                                plan.writes[w].value, stamp);
         }
-        copies_into_current(plan.reads[j], module_span);
-        const auto outcome =
-            store_.vote(plan.reads[j], module_span, stamp, *hooks_);
-        read_values[j] = outcome.winner.value;
-        ++tally.stats.reads_served;
-        tally.stats.erasures_skipped += outcome.erased;
-        tally.stats.units_faulty += outcome.erased + outcome.dissenting;
-        tally.fault_work += outcome.survivors;
-        if (outcome.survivors == 0) {
-          ++tally.stats.uncorrectable;
-          ctx.flag_read(j);
-          if (journal_events) {
-            tally.events.push_back(
-                {stamp, obs::EventKind::kUncorrectable, outcome.erased,
-                 plan.reads[j].index(), outcome.dissenting, 0});
-          }
-        } else if (outcome.erased + outcome.dissenting > 0) {
-          ++tally.stats.faults_masked;
-          if (journal_events) {
-            tally.events.push_back(
-                {stamp, obs::EventKind::kDegradedVote, outcome.erased,
-                 plan.reads[j].index(), outcome.dissenting,
-                 outcome.survivors});
-          }
-        }
-      }
-      for (const std::uint32_t j : unit.requests) {
-        const std::uint32_t w = plan.request_write[j];
-        if (w == pram::AccessPlan::kNone) {
-          continue;
-        }
-        copies_into_current(plan.writes[w].var, module_span);
-        tally.stats.writes_dropped += store_.store_all_prepared(
-            plan.writes[w].var, module_span, plan.writes[w].value, stamp,
-            stamp, stamp, *hooks_, tally.stats.corrupt_stores);
-        tally.fault_work += r;
       }
     }
-  };
-  if (executor != nullptr && workers > 1) {
-    executor->run_with(groups.size(), workers, body);
-  } else {
-    body(0, groups.size());
+    return;
   }
 
-  // Deterministic post-merge: chunk tallies fold in chunk order (every
-  // field is a commutative sum, so any worker count folds identically;
-  // journal events re-sort canonically at step commit).
-  std::uint64_t fault_work = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t uncorrectable = 0;
-  std::uint64_t erased_total = 0;
-  std::uint64_t dropped = 0;
-  for (const auto& tally : chunk_scratch_) {
-    reliability_.merge(tally.stats);
-    fault_work += tally.fault_work;
-    masked += tally.stats.faults_masked;
-    uncorrectable += tally.stats.uncorrectable;
-    erased_total += tally.stats.erasures_skipped;
-    dropped += tally.stats.writes_dropped;
-    for (const auto& event : tally.events) {
-      obs_event(event.kind, event.entity, event.unit, event.a, event.b);
+  // Degraded protocol: each request's read votes over the pre-step
+  // state, then its write stores through. A write's placement comes from
+  // serve()'s pre-pass; only read-only requests compute their own.
+  const bool journal_events = obs::kEnabled && observer() != nullptr;
+  ModuleId read_modules[64];
+  for (std::size_t j = lo; j < hi; ++j) {
+    const std::uint32_t w = plan.request_write[j];
+    std::span<const ModuleId> modules;
+    if (w != pram::AccessPlan::kNone) {
+      modules = {write_modules_.data() + std::size_t{w} * r, r};
+    } else {
+      copies_into_current(plan.reads[j], {read_modules, r});
+      modules = {read_modules, r};
+    }
+    if (j < n_reads) {
+      const auto outcome = store_.vote(plan.reads[j], modules, stamp, *hooks_);
+      read_values[j] = outcome.winner.value;
+      ++tally.stats.reads_served;
+      tally.stats.erasures_skipped += outcome.erased;
+      tally.stats.units_faulty += outcome.erased + outcome.dissenting;
+      tally.fault_work += outcome.survivors;
+      if (outcome.survivors == 0) {
+        ++tally.stats.uncorrectable;
+        ctx.flag_read(j);
+        if (journal_events) {
+          tally.events.push_back({stamp, obs::EventKind::kUncorrectable,
+                                  outcome.erased, plan.reads[j].index(),
+                                  outcome.dissenting, 0});
+        }
+      } else if (outcome.erased + outcome.dissenting > 0) {
+        ++tally.stats.faults_masked;
+        if (journal_events) {
+          tally.events.push_back({stamp, obs::EventKind::kDegradedVote,
+                                  outcome.erased, plan.reads[j].index(),
+                                  outcome.dissenting, outcome.survivors});
+        }
+      }
+    }
+    if (w != pram::AccessPlan::kNone) {
+      tally.stats.writes_dropped += store_.store_all_prepared(
+          plan.writes[w].var, modules, plan.writes[w].value, stamp, stamp,
+          stamp, *hooks_, tally.stats.corrupt_stores);
+      tally.fault_work += r;
     }
   }
-  obs_degraded_counts(masked, uncorrectable, erased_total, dropped);
-  return fault_work;
 }
 
 pram::Word MajorityMemory::peek(VarId var) const {

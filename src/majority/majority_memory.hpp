@@ -44,23 +44,15 @@ class MajorityMemory final : public pram::MemorySystem {
   /// processors) through the engine's run_step_into, then runs the value
   /// phase over the precomputed read/write joins. Under fault hooks the
   /// degraded protocol flags reads with no surviving copy in `ctx`.
-  /// Under ServeBackend::kGroupParallel the value phase (healthy
-  /// freshest/commit, degraded vote/store) fans the plan's module groups
+  /// The value phase (healthy freshest/commit, degraded vote/store) is
+  /// one body over a range of request indices: the serial backend runs
+  /// it as one chunk, ServeBackend::kGroupParallel fans request ranges
   /// across ctx.executor()'s workers — the engine schedule stays serial
   /// (it is a global protocol) — with per-chunk telemetry folded in
   /// chunk order, so results are bit-identical at any worker count.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
-  /// Group-parallel work units are module groups keyed by the variable's
-  /// FIRST mapped copy module (the base map's placement; scrub
-  /// relocations never move a variable between groups — the key only
-  /// partitions work, it never resolves placement). Stable and
-  /// thread-safe: a pure function of the immutable map.
-  [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override;
-  [[nodiscard]] bool wants_plan_groups() const override {
-    return backend_ == pram::ServeBackend::kGroupParallel;
-  }
   [[nodiscard]] std::uint32_t capabilities() const override {
     return pram::kGroupParallel;
   }
@@ -133,27 +125,31 @@ class MajorityMemory final : public pram::MemorySystem {
   [[nodiscard]] bool restore_body(pram::SnapshotSource& source) override;
 
  private:
-  /// Serial degraded-mode protocol: majority-vote reads over every
-  /// surviving copy (flagging reads with none in `ctx`), write-through to
-  /// every survivor. Returns the extra copy traffic (fault work).
-  std::uint64_t degraded_serve(const pram::AccessPlan& plan,
-                               pram::ServeContext& ctx);
   /// The variable's CURRENT copy placement: the map's assignment with
   /// scrub relocations applied on top. Identical to the map until the
   /// first relocation.
   void copies_into_current(VarId var, std::span<ModuleId> out) const;
 
-  /// Bump the degraded-protocol obs counters (shared by the serial loop
-  /// and the group-parallel fold so both backends report identically).
-  void obs_degraded_counts(std::uint64_t masked, std::uint64_t uncorrectable,
-                           std::uint64_t erased, std::uint64_t dropped) const;
+  /// Per-chunk telemetry of the value phase, folded in chunk order after
+  /// the fan-out.
+  struct ChunkTally {
+    pram::ReliabilityStats stats;
+    std::uint64_t fault_work = 0;
+    /// Journal events recorded by this chunk; appended to the sink in
+    /// chunk order after the fan-out, so every worker count journals
+    /// what one chunk would (the per-step canonical sort does the rest).
+    std::vector<obs::Event> events;
+  };
 
-  /// Group-parallel value phase shared by the healthy and degraded
-  /// serve paths: fan the plan's groups across ctx.executor()'s workers
-  /// (chunk telemetry folded in chunk order afterwards).
-  std::uint64_t serve_groups_parallel(const pram::AccessPlan& plan,
-                                      pram::ServeContext& ctx,
-                                      const EngineResult& result);
+  /// The value phase over requests [lo, hi): healthy freshest/commit
+  /// over the engine's accessed copies, or the degraded protocol
+  /// (majority vote over every surviving copy, flagging reads with none
+  /// in `ctx`; write-through to every survivor). Requests are distinct
+  /// variables, so ranges touch disjoint copy slots and may run
+  /// concurrently once serve() has materialized the step's written rows.
+  void serve_range(const pram::AccessPlan& plan, pram::ServeContext& ctx,
+                   const EngineResult& result, std::size_t lo,
+                   std::size_t hi, ChunkTally& tally);
 
   std::unique_ptr<AccessEngine> engine_;
   CopyStore store_;
@@ -165,16 +161,10 @@ class MajorityMemory final : public pram::MemorySystem {
   /// and the engine result buffers, both reused across steps.
   std::vector<VarRequest> request_scratch_;
   EngineResult engine_scratch_;
-  /// Per-chunk telemetry slots for the group-parallel degraded phase
-  /// (folded deterministically after the fan-out).
-  struct ChunkTally {
-    pram::ReliabilityStats stats;
-    std::uint64_t fault_work = 0;
-    /// Journal events recorded by this chunk's worker; appended to the
-    /// sink in chunk order after the fan-out so group-parallel journals
-    /// match serial ones (the per-step canonical sort does the rest).
-    std::vector<obs::Event> events;
-  };
+  /// Under fault hooks: each write's current placement (r modules per
+  /// plan write), computed once per step by serve()'s row pre-pass and
+  /// reused by serve_range for the write and its request's read half.
+  std::vector<ModuleId> write_modules_;
   std::vector<ChunkTally> chunk_scratch_;
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;

@@ -26,8 +26,8 @@
 //   * core::MotEngine's routed phase - real packets on a 2DMOT, charged
 //     in network cycles.
 //
-// Per DESIGN.md, phase bookkeeping (which variables are live, stage
-// transitions) is computed centrally; the cost model charges only the
+// Phase bookkeeping (which variables are live, stage transitions) is
+// computed centrally; the cost model charges only the
 // module-bandwidth-limited copy accesses, which is what the theorems
 // count.
 #pragma once

@@ -4,7 +4,7 @@
 // variables and ANY adversarial choice of which copies remain live, the
 // live copies occupy at least (2c-1)q/b distinct modules. Deciding whether
 // a concrete map satisfies this for all q-sets is a hard combinatorial
-// minimization, so per DESIGN.md we *measure*:
+// minimization, so we *measure*:
 //
 //  * random q-sets of live variables, adversarial copy selection via an
 //    iterated greedy concentrator (pick the c copies per variable that fall

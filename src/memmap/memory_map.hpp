@@ -2,10 +2,10 @@
 //
 // The paper's Lemma 2 shows a map with 2c-1 copies per variable over
 // M = n^(1+eps) modules exists such that live copies always expand into
-// many distinct modules. The proof is probabilistic and non-constructive;
-// following the substitution policy in DESIGN.md we instantiate the map by
-// seeded uniform-random placement (the distribution the proof integrates
-// over) and verify the expansion property empirically (expansion.hpp).
+// many distinct modules. The proof is probabilistic and non-constructive,
+// so we instantiate the map by seeded uniform-random placement (the
+// distribution the proof integrates over) and verify the expansion
+// property empirically (expansion.hpp).
 //
 // Two implementations:
 //  * TableMap  - explicit lookup table, the object the paper actually

@@ -1,18 +1,23 @@
-// AccessPlan: one P-RAM step, combined and pre-grouped for the serve path.
+// AccessPlan: one P-RAM step, combined once for the serve path.
 //
 // Every memory organization serves a step through serve(plan, ctx), and
 // the plan is the per-step bookkeeping each of them needs — the distinct
-// variable union, the pairing of reads and writes with their requests,
-// the grouping by target module/block — computed ONCE (by
-// pram::PlanBuilder, or by pram::Machine from its own combining tables),
-// stored SoA in a reusable arena, and shared by every layer that serves
-// the step: schemes read precomputed index arrays instead of rebuilding
-// hash tables.
+// variable union and the pairing of reads and writes with their
+// requests — computed ONCE (by pram::PlanBuilder, or by pram::Machine
+// from its own combining tables), stored SoA in a reusable arena, and
+// shared by every layer that serves the step: schemes read precomputed
+// index arrays instead of rebuilding hash tables.
+//
+// One request per distinct variable is what lets a scheme split its
+// value phase into request ranges that touch disjoint storage. A plan
+// additionally carries groups only for a target whose serve unit is
+// larger than a variable (IdaMemory: one group per block, sharing one
+// decode); see MemorySystem::wants_plan_groups.
 //
 // Lifetime: every span aliases the owning builder's storage and is valid
 // until that builder's next build(). Plans are immutable once built, so a
 // generator thread can build plan N+1 while a worker serves plan N (the
-// double-buffered pipeline in core::SimulationPipeline).
+// overlapped step loop in core::SimulationPipeline).
 #pragma once
 
 #include <cstdint>
@@ -59,8 +64,8 @@ struct AccessPlan {
   // ----- target grouping (populated iff the target memory opted in via
   // MemorySystem::wants_plan_groups, empty plans included) -----
   //
-  // Requests bucketed by MemorySystem::plan_group_of (module / block /
-  // shard key), CSR layout: group g spans
+  // Requests bucketed by MemorySystem::plan_group_of (the IDA block),
+  // CSR layout: group g spans
   //   group_requests[group_offsets[g] .. group_offsets[g+1])
   // with keys ascending in group_keys[g]; within a group, requests keep
   // their plan order.
@@ -73,37 +78,6 @@ struct AccessPlan {
 
   [[nodiscard]] std::size_t num_groups() const { return group_keys.size(); }
   [[nodiscard]] bool grouped() const { return !group_offsets.empty(); }
-
-  /// Group g's requests (indices into `requests`), in plan order.
-  [[nodiscard]] std::span<const std::uint32_t> group(std::size_t g) const {
-    return group_requests.subspan(group_offsets[g],
-                                  group_offsets[g + 1] - group_offsets[g]);
-  }
-};
-
-/// The plan's pre-partitioned module groups as schedulable work units:
-/// group-parallel backends iterate GroupRange and fan contiguous chunks
-/// of it across executor workers. Each unit is one group — requests
-/// sharing a plan_group_of key (target module / block) — and units touch
-/// disjoint variables by construction, so serving them in any order (or
-/// concurrently) commits the same state; only telemetry needs a
-/// deterministic post-merge.
-class GroupRange {
- public:
-  explicit GroupRange(const AccessPlan& plan) : plan_(&plan) {}
-
-  struct Unit {
-    std::uint64_t key = 0;  ///< the shared plan_group_of key
-    std::span<const std::uint32_t> requests;  ///< indices into plan.requests
-  };
-
-  [[nodiscard]] std::size_t size() const { return plan_->num_groups(); }
-  [[nodiscard]] Unit operator[](std::size_t g) const {
-    return {plan_->group_keys[g], plan_->group(g)};
-  }
-
- private:
-  const AccessPlan* plan_;
 };
 
 }  // namespace pramsim::pram

@@ -59,8 +59,9 @@ struct ScrubResult {
 /// Capability bits a scheme advertises on the serve surface
 /// (MemorySystem::capabilities).
 enum ServeCapability : std::uint32_t {
-  /// serve(plan, ctx) can fan the plan's module groups across
-  /// ctx.executor()'s workers (groups are independent work units).
+  /// serve(plan, ctx) can fan its value phase across ctx.executor()'s
+  /// workers in request ranges (a plan's requests are distinct
+  /// variables, so the ranges are independent work units).
   kGroupParallel = 1u << 0,
 };
 
@@ -68,7 +69,7 @@ enum ServeCapability : std::uint32_t {
 /// (MemorySystem::set_serve_backend; swept by core::SchemeSpec::backend).
 enum class ServeBackend : std::uint8_t {
   kSerial,         ///< one thread serves the whole plan (the default)
-  kGroupParallel,  ///< plan groups fan across the context's executor
+  kGroupParallel,  ///< request ranges fan across the context's executor
 };
 
 [[nodiscard]] const char* to_string(ServeBackend backend);
@@ -92,7 +93,7 @@ class MemorySystem {
   // ----- the one serve entry --------------------------------------------
   //
   // serve(plan, ctx) is how every organization and wrapper serves a step:
-  // the caller combines and groups the step ONCE into an arena-backed
+  // the caller combines the step ONCE into an arena-backed
   // AccessPlan (pram::PlanBuilder, or pram::Machine from its own
   // combining tables) and hands the per-step I/O surface — output span,
   // step clock, outage flags, executor — in one caller-owned
@@ -103,12 +104,12 @@ class MemorySystem {
   //  * serve() may keep per-instance scratch; it is called from one
   //    thread at a time. A scheme advertising kGroupParallel
   //    (capabilities()) and switched to ServeBackend::kGroupParallel may
-  //    additionally fan the plan's groups across ctx.executor()'s
-  //    workers — but group results must merge DETERMINISTICALLY: output
-  //    slots disjoint by construction, telemetry accumulated per chunk
-  //    and folded in group order, never atomics racing on shared
-  //    counters. Group-parallel serve must be bit-identical to serial
-  //    serve at ANY worker count.
+  //    additionally fan request ranges of its value phase across
+  //    ctx.executor()'s workers — but chunk results must merge
+  //    DETERMINISTICALLY: output slots disjoint by construction,
+  //    telemetry accumulated per chunk and folded in chunk order, never
+  //    atomics racing on shared counters. Group-parallel serve must be
+  //    bit-identical to serial serve at ANY worker count.
   //  * Every serve stamps the engine step clock (advance_step_clock) and
   //    publishes the stamp via ctx.stamp_step, so fault hooks and probes
   //    share one clock instead of per-scheme counters.
@@ -136,30 +137,30 @@ class MemorySystem {
   /// them. Virtual only because benchmark/timed_memory.hpp overrides it.
   [[nodiscard]] virtual std::span<const std::uint8_t> flagged_reads() const;
 
-  /// Stable per-variable grouping key for plan building (target module /
-  /// block / shard). Must be immutable for the memory's lifetime and safe
-  /// to call concurrently with serve() — the plan generator thread
-  /// runs ahead of the serving thread. Schemes whose placement can change
-  /// mid-run (e.g. rehashing baselines) must NOT expose it.
+  /// Stable per-variable grouping key for plan building, for a scheme
+  /// whose serve unit is larger than a variable (IdaMemory: the block).
+  /// Must be immutable for the memory's lifetime and safe to call
+  /// concurrently with serve() — the plan generator thread runs ahead of
+  /// the serving thread.
   [[nodiscard]] virtual std::uint64_t plan_group_of(VarId var) const {
     return var.index();
   }
 
   /// True when plan_group_of defines a grouping worth materializing; the
-  /// builder skips the group arrays (and their sort) otherwise.
+  /// builder skips the group arrays (and their sort) otherwise. Only
+  /// IdaMemory (and wrappers forwarding to it) wants groups.
   [[nodiscard]] virtual bool wants_plan_groups() const { return false; }
 
   /// Serve-surface capability bits (ServeCapability). A scheme that can
-  /// fan plan groups across executor workers advertises kGroupParallel;
-  /// the factory only switches backends capabilities allow.
+  /// fan its value phase across executor workers advertises
+  /// kGroupParallel; the factory only switches backends capabilities
+  /// allow.
   [[nodiscard]] virtual std::uint32_t capabilities() const { return 0; }
 
   /// Select the serve backend. Returns the backend actually in effect:
-  /// schemes without the matching capability (or whose configuration
-  /// forbids it — e.g. a rehashing baseline whose placement moves) stay
-  /// on kSerial. Like set_fault_hooks: switch before serving traffic,
-  /// never between steps — plans built for one backend may lack the
-  /// group arrays the other consumes.
+  /// schemes without the matching capability stay on kSerial. Like
+  /// set_fault_hooks: switch before serving traffic, never between
+  /// steps.
   virtual ServeBackend set_serve_backend(ServeBackend backend) {
     (void)backend;
     return ServeBackend::kSerial;

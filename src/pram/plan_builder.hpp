@@ -13,15 +13,16 @@
 //     wrapper's degraded step build here.
 //
 // Grouping rule: a plan is grouped exactly when its target wants groups
-// (MemorySystem::wants_plan_groups), empty plans included. PlanGrouper
-// is that rule on its own, so pram::Machine, which joins its plan from
-// its own combining tables, shares it without a second dedup table.
+// (MemorySystem::wants_plan_groups), empty plans included; only IDA's
+// blocks do. PlanGrouper is that rule on its own, so pram::Machine,
+// which joins its plan from its own combining tables, shares it without
+// a second dedup table.
 //
 // A warmed-up builder builds a step with zero heap allocations. One
 // builder = one plan slot: the emitted plan aliases the builder's arenas
-// and stays valid until the next build(). The double-buffered pipeline
-// keeps two builders and flips between them, letting a generator thread
-// build plan N+1 while a worker serves plan N.
+// and stays valid until the next build(). The driver's overlapped step
+// loop keeps two builders and flips between them, letting a generator
+// thread build plan N+1 while a worker serves plan N.
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,9 @@
 //                      channel they travel on (MemorySystem::step's
 //                      adapter reads them back out of its own context);
 //   * executor()     - a util::Executor for schemes whose capabilities()
-//                      include kGroupParallel: the plan's module groups
-//                      are independent work units, and the executor fans
+//                      include kGroupParallel: the plan's requests are
+//                      distinct variables, so ranges of them are
+//                      independent work units, and the executor fans
 //                      them across parked worker threads.
 //
 // Ownership: the CALLER (driver, bench, test) owns the context and the
@@ -22,10 +23,10 @@
 // context as per-step scratch: nothing in it survives bind().
 //
 // Thread-safety inside group-parallel serve: flag_read() writes one
-// std::uint8_t per read index — indices are disjoint across groups, so
-// concurrent flagging from group workers is race-free (this is why the
-// flags are bytes, not std::vector<bool> bits). enable_flags() must be
-// called BEFORE fanning out (it sizes the array).
+// std::uint8_t per read index — indices are disjoint across request
+// ranges, so concurrent flagging from workers is race-free (this is why
+// the flags are bytes, not std::vector<bool> bits). enable_flags() must
+// be called BEFORE fanning out (it sizes the array).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +60,7 @@ class ServeContext {
 
   /// Attach (or detach, with nullptr) the worker-thread handle. Schemes
   /// without kGroupParallel — and group-parallel schemes given no
-  /// executor — serve every group on the calling thread.
+  /// executor — serve the whole step on the calling thread.
   void set_executor(util::Executor* executor) { executor_ = executor; }
   [[nodiscard]] util::Executor* executor() const { return executor_; }
 
@@ -77,8 +78,7 @@ class ServeContext {
   // ----- per-read outage flags -----
 
   /// Materialize the flag array (one byte per read, all clear). Schemes
-  /// serving under fault hooks call this up front, before any group
-  /// fan-out.
+  /// serving under fault hooks call this up front, before any fan-out.
   void enable_flags() { flags_.assign(read_values_.size(), 0); }
 
   /// Mark plan.reads[i] as a flagged loss (below the scheme's

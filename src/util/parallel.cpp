@@ -68,19 +68,63 @@ void serial_for(std::size_t begin, std::size_t end,
 
 // ---- Executor: parked worker pool for intra-step fan-out -------------------
 
-struct Executor::Pool {
-  explicit Pool(std::size_t n_threads) {
-    threads.reserve(n_threads);
-    for (std::size_t w = 0; w < n_threads; ++w) {
-      threads.emplace_back([this, w] { worker_loop(w + 1); });
-    }
-  }
+namespace {
+/// Leaf items per worker below which fanning out costs more than it buys.
+constexpr std::size_t kExecutorGrain = 768;
+/// Pool size cap: intra-step fan-out should never grab the whole host.
+constexpr std::size_t kExecutorMaxThreads = 8;
 
+// The dispatch ticket packs (generation, chunk count, chunks claimed) into
+// one atomic word, so a claim is one compare-exchange that can only land
+// on the live dispatch.
+constexpr unsigned kCountBits = 8;
+constexpr std::uint64_t kCountMask = (std::uint64_t{1} << kCountBits) - 1;
+static_assert(kExecutorMaxThreads + 1 <= kCountMask,
+              "a dispatch's chunk count must fit the ticket's count fields");
+constexpr std::uint64_t generation_of(std::uint64_t ticket) {
+  return ticket >> (2 * kCountBits);
+}
+constexpr std::uint64_t make_ticket(std::uint64_t generation,
+                                    std::uint64_t chunks) {
+  return generation << (2 * kCountBits) | chunks << kCountBits;
+}
+
+/// How many times a pool thread polls for the next dispatch, and a
+/// dispatcher for chunks still running, before parking on a condition
+/// variable: about a millisecond, as a thread yields its core after each
+/// poll (0.25 us a yield on a 4-vCPU Xeon VM). A served step's serial
+/// part (schedule, plan build) lasts a few hundred microseconds; a thread
+/// that parked inside that gap would need a wake-up on every step, and
+/// under a hypervisor a wake-up costs tens of microseconds, more or less
+/// at random.
+constexpr std::uint32_t kPolls = 4096;
+
+/// Polls ready() until it holds or the polls run out; returns its last
+/// value. Yielding between polls keeps a waiting thread from starving
+/// the one it waits for when threads outnumber cores; on a single
+/// hardware thread it checks once.
+template <typename Ready>
+bool poll_until(const Ready& ready) {
+  static const std::uint32_t polls =
+      std::thread::hardware_concurrency() > 1 ? kPolls : 0;
+  for (std::uint32_t i = 0; i < polls; ++i) {
+    if (ready()) {
+      return true;
+    }
+    std::this_thread::yield();
+  }
+  return ready();
+}
+}  // namespace
+
+struct Executor::Pool {
   ~Pool() {
     {
       const std::lock_guard lock(mutex);
       stopping.store(true, std::memory_order_relaxed);
-      generation.fetch_add(1, std::memory_order_release);
+      const std::uint64_t next =
+          generation_of(ticket.load(std::memory_order_relaxed)) + 1;
+      ticket.store(make_ticket(next, 0), std::memory_order_release);
     }
     wake.notify_all();
     for (auto& t : threads) {
@@ -88,141 +132,112 @@ struct Executor::Pool {
     }
   }
 
-  /// Dispatch one job: `workers` total chunks (chunk 0 is the caller's),
-  /// pool threads 1..workers-1 each take their fixed chunk. The static
-  /// slot assignment keeps the partition a pure function of (n, workers).
-  ///
-  /// The handshake is spin-assisted: workers spin briefly on the atomic
-  /// generation counter before parking on the condition variable, and
-  /// the caller spins on the remaining-chunks counter — a serve step's
-  /// fan-out lasts microseconds, so sleeping through it would cost more
-  /// than the chunks themselves.
-  void dispatch(std::size_t n, std::size_t workers,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
-    const std::size_t chunk = (n + workers - 1) / workers;
-    std::size_t pending = 0;
-    for (std::size_t w = 1; w < workers; ++w) {
-      if (w * chunk < n) {
-        ++pending;
-      }
+  /// Starts pool threads until `n` exist. The threads are interchangeable:
+  /// a chunk goes to whichever thread claims it first.
+  void grow(std::size_t n) {
+    while (threads.size() < n) {
+      threads.emplace_back([this] { worker_loop(); });
     }
-    // Seqlock-style publication: job fields are relaxed atomics written
-    // BEFORE the generation release-bump; readers validate the
-    // generation after copying them (workers that straddle two
-    // dispatches — possible only for chunk-less slots — retry on a
-    // stale mix instead of acting on it).
+  }
+
+  /// Dispatch one job: the non-empty chunks of a `workers`-way partition
+  /// of [0, n). The calling thread claims chunks like any pool thread, so
+  /// a thread that wakes late finds its share already served and the
+  /// step never waits on a wake-up. Who serves a chunk changes nothing:
+  /// the partition is a pure function of (n, workers) and each chunk
+  /// receives its index.
+  void dispatch(std::size_t n, std::size_t workers, const ChunkFn& fn) {
+    const std::size_t chunk = (n + workers - 1) / workers;
+    const std::size_t chunks = (n + chunk - 1) / chunk;
+    // Job fields are written before the ticket's release store and stay
+    // fixed until every chunk has completed, which is after every claim.
     job.store(&fn, std::memory_order_relaxed);
     job_n.store(n, std::memory_order_relaxed);
     job_chunk.store(chunk, std::memory_order_relaxed);
-    job_workers.store(workers, std::memory_order_relaxed);
-    remaining.store(pending, std::memory_order_relaxed);
+    remaining.store(chunks, std::memory_order_relaxed);
     {
-      // The mutex pairs the generation bump with sleeping workers'
-      // predicate check; spinning workers see the release store alone.
+      // The mutex pairs the new ticket with parked threads' predicate
+      // check; polling threads see the release store alone.
       const std::lock_guard lock(mutex);
-      generation.fetch_add(1, std::memory_order_release);
+      const std::uint64_t next =
+          generation_of(ticket.load(std::memory_order_relaxed)) + 1;
+      ticket.store(make_ticket(next, chunks), std::memory_order_release);
     }
     if (sleepers.load(std::memory_order_acquire) > 0) {
       wake.notify_all();
     }
-    fn(0, std::min(n, chunk));
-    // Completion: spin briefly (pointless on a single hardware thread,
-    // where the workers need this core), then sleep on `done`.
-    for (std::uint32_t spin = 0; spin < spin_budget; ++spin) {
-      if (remaining.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-    }
-    if (remaining.load(std::memory_order_acquire) != 0) {
+    serve_chunks();
+    // Every chunk is claimed; any still running is on a pool thread.
+    const auto finished = [&] {
+      return remaining.load(std::memory_order_acquire) == 0;
+    };
+    if (!poll_until(finished)) {
       std::unique_lock lock(mutex);
-      done.wait(lock, [&] {
-        return remaining.load(std::memory_order_acquire) == 0;
-      });
+      done.wait(lock, finished);
     }
   }
 
-  void worker_loop(std::size_t slot) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      // Spin first: the next dispatch usually lands within microseconds.
-      std::uint64_t gen = generation.load(std::memory_order_acquire);
-      for (std::uint32_t spin = 0; gen == seen && spin < spin_budget;
-           ++spin) {
-        gen = generation.load(std::memory_order_acquire);
+  /// Claims and serves chunks of the live dispatch until none is left.
+  void serve_chunks() {
+    std::uint64_t t = ticket.load(std::memory_order_acquire);
+    while ((t & kCountMask) < ((t >> kCountBits) & kCountMask)) {
+      if (!ticket.compare_exchange_weak(t, t + 1, std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        continue;
       }
-      if (gen == seen) {
+      const std::size_t c = t & kCountMask;
+      const std::size_t lo = c * job_chunk.load(std::memory_order_relaxed);
+      const std::size_t hi =
+          std::min(job_n.load(std::memory_order_relaxed),
+                   lo + job_chunk.load(std::memory_order_relaxed));
+      (*job.load(std::memory_order_relaxed))(c, lo, hi);
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Last chunk done: pair with a possibly-parked dispatcher (the
+        // empty critical section orders us against its wait).
+        { const std::lock_guard lock(mutex); }
+        done.notify_one();
+      }
+      t = ticket.load(std::memory_order_acquire);
+    }
+  }
+
+  void worker_loop() {
+    std::uint64_t seen = 0;
+    const auto fresh = [&] {
+      return generation_of(ticket.load(std::memory_order_acquire)) != seen;
+    };
+    for (;;) {
+      if (!poll_until(fresh)) {
         sleepers.fetch_add(1, std::memory_order_acq_rel);
         std::unique_lock lock(mutex);
-        wake.wait(lock, [&] {
-          return stopping.load(std::memory_order_relaxed) ||
-                 generation.load(std::memory_order_acquire) != seen;
-        });
+        wake.wait(lock, fresh);  // the destructor moves the ticket too
         sleepers.fetch_sub(1, std::memory_order_acq_rel);
-        gen = generation.load(std::memory_order_acquire);
       }
       if (stopping.load(std::memory_order_relaxed)) {
         return;
       }
-      // Seqlock read: copy the job, then re-check the generation. A
-      // worker that was counted into `pending` always sees stable
-      // fields (the dispatcher cannot publish the next job until it
-      // finishes); only a chunk-less slot can catch the next dispatch
-      // mid-write, and the validation sends it back around the loop.
-      const auto* fn = job.load(std::memory_order_relaxed);
-      const std::size_t jn = job_n.load(std::memory_order_relaxed);
-      const std::size_t jc = job_chunk.load(std::memory_order_relaxed);
-      const std::size_t jw = job_workers.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (generation.load(std::memory_order_relaxed) != gen) {
-        continue;  // stale mix: retry against the new generation
-      }
-      seen = gen;
-      if (slot < jw && slot * jc < jn) {
-        const std::size_t lo = slot * jc;
-        const std::size_t hi = std::min(jn, lo + jc);
-        (*fn)(lo, hi);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last chunk done: pair with a possibly-sleeping dispatcher
-          // (the empty critical section orders us against its wait).
-          { const std::lock_guard lock(mutex); }
-          done.notify_one();
-        }
-      }
+      seen = generation_of(ticket.load(std::memory_order_acquire));
+      serve_chunks();
     }
   }
 
   std::mutex mutex;
   std::condition_variable wake;
   std::condition_variable done;
-  std::vector<std::thread> threads;
-  /// Spinning only pays when another hardware thread can make progress
-  /// while we burn cycles; on a single-core host go straight to sleep.
-  const std::uint32_t spin_budget =
-      std::thread::hardware_concurrency() > 1 ? 8192 : 0;
-  // Job slot: relaxed atomics published before the generation
-  // release-bump and validated seqlock-style by readers.
-  std::atomic<const std::function<void(std::size_t, std::size_t)>*> job{
-      nullptr};
+  std::atomic<std::uint64_t> ticket{0};
+  std::atomic<const ChunkFn*> job{nullptr};
   std::atomic<std::size_t> job_n{0};
   std::atomic<std::size_t> job_chunk{0};
-  std::atomic<std::size_t> job_workers{0};
   std::atomic<std::size_t> remaining{0};
   std::atomic<std::size_t> sleepers{0};
-  std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> stopping{false};
+  std::vector<std::thread> threads;  // last: the threads use every member
 };
-
-namespace {
-/// Leaf items per worker below which fanning out costs more than it buys.
-constexpr std::size_t kExecutorGrain = 768;
-/// Pool size cap: intra-step fan-out should never grab the whole host.
-constexpr std::size_t kExecutorMaxThreads = 8;
-}  // namespace
 
 Executor::Executor() = default;
 Executor::~Executor() = default;
 
-std::size_t Executor::plan_workers(std::size_t n, std::size_t work) const {
+std::size_t Executor::plan_workers(std::size_t n) const {
   if (n <= 1) {
     return 1;
   }
@@ -239,26 +254,25 @@ std::size_t Executor::plan_workers(std::size_t n, std::size_t work) const {
   static const std::size_t hw = std::min<std::size_t>(
       std::max<std::size_t>(std::thread::hardware_concurrency(), 1),
       kExecutorMaxThreads + 1);
-  return std::clamp<std::size_t>(work / kExecutorGrain, 1, std::min(hw, n));
+  return std::clamp<std::size_t>(n / kExecutorGrain, 1, hw);
 }
 
-void Executor::run_with(
-    std::size_t n, std::size_t workers,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void Executor::run_with(std::size_t n, std::size_t workers,
+                        const ChunkFn& fn) {
   if (n == 0) {
     return;
   }
-  // Clamp to the pool size too: chunks are assigned to fixed worker
-  // slots, so more chunks than slots (+ the caller) would never drain.
+  // Clamp to the pool's size cap plus the caller, as plan_workers does.
   workers = std::clamp<std::size_t>(workers, 1,
                                     std::min(n, kExecutorMaxThreads + 1));
   if (workers <= 1) {
-    fn(0, n);
+    fn(0, 0, n);
     return;
   }
   if (pool_ == nullptr) {
-    pool_ = std::make_unique<Pool>(kExecutorMaxThreads);
+    pool_ = std::make_unique<Pool>();
   }
+  pool_->grow(workers - 1);
   pool_->dispatch(n, workers, fn);
 }
 

@@ -1,12 +1,14 @@
-// Host-side parallel sweep helper.
+// Host-side parallelism: shard sweeps and intra-step fan-out.
 //
 // Experiment harnesses run many independent trials (Monte-Carlo map
 // verification, per-seed step simulations). parallel_for partitions
 // [begin, end) into contiguous blocks, one per worker thread; the partition
 // depends only on (range, worker count), and callers derive per-index RNG
 // streams from the index, so results are deterministic regardless of
-// scheduling. The simulated machines themselves are single-threaded and
-// deterministic by construction.
+// scheduling. An Executor fans one served step's value phase across a
+// parked worker pool; its chunk geometry lives here too, as a pure
+// function of (item count, worker count), so a served step is
+// bit-identical at any worker count.
 #pragma once
 
 #include <cstddef>
@@ -35,43 +37,49 @@ void serial_for(std::size_t begin, std::size_t end,
                 const std::function<void(std::size_t)>& fn);
 
 /// Persistent worker pool for fine-grained INTRA-step fan-out (the
-/// group-parallel serve backend). parallel_for spawns threads per call,
-/// which is fine for coarse shards but dominates a sub-millisecond serve
-/// step; an Executor keeps its workers parked on a condition variable
-/// between dispatches, so per-step overhead is one wake/join handshake.
+/// kGroupParallel serve backend, which splits a step's value phase into
+/// request ranges). parallel_for spawns threads per call, which is fine
+/// for coarse shards but dominates a sub-millisecond serve step; an
+/// Executor keeps its workers between dispatches (polling for about a
+/// millisecond, then parked on a condition variable), and the calling
+/// thread serves every chunk no worker has claimed yet, so a step never
+/// waits on a worker's wake-up.
 ///
-/// Determinism contract: run() partitions [0, n) into contiguous chunks,
-/// one per worker, and the partition depends only on (n, worker count).
-/// Worker count honors set_parallel_workers_override, so A/B tests can
-/// pin 1 vs many — callers must make chunk results order-independent
-/// (disjoint output slots, or commutative telemetry merged in a fixed
-/// order) so ANY worker count yields bit-identical results.
+/// Determinism contract: run_with() partitions [0, n) into contiguous
+/// chunks, one per worker, and the partition depends only on (n, worker
+/// count). Worker count honors set_parallel_workers_override, so A/B
+/// tests can pin 1 vs many — callers must make chunk results
+/// order-independent (disjoint output slots, or commutative telemetry
+/// merged in chunk order) so ANY worker count yields bit-identical
+/// results.
 ///
 /// Not thread-safe: one dispatch at a time per Executor (the serve
 /// contract already guarantees one serving thread).
 class Executor {
  public:
+  /// A chunk of a fan-out: fn(chunk, begin, end) serves [begin, end).
+  using ChunkFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
   Executor();
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Workers a fan-out of `n` units totalling ~`work` leaf items would
-  /// get: min(override, n) when an override is set, else scaled so each
-  /// worker gets a meaningful slice of `work` (tiny steps stay serial).
-  [[nodiscard]] std::size_t plan_workers(std::size_t n,
-                                         std::size_t work) const;
+  /// Workers a fan-out of `n` leaf items would get: min(override, n)
+  /// when an override is set, else scaled so each worker gets a
+  /// meaningful slice of the items (tiny steps stay serial). Never
+  /// exceeds the pool size, so it is the chunk count run_with uses.
+  [[nodiscard]] std::size_t plan_workers(std::size_t n) const;
 
-  /// Invoke fn(begin, end) over a contiguous partition of [0, n) with
-  /// `workers` chunks — pass a cached plan_workers() result, so the
-  /// chunk geometry (chunk = ceil(n / workers), chunk index =
-  /// begin / chunk) agrees with any per-chunk scratch the caller
-  /// pre-sized (plan_workers never exceeds the pool size, so the
-  /// dispatcher partitions with exactly this count). Chunk 0 runs on
-  /// the calling thread; blocks until every chunk completes. fn must
-  /// not throw.
-  void run_with(std::size_t n, std::size_t workers,
-                const std::function<void(std::size_t, std::size_t)>& fn);
+  /// Invoke fn(chunk, begin, end) over a contiguous partition of [0, n)
+  /// into `workers` chunks — pass a plan_workers() result: chunk c
+  /// covers [c * ceil(n / workers), min(n, (c + 1) * ceil(n / workers)))
+  /// and receives its index c, so per-chunk scratch the caller sized
+  /// from that count indexes by it. Empty chunks are not invoked. Any
+  /// chunk may run on the calling thread or on a pool thread, whichever
+  /// claims it first; blocks until every chunk completes. fn must not
+  /// throw.
+  void run_with(std::size_t n, std::size_t workers, const ChunkFn& fn);
 
  private:
   struct Pool;

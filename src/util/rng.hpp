@@ -3,8 +3,7 @@
 // All randomness in pramsim flows through Xoshiro256** seeded via
 // SplitMix64. The library never touches std::random_device: the Lemma 2
 // memory maps, the trace generators and the Monte-Carlo verifiers must be
-// exactly reproducible from a printed seed (the bad-map union bound and the
-// expansion measurements in EXPERIMENTS.md reference specific seeds).
+// exactly reproducible from a printed seed.
 #pragma once
 
 #include <array>

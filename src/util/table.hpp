@@ -1,8 +1,8 @@
 // ASCII table / CSV emitter for the bench harnesses.
 //
 // Every experiment binary prints its results as one or more of these
-// tables; EXPERIMENTS.md quotes them verbatim. Numeric cells are
-// right-aligned, text left-aligned.
+// tables, and bench::Reporter mirrors each into the run's
+// BENCH_<id>.json. Numeric cells are right-aligned, text left-aligned.
 #pragma once
 
 #include <cstdint>

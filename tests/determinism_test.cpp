@@ -130,8 +130,8 @@ TEST(Determinism, DoubleBufferingDoesNotChangeResults) {
 // The kGroupParallel backend must not change ANY pipeline result — not
 // versus the serial backend, and not across executor worker counts. The
 // worker override steers both the shard-level parallel_for AND the
-// intra-step group fan-out, so this pins determinism at both levels at
-// once.
+// intra-step fan-out of request ranges, so this pins determinism at both
+// levels at once.
 TEST(Determinism, GroupParallelBackendBitIdenticalAcrossWorkersAndBackends) {
   WorkerOverrideGuard guard;
   for (const auto kind :
@@ -198,7 +198,7 @@ TEST(Determinism, ScrubbedGroupParallelStressBitIdenticalAcrossWorkerCounts) {
 // identical across executor worker counts {1, 2, 4} and across reruns of
 // the same seed — the per-shard sinks fold in shard order, and the
 // journal commits each step in canonical order regardless of how the
-// group fan-out interleaved.
+// value phase's request ranges interleaved.
 TEST(Determinism, ObsSnapshotBitIdenticalAcrossWorkersAndReruns) {
   if (!obs::kEnabled) {
     GTEST_SKIP() << "compiled with PRAMSIM_OBS=OFF";

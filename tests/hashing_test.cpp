@@ -9,6 +9,9 @@
 
 #include "hashing/mv_memory.hpp"
 #include "hashing/universal.hpp"
+#include "pram/plan_builder.hpp"
+#include "pram/serve_context.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace pramsim::hashing {
@@ -149,17 +152,63 @@ TEST(MvMemory, AdversarialBatchForcesSerialization) {
   EXPECT_EQ(cost.time, k);  // fully serialized
 }
 
-TEST(MvMemory, RehashTriggersAboveThreshold) {
+/// What a rehashing MvMemory serves and records over a fixed traffic.
+struct RehashRun {
+  std::vector<Word> values;
+  std::uint64_t rehashes = 0;
+  std::uint64_t load_count = 0;
+  double load_sum = 0.0;
+  double load_max = 0.0;
+};
+
+/// Four steps of 64 reads and 64 writes (half of them read+write
+/// requests) through serve(plan, ctx) with a live executor, on `backend`
+/// at executor worker override `workers`.
+RehashRun serve_rehash_traffic(pram::ServeBackend backend,
+                               std::size_t workers) {
+  util::set_parallel_workers_override(workers);
   MvMemory mem(1 << 14,
                {.n_modules = 4, .k_wise = 2, .seed = 9, .rehash_threshold = 2});
-  std::vector<VarId> reads;
-  for (std::uint32_t v = 0; v < 64; ++v) {
-    reads.emplace_back(v);
+  EXPECT_EQ(mem.set_serve_backend(backend), backend);
+  util::Executor executor;
+  pram::ServeContext ctx({}, &executor);
+  pram::PlanBuilder builder;
+  RehashRun run;
+  for (std::uint32_t step = 0; step < 4; ++step) {
+    std::vector<VarId> reads;
+    std::vector<VarWrite> writes;
+    for (std::uint32_t v = 0; v < 64; ++v) {
+      reads.emplace_back(v);
+      writes.push_back({VarId(v + 32), 1000 * step + v});
+    }
+    const auto& plan = builder.build(reads, writes, mem);
+    std::vector<Word> values(plan.reads.size());
+    ctx.bind(values);
+    mem.serve(plan, ctx);
+    run.values.insert(run.values.end(), values.begin(), values.end());
   }
-  std::vector<Word> values(reads.size());
-  mem.step(reads, values, {});
-  // 64 distinct vars over 4 modules: some module holds >= 16 > 2.
-  EXPECT_GE(mem.rehashes(), 1u);
+  util::set_parallel_workers_override(0);
+  run.rehashes = mem.rehashes();
+  run.load_count = mem.load_stats().count();
+  run.load_sum = mem.load_stats().sum();
+  run.load_max = mem.load_stats().max();
+  return run;
+}
+
+TEST(MvMemory, RehashTriggersAboveThreshold) {
+  const RehashRun serial =
+      serve_rehash_traffic(pram::ServeBackend::kSerial, 0);
+  // 96 distinct vars a step over 4 modules: some module holds >= 24 > 2.
+  EXPECT_GE(serial.rehashes, 1u);
+  // The rehash redraws the hash on the serving thread after the value
+  // phase, so fanning that phase across workers changes nothing.
+  const RehashRun gp =
+      serve_rehash_traffic(pram::ServeBackend::kGroupParallel, 4);
+  EXPECT_EQ(gp.values, serial.values);
+  EXPECT_EQ(gp.rehashes, serial.rehashes);
+  EXPECT_EQ(gp.load_count, serial.load_count);
+  EXPECT_EQ(gp.load_sum, serial.load_sum);
+  EXPECT_EQ(gp.load_max, serial.load_max);
 }
 
 TEST(MvMemory, MaxLoadGrowsSlowlyWithN) {

@@ -8,6 +8,12 @@ add_test(NAME lint_selftest
   COMMAND ${Python3_EXECUTABLE}
           ${PRAMSIM_SOURCE_DIR}/tools/lint/pramlint.py --self-test)
 
+# check_bench_baseline.py's built-in cases: CI's BENCH shape diff must
+# read titles with measured numbers of any magnitude as one shape.
+add_test(NAME bench_baseline_selftest
+  COMMAND ${Python3_EXECUTABLE}
+          ${PRAMSIM_SOURCE_DIR}/tools/check_bench_baseline.py --self-test)
+
 add_test(NAME lint_tree
   COMMAND ${Python3_EXECUTABLE}
           ${PRAMSIM_SOURCE_DIR}/tools/lint/pramlint.py

@@ -133,7 +133,7 @@ TEST(PlanBuilder, EmptyPlansAreGroupedExactlyWhenTheTargetWantsGroups) {
                          .backend = pram::ServeBackend::kGroupParallel});
   pram::FlatMemory flat(16);
   ASSERT_TRUE(ida->wants_plan_groups());
-  ASSERT_TRUE(hashed_gp->wants_plan_groups());
+  ASSERT_FALSE(hashed_gp->wants_plan_groups());
   ASSERT_FALSE(flat.wants_plan_groups());
   pram::PlanBuilder builder;
   util::Executor executor;
@@ -191,6 +191,21 @@ TEST(PlanBuilder, GroupsMatchTargetKeysAndPartitionRequests) {
   }
   for (const bool s : seen) {
     EXPECT_TRUE(s);
+  }
+}
+
+// Plan groups exist for one serve unit larger than a variable, the IDA
+// block: every other scheme's value phase splits the plan's requests
+// into ranges, so no backend of theirs asks the builder for groups.
+TEST(PlanBuilder, OnlyIdaWantsPlanGroupsOnEitherBackend) {
+  for (const auto kind : core::all_scheme_kinds()) {
+    for (const auto backend : {pram::ServeBackend::kSerial,
+                               pram::ServeBackend::kGroupParallel}) {
+      const auto memory = core::make_memory(
+          {.kind = kind, .n = 16, .seed = 5, .backend = backend});
+      EXPECT_EQ(memory->wants_plan_groups(), kind == core::SchemeKind::kIda)
+          << core::to_string(kind) << " " << pram::to_string(backend);
+    }
   }
 }
 
@@ -297,7 +312,7 @@ struct WorkerOverrideGuard {
 // For EVERY SchemeKind, the kGroupParallel backend (downgraded to serial
 // by schemes without the capability) must match the FlatMemory replica
 // when served through the context entry with a live executor fanning
-// groups across workers.
+// request ranges across workers.
 TEST_P(PlanServeTest, GroupParallelServeMatchesFlatReplica) {
   WorkerOverrideGuard guard;
   util::set_parallel_workers_override(4);
@@ -311,7 +326,7 @@ TEST_P(PlanServeTest, GroupParallelServeMatchesFlatReplica) {
 }
 
 // The schemes shipping native group-parallel serve must actually engage
-// it (capability + plan groups), and the backend must be bit-identical
+// it (capability), and the backend must be bit-identical
 // to the serial backend at every worker count — values, committed state,
 // reliability telemetry, and outage flags — healthy AND degraded. The
 // sweep crosses every native scheme with region widths 1 and 8, pinning
@@ -334,7 +349,6 @@ void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
   if (backend == pram::ServeBackend::kGroupParallel) {
     ASSERT_TRUE(memory->capabilities() & pram::kGroupParallel)
         << core::to_string(spec.kind);
-    ASSERT_TRUE(memory->wants_plan_groups());
   }
   if (hooks != nullptr) {
     ASSERT_TRUE(memory->set_fault_hooks(hooks));

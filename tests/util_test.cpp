@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -13,6 +14,7 @@
 #include "util/bitset.hpp"
 #include "util/fit.hpp"
 #include "util/math.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/sorted_entries.hpp"
 #include "util/stats.hpp"
@@ -296,6 +298,102 @@ TEST(Bitset, FindNextIterationVisitsAllSetBits) {
     visited.insert(i);
   }
   EXPECT_EQ(visited, expected);
+}
+
+// ------------------------------------------------------------ executor ----
+
+// run_with's partition is a pure function of (n, workers): chunk c covers
+// [c * ceil(n / w), min(n, (c + 1) * ceil(n / w))) and receives index c,
+// empty chunks are not invoked, and every index is visited exactly once.
+// Schemes index their per-chunk tallies by that argument.
+TEST(Executor, RunWithPartitionsIntoIndexedContiguousChunks) {
+  constexpr std::size_t kUnset = ~std::size_t{0};
+  Executor executor;
+  for (const std::size_t n : {0u, 1u, 5u, 4096u}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      std::vector<std::atomic<int>> visits(n);
+      std::vector<std::pair<std::size_t, std::size_t>> ranges(
+          workers, {kUnset, kUnset});
+      std::atomic<bool> bad_chunk{false};
+      executor.run_with(
+          n, workers,
+          [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+            if (chunk >= workers) {
+              bad_chunk = true;
+              return;
+            }
+            ranges[chunk] = {lo, hi};
+            for (std::size_t i = lo; i < hi; ++i) {
+              visits[i].fetch_add(1);
+            }
+          });
+      EXPECT_FALSE(bad_chunk) << "n=" << n << " w=" << workers;
+      const std::size_t per = (n + workers - 1) / workers;
+      for (std::size_t c = 0; c < workers; ++c) {
+        const std::size_t lo = c * per;
+        const std::size_t hi = std::min(n, lo + per);
+        const auto want = lo < hi ? std::make_pair(lo, hi)
+                                  : std::make_pair(kUnset, kUnset);
+        EXPECT_EQ(ranges[c], want)
+            << "n=" << n << " w=" << workers << " chunk " << c;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(visits[i].load(), 1) << "n=" << n << " index " << i;
+      }
+    }
+  }
+}
+
+// Chunks go to whichever thread claims them first, so back-to-back
+// dispatches race late pool threads from the previous dispatch against
+// the next one. Every chunk must still run exactly once, with its own
+// range, whatever the worker count (the pool grows as it rises).
+TEST(Executor, BackToBackDispatchesServeEveryChunkOnce) {
+  Executor executor;
+  std::vector<std::size_t> calls(9);
+  for (std::size_t round = 0; round < 3000; ++round) {
+    const std::size_t n = 1 + round % 37;
+    const std::size_t workers = 2 + round % 8;
+    const std::size_t per = (n + workers - 1) / workers;
+    std::vector<std::atomic<int>> visits(n);
+    std::fill(calls.begin(), calls.end(), 0);
+    std::atomic<bool> bad_range{false};
+    executor.run_with(
+        n, workers, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+          if (chunk >= calls.size() || lo != chunk * per ||
+              hi != std::min(n, lo + per)) {
+            bad_range = true;
+            return;
+          }
+          ++calls[chunk];
+          for (std::size_t i = lo; i < hi; ++i) {
+            visits[i].fetch_add(1);
+          }
+        });
+    ASSERT_FALSE(bad_range) << "round " << round;
+    for (std::size_t c = 0; c < calls.size(); ++c) {
+      ASSERT_EQ(calls[c], c * per < n && c < workers ? 1u : 0u)
+          << "round " << round << " chunk " << c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(Executor, PlanWorkersHonoursTheOverride) {
+  struct OverrideGuard {
+    ~OverrideGuard() { set_parallel_workers_override(0); }
+  } guard;
+  const Executor executor;
+  set_parallel_workers_override(3);
+  EXPECT_EQ(executor.plan_workers(4096), 3u);
+  EXPECT_EQ(executor.plan_workers(2), 2u);  // never more chunks than items
+  EXPECT_EQ(executor.plan_workers(1), 1u);
+  set_parallel_workers_override(1);
+  EXPECT_EQ(executor.plan_workers(4096), 1u);
+  set_parallel_workers_override(0);
+  EXPECT_EQ(executor.plan_workers(8), 1u);  // auto: tiny fan-outs stay serial
 }
 
 // --------------------------------------------------------------- stats ----

@@ -4,6 +4,7 @@
 Stdlib-only, used by the CI bench smoke:
 
     python3 tools/check_bench_baseline.py BASELINE.json FRESH.json
+    python3 tools/check_bench_baseline.py --self-test
 
 The committed baselines at the repo root pin the SHAPE of the perf
 trajectory, not the numbers: experiment id, schema version, the set of
@@ -15,6 +16,7 @@ failure; a silently dropped table or renamed column does fail.
 Exits non-zero with one message per violation.
 """
 import json
+import re
 import sys
 
 
@@ -59,10 +61,8 @@ def check(baseline, fresh, errors):
         where = f"tables[{i}]"
         base_title = base.get("title", "")
         new_title = new.get("title", "")
-        # Titles may embed measured numbers (e.g. a baseline steps/s);
-        # compare only the descriptive prefix up to the first digit run
-        # that differs... keep it simple: exact match unless either
-        # embeds a digit, then compare the non-numeric skeleton.
+        # Titles may embed measured numbers (e.g. a baseline steps/s), so
+        # compare their non-numeric skeletons.
         if _skeleton(base_title) != _skeleton(new_title):
             errors.append(f"{where}: title changed:\n"
                           f"  baseline: {base_title!r}\n"
@@ -75,12 +75,58 @@ def check(baseline, fresh, errors):
             errors.append(f"{where}: fresh table has no rows")
 
 
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+
+
 def _skeleton(title):
-    """The title with digit runs collapsed (titles may embed numbers)."""
-    return "".join("#" if c.isdigit() else c for c in str(title))
+    """The title with every number, decimal part included, collapsed to
+    one '#' (titles may embed measured numbers of any magnitude)."""
+    return _NUMBER.sub("#", str(title))
+
+
+def _table_file(title):
+    return {"experiment": "x", "schema_version": 1, "manifest": {"k": 1},
+            "tables": [{"title": title, "headers": ["a"], "rows": [[1]]}]}
+
+
+def self_test():
+    """Check the shape rules on built-in cases; return the failures."""
+    failures = []
+    same = [
+        # A measured number crossing a power of ten keeps the shape.
+        ("uncached baseline 9168.428408 steps/s",
+         "uncached baseline 10586.1 steps/s"),
+        ("n = 256, m = 2^16", "n = 4096, m = 2^24"),
+        ("ratio 0.97x", "ratio 12x"),
+    ]
+    differ = [
+        ("uncached baseline 9168.4 steps/s", "cached baseline 9168.4 steps/s"),
+        ("16 steps", "16 runs"),
+        ("steps/s gp", "steps/s gp 1wk"),
+    ]
+    for base, fresh in same:
+        errors = []
+        check(_table_file(base), _table_file(fresh), errors)
+        if errors:
+            failures.append(f"{base!r} vs {fresh!r} should match: {errors}")
+    for base, fresh in differ:
+        errors = []
+        check(_table_file(base), _table_file(fresh), errors)
+        if not errors:
+            failures.append(f"{base!r} vs {fresh!r} should differ")
+    return failures
 
 
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        failures = self_test()
+        for failure in failures:
+            print(f"check_bench_baseline self-test: {failure}",
+                  file=sys.stderr)
+        if failures:
+            return 1
+        print("check_bench_baseline: self-test passed")
+        return 0
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
