@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "memmap/memory_map.hpp"
 #include "util/assert.hpp"
 
 namespace pramsim::cache {
-
-namespace {
-
-/// Largest per-variable redundancy the precise died-since-fill check
-/// handles on the stack; wider maps fall back to the coarse epoch test
-/// (any death since fill invalidates).
-constexpr std::uint32_t kMaxMapRedundancy = 16;
-
-}  // namespace
 
 CachedMemory::CachedMemory(std::unique_ptr<pram::MemorySystem> inner,
                            CacheConfig config)
@@ -56,8 +46,7 @@ void CachedMemory::refresh_fault_epoch(std::uint64_t now) {
   }
 }
 
-CachedMemory::Staleness CachedMemory::classify_line(Line& line,
-                                                    std::uint64_t now) {
+CachedMemory::Staleness CachedMemory::classify_line(const Line& line) const {
   if (line.dirty != 0) {
     // The cache holds the only up-to-date copy of a dirty value (the
     // inner scheme never saw the store); re-serving it from degraded
@@ -68,33 +57,14 @@ CachedMemory::Staleness CachedMemory::classify_line(Line& line,
   if (line.fill_step < reloc_stamp_) {
     return Staleness::kRelocated;
   }
-  if (hooks_ == nullptr || line.fill_step >= last_death_step_) {
-    return Staleness::kFresh;
+  // A module died after this line was filled. The cache cannot tell
+  // which modules back the variable now (scrub may have re-homed its
+  // copies, and a restore may have brought relocations back), so any
+  // death since fill makes the line suspect.
+  if (hooks_ != nullptr && line.fill_step < last_death_step_) {
+    return Staleness::kDeadBacking;
   }
-  // A module died after this line was filled. When the inner scheme
-  // exposes its variable->modules map, check whether any module actually
-  // backing THIS variable died in (fill, now]; exonerated lines are
-  // re-stamped so the scan is not repeated every step.
-  const memmap::MemoryMap* map = inner_->memory_map();
-  if (map != nullptr && map->num_vars() == inner_->size() &&
-      map->redundancy() >= 1 && map->redundancy() <= kMaxMapRedundancy) {
-    ModuleId modules[kMaxMapRedundancy];
-    const std::span<ModuleId> backing(modules, map->redundancy());
-    map->copies_into(line.var, backing);
-    bool died_since_fill = false;
-    for (const auto module : backing) {
-      if (hooks_->module_dead(module, now) &&
-          !hooks_->module_dead(module, line.fill_step)) {
-        died_since_fill = true;
-        break;
-      }
-    }
-    if (!died_since_fill) {
-      line.fill_step = now;
-      return Staleness::kFresh;
-    }
-  }
-  return Staleness::kDeadBacking;
+  return Staleness::kFresh;
 }
 
 void CachedMemory::classify_reads(std::span<const VarId> reads,
@@ -105,7 +75,7 @@ void CachedMemory::classify_reads(std::span<const VarId> reads,
     const auto it = index_.find(var.index());
     if (it != index_.end()) {
       Line& line = lines_[it->second];
-      const Staleness state = classify_line(line, now);
+      const Staleness state = classify_line(line);
       if (state == Staleness::kFresh) {
         out[i] = line.value;
         line.ref = 1;
@@ -355,10 +325,9 @@ void CachedMemory::poke(VarId var, pram::Word value) {
 
 bool CachedMemory::set_fault_hooks(const pram::FaultHooks* hooks) {
   const bool inner_accepts = inner_->set_fault_hooks(hooks);
-  // Track the fault clock only under replica-level injection: when the
-  // inner scheme rejected the hooks, degradation (if any) is applied by
-  // an OUTER wrapper, which already observes the cache's outputs — the
-  // cached values themselves never go stale.
+  // Track the fault clock only when the inner scheme applies the hooks:
+  // an inner memory that rejects them never degrades, so its cached
+  // values never go stale.
   hooks_ = inner_accepts ? hooks : nullptr;
   dead_modules_seen_ = 0;
   last_death_step_ = 0;

@@ -21,17 +21,18 @@
 //    results scatter back into the caller's ServeContext span, and inner
 //    outage flags fold into the caller's context.
 //
-// Fault consistency (see docs/fault-model.md): when the inner scheme
-// accepts replica-level FaultHooks, the cache tracks the step-stamped
-// fault clock. A CLEAN line whose backing may have changed since fill —
-// a module died after the line's fill step, or a scrub pass relocated
-// storage — is INVALIDATED on its next hit and re-served from the inner
-// scheme as a miss, so a cached run degrades exactly like an uncached
-// one instead of masking faults with stale hits. DIRTY lines are never
-// invalidated: the cache holds the only up-to-date copy of a dirty
-// value (the inner scheme never saw the store), so re-serving it from
-// degraded storage would manufacture the silent wrong read the
-// trace-consistency oracle exists to catch.
+// Fault consistency (see docs/fault-model.md): FaultHooks pass through
+// to the inner scheme, which applies them at its copy/share granularity,
+// and the cache tracks the step-stamped fault clock. A CLEAN line whose
+// backing may have changed since fill — any module died after the
+// line's fill step, or a scrub pass relocated storage — is INVALIDATED
+// on its next hit and re-served from the inner scheme as a miss, so a
+// cached run degrades exactly like an uncached one instead of masking
+// faults with stale hits. DIRTY lines are never invalidated: the cache
+// holds the only up-to-date copy of a dirty value (the inner scheme
+// never saw the store), so re-serving it from degraded storage would
+// manufacture the silent wrong read the trace-consistency oracle exists
+// to catch.
 //
 // Determinism: all cache state lives on the serving thread. The residual
 // plan hands the caller's executor through to the inner scheme, so a
@@ -131,10 +132,9 @@ class CachedMemory final : public pram::MemorySystem {
     return inner_->reliability();
   }
 
-  /// Hooks forward to the inner scheme; the cache only tracks the fault
-  /// clock itself when the inner applies them (replica-level), because
-  /// wrapper-level injection happens OUTSIDE this wrapper and cached
-  /// values are then degraded by that outer wrapper, not by us.
+  /// Hooks forward to the inner scheme, and the cache tracks the fault
+  /// clock itself when the inner applies them (an inner memory that
+  /// rejects them never degrades, so nothing cached goes stale).
   bool set_fault_hooks(const pram::FaultHooks* hooks) override;
 
   /// Repair passes through; any relocation stamps the cache so clean
@@ -151,7 +151,6 @@ class CachedMemory final : public pram::MemorySystem {
   [[nodiscard]] std::uint64_t capacity() const { return config_.capacity; }
   /// Lines currently held (<= capacity()).
   [[nodiscard]] std::uint64_t occupancy() const { return index_.size(); }
-  [[nodiscard]] pram::MemorySystem& inner() { return *inner_; }
 
  protected:
   /// Snapshot ORDERING contract: dirty lines are the only up-to-date
@@ -184,9 +183,9 @@ class CachedMemory final : public pram::MemorySystem {
   /// Track the fault clock: bump last_death_step_ when the dead-module
   /// count grew (O(num_modules) scan, only while hooks are installed).
   void refresh_fault_epoch(std::uint64_t now);
-  /// Clean-line staleness under the fault clock; may refresh fill_step
-  /// when the precise per-variable map check exonerates the line.
-  [[nodiscard]] Staleness classify_line(Line& line, std::uint64_t now);
+  /// Clean-line staleness under the fault clock: a clean line filled
+  /// before the latest relocation or module death is stale.
+  [[nodiscard]] Staleness classify_line(const Line& line) const;
   /// Probe the cache for every plan read: hits fill `out` immediately,
   /// misses (and stale-invalidated lines) queue residual reads.
   void classify_reads(std::span<const VarId> reads,
@@ -224,7 +223,7 @@ class CachedMemory final : public pram::MemorySystem {
   std::vector<std::uint32_t> free_;
   std::size_t hand_ = 0;  ///< clock hand over lines_
 
-  // Fault-clock tracking (replica-level hooks only).
+  // Fault-clock tracking (only while the inner scheme applies hooks).
   const pram::FaultHooks* hooks_ = nullptr;
   std::uint64_t dead_modules_seen_ = 0;
   std::uint64_t last_death_step_ = 0;

@@ -465,14 +465,11 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     // Fault-onset acknowledgements: the durable run logs each realized
     // onset once the step clock crosses it, so the post-crash log shows
     // which failures the run had already acknowledged.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets;
+    std::span<const faults::Onset> onsets;
     if (fault_spec != nullptr) {
-      const auto& model =
-          static_cast<faults::FaultableMemory*>(memory.get())->model();
-      for (const auto module : model.dead_modules()) {
-        onsets.emplace_back(model.module_onset(module), module.index());
-      }
-      std::sort(onsets.begin(), onsets.end());
+      onsets = static_cast<faults::FaultableMemory*>(memory.get())
+                   ->model()
+                   .onsets();
     }
     std::size_t onset_cursor = 0;
 
@@ -487,8 +484,9 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
                 [&](std::size_t step, const pram::AccessPlan& plan,
                     const pram::MemStepCost&, const pram::ScrubResult*) {
                   while (onset_cursor < onsets.size() &&
-                         onsets[onset_cursor].first <= step) {
-                    wal.append_onset(step, onsets[onset_cursor].second);
+                         onsets[onset_cursor].step <= step) {
+                    wal.append_onset(
+                        step, onsets[onset_cursor].module.value());
                     ++onset_cursor;
                   }
                   wal.append_step(step, plan.writes);

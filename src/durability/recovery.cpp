@@ -53,7 +53,7 @@ RecoveryOutcome recover(pram::MemorySystem& memory,
   outcome.recovered_step =
       std::max(outcome.checkpoint_step, wal.durable_step);
 
-  // Let replica-level schemes repair what the crash interrupted (e.g. a
+  // Let redundant schemes repair what the crash interrupted (e.g. a
   // scrub pass that had relocated half a region's copies when the
   // process died) before serving resumes.
   if (scrub_budget > 0) {

@@ -1,7 +1,7 @@
 // durability::recover — restart recovery: load the newest VALID
 // checkpoint (a torn newest file falls back to its predecessor), replay
 // the WAL tail (committed steps newer than the checkpoint) by poking
-// absolute values, then optionally run a scrub pass so replica-level
+// absolute values, then optionally run a scrub pass so redundant
 // schemes re-establish their redundancy invariants before serving
 // resumes.
 //

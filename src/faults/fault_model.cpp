@@ -42,20 +42,22 @@ FaultModel::FaultModel(FaultSpec spec, std::uint32_t n_modules)
       }
     }
   }
-  for (const auto flag : dead_) {
-    n_dead_ += flag;
-  }
   // Onset steps are drawn INDEPENDENTLY of the kill decision (different
   // mix tag), so widening or moving the onset window never changes which
   // modules die — only when.
   onset_.assign(dead_.size(), 0);
-  if (spec_.dynamic()) {
-    for (std::uint32_t module = 0; module < M; ++module) {
-      if (dead_[module] != 0) {
-        onset_[module] = unit_onset(6, module, 0);
-      }
+  for (std::uint32_t module = 0; module < M; ++module) {
+    if (dead_[module] != 0) {
+      onset_[module] = unit_onset(6, module, 0);
+      onsets_.push_back({onset_[module], ModuleId(module)});
     }
   }
+  // Modules were pushed in ascending order, so a stable sort by step
+  // breaks ties by module.
+  std::stable_sort(onsets_.begin(), onsets_.end(),
+                   [](const Onset& a, const Onset& b) {
+                     return a.step < b.step;
+                   });
 }
 
 std::uint64_t FaultModel::mix(std::uint64_t tag, std::uint64_t a,
@@ -118,7 +120,7 @@ bool FaultModel::corrupt_write(std::uint64_t entity, std::uint32_t copy,
 
 std::vector<ModuleId> FaultModel::dead_modules() const {
   std::vector<ModuleId> out;
-  out.reserve(n_dead_);
+  out.reserve(onsets_.size());
   for (std::uint32_t module = 0; module < dead_.size(); ++module) {
     if (dead_[module] != 0) {
       out.emplace_back(module);
@@ -133,16 +135,8 @@ std::uint64_t FaultModel::module_onset(ModuleId module) const {
 }
 
 std::uint64_t FaultModel::first_onset() const {
-  std::uint64_t first = 0;
-  bool found = false;
-  for (std::uint32_t module = 0; module < dead_.size(); ++module) {
-    if (dead_[module] != 0 && (!found || onset_[module] < first)) {
-      first = onset_[module];
-      found = true;
-    }
-  }
-  if (found) {
-    return first;
+  if (!onsets_.empty()) {
+    return onsets_.front().step;
   }
   // No module ever dies: stuck/corruption onsets are lazy per-unit
   // hashes we cannot enumerate, so report the earliest possible onset.

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pram/faults.hpp"
@@ -56,6 +57,13 @@ struct FaultSpec {
 /// counts, seed, and the onset window pass through unchanged.
 [[nodiscard]] FaultSpec at_rate(FaultSpec proto, double rate);
 
+/// One module death of the realized kill set: the step from which
+/// `module` is dead (0 for static faults).
+struct Onset {
+  std::uint64_t step = 0;
+  ModuleId module;
+};
+
 /// The deterministic pram::FaultHooks implementation. The dead-module
 /// set and its onset steps are materialized at construction;
 /// stuck/corruption answers are pure seeded-hash functions of their
@@ -78,11 +86,18 @@ class FaultModel final : public pram::FaultHooks {
     return static_cast<std::uint32_t>(dead_.size());
   }
   /// Modules that EVER die (at any step; the eventual kill set).
-  [[nodiscard]] std::uint32_t dead_module_count() const { return n_dead_; }
+  [[nodiscard]] std::uint32_t dead_module_count() const {
+    return static_cast<std::uint32_t>(onsets_.size());
+  }
   [[nodiscard]] std::vector<ModuleId> dead_modules() const;
   /// The step at which `module` dies (0 for static faults; meaningful
   /// only for modules in the kill set).
   [[nodiscard]] std::uint64_t module_onset(ModuleId module) const;
+  /// The realized kill set in the order the deaths happen: ascending
+  /// onset step, ties by ascending module. Consumers that act as the
+  /// step clock crosses each death (the onset journal, the WAL's onset
+  /// acknowledgements) walk it with a cursor.
+  [[nodiscard]] std::span<const Onset> onsets() const { return onsets_; }
   /// Earliest onset among the realized kill set. With a dynamic spec but
   /// an empty kill set (stuck/corruption-only faults, whose per-unit
   /// onsets are lazy hashes over an unbounded domain), returns the onset
@@ -102,7 +117,7 @@ class FaultModel final : public pram::FaultHooks {
   FaultSpec spec_;
   std::vector<std::uint8_t> dead_;      ///< per-module death flags
   std::vector<std::uint64_t> onset_;    ///< per-module onset steps
-  std::uint32_t n_dead_ = 0;
+  std::vector<Onset> onsets_;           ///< the kill set in death order
 };
 
 }  // namespace pramsim::faults

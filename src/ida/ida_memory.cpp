@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
-#include "util/sorted_entries.hpp"
 
 namespace pramsim::ida {
 
@@ -109,15 +107,7 @@ pram::Word IdaMemory::share_at(std::uint64_t block, std::uint32_t j) const {
 void IdaMemory::placement_into_current(std::uint64_t block,
                                        std::span<ModuleId> out) const {
   placement_.copies_into(VarId(static_cast<std::uint32_t>(block)), out);
-  if (relocated_.empty()) {
-    return;
-  }
-  for (std::uint32_t j = 0; j < config_.d; ++j) {
-    const auto it = relocated_.find(block * config_.d + j);
-    if (it != relocated_.end()) {
-      out[j] = it->second;
-    }
-  }
+  relocations_.apply(block, out);
 }
 
 bool IdaMemory::recover_block(std::uint64_t block, pram::Word* out,
@@ -515,35 +505,15 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
     if (dead_shares == 0) {
       continue;  // full share set alive: nothing to re-disperse
     }
-    auto relocate_dead = [&]() {
-      std::uint32_t relocated = 0;
-      for (std::uint32_t j = 0; j < config_.d; ++j) {
-        if (!hooks_->module_dead(modules[j], steps_served())) {
-          continue;
-        }
-        ModuleId replacement;
-        if (pram::pick_healthy_module(*hooks_, steps_served(),
-                                      config_.n_modules,
-                                      config_.seed, block, j, modules,
-                                      replacement)) {
-          obs_event(obs::EventKind::kRelocation, block, j,
-                    modules[j].index(), replacement.index());
-          relocated_[block * config_.d + j] = replacement;
-          modules[j] = replacement;
-          ++relocated;
-        }
-      }
-      result.relocated += relocated;
-      reliability_.units_relocated += relocated;
-      return relocated;
-    };
     if (!block_written(block)) {
       // Unwritten block: every share still reads 0, the zero block's
       // share (whether or not a neighbor write materialized its region
       // row), which relocation preserves — so
       // re-homing the dead shares restores full redundancy without
       // writing any share words.
-      const std::uint32_t relocated = relocate_dead();
+      const std::uint32_t relocated = relocations_.relocate_dead(
+          *hooks_, steps_served(), config_.n_modules, config_.seed, block,
+          modules, observer(), result, reliability_);
       if (relocated > 0) {
         ++result.repaired;
         ++reliability_.units_repaired;
@@ -561,7 +531,9 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
     if (!ok) {
       continue;  // below threshold: the block is lost, not repairable
     }
-    const std::uint32_t relocated = relocate_dead();
+    const std::uint32_t relocated = relocations_.relocate_dead(
+        *hooks_, steps_served(), config_.n_modules, config_.seed, block,
+        modules, observer(), result, reliability_);
     // Re-disperse the reconstructed block onto the repaired placement
     // (a stuck share that silently joined the interpolation re-disperses
     // its poison — IDA scrubbing repairs erasures, not errors). Shares
@@ -593,13 +565,7 @@ void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
     }
   }
 
-  const auto relocated = util::sorted_entries(relocated_);
-  put_u64(sink, relocated.size());
-  for (const auto& [key, module] : relocated) {
-    put_u64(sink, key);
-    put_u32(sink, module->value());
-  }
-
+  relocations_.snapshot(sink);
   put_u64(sink, store_ops_);
   put_u64(sink, scrub_cursor_);
 }
@@ -635,24 +601,9 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
     }
   }
 
-  relocated_.clear();
-  const std::uint64_t n_keys = n_blocks_ * config_.d;
-  std::uint64_t n_relocated = 0;
-  if (!get_u64(source, n_relocated) || n_relocated > n_keys) {
-    return false;
-  }
-  std::uint64_t next_key = 0;
-  for (std::uint64_t i = 0; i < n_relocated; ++i) {
-    std::uint64_t key = 0;
-    std::uint32_t module = 0;
-    if (!get_ascending_key(source, next_key, n_keys, key) ||
-        !get_u32(source, module) || module >= num_modules()) {
-      return false;
-    }
-    relocated_.emplace(key, ModuleId(module));
-  }
-
-  return get_u64(source, store_ops_) && get_u64(source, scrub_cursor_);
+  return relocations_.restore(source, n_blocks_ * config_.d,
+                              config_.n_modules) &&
+         get_u64(source, store_ops_) && get_u64(source, scrub_cursor_);
 }
 
 double IdaMemory::work_amplification() const {

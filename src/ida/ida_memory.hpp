@@ -30,12 +30,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ida/dispersal.hpp"
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/relocation.hpp"
 #include "util/stats.hpp"
 
 namespace pramsim::ida {
@@ -267,9 +267,8 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t vars_accessed_ = 0;
   std::uint64_t vars_processed_ = 0;
   std::uint64_t store_ops_ = 0;  ///< encode counter (corruption stamp)
-  /// Scrub relocation overlay: (block * d + share) -> replacement module
-  /// for shares moved off dead modules. Lookup-only.
-  std::unordered_map<std::uint64_t, ModuleId> relocated_;
+  /// Shares scrub moved off dead modules (entity = block, unit = share).
+  pram::RelocationOverlay relocations_;
   std::uint64_t scrub_cursor_ = 0;  ///< next block a scrub pass scans
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;

@@ -6,8 +6,6 @@
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
-#include "util/rng.hpp"
-#include "util/sorted_entries.hpp"
 
 namespace pramsim::majority {
 
@@ -37,16 +35,7 @@ MajorityMemory::MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
 void MajorityMemory::copies_into_current(VarId var,
                                          std::span<ModuleId> out) const {
   engine_->map().copies_into(var, out);
-  if (relocated_.empty()) {
-    return;
-  }
-  const std::uint32_t r = engine_->map().redundancy();
-  for (std::uint32_t copy = 0; copy < r; ++copy) {
-    const auto it = relocated_.find(var.index() * r + copy);
-    if (it != relocated_.end()) {
-      out[copy] = it->second;
-    }
-  }
+  relocations_.apply(var.index(), out);
 }
 
 pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
@@ -351,25 +340,9 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
     }
     // Re-home the copies sitting on dead modules; copies whose relocated
     // module later died are re-homed again.
-    std::uint32_t relocated = 0;
-    for (std::uint32_t copy = 0; copy < r; ++copy) {
-      if (!hooks_->module_dead(modules[copy], stamp)) {
-        continue;
-      }
-      ModuleId replacement;
-      if (pram::pick_healthy_module(*hooks_, stamp,
-                                    engine_->map().num_modules(), map_salt_,
-                                    var.index(), copy, modules,
-                                    replacement)) {
-        obs_event(obs::EventKind::kRelocation, var.index(), copy,
-                  modules[copy].index(), replacement.index());
-        relocated_[var.index() * r + copy] = replacement;
-        modules[copy] = replacement;
-        ++relocated;
-      }
-    }
-    result.relocated += relocated;
-    reliability_.units_relocated += relocated;
+    const std::uint32_t relocated = relocations_.relocate_dead(
+        *hooks_, stamp, engine_->map().num_modules(), map_salt_, var.index(),
+        modules, observer(), result, reliability_);
     if (!store_.touched(var)) {
       // Relocation-only repair: the initial copies already agree with
       // the winner, so writing them would only materialize the row.
@@ -411,13 +384,7 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
     sink.write(row.data(), row.size_bytes());
   });
 
-  const auto relocated = util::sorted_entries(relocated_);
-  put_u64(sink, relocated.size());
-  for (const auto& [key, module] : relocated) {
-    put_u64(sink, key);
-    put_u32(sink, module->value());
-  }
-
+  relocations_.snapshot(sink);
   put_u64(sink, scrub_cursor_);
   put_u64(sink, scrub_stores_);
 }
@@ -450,24 +417,9 @@ bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
     store_.restore_row(region, row);
   }
 
-  relocated_.clear();
-  const std::uint64_t n_keys = store_.num_vars() * r;
-  std::uint64_t n_relocated = 0;
-  if (!get_u64(source, n_relocated) || n_relocated > n_keys) {
-    return false;
-  }
-  std::uint64_t next_key = 0;
-  for (std::uint64_t i = 0; i < n_relocated; ++i) {
-    std::uint64_t key = 0;
-    std::uint32_t module = 0;
-    if (!get_ascending_key(source, next_key, n_keys, key) ||
-        !get_u32(source, module) || module >= num_modules()) {
-      return false;
-    }
-    relocated_.emplace(key, ModuleId(module));
-  }
-
-  return get_u64(source, scrub_cursor_) && get_u64(source, scrub_stores_);
+  return relocations_.restore(source, store_.num_vars() * r,
+                              num_modules()) &&
+         get_u64(source, scrub_cursor_) && get_u64(source, scrub_stores_);
 }
 
 }  // namespace pramsim::majority

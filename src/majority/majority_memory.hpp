@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "majority/copy_store.hpp"
@@ -20,6 +19,7 @@
 #include "majority/scheduler.hpp"
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/relocation.hpp"
 #include "util/stats.hpp"
 
 namespace pramsim::majority {
@@ -168,9 +168,8 @@ class MajorityMemory final : public pram::MemorySystem {
   std::vector<ChunkTally> chunk_scratch_;
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  /// Scrub relocation overlay: (var * r + copy) -> replacement module for
-  /// copies moved off dead modules. Lookup-only (order never observed).
-  std::unordered_map<std::uint64_t, ModuleId> relocated_;
+  /// Copies scrub moved off dead modules (entity = variable, unit = copy).
+  pram::RelocationOverlay relocations_;
   std::uint64_t scrub_cursor_ = 0;  ///< next variable a scrub pass scans
   /// Corruption re-roll counter for repair stores (distinct from the
   /// step-stamp namespace, so a repair never replays the corruption roll

@@ -30,10 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "pram/types.hpp"
-#include "util/rng.hpp"
 
 namespace pramsim::pram {
 
@@ -78,41 +76,6 @@ class FaultHooks {
                                            std::uint64_t step,
                                            Word& value) const = 0;
 };
-
-/// Deterministic relocation target for scrub repair: probe a seeded-hash
-/// sequence over the module space until a module is found that is alive
-/// at `step` under `hooks` and not already in `taken` (a storage unit
-/// must keep its copies/shares on distinct modules). The sequence is a
-/// pure function of (salt, entity, unit) — independent of scan order and
-/// prior passes — and bounded so a machine with (nearly) every module
-/// dead terminates. Returns false when no healthy module was found.
-[[nodiscard]] inline bool pick_healthy_module(
-    const FaultHooks& hooks, std::uint64_t step, std::uint32_t n_modules,
-    std::uint64_t salt, std::uint64_t entity, std::uint32_t unit,
-    std::span<const ModuleId> taken, ModuleId& out) {
-  util::SplitMix64 probe(salt ^ entity * 0x9E3779B97F4A7C15ULL ^
-                         (unit + 1) * 0xBF58476D1CE4E5B9ULL);
-  const std::uint64_t attempts = 4ULL * n_modules + 16;
-  for (std::uint64_t attempt = 0; attempt < attempts; ++attempt) {
-    const ModuleId candidate(
-        static_cast<std::uint32_t>(probe.next() % n_modules));
-    if (hooks.module_dead(candidate, step)) {
-      continue;
-    }
-    bool clash = false;
-    for (const auto module : taken) {
-      if (module == candidate) {
-        clash = true;
-        break;
-      }
-    }
-    if (!clash) {
-      out = candidate;
-      return true;
-    }
-  }
-  return false;
-}
 
 /// Reliability telemetry accumulated by a scheme operating under
 /// FaultHooks (all zero when no hooks are installed). The "wrong_reads"

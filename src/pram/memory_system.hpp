@@ -199,8 +199,8 @@ class MemorySystem {
 
   /// Install copy/share-level fault injection. Returns true when the
   /// scheme applies the hooks itself at its replica/share granularity
-  /// (divergent copies, missing shares); false when it cannot, in which
-  /// case a wrapper (faults::FaultableMemory) degrades it externally.
+  /// (divergent copies, missing shares); false when it has no such units
+  /// to fault, and faults::FaultableMemory refuses to wrap it.
   /// Passing nullptr clears a previous installation. Install before
   /// serving traffic, never between steps: faults whose onset should be
   /// mid-run carry a dynamic onset step inside the hooks (pram::FaultHooks

@@ -9,8 +9,8 @@
 //     machine-wide). The driver and the benchmark build every step here.
 //   * build(reads, writes, memory) takes a step that is already combined
 //     (distinct reads, distinct writes) and adds the joins: the
-//     MemorySystem::step adapter, the cache's residual step and the fault
-//     wrapper's degraded step build here.
+//     MemorySystem::step adapter and the cache's residual step build
+//     here.
 //
 // Grouping rule: a plan is grouped exactly when its target wants groups
 // (MemorySystem::wants_plan_groups), empty plans included; only IDA's

@@ -5,7 +5,9 @@
 // invariance of the cached pipeline (results AND obs snapshots).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -343,6 +345,121 @@ TEST(CachedMemory, ScrubRelocationInvalidatesCleanLinesOnly) {
     }
     EXPECT_TRUE(saw_scrub_invalidate);
   }
+}
+
+/// Module deaths scripted per module: a module is dead from its onset
+/// step on. Tests only add onsets the memories have not reached yet, so
+/// the hooks stay monotone as the memories observe them. While `record`
+/// is set, module_dead remembers every module it is asked about.
+class ScriptedDeaths final : public pram::FaultHooks {
+ public:
+  std::map<std::uint32_t, std::uint64_t> onset;
+  bool record = false;
+  mutable std::set<std::uint32_t> asked;
+
+  [[nodiscard]] bool module_dead(ModuleId module,
+                                 std::uint64_t step) const override {
+    if (record) {
+      asked.insert(module.value());
+    }
+    const auto it = onset.find(module.value());
+    return it != onset.end() && step >= it->second;
+  }
+  [[nodiscard]] bool stuck_at(std::uint64_t, std::uint32_t, std::uint64_t,
+                              pram::Word&) const override {
+    return false;
+  }
+  [[nodiscard]] bool corrupt_write(std::uint64_t, std::uint32_t,
+                                   std::uint64_t, std::uint64_t,
+                                   pram::Word&) const override {
+    return false;
+  }
+};
+
+struct ServedRead {
+  pram::Word value = 0;
+  bool flagged = false;
+};
+
+/// Serve one step that reads `var` alone.
+ServedRead serve_read(pram::MemorySystem& memory, VarId var) {
+  pram::PlanBuilder builder;
+  const VarId reads[] = {var};
+  const pram::AccessPlan& plan = builder.build(reads, {}, memory);
+  ServedRead out;
+  pram::ServeContext ctx;
+  ctx.bind({&out.value, 1});
+  (void)memory.serve(plan, ctx);
+  out.flagged = !ctx.flags().empty() && ctx.flags()[0] != 0;
+  return out;
+}
+
+// Scrub can re-home every copy of a variable, after which the memory map
+// no longer says which modules back it. A clean line filled from the
+// re-homed copies must still be invalidated when their modules die, so
+// the cached stack flags the read exactly as the bare scheme does
+// instead of answering from the stale line.
+TEST(CachedMemory, DeathOfRelocatedBackingInvalidatesCleanLines) {
+  const core::SchemeSpec spec{
+      .kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3};
+  auto bare = core::make_memory(spec);
+  cache::CachedMemory cached(core::make_memory(spec),
+                             cache::CacheConfig{.capacity = 64});
+  pram::MemorySystem* stacks[] = {bare.get(), &cached};
+  ScriptedDeaths hooks;
+  const VarId var(5);
+  const auto home = bare->memory_map()->copies(var);
+  ASSERT_EQ(home.size(), 7u);
+  for (auto* memory : stacks) {
+    ASSERT_TRUE(memory->set_fault_hooks(&hooks));
+    memory->poke(var, 100);
+  }
+
+  // Two scrub rounds re-home all seven copies: four home modules die at
+  // step 1 and the other three at step 2, and each round moves the
+  // copies it finds on dead modules while the survivors still vote 100.
+  for (std::size_t copy = 0; copy < home.size(); ++copy) {
+    hooks.onset[home[copy].value()] = copy < 4 ? 1 : 2;
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (auto* memory : stacks) {
+      (void)memory->step({}, {}, {});
+      EXPECT_GT(memory->scrub(memory->size()).relocated, 0u);
+    }
+  }
+
+  // Step 3: the read fills a clean line from the re-homed copies.
+  for (auto* memory : stacks) {
+    const ServedRead read = serve_read(*memory, var);
+    EXPECT_EQ(read.value, 100);
+    EXPECT_FALSE(read.flagged);
+  }
+  hooks.record = true;
+  (void)bare->peek(var);
+  hooks.record = false;
+  ASSERT_EQ(hooks.asked.size(), 7u) << "peek votes over all seven copies";
+  for (const auto module : home) {
+    ASSERT_EQ(hooks.asked.count(module.value()), 0u)
+        << "every copy left its home module";
+  }
+
+  // The seven new modules die at step 5: both stacks lose the variable.
+  for (const auto module : hooks.asked) {
+    hooks.onset[module] = 5;
+  }
+  for (auto* memory : stacks) {
+    (void)memory->step({}, {}, {});
+  }
+  const ServedRead lost = serve_read(*bare, var);
+  EXPECT_EQ(lost.value, 0);
+  EXPECT_TRUE(lost.flagged);
+  const ServedRead cached_read = serve_read(cached, var);
+  EXPECT_EQ(cached_read.value, lost.value);
+  EXPECT_EQ(cached_read.flagged, lost.flagged)
+      << "a stale clean line answered for storage that died";
+  EXPECT_EQ(cached.reliability().uncorrectable,
+            bare->reliability().uncorrectable);
+  EXPECT_EQ(cached.stats().invalidations, 1u);
 }
 
 // ----- pipeline: worker-count invariance with the cache enabled -------

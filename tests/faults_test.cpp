@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "majority/majority_memory.hpp"
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
+#include "pram/serve_context.hpp"
 
 namespace pramsim {
 namespace {
@@ -364,7 +367,6 @@ TEST(FaultableMemory, OracleCountsSilentWrongReads) {
       64, hashing::MvMemoryConfig{.n_modules = 8, .k_wise = 2, .seed = 5});
   faults::FaultableMemory memory(std::move(inner),
                                  {.seed = 31, .corruption_rate = 1.0});
-  EXPECT_TRUE(memory.replica_level_injection());
   write_one(memory, VarId(9), 1000);
   EXPECT_NE(read_one(memory, VarId(9)), 1000);
   const auto stats = memory.reliability();
@@ -373,20 +375,44 @@ TEST(FaultableMemory, OracleCountsSilentWrongReads) {
   EXPECT_EQ(memory.checker().mismatches(), stats.wrong_reads);
 }
 
-TEST(FaultableMemory, WrapperLevelFallbackDegradesOpaqueSchemes) {
-  // FlatMemory ignores fault hooks; the wrapper degrades it externally.
-  // Its one synthetic module dead = the whole memory is an outage —
-  // flagged, not silent.
-  auto inner = std::make_unique<pram::FlatMemory>(64);
-  faults::FaultableMemory memory(std::move(inner),
-                                 {.seed = 41, .dead_modules = 1});
-  EXPECT_FALSE(memory.replica_level_injection());
-  write_one(memory, VarId(5), 77);
-  EXPECT_EQ(read_one(memory, VarId(5)), 0);
-  const auto stats = memory.reliability();
-  EXPECT_GE(stats.writes_dropped, 1u);
-  EXPECT_GE(stats.uncorrectable, 1u);
-  EXPECT_EQ(stats.wrong_reads, 0u);
+TEST(FaultableMemory, EverySchemeKindAppliesTheHooksItself) {
+  // Faults enter only at copy/share granularity: every stack the factory
+  // builds, bare and behind a cache, accepts the wrapper's hooks (the
+  // constructor aborts otherwise) and degrades at its own granularity.
+  // With every module dead, each read is a flagged loss, never a lie.
+  for (const auto kind : core::all_scheme_kinds()) {
+    for (const std::uint64_t cache_lines : {0u, 64u}) {
+      faults::FaultableMemory memory(
+          core::make_memory({.kind = kind, .n = 16, .seed = 7,
+                             .cache_lines = cache_lines}),
+          {.seed = 61, .module_kill_rate = 1.0});
+      const VarId reads[] = {VarId(1), VarId(2), VarId(3)};
+      pram::PlanBuilder builder;
+      const pram::AccessPlan& plan = builder.build(reads, {}, memory);
+      std::vector<pram::Word> values(plan.reads.size());
+      pram::ServeContext ctx;
+      ctx.bind(values);
+      (void)memory.serve(plan, ctx);
+      const std::string what = std::string(core::to_string(kind)) +
+                               " cache_lines=" + std::to_string(cache_lines);
+      ASSERT_EQ(ctx.flags().size(), 3u) << what;
+      for (const auto flag : ctx.flags()) {
+        EXPECT_NE(flag, 0) << what;
+      }
+      EXPECT_GT(memory.reliability().uncorrectable, 0u) << what;
+      EXPECT_EQ(memory.reliability().wrong_reads, 0u) << what;
+    }
+  }
+}
+
+TEST(FaultableMemoryDeathTest, MemoryRejectingTheHooksAbortsAtConstruction) {
+  // FlatMemory has no copies or shares to fault; wrapping it is a
+  // configuration error, reported at construction with a message.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      faults::FaultableMemory(std::make_unique<pram::FlatMemory>(64),
+                              {.seed = 41, .dead_modules = 1}),
+      "rejected the fault hooks");
 }
 
 TEST(FaultableMemory, FlaggedBlockOutagesAreNotCountedAsSilentLies) {
@@ -400,7 +426,6 @@ TEST(FaultableMemory, FlaggedBlockOutagesAreNotCountedAsSilentLies) {
   faults::FaultableMemory memory(
       std::move(inner),
       {.seed = 91, .dead_modules = 8});  // every module dead
-  ASSERT_TRUE(memory.replica_level_injection());
 
   const pram::VarWrite writes[] = {
       {VarId(0), 10}, {VarId(1), 11}, {VarId(2), 12}, {VarId(3), 13}};

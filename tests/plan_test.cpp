@@ -515,7 +515,6 @@ TEST(ServeContextFlags, WrapperExposesFlagsThroughServeContext) {
         core::SchemeKind::kRanade}) {
     const core::SchemeSpec spec{.kind = kind, .n = n, .seed = 5};
     faults::FaultableMemory wrapped(core::make_memory(spec), fault_spec);
-    ASSERT_TRUE(wrapped.replica_level_injection());
     auto twin = core::make_memory(spec);
     const faults::FaultModel model(fault_spec, twin->num_modules());
     ASSERT_TRUE(twin->set_fault_hooks(&model));
