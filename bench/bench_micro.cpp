@@ -314,7 +314,7 @@ int main() {
     }
     // MajorityMemory::serve's entry: the scratch-backed round into a
     // reused result.
-    majority::EngineResult out;
+    majority::ScheduleResult out;
     const auto m = measure([&] {
       inst.engine->run_step_into(reqs, out);
       do_not_optimize(out);
@@ -334,7 +334,7 @@ int main() {
     for (std::uint32_t i = 0; i < n; ++i) {
       reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
     }
-    majority::EngineResult out;
+    majority::ScheduleResult out;
     const auto m = measure([&] {
       inst.engine->run_step_into(reqs, out);
       do_not_optimize(out);

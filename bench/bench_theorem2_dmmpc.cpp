@@ -104,12 +104,12 @@ int main() {
     for (std::uint32_t i = 0; i < batch.size(); ++i) {
       reqs.push_back({batch[i], ProcId(i)});
     }
-    majority::EngineResult result;
+    majority::ScheduleResult result;
     inst.engine->run_step_into(reqs, result);
     util::Table decay({"round", "live variables", "fraction of n"});
     decay.set_title("live-set decay, adversarial step (n=4096, eps=0.25, all-at-once, r=" +
                     std::to_string(inst.r) + ")");
-    const auto& curve = result.stats.live_per_phase;
+    const auto& curve = result.live_per_round;
     std::size_t last_printed = 0;
     for (std::size_t i = 0; i < curve.size();
          i += std::max<std::size_t>(1, curve.size() / 12)) {

@@ -22,9 +22,10 @@ const char* to_string(MotScheme scheme) {
 MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
                      MotEngineConfig config)
     : map_(std::move(map)), config_(config) {
+  const std::uint32_t n = config_.protocol.n_processors;
   PRAMSIM_ASSERT(map_ != nullptr);
-  PRAMSIM_ASSERT(config_.n_processors >= 1);
-  PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
+  PRAMSIM_ASSERT(n >= 1);
+  PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.protocol.c - 1);
   const std::uint32_t M = map_->num_modules();
   switch (config_.scheme) {
     case MotScheme::kHpLeaves: {
@@ -32,7 +33,7 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
           util::isqrt(static_cast<std::uint64_t>(M)));
       PRAMSIM_ASSERT_MSG(static_cast<std::uint64_t>(side) * side == M,
                          "kHpLeaves requires a square module count");
-      PRAMSIM_ASSERT_MSG(config_.n_processors <= side,
+      PRAMSIM_ASSERT_MSG(n <= side,
                          "processors sit at the first n row-tree roots");
       shape_ = net::square_mot(static_cast<std::uint32_t>(side));
       const auto depth = static_cast<std::uint64_t>(util::ilog2_floor(side));
@@ -40,7 +41,7 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
       break;
     }
     case MotScheme::kLppRoots: {
-      PRAMSIM_ASSERT_MSG(M == config_.n_processors,
+      PRAMSIM_ASSERT_MSG(M == n,
                          "kLppRoots has one module per root processor");
       shape_ = net::square_mot(static_cast<std::uint32_t>(M));
       const auto depth = static_cast<std::uint64_t>(util::ilog2_floor(M));
@@ -48,29 +49,16 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
       break;
     }
     case MotScheme::kCrossbar: {
-      shape_ = net::rect_mot(config_.n_processors, M);
-      request_hops_ =
-          static_cast<std::uint64_t>(util::ilog2_floor(M)) +
-          static_cast<std::uint64_t>(util::ilog2_floor(config_.n_processors)) +
-          1;
+      shape_ = net::rect_mot(n, M);
+      request_hops_ = static_cast<std::uint64_t>(util::ilog2_floor(M)) +
+                      static_cast<std::uint64_t>(util::ilog2_floor(n)) + 1;
       break;
     }
   }
   const std::uint64_t round_trip = 2 * request_hops_ - 1;
-  phase_budget_ = config_.phase_budget_cycles != 0
-                      ? config_.phase_budget_cycles
-                      : 2 * round_trip + config_.cluster_size;
-  protocol_config_ = {.c = config_.c,
-                      .cluster_size = config_.cluster_size,
-                      .n_processors = config_.n_processors,
-                      .stage1_turns = config_.stage1_turns};
+  phase_budget_ = 2 * round_trip + config_.protocol.cluster_size;
   phase_overhead_ =
-      config_.phase_overhead_cycles != ~0ULL
-          ? config_.phase_overhead_cycles
-          : (config_.n_processors > 1
-                 ? static_cast<std::uint64_t>(
-                       util::ilog2_ceil(config_.n_processors))
-                 : 0);
+      n > 1 ? static_cast<std::uint64_t>(util::ilog2_ceil(n)) : 0;
 }
 
 void MotEngine::round_trip_path(std::uint32_t proc, std::uint32_t module,
@@ -125,6 +113,7 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
     MotEngine& e = engine_;
     const std::uint32_t r = protocol.redundancy();
     const std::uint32_t s = protocol.cluster_size();
+    const std::uint32_t n = e.n_processors();
     const auto requests = protocol.requests();
     std::uint32_t count = 0;
     e.origin_.clear();
@@ -139,8 +128,7 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
         // Cluster member `copy mod s` handles this copy: the packet
         // starts from that processor's row-tree root. Members take turns
         // injecting (injected_at staggers same-source packets).
-        const std::uint32_t proc =
-            (cluster * s + copy % s) % e.config_.n_processors;
+        const std::uint32_t proc = (cluster * s + copy % s) % n;
         net::Packet& packet = e.packet_at(count++);
         packet.injected_at = copy / s;  // serialize a member's own packets
         e.round_trip_path(proc, copies[copy].value(), packet.path);
@@ -177,7 +165,7 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
 };
 
 void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
-                              majority::EngineResult& out) {
+                              majority::ScheduleResult& out) {
   std::uint64_t prom = 0;
   // ---- optional P-ROM address-translation phase ----------------------
   // Before any copy access, every requester fetches its variable's map
@@ -188,7 +176,7 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
     for (std::uint32_t i = 0; i < requests.size(); ++i) {
       const auto home =
           prom_home_module(requests[i].var, map_->num_modules());
-      round_trip_path(requests[i].requester.value() % config_.n_processors,
+      round_trip_path(requests[i].requester.value() % n_processors(),
                       home.value(), packet_at(i).path);
     }
     const auto report =
@@ -201,8 +189,7 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
   }
 
   RoutedPhase phase(*this);
-  protocol_.run(*map_, requests, protocol_config_, phase, schedule_);
-  majority::copy_schedule(schedule_, out);
+  protocol_.run(*map_, requests, config_.protocol, phase, out);
   out.time = prom + phase.cycles();
 }
 

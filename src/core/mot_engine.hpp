@@ -23,7 +23,8 @@
 // The engine drives the DMMPC scheduler's two-stage cluster protocol
 // (majority::ClusterProtocol) with a routed phase as its round: each
 // phase routes real packets under FIFO link arbitration and
-// unit-capacity module ports; elapsed time is network cycles. A
+// unit-capacity module ports within a cycle budget of twice the round
+// trip plus the cluster size; elapsed time is network cycles. A
 // per-phase control overhead of ceil(log2 n) cycles accounts for the
 // prefix/sorting control work the LPP machinery performs on the trees
 // between phases.
@@ -52,21 +53,13 @@ enum class MotScheme : std::uint8_t {
 
 struct MotEngineConfig {
   MotScheme scheme = MotScheme::kHpLeaves;
-  std::uint32_t n_processors = 0;
-  std::uint32_t c = 2;             ///< access threshold (r = 2c-1)
-  std::uint32_t cluster_size = 3;  ///< usually 2c-1
-  std::uint32_t stage1_turns = 2;
+  /// The cluster protocol's c (r = 2c-1), cluster size and processors.
+  majority::SchedulerConfig protocol;
   bool lca_turnaround = false;     ///< ablation: turn at column-tree LCA
   /// Precede each step with a P-ROM address-translation phase: every
   /// request routes a lookup to its variable's distributed table entry
   /// before any copy is accessed (paper conclusion; see core/prom.hpp).
   bool prom_lookup = false;
-  /// Cycles allotted per protocol phase; 0 = auto (2x round trip +
-  /// cluster size). Phases that complete early are charged actual cycles.
-  std::uint64_t phase_budget_cycles = 0;
-  /// Control overhead charged per phase; default ceil(log2 n) when
-  /// n_processors > 1, emulating the tree-borne bookkeeping of LPP.
-  std::uint64_t phase_overhead_cycles = ~0ULL;  // ~0 = auto
 };
 
 class MotEngine final : public majority::AccessEngine {
@@ -81,15 +74,14 @@ class MotEngine final : public majority::AccessEngine {
   /// Schedules over per-instance scratch (protocol state, packets and the
   /// router's claim table).
   void run_step_into(std::span<const majority::VarRequest> requests,
-                     majority::EngineResult& out) override;
+                     majority::ScheduleResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
   }
   [[nodiscard]] std::uint32_t n_processors() const override {
-    return config_.n_processors;
+    return config_.protocol.n_processors;
   }
-  [[nodiscard]] const MotEngineConfig& config() const { return config_; }
   [[nodiscard]] const net::MotShape& shape() const { return shape_; }
   /// One-way request path length in hops (including the module port).
   [[nodiscard]] std::uint64_t request_hops() const { return request_hops_; }
@@ -107,15 +99,17 @@ class MotEngine final : public majority::AccessEngine {
 
   std::shared_ptr<const memmap::MemoryMap> map_;
   MotEngineConfig config_;
-  majority::SchedulerConfig protocol_config_;
   net::MotShape shape_;
   std::uint64_t request_hops_ = 0;
+  /// Cycles allotted per phase: twice the round trip plus the cluster
+  /// size. Phases that complete early are charged actual cycles.
   std::uint64_t phase_budget_ = 0;
+  /// Control overhead charged per phase: ceil(log2 n) for n > 1, the
+  /// tree-borne bookkeeping of LPP.
   std::uint64_t phase_overhead_ = 0;
   std::uint64_t prom_cycles_ = 0;
 
   majority::ClusterProtocol protocol_;
-  majority::ScheduleResult schedule_;
   std::vector<net::Packet> packets_;
   /// Per packet of the current phase: (request, copy) it accesses.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> origin_;

@@ -26,6 +26,17 @@
 // interface — so any organization plugs into pram::Machine and into the
 // core::SimulationPipeline stress driver with zero per-scheme branching.
 //
+// The replicated kinds (every row but kIda and kHashed) differ only in
+// module count, c, engine and table metadata; one shared assembly builds
+// the r = 2c-1 map, the cluster protocol's config and the MajorityMemory
+// around the engine. There is one engine per round model:
+// majority::DmmpcEngine charges each DMMPC round 1 cycle (kDmmpc,
+// kUwMpc), the Batcher depth plus 2 ceil(log2 n) delivery hops (kAltBdn)
+// or the measured expander diameter (kHbExpander); MotEngine routes
+// 2DMOT phases (kHpMot, kCrossbar, kLppMot); RanadeButterflyEngine routes
+// one butterfly sweep (kRanade). schemes.cpp holds the BDN baselines'
+// model notes beside their charges.
+//
 // Geometry notes: the square 2DMOT hosts processors at the first n
 // row-tree roots, so its side is max(n, ~n^((1+eps)/2)) rounded to a power
 // of two; with the default eps = 1 the side is exactly n and M = n^2. The
@@ -75,9 +86,10 @@ struct SchemeSpec {
   /// footprints); 0 = just n^k.
   std::uint64_t min_vars = 0;
   // Protocol knobs.
-  std::uint32_t stage1_turns = 2;
-  bool lca_turnaround = false;
-  bool all_at_once = false;  ///< DMMPC ablation (no clustering)
+  bool lca_turnaround = false;  ///< kHpMot ablation: turn at the LCA
+  /// Cluster-protocol ablation (no clustering: every live variable probes
+  /// every round).
+  bool all_at_once = false;
   /// MOT kinds only: precede steps with the P-ROM address-translation
   /// phase (paper conclusion; replaces per-processor map tables).
   bool prom_lookup = false;
@@ -131,7 +143,9 @@ struct SchemeInstance {
   double storage_factor = 1.0;   ///< storage blow-up vs flat memory
   double eps_effective = 0.0;    ///< log2(M)/log2(n) - 1 actually realized
   std::uint64_t switches = 0;    ///< extra network nodes (0 for MPC/DMMPC)
-  std::uint64_t request_hops = 0;  ///< one-way route length (MOT kinds)
+  /// One-way route length (MOT kinds), or the cycles charged per
+  /// protocol round (kAltBdn, kHbExpander); 0 otherwise.
+  std::uint64_t request_hops = 0;
   // Table metadata, so comparison benches are pure loops.
   const char* model = "";        ///< "DMMPC", "DMBDN (2DMOT)", ...
   const char* time_unit = "rounds";
@@ -141,6 +155,10 @@ struct SchemeInstance {
 };
 
 [[nodiscard]] SchemeInstance make_scheme(const SchemeSpec& spec);
+
+/// HB's redundancy choice: the smallest odd r = 2c-1 with
+/// c = max(2, ceil(log2 m / log2 log2 m)).
+[[nodiscard]] std::uint32_t hb_c(std::uint64_t m_vars);
 
 /// The scheme as a pluggable shared memory for pram::Machine — every
 /// SchemeKind, one call, no branches at the call site.

@@ -63,11 +63,8 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
   // stays on the serving thread under either backend.
   {
     obs::ScopedPhase timer(timing, obs::Phase::kEngineSchedule);
-    engine_->run_step_into(request_scratch_, engine_scratch_);
+    engine_->run_step_into(request_scratch_, schedule_);
   }
-  const EngineResult& result = engine_scratch_;
-  time_stats_.add(static_cast<double>(result.time));
-  last_stats_ = result.stats;
 
   obs::ScopedPhase value_timer(timing, obs::Phase::kValuePhase);
   // Two-phase for the paged store: rows this step will write are
@@ -105,7 +102,7 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
           : 1;
   chunk_scratch_.assign(workers, {});
   auto body = [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-    serve_range(plan, ctx, result, lo, hi, chunk_scratch_[chunk]);
+    serve_range(plan, ctx, lo, hi, chunk_scratch_[chunk]);
   };
   if (workers > 1) {
     executor->run_with(n_requests, workers, body);
@@ -139,15 +136,14 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
     obs_count("majority.stores.dropped", step_stats.writes_dropped);
   }
 
-  return pram::MemStepCost{.time = result.time,
-                           .work = result.work + fault_work,
-                           .live_after_stage1 = result.stats.live_after_stage1,
-                           .max_queue = result.stats.max_queue};
+  return pram::MemStepCost{.time = schedule_.time,
+                           .work = schedule_.work + fault_work,
+                           .live_after_stage1 = schedule_.live_after_stage1,
+                           .max_queue = schedule_.max_queue};
 }
 
 void MajorityMemory::serve_range(const pram::AccessPlan& plan,
-                                 pram::ServeContext& ctx,
-                                 const EngineResult& result, std::size_t lo,
+                                 pram::ServeContext& ctx, std::size_t lo,
                                  std::size_t hi, ChunkTally& tally) {
   const std::span<pram::Word> read_values = ctx.read_values();
   const std::uint32_t r = engine_->map().redundancy();
@@ -157,7 +153,7 @@ void MajorityMemory::serve_range(const pram::AccessPlan& plan,
   const std::size_t n_reads = plan.reads.size();
   if (hooks_ == nullptr) {
     for (std::size_t j = lo; j < hi; ++j) {
-      const std::uint64_t mask = result.accessed_mask[j];
+      const std::uint64_t mask = schedule_.accessed_mask[j];
       if (j < n_reads) {
         read_values[j] = store_.freshest(plan.reads[j], mask).value;
       }

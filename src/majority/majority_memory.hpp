@@ -2,12 +2,15 @@
 // memory map + timestamped copies + an access engine — packaged as a
 // pram::MemorySystem so a real P-RAM program can execute on top of it.
 //
-// Instantiations:
+// Instantiations (core::make_scheme assembles all of them):
 //  * DmmpcEngine + Lemma 2 map over M = n^(1+eps)    -> Theorem 2 machine
 //  * DmmpcEngine + UW map over M = n                 -> UW'87 MPC baseline
+//  * DmmpcEngine with a network charge per round     -> Alt et al. '87 and
+//                                                       HB'88 baselines
 //  * core::MotEngine + Lemma 2 map, modules at 2DMOT
 //    leaves                                          -> Theorem 3 machine
 //  * core::MotEngine + UW map, modules at roots      -> LPP'90 baseline
+//  * core::RanadeButterflyEngine + one hashed copy   -> Ranade'87 baseline
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,6 @@
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/relocation.hpp"
-#include "util/stats.hpp"
 
 namespace pramsim::majority {
 
@@ -106,13 +108,6 @@ class MajorityMemory final : public pram::MemorySystem {
   [[nodiscard]] const memmap::MemoryMap& map() const {
     return engine_->map();
   }
-  /// Distribution of per-step time (rounds/cycles) so far.
-  [[nodiscard]] const util::RunningStats& time_stats() const {
-    return time_stats_;
-  }
-  [[nodiscard]] const ProtocolStats& last_stats() const {
-    return last_stats_;
-  }
 
  protected:
   /// Native snapshot: the CopyStore's region rows (values AND stamps,
@@ -142,25 +137,22 @@ class MajorityMemory final : public pram::MemorySystem {
   };
 
   /// The value phase over requests [lo, hi): healthy freshest/commit
-  /// over the engine's accessed copies, or the degraded protocol
+  /// over the copies schedule_ accessed, or the degraded protocol
   /// (majority vote over every surviving copy, flagging reads with none
   /// in `ctx`; write-through to every survivor). Requests are distinct
   /// variables, so ranges touch disjoint copy slots and may run
   /// concurrently once serve() has materialized the step's written rows.
   void serve_range(const pram::AccessPlan& plan, pram::ServeContext& ctx,
-                   const EngineResult& result, std::size_t lo,
-                   std::size_t hi, ChunkTally& tally);
+                   std::size_t lo, std::size_t hi, ChunkTally& tally);
 
   std::unique_ptr<AccessEngine> engine_;
   CopyStore store_;
   std::uint32_t n_processors_;
-  util::RunningStats time_stats_;
-  ProtocolStats last_stats_;
   pram::ServeBackend backend_ = pram::ServeBackend::kSerial;
   /// serve() scratch: the plan's requests with synthesized requesters,
-  /// and the engine result buffers, both reused across steps.
+  /// and the engine's schedule of them, both reused across steps.
   std::vector<VarRequest> request_scratch_;
-  EngineResult engine_scratch_;
+  ScheduleResult schedule_;
   /// Under fault hooks: each write's current placement (r modules per
   /// plan write), computed once per step by serve()'s row pre-pass and
   /// reused by serve_range for the write and its request's read half.

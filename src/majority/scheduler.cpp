@@ -51,9 +51,8 @@ void ClusterProtocol::play(Kernel& kernel,
                            std::span<const std::uint32_t> active, Stage stage,
                            ScheduleResult& result) {
   const RoundOutcome outcome = kernel.round(*this, active, stage);
-  result.total_copy_accesses += outcome.served;
-  result.max_module_queue =
-      std::max(result.max_module_queue, outcome.max_queue);
+  result.work += outcome.served;
+  result.max_queue = std::max(result.max_queue, outcome.max_queue);
   ++result.rounds;
   ++(stage == Stage::kInterleaved ? result.stage1_rounds
                                   : result.stage2_rounds);
@@ -71,13 +70,7 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
   PRAMSIM_ASSERT(r_ <= 64);
   PRAMSIM_ASSERT(c_ >= 1 && c_ <= r_);
 
-  // Reset aggregates in place; the vectors keep their capacity.
-  result.rounds = result.stage1_rounds = result.stage2_rounds = 0;
-  result.total_copy_accesses = 0;
-  result.live_after_stage1 = 0;
-  result.max_module_queue = 0;
-  result.accessed_mask.clear();
-  result.live_per_round.clear();
+  result.clear();
   requests_ = requests;
   const auto count = static_cast<std::uint32_t>(requests.size());
   if (count == 0) {
@@ -99,7 +92,8 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
 #endif
 
   accessed_.assign(count, 0);
-  mask_.assign(count, 0);
+  result.accessed_mask.assign(count, 0);
+  mask_ = result.accessed_mask.data();
   copies_.resize(static_cast<std::size_t>(count) * r_);
   for (std::uint32_t i = 0; i < count; ++i) {
     map.copies_into(requests[i].var,
@@ -179,8 +173,8 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
   }
 
   PRAMSIM_ASSERT(live_ == 0);
-  result.accessed_mask.assign(mask_.begin(), mask_.end());
-  requests_ = {};  // drop the view of the caller's batch
+  requests_ = {};  // drop the views of the caller's batch and result
+  mask_ = nullptr;
 }
 
 RoundOutcome FirstClaimRound::round(ClusterProtocol& protocol,

@@ -20,16 +20,17 @@
 //
 //   * FirstClaimRound (here) - one DMMPC round: every module serves at
 //     most one copy access, winners resolved in first-claim order. Its
-//     returned round count *is* the DMMPC simulation time of the step
-//     (Theorem 2's measurable); the BDN baselines charge each of its
-//     rounds a network cost;
+//     round count *is* the DMMPC simulation time of the step (Theorem
+//     2's measurable); DmmpcEngine charges each round a fixed cycle
+//     count, which is how the BDN baselines price it;
 //   * core::MotEngine's routed phase - real packets on a 2DMOT, charged
 //     in network cycles.
 //
 // Phase bookkeeping (which variables are live, stage transitions) is
 // computed centrally; the cost model charges only the
 // module-bandwidth-limited copy accesses, which is what the theorems
-// count.
+// count. ScheduleResult is the one result type of a step: the protocol
+// fills it in place, and the engine adds the step's time.
 #pragma once
 
 #include <cstdint>
@@ -69,13 +70,15 @@ struct SchedulerConfig {
   bool all_at_once = false;
 };
 
+/// One step's schedule, as every engine reports it.
 struct ScheduleResult {
+  std::uint64_t time = 0;  ///< rounds (DMMPC) or network cycles (BDN kinds)
   std::uint64_t rounds = 0;
   std::uint64_t stage1_rounds = 0;
   std::uint64_t stage2_rounds = 0;
-  std::uint64_t total_copy_accesses = 0;  ///< work (served probes)
+  std::uint64_t work = 0;  ///< copy accesses performed
   std::uint64_t live_after_stage1 = 0;
-  std::uint64_t max_module_queue = 0;  ///< peak probes at one module/round
+  std::uint64_t max_queue = 0;  ///< peak contention at one module/channel
   /// Per request: bitmask of which copy indices were accessed (>= c bits
   /// set for every request on return).
   std::vector<std::uint64_t> accessed_mask;
@@ -83,6 +86,14 @@ struct ScheduleResult {
   /// geometric shape is the content of the Upfal-Wigderson progress
   /// argument (driven by the Lemma 2 expansion).
   std::vector<std::uint64_t> live_per_round;
+
+  /// Zero every count and empty both vectors, keeping their capacity.
+  void clear() {
+    time = rounds = stage1_rounds = stage2_rounds = work = 0;
+    live_after_stage1 = max_queue = 0;
+    accessed_mask.clear();
+    live_per_round.clear();
+  }
 };
 
 /// Which half of the protocol a round belongs to.
@@ -115,9 +126,11 @@ class ClusterProtocol {
                                Stage stage) = 0;
   };
 
-  /// Schedule one step's requests into `result` (its vectors are reused).
-  /// Preconditions: requests hold distinct variables (combining already
-  /// done) and map.redundancy() <= 64.
+  /// Schedule one step's requests into `result`, in place: its vectors
+  /// are reused and its accessed_mask is the protocol's working mask.
+  /// Every field but `time` is set. Preconditions: requests hold
+  /// distinct variables (combining already done) and
+  /// map.redundancy() <= 64.
   void run(const memmap::MemoryMap& map, std::span<const VarRequest> requests,
            const SchedulerConfig& config, Kernel& kernel,
            ScheduleResult& result);
@@ -163,7 +176,8 @@ class ClusterProtocol {
   std::uint32_t modules_ = 0;
   std::uint64_t live_ = 0;
   std::vector<std::uint32_t> accessed_;
-  std::vector<std::uint64_t> mask_;
+  /// The result's accessed_mask while run() works on it.
+  std::uint64_t* mask_ = nullptr;
   /// All requests' copies, flattened: request i's at [i*r, (i+1)*r).
   std::vector<ModuleId> copies_;
   /// Requester id -> request index (~0 when none) for the requesters

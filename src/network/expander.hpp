@@ -8,8 +8,8 @@
 // and multi-edges), then *measure* the properties the HB scheme relies
 // on: connectivity, diameter O(log n), and the second eigenvalue of the
 // normalized adjacency (estimated by deflated power iteration). The
-// HbExpanderEngine in core charges the measured diameter per protocol
-// round.
+// kHbExpander scheme (core::make_scheme) charges the measured diameter
+// per protocol round.
 #pragma once
 
 #include <cstdint>

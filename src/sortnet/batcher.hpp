@@ -6,8 +6,8 @@
 // sorted by destination module, delivered, and replies sorted back,
 // giving O(log n log m) time overall. This module provides the concrete
 // network (all comparators ascending, so it is a true sorting network by
-// the 0-1 principle) with exact depth and size accounting; core's
-// AltBdnEngine charges each protocol round its depth.
+// the 0-1 principle) with exact depth and size accounting;
+// core::make_scheme charges each kAltBdn protocol round its depth.
 #pragma once
 
 #include <cstdint>

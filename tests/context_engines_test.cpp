@@ -1,5 +1,5 @@
 // Tests for the butterfly / expander substrates and the Ranade / HB
-// context engines built on them.
+// context baselines built on them.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/context_engines.hpp"
+#include "core/schemes.hpp"
 #include "majority/majority_memory.hpp"
 #include "memmap/memory_map.hpp"
 #include "memmap/params.hpp"
@@ -166,30 +167,49 @@ TEST(RanadeEngine, AdversarialBatchBlowsUp) {
 
 TEST(HbEngine, CompletesWithLogOverLoglogRedundancy) {
   const std::uint32_t n = 256;
+  const std::uint64_t seed = 7;
+  const auto inst = core::make_scheme(
+      {.kind = core::SchemeKind::kHbExpander, .n = n, .seed = seed});
   const std::uint64_t m = static_cast<std::uint64_t>(n) * n;
+  ASSERT_EQ(inst.m, m);
   const auto c = core::hb_c(m);
-  const auto r = 2 * c - 1;
+  EXPECT_EQ(inst.c, c);
+  EXPECT_EQ(inst.r, 2 * c - 1);
   EXPECT_GE(c, 2u);
-  EXPECT_LE(r, 15u);  // log m/loglog m at m=2^16: 16/4 = 4 -> r = 7
-  auto map = std::make_shared<memmap::HashedMap>(m, n, r, 7);
-  majority::SchedulerConfig cfg;
-  cfg.c = c;
-  cfg.cluster_size = r;
-  cfg.n_processors = n;
-  core::HbExpanderEngine engine(map, cfg, /*graph_degree=*/6,
-                                /*graph_seed=*/3);
-  EXPECT_GT(engine.cycles_per_round(), 1u);
+  EXPECT_LE(inst.r, 15u);  // log m/loglog m at m=2^16: 16/4 = 4 -> r = 7
+  // Each round is charged the measured diameter of the 6-regular
+  // expander the factory builds with seed + 101.
+  EXPECT_EQ(inst.request_hops,
+            net::RegularGraph(n, 6, seed + 101).diameter());
+  EXPECT_GT(inst.request_hops, 1u);
   util::Rng rng(17);
   const auto vars = rng.sample_without_replacement(m, n);
   std::vector<majority::VarRequest> reqs;
   for (std::uint32_t i = 0; i < n; ++i) {
     reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
   }
-  const auto result = engine.run_step(reqs);
+  const auto result = inst.engine->run_step(reqs);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)), c);
   }
-  EXPECT_EQ(result.time % engine.cycles_per_round(), 0u);
+  EXPECT_GT(result.rounds, 0u);
+  EXPECT_EQ(result.time, result.rounds * inst.request_hops);
+}
+
+TEST(HbEngine, ChargeFollowsTheFactorysGraphSeed) {
+  // Expander diameters barely vary with the seed, so this case is picked
+  // where they do: at n = 128, seed + 101 = 102 gives a shorter diameter
+  // than its neighbours, and a factory building any other graph seed
+  // would charge differently.
+  const std::uint32_t n = 128;
+  const std::uint64_t seed = 1;
+  const std::uint32_t diameter =
+      net::RegularGraph(n, 6, seed + 101).diameter();
+  ASSERT_NE(net::RegularGraph(n, 6, seed + 100).diameter(), diameter);
+  ASSERT_NE(net::RegularGraph(n, 6, seed + 102).diameter(), diameter);
+  const auto inst = core::make_scheme(
+      {.kind = core::SchemeKind::kHbExpander, .n = n, .seed = seed});
+  EXPECT_EQ(inst.request_hops, diameter);
 }
 
 TEST(HbEngine, RedundancyBelowUwAboveHp) {
@@ -204,21 +224,15 @@ TEST(HbEngine, RedundancyBelowUwAboveHp) {
 }
 
 TEST(HbEngine, WorksAsMajorityMemory) {
-  const std::uint32_t n = 64;
-  const std::uint64_t m = static_cast<std::uint64_t>(n) * n;
-  const auto c = core::hb_c(m);
-  auto map = std::make_shared<memmap::HashedMap>(m, n, 2 * c - 1, 9);
-  majority::SchedulerConfig cfg;
-  cfg.c = c;
-  cfg.cluster_size = 2 * c - 1;
-  cfg.n_processors = n;
-  majority::MajorityMemory memory(
-      std::make_unique<core::HbExpanderEngine>(map, cfg, 6, 5));
+  const auto inst = core::make_scheme(
+      {.kind = core::SchemeKind::kHbExpander, .n = 64, .seed = 9});
+  ASSERT_NE(dynamic_cast<majority::MajorityMemory*>(inst.memory.get()),
+            nullptr);
   const pram::VarWrite writes[] = {{VarId(42), 777}};
-  memory.step({}, {}, writes);
+  inst.memory->step({}, {}, writes);
   const VarId reads[] = {VarId(42)};
   pram::Word values[1];
-  memory.step(reads, values, {});
+  inst.memory->step(reads, values, {});
   EXPECT_EQ(values[0], 777);
 }
 

@@ -153,15 +153,19 @@ TEST(MotEngine, Stage1BoundsLiveSet) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 128});
   const auto reqs = distinct_requests(128, inst.m, 13);
   const auto result = inst.engine->run_step(reqs);
-  EXPECT_LE(result.stats.live_after_stage1, 128u / inst.r + 1);
+  EXPECT_LE(result.live_after_stage1, 128u / inst.r + 1);
 }
 
-// Golden fingerprints pin MotEngine::run_step bit for bit on every
-// placement and protocol option. Each case folds every observable field
-// of one engine serving a fixed batch sequence (full, shared requester
-// ids, empty, full); the constants were recorded with the router's
-// hash-map claim table and the engine's own copy of the cluster protocol,
-// which the shared driver replaced.
+// Golden fingerprints pin every engine's run_step bit for bit: MotEngine
+// on every placement and protocol option, and the DMMPC-round and
+// butterfly kinds at n = 64. Each case folds every observable field of
+// one engine serving a fixed batch sequence (full, shared requester ids,
+// empty, full). The MotEngine constants were recorded with the router's
+// hash-map claim table and the engine's own copy of the cluster
+// protocol, which the shared driver replaced; the kDmmpc, kUwMpc,
+// kAltBdn, kHbExpander and kRanade constants were recorded while the two
+// BDN baselines were engines of their own that rescaled an owned
+// DmmpcEngine's round count.
 std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
 }
@@ -196,13 +200,13 @@ TEST_P(MotScheduleFingerprintTest, RunStepMatchesTheGoldenSchedule) {
                 inst.c);
     }
     for (const std::uint64_t v :
-         {result.time, result.work, result.stats.phases,
-          result.stats.stage1_phases, result.stats.stage2_phases,
-          result.stats.live_after_stage1, result.stats.max_queue}) {
+         {result.time, result.work, result.rounds, result.stage1_rounds,
+          result.stage2_rounds, result.live_after_stage1,
+          result.max_queue}) {
       h = fold(h, v);
     }
-    h = fold(h, result.stats.live_per_phase.size());
-    for (const auto v : result.stats.live_per_phase) {
+    h = fold(h, result.live_per_round.size());
+    for (const auto v : result.live_per_round) {
       h = fold(h, v);
     }
     h = fold(h, result.accessed_mask.size());
@@ -234,7 +238,22 @@ INSTANTIATE_TEST_SUITE_P(
                            0xbfce3ff08a8c40acULL},
         MotFingerprintCase{"crossbar",
                            {.kind = SchemeKind::kCrossbar, .n = 64},
-                           0x8195842d9f2ae121ULL}),
+                           0x8195842d9f2ae121ULL},
+        MotFingerprintCase{"dmmpc",
+                           {.kind = SchemeKind::kDmmpc, .n = 64},
+                           0xf53026cce2e2b558ULL},
+        MotFingerprintCase{"uw_mpc",
+                           {.kind = SchemeKind::kUwMpc, .n = 64},
+                           0x08a2683f8ea6b947ULL},
+        MotFingerprintCase{"alt_bdn",
+                           {.kind = SchemeKind::kAltBdn, .n = 64},
+                           0x76d24cb342e9c4ecULL},
+        MotFingerprintCase{"hb_expander",
+                           {.kind = SchemeKind::kHbExpander, .n = 64},
+                           0xc6c01a37d564f06eULL},
+        MotFingerprintCase{"ranade",
+                           {.kind = SchemeKind::kRanade, .n = 64},
+                           0xddd4eddb8f79c627ULL}),
     [](const ::testing::TestParamInfo<MotFingerprintCase>& info) {
       return std::string(info.param.name);
     });

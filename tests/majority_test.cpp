@@ -522,7 +522,7 @@ TEST(Scheduler, EveryRequestReachesThreshold) {
               params.c);
   }
   EXPECT_GT(result.rounds, 0u);
-  EXPECT_GE(result.total_copy_accesses,
+  EXPECT_GE(result.work,
             static_cast<std::uint64_t>(params.c) * 64);
 }
 
@@ -532,7 +532,7 @@ TEST(Scheduler, EmptyBatchIsFree) {
   const auto result =
       schedule(map, {}, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 0u);
-  EXPECT_EQ(result.total_copy_accesses, 0u);
+  EXPECT_EQ(result.work, 0u);
 }
 
 TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
@@ -544,7 +544,7 @@ TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
   const std::vector<VarRequest> reqs = {{VarId(3), ProcId(0)}};
   const auto result = schedule(map, reqs, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 1u);
-  EXPECT_GE(result.total_copy_accesses, params.c);
+  EXPECT_GE(result.work, params.c);
 }
 
 TEST(Scheduler, DeterministicAcrossRuns) {
@@ -555,7 +555,7 @@ TEST(Scheduler, DeterministicAcrossRuns) {
   const auto b = schedule(map, reqs, config_for(params.c, 128));
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.accessed_mask, b.accessed_mask);
-  EXPECT_EQ(a.total_copy_accesses, b.total_copy_accesses);
+  EXPECT_EQ(a.work, b.work);
 }
 
 TEST(Scheduler, AllAtOnceNeverSlower) {
@@ -706,7 +706,7 @@ TEST_P(ScheduleFingerprintTest, RunStepIntoMatchesTheGoldenSchedule) {
   cfg.stage1_turns = fc.stage1_turns;
   cfg.all_at_once = fc.all_at_once;
   DmmpcEngine engine(map, cfg);
-  EngineResult out;
+  ScheduleResult out;
   std::uint64_t into = 0;
   // Full, third-size and full again: the scratch shrinks and regrows.
   const std::uint32_t sizes[] = {fc.n, fc.n / 3, fc.n};
@@ -716,10 +716,10 @@ TEST_P(ScheduleFingerprintTest, RunStepIntoMatchesTheGoldenSchedule) {
     for (const auto mask : out.accessed_mask) {
       ASSERT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)), fc.c);
     }
-    into = fold_schedule(into, out.time, out.work, out.stats.stage1_phases,
-                         out.stats.stage2_phases,
-                         out.stats.live_after_stage1, out.stats.max_queue,
-                         out.stats.live_per_phase, out.accessed_mask);
+    into = fold_schedule(into, out.time, out.work, out.stage1_rounds,
+                         out.stage2_rounds, out.live_after_stage1,
+                         out.max_queue, out.live_per_round,
+                         out.accessed_mask);
   }
   EXPECT_EQ(into, fc.want_run_step_into) << std::hex << into;
 }

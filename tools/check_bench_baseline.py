@@ -7,17 +7,28 @@ Stdlib-only, used by the CI bench smoke:
     python3 tools/check_bench_baseline.py --self-test
 
 The committed baselines at the repo root pin the SHAPE of the perf
-trajectory, not the numbers: experiment id, schema version, the set of
-tables (titles and column headers, order-sensitive), and the manifest
-key set must match. Measured values are machine-dependent and are NOT
-compared — a perf regression shows up in the trajectory, not as a CI
-failure; a silently dropped table or renamed column does fail.
+trajectory: experiment id, schema version, the set of tables (titles
+and column headers, order-sensitive), and the manifest key set must
+match. Measured values are machine-dependent and are NOT compared — a
+perf regression shows up in the trajectory, not as a CI failure; a
+silently dropped table or renamed column does fail.
+
+The experiments in VALUE_EXPERIMENTS report simulated costs (rounds,
+cycles, copy accesses), which no host changes, so every table row is
+compared too: strings and integers exactly, other numbers to REL_TOL
+relative (compilers and libms may differ in the last bits). Fits are
+not compared (their verdicts come from libm-derived R^2), and the
+manifest stays keys-only (its worker count is the host's).
 
 Exits non-zero with one message per violation.
 """
 import json
 import re
 import sys
+
+# Experiments whose table rows are compared value by value.
+VALUE_EXPERIMENTS = frozenset({"C1", "T2", "T3"})
+REL_TOL = 1e-9
 
 
 def load(path, errors):
@@ -73,6 +84,31 @@ def check(baseline, fresh, errors):
                           f"  fresh:    {new.get('headers')!r}")
         if not new.get("rows"):
             errors.append(f"{where}: fresh table has no rows")
+        elif baseline.get("experiment") in VALUE_EXPERIMENTS:
+            check_rows(where, base.get("rows") or [], new["rows"], errors)
+
+
+def check_rows(where, base_rows, new_rows, errors):
+    if len(base_rows) != len(new_rows):
+        errors.append(f"{where}: row count changed: baseline "
+                      f"{len(base_rows)} vs fresh {len(new_rows)}")
+        return
+    for r, (base_row, new_row) in enumerate(zip(base_rows, new_rows)):
+        if len(base_row) != len(new_row) or not all(
+                _same_cell(a, b) for a, b in zip(base_row, new_row)):
+            errors.append(f"{where}.rows[{r}]: value changed:\n"
+                          f"  baseline: {base_row!r}\n"
+                          f"  fresh:    {new_row!r}")
+
+
+def _same_cell(base, fresh):
+    """Strings, booleans and integer pairs match exactly; any other pair
+    of numbers matches to REL_TOL relative."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (base, fresh))
+    if not numbers or (isinstance(base, int) and isinstance(fresh, int)):
+        return type(base) is type(fresh) and base == fresh
+    return abs(base - fresh) <= REL_TOL * max(abs(base), abs(fresh))
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d+)?")
@@ -84,9 +120,11 @@ def _skeleton(title):
     return _NUMBER.sub("#", str(title))
 
 
-def _table_file(title):
-    return {"experiment": "x", "schema_version": 1, "manifest": {"k": 1},
-            "tables": [{"title": title, "headers": ["a"], "rows": [[1]]}]}
+def _table_file(title, rows=([1],), experiment="x"):
+    return {"experiment": experiment, "schema_version": 1,
+            "manifest": {"k": 1},
+            "tables": [{"title": title, "headers": ["a"],
+                        "rows": [list(row) for row in rows]}]}
 
 
 def self_test():
@@ -114,6 +152,34 @@ def self_test():
         check(_table_file(base), _table_file(fresh), errors)
         if not errors:
             failures.append(f"{base!r} vs {fresh!r} should differ")
+    # Row values: compared only for the simulated-cost experiments.
+    row = ["HP-DMMPC", 7, 7.25, 0.1]
+    same_rows = [
+        ("T2", row, row),
+        ("T2", row, ["HP-DMMPC", 7, 7.25 * (1 + 1e-12), 0.1]),
+        ("C1", row, ["HP-DMMPC", 7.0, 7.25, 0.1]),
+        ("x", row, ["HP-DMMPC", 8, 9.5, 0.2]),  # shape-only experiment
+    ]
+    differ_rows = [
+        ("T2", row, ["HP-DMMPC", 8, 7.25, 0.1]),
+        ("T3", row, ["HP-DMMPC", 7, 7.25 * (1 + 1e-6), 0.1]),
+        ("C1", row, ["HP-MPC", 7, 7.25, 0.1]),
+        ("C1", row, ["HP-DMMPC", "7", 7.25, 0.1]),
+        ("C1", row, row[:3]),
+    ]
+    for experiment, base, fresh in same_rows + differ_rows:
+        errors = []
+        check(_table_file("t", [base], experiment),
+              _table_file("t", [fresh], experiment), errors)
+        if bool(errors) != ((experiment, base, fresh) in differ_rows):
+            failures.append(f"{experiment} row {base!r} vs {fresh!r}: "
+                            f"expected {'a' if not errors else 'no'} "
+                            f"difference, got {errors or 'none'}")
+    errors = []
+    check(_table_file("t", [row], "C1"), _table_file("t", [row, row], "C1"),
+          errors)
+    if not errors:
+        failures.append("C1 with an extra row should differ")
     return failures
 
 
@@ -139,7 +205,9 @@ def main():
         for err in errors:
             print(f"check_bench_baseline: {err}", file=sys.stderr)
         return 1
-    print(f"check_bench_baseline: {sys.argv[2]} matches the shape of "
+    what = ("the values" if baseline.get("experiment") in VALUE_EXPERIMENTS
+            else "the shape")
+    print(f"check_bench_baseline: {sys.argv[2]} matches {what} of "
           f"{sys.argv[1]}")
     return 0
 
