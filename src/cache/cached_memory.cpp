@@ -15,7 +15,6 @@ CachedMemory::CachedMemory(std::unique_ptr<pram::MemorySystem> inner,
   // Lines and the index grow on demand (a capacity of millions of lines
   // should not allocate until the working set actually reaches it).
   lines_.reserve(std::min<std::uint64_t>(config_.capacity, 1024));
-  index_.reserve(std::min<std::uint64_t>(config_.capacity, 1u << 16));
 }
 
 void CachedMemory::begin_step() {
@@ -72,9 +71,8 @@ void CachedMemory::classify_reads(std::span<const VarId> reads,
                                   std::uint64_t now) {
   for (std::size_t i = 0; i < reads.size(); ++i) {
     const VarId var = reads[i];
-    const auto it = index_.find(var.index());
-    if (it != index_.end()) {
-      Line& line = lines_[it->second];
+    if (const std::uint32_t* slot = index_.find(var.index())) {
+      Line& line = lines_[*slot];
       const Staleness state = classify_line(line);
       if (state == Staleness::kFresh) {
         out[i] = line.value;
@@ -92,7 +90,7 @@ void CachedMemory::classify_reads(std::span<const VarId> reads,
         obs_event(obs::EventKind::kCacheInvalidateScrub, var.index(), 0,
                   line.fill_step, reloc_stamp_);
       }
-      drop_line(it->second);
+      drop_line(*slot);
     }
     ++step_stats_.misses;
     residual_to_outer_.push_back(static_cast<std::uint32_t>(i));
@@ -103,9 +101,8 @@ void CachedMemory::classify_reads(std::span<const VarId> reads,
 void CachedMemory::apply_writes(std::span<const pram::VarWrite> writes,
                                 std::uint64_t now) {
   for (const auto& write : writes) {
-    const auto it = index_.find(write.var.index());
-    if (it != index_.end()) {
-      Line& line = lines_[it->second];
+    if (const std::uint32_t* slot = index_.find(write.var.index())) {
+      Line& line = lines_[*slot];
       line.value = write.value;
       line.dirty = 1;
       line.ref = 1;
@@ -131,7 +128,7 @@ void CachedMemory::reserve_fills(std::uint64_t now) {
   fill_slot_.assign(residual_reads_.size(), kNoSlot);
   for (std::size_t j = 0; j < residual_reads_.size(); ++j) {
     const VarId var = residual_reads_[j];
-    if (index_.find(var.index()) != index_.end()) {
+    if (index_.contains(var.index())) {
       // The variable gained a line after classification (this step also
       // writes it): the read stays output-only — the line already holds
       // the post-step value, which the pre-step read must not clobber.
@@ -249,7 +246,7 @@ void CachedMemory::install_line(std::uint32_t slot, VarId var,
   line.ref = 1;
   line.fill_step = now;
   line.touch_step = now;
-  index_[var.index()] = slot;
+  *index_.insert(var.index()) = slot;
 }
 
 void CachedMemory::drop_line(std::uint32_t slot) {
@@ -276,7 +273,6 @@ void CachedMemory::queue_residual_write(VarId var, pram::Word value) {
 pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
                                       pram::ServeContext& ctx) {
   const std::uint64_t now = advance_step_clock();
-  ctx.stamp_step(now);
   refresh_fault_epoch(now);
   begin_step();
   classify_reads(plan.reads, ctx.read_values(), now);
@@ -303,19 +299,18 @@ pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
 }
 
 pram::Word CachedMemory::peek(VarId var) const {
-  const auto it = index_.find(var.index());
-  if (it != index_.end() && lines_[it->second].dirty != 0) {
-    return lines_[it->second].value;
+  const std::uint32_t* slot = index_.find(var.index());
+  if (slot != nullptr && lines_[*slot].dirty != 0) {
+    return lines_[*slot].value;
   }
   return inner_->peek(var);
 }
 
 void CachedMemory::poke(VarId var, pram::Word value) {
-  const auto it = index_.find(var.index());
-  if (it != index_.end()) {
+  if (const std::uint32_t* slot = index_.find(var.index())) {
     // Keep the line coherent with the inner memory: after a poke both
     // layers agree, so the line is clean again.
-    Line& line = lines_[it->second];
+    Line& line = lines_[*slot];
     line.value = value;
     line.dirty = 0;
     line.fill_step = steps_served();

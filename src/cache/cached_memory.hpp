@@ -10,8 +10,8 @@
 // (clock second-chance eviction, dirty write-back) adapted to the P-RAM
 // step model:
 //
-//  * one variable per line; lookup via an index map, eviction via a
-//    clock hand with one reference bit (second chance);
+//  * one variable per line; lookup via a paged var -> slot table,
+//    eviction via a clock hand with one reference bit (second chance);
 //  * writes allocate: the line absorbs the store (dirty) and the inner
 //    scheme sees it only when the line is written back on eviction;
 //  * serve(plan, ctx): every plan read probes the cache, and the misses
@@ -45,12 +45,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/plan_builder.hpp"
+#include "util/paged_rows.hpp"
 #include "util/scratch_map.hpp"
 
 namespace pramsim::cache {
@@ -150,7 +150,7 @@ class CachedMemory final : public pram::MemorySystem {
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t capacity() const { return config_.capacity; }
   /// Lines currently held (<= capacity()).
-  [[nodiscard]] std::uint64_t occupancy() const { return index_.size(); }
+  [[nodiscard]] std::uint64_t occupancy() const { return index_.count(); }
 
  protected:
   /// Snapshot ORDERING contract: dirty lines are the only up-to-date
@@ -219,7 +219,7 @@ class CachedMemory final : public pram::MemorySystem {
   CacheConfig config_;
 
   std::vector<Line> lines_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;  ///< var -> slot
+  util::PagedRows<std::uint32_t> index_;  ///< var -> slot of its line
   std::vector<std::uint32_t> free_;
   std::size_t hand_ = 0;  ///< clock hand over lines_
 

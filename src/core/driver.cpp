@@ -590,12 +590,13 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   // meaningful fault-free; the bit_exact reference comparison above is
   // the authoritative check either way.
   if (fault_spec == nullptr) {
-    for (const auto& [var, value] : committed.ideal()) {
-      if (recovered->peek(VarId(static_cast<std::uint32_t>(var))) !=
-          value) {
-        ++result.lost_committed_writes;
-      }
-    }
+    committed.ideal().for_each(
+        [&](std::uint64_t var, std::span<const pram::Word> value) {
+          if (recovered->peek(VarId(static_cast<std::uint32_t>(var))) !=
+              value[0]) {
+            ++result.lost_committed_writes;
+          }
+        });
   }
   result.obs.journal.flush();
   return result;

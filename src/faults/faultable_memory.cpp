@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/sorted_entries.hpp"
 
 namespace pramsim::faults {
 
@@ -71,37 +70,13 @@ pram::MemStepCost FaultableMemory::serve(const pram::AccessPlan& plan,
 
 void FaultableMemory::snapshot_body(pram::SnapshotSink& sink) {
   inner_->snapshot(sink);
-
-  const auto ideal = util::sorted_entries(checker_.ideal());
-  put_u64(sink, ideal.size());
-  for (const auto& [var, value] : ideal) {
-    put_u64(sink, var);
-    put_word(sink, *value);
-  }
+  checker_.snapshot(sink);
 }
 
 bool FaultableMemory::restore_body(pram::SnapshotSource& source) {
-  if (!inner_->restore(source)) {
+  if (!inner_->restore(source) ||
+      !checker_.restore(source, inner_->size())) {
     return false;
-  }
-  // The oracle image arrives with strictly ascending variables, as
-  // snapshot_body writes it; a repeated or descending variable is a
-  // forged frame.
-  checker_.reset();
-  const std::uint64_t m = inner_->size();
-  std::uint64_t count = 0;
-  if (!get_u64(source, count) || count > m) {
-    return false;
-  }
-  std::uint64_t next = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t var = 0;
-    pram::Word value = 0;
-    if (!get_ascending_key(source, next, m, var) ||
-        !get_word(source, value)) {
-      return false;
-    }
-    checker_.record_write(VarId(static_cast<std::uint32_t>(var)), value);
   }
   onset_cursor_ = 0;
   return true;

@@ -112,7 +112,7 @@ class FaultableMemory final : public pram::MemorySystem {
 
  protected:
   /// Snapshot: the inner scheme's full nested frame, then the oracle's
-  /// committed-write image (sorted), so a recovered wrapper keeps
+  /// committed-write image (ascending), so a recovered wrapper keeps
   /// catching silent wrong reads against the SAME ideal replica — a
   /// crash must not reset the consistency contract. The fault model
   /// itself is seed-derived (rebuilt by construction) and the onset

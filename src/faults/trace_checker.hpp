@@ -4,14 +4,16 @@
 // every observed read against it. A faulty memory can drop replicas and
 // still answer correctly (masked fault); what the checker catches is the
 // SILENT failure — a read that returned a value no correct replica ever
-// held. Storage is sparse (untouched cells read 0, like FlatMemory after
-// construction), so wrapping full-scale memories stays cheap.
+// held. Storage is a paged table of one word per variable (untouched
+// cells read 0, like FlatMemory after construction), so wrapping
+// full-scale memories stays cheap.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "pram/snapshot.hpp"
 #include "pram/types.hpp"
+#include "util/paged_rows.hpp"
 
 namespace pramsim::faults {
 
@@ -19,13 +21,13 @@ class TraceChecker {
  public:
   /// Record a committed write (the IDEAL value, before any corruption).
   void record_write(VarId var, pram::Word value) {
-    ideal_[var.index()] = value;
+    *ideal_.insert(var.index()) = value;
   }
 
   /// The value a correct memory must return for `var` right now.
   [[nodiscard]] pram::Word expected(VarId var) const {
-    const auto it = ideal_.find(var.index());
-    return it == ideal_.end() ? 0 : it->second;
+    const pram::Word* value = ideal_.find(var.index());
+    return value == nullptr ? 0 : *value;
   }
 
   /// Validate an observed read; returns true when consistent.
@@ -41,24 +43,28 @@ class TraceChecker {
   [[nodiscard]] std::uint64_t reads_checked() const { return reads_checked_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
 
-  /// Snapshot surface: the sparse ideal replica (the committed-write
-  /// image). Serializers iterate keys in sorted order for a canonical
-  /// byte stream.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, pram::Word>&
-  ideal() const {
+  /// The ideal replica (the committed-write image): one word per
+  /// variable, present once the variable was ever written (a write of 0
+  /// stays in the image).
+  [[nodiscard]] const util::PagedRows<pram::Word>& ideal() const {
     return ideal_;
   }
 
-  /// Drop the replica and the counters (restore resets to this blank
-  /// state before replaying a snapshot's committed-write image).
-  void reset() {
-    ideal_.clear();
+  /// Snapshot framing (pram::put_rows): the written-variable count, then
+  /// (variable u64, value) per written variable in ascending order.
+  void snapshot(pram::SnapshotSink& sink) const {
+    pram::put_rows(sink, ideal_);
+  }
+  /// Replace the image with a snapshot's over `m` variables and zero the
+  /// counters. False on frames no snapshot writes.
+  [[nodiscard]] bool restore(pram::SnapshotSource& source, std::uint64_t m) {
     reads_checked_ = 0;
     mismatches_ = 0;
+    return pram::get_rows(source, ideal_, m);
   }
 
  private:
-  std::unordered_map<std::uint64_t, pram::Word> ideal_;
+  util::PagedRows<pram::Word> ideal_;
   std::uint64_t reads_checked_ = 0;
   std::uint64_t mismatches_ = 0;
 };

@@ -25,7 +25,6 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   const std::span<pram::Word> read_values = ctx.read_values();
   PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
   advance_step_clock();
-  ctx.stamp_step(steps_served());
   obs_count("hashed.steps");
   obs_count("hashed.reads", plan.reads.size());
   obs_count("hashed.writes", plan.writes.size());

@@ -1,7 +1,6 @@
 #include "ida/ida_memory.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -24,11 +23,7 @@ IdaMemory::IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config)
   const std::size_t R = config_.region_blocks;
   flag_base_ = static_cast<std::size_t>(config_.d) * R *
                (config_.check_shares ? 2 : 1);
-  row_words_ = flag_base_ + (R + 63) / 64;
-  const std::size_t rows_per_chunk = std::bit_floor(std::max<std::size_t>(
-      kChunkBytes / (row_words_ * sizeof(pram::Word)), 1));
-  chunk_shift_ = static_cast<unsigned>(std::countr_zero(rows_per_chunk));
-  chunk_mask_ = static_cast<std::uint32_t>(rows_per_chunk - 1);
+  rows_ = util::PagedRows<pram::Word>(flag_base_ + (R + 63) / 64);
   identity_indices_.resize(config_.b);
   for (std::uint32_t j = 0; j < config_.b; ++j) {
     identity_indices_[j] = j;
@@ -44,36 +39,8 @@ pram::Word IdaMemory::share_checksum(std::uint64_t block, std::uint32_t j,
   return mix.next();
 }
 
-pram::Word* IdaMemory::region_row(std::uint64_t region) {
-  PRAMSIM_ASSERT(region < n_regions_);
-  if (region >= row_of_region_.size()) {
-    row_of_region_.resize(region + 1, kNoRow);
-  }
-  std::uint32_t& id = row_of_region_[region];
-  if (id != kNoRow) {
-    return row_data(id);
-  }
-  id = rows_++;
-  if ((id & chunk_mask_) == 0) {
-    row_chunks_.push_back(std::make_unique_for_overwrite<pram::Word[]>(
-        (static_cast<std::size_t>(chunk_mask_) + 1) * row_words_));
-  }
-  // All zero: the zero block encodes to zero shares, and checksums and
-  // written-block flags start clear (checksum_at falls back to the
-  // salted zero checksum for blocks whose flag is still clear).
-  pram::Word* row = row_data(id);
-  std::fill_n(row, row_words_, 0);
-  return row;
-}
-
-void IdaMemory::clear_rows() {
-  row_of_region_.clear();
-  row_chunks_.clear();
-  rows_ = 0;
-}
-
 bool IdaMemory::block_written(std::uint64_t block) const {
-  const pram::Word* row = find_row(region_of_block(block));
+  const pram::Word* row = rows_.find(region_of_block(block));
   if (row == nullptr) {
     return false;
   }
@@ -90,13 +57,13 @@ pram::Word IdaMemory::checksum_at(std::uint64_t block,
     return share_checksum(block, j, 0);
   }
   const std::size_t R = config_.region_blocks;
-  const pram::Word* checksums = find_row(region_of_block(block)) +
+  const pram::Word* checksums = rows_.find(region_of_block(block)) +
                                 static_cast<std::size_t>(config_.d) * R;
   return checksums[static_cast<std::size_t>(j) * R + block % R];
 }
 
 pram::Word IdaMemory::share_at(std::uint64_t block, std::uint32_t j) const {
-  const pram::Word* row = find_row(region_of_block(block));
+  const pram::Word* row = rows_.find(region_of_block(block));
   if (row == nullptr) {
     return 0;
   }
@@ -115,7 +82,7 @@ bool IdaMemory::recover_block(std::uint64_t block, pram::Word* out,
                               std::uint32_t* faulty) const {
   if (hooks_ == nullptr) {
     const std::size_t R = config_.region_blocks;
-    const pram::Word* row = find_row(region_of_block(block));
+    const pram::Word* row = rows_.find(region_of_block(block));
     if (row == nullptr) {
       // Untouched region: the zero block decodes to zeros, exactly.
       std::fill_n(out, config_.b, 0);
@@ -186,7 +153,7 @@ void IdaMemory::decode_groups_healthy(const pram::AccessPlan& plan) {
   pram::Word* spans = share_spans_.data();
   for (std::size_t g = 0; g < n_groups; ++g) {
     const std::uint64_t blk = plan.group_keys[g];
-    const pram::Word* row = find_row(region_of_block(blk));
+    const pram::Word* row = rows_.find(region_of_block(blk));
     for (std::uint32_t j = 0; j < config_.b; ++j) {
       // Untouched rows read as zeros: the zero block's shares.
       spans[j * n_groups + g] = row == nullptr ? 0 : row[j * R + blk % R];
@@ -241,7 +208,8 @@ void IdaMemory::store_block(std::uint64_t block, const pram::Word* shares,
                             std::size_t stride,
                             std::span<const ModuleId> modules) {
   const std::size_t R = config_.region_blocks;
-  pram::Word* row = region_row(region_of_block(block));
+  PRAMSIM_ASSERT(block < n_blocks_);
+  pram::Word* row = rows_.insert(region_of_block(block));
   const std::uint64_t t = block % R;
   row[flag_base_ + t / 64] = static_cast<pram::Word>(
       static_cast<std::uint64_t>(row[flag_base_ + t / 64]) |
@@ -280,7 +248,6 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   const std::span<pram::Word> read_values = ctx.read_values();
   PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
   advance_step_clock();
-  ctx.stamp_step(steps_served());
   obs_count("ida.steps");
   obs_count("ida.reads", plan.reads.size());
   obs_count("ida.writes", plan.writes.size());
@@ -553,18 +520,8 @@ void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, config_.d);
   put_u32(sink, config_.region_blocks);
   put_u32(sink, config_.check_shares ? 1u : 0u);
-  put_u64(sink, row_words_);
-
-  // Rows in ascending region order: the directory walk is the sort.
-  put_u64(sink, rows_);
-  for (std::uint64_t region = 0; region < row_of_region_.size(); ++region) {
-    if (row_of_region_[region] != kNoRow) {
-      put_u64(sink, region);
-      sink.write(row_data(row_of_region_[region]),
-                 row_words_ * sizeof(pram::Word));
-    }
-  }
-
+  put_u64(sink, rows_.row_len());
+  put_rows(sink, rows_);
   relocations_.snapshot(sink);
   put_u64(sink, store_ops_);
   put_u64(sink, scrub_cursor_);
@@ -581,27 +538,11 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
       region_blocks != config_.region_blocks ||
       !get_u32(source, check_shares) ||
       (check_shares != 0) != config_.check_shares ||
-      !get_u64(source, row_words) || row_words != row_words_) {
+      !get_u64(source, row_words) || row_words != rows_.row_len()) {
     return false;
   }
-
-  // Rows and overlay keys arrive strictly ascending and in range, as
-  // snapshot_body writes them; anything else is a forged frame.
-  clear_rows();
-  std::uint64_t n_rows = 0;
-  if (!get_u64(source, n_rows) || n_rows > n_regions_) {
-    return false;
-  }
-  std::uint64_t next_region = 0;
-  for (std::uint64_t i = 0; i < n_rows; ++i) {
-    std::uint64_t region = 0;
-    if (!get_ascending_key(source, next_region, n_regions_, region) ||
-        !source.read(region_row(region), row_words_ * sizeof(pram::Word))) {
-      return false;
-    }
-  }
-
-  return relocations_.restore(source, n_blocks_ * config_.d,
+  return get_rows(source, rows_, n_regions_) &&
+         relocations_.restore(source, n_blocks_ * config_.d,
                               config_.n_modules) &&
          get_u64(source, store_ops_) && get_u64(source, scrub_cursor_);
 }

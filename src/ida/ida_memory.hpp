@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/relocation.hpp"
+#include "util/paged_rows.hpp"
 #include "util/stats.hpp"
 
 namespace pramsim::ida {
@@ -134,7 +134,9 @@ class IdaMemory final : public pram::MemorySystem {
   /// Regions with at least one written share (sparse-storage accounting;
   /// with region_blocks == 1 this is exactly "blocks with >= 1 written
   /// share", the classic meaning).
-  [[nodiscard]] std::uint64_t touched_blocks() const { return rows_; }
+  [[nodiscard]] std::uint64_t touched_blocks() const {
+    return rows_.count();
+  }
   /// Variables processed (decoded) per variable accessed so far.
   [[nodiscard]] double work_amplification() const;
   [[nodiscard]] std::uint64_t share_accesses() const {
@@ -143,7 +145,7 @@ class IdaMemory final : public pram::MemorySystem {
 
  protected:
   /// Native snapshot: the packed share region rows (shares, checksums,
-  /// written-block flag bits) in sorted region order, the scrub
+  /// written-block flag bits) in ascending region order, the scrub
   /// relocation overlay, the encode counter (corruption re-roll
   /// namespace), and the scrub cursor. The peek/poke default would
   /// re-encode every block and lose relocations; this path restores the
@@ -167,29 +169,13 @@ class IdaMemory final : public pram::MemorySystem {
   // as before (plus the one trailing flag word that used to be implied
   // by the row's existence).
   //
-  // Rows are flat: a directory maps each region to a row id, and row ids
-  // index fixed chunks of rows, allocated as rows are first written.
-  // Rows never move, and there is no per-row node or heap block.
+  // Rows live in a util::PagedRows table keyed by region, materialized
+  // by the first store into them: all zero, i.e. every block slot holds
+  // the zero block's shares, checksums 0, flags clear. A region no store
+  // reached has no row (rows_.find returns nullptr).
   [[nodiscard]] std::uint64_t region_of_block(std::uint64_t block) const {
     return block / config_.region_blocks;
   }
-  /// The region's row, or nullptr when no write ever reached it.
-  [[nodiscard]] const pram::Word* find_row(std::uint64_t region) const {
-    if (region >= row_of_region_.size() ||
-        row_of_region_[region] == kNoRow) {
-      return nullptr;
-    }
-    return row_data(row_of_region_[region]);
-  }
-  [[nodiscard]] pram::Word* row_data(std::uint32_t id) const {
-    return row_chunks_[id >> chunk_shift_].get() +
-           static_cast<std::size_t>(id & chunk_mask_) * row_words_;
-  }
-  /// The row of `region`, materialized on first use: all zero, i.e. every
-  /// block slot holds the zero block's shares, checksums 0, flags clear.
-  [[nodiscard]] pram::Word* region_row(std::uint64_t region);
-  /// Drop every row (restore starts from this blank state).
-  void clear_rows();
   /// True when encode_block has ever run for `block` (the classic
   /// "row exists" signal, kept per block inside the region row).
   [[nodiscard]] bool block_written(std::uint64_t block) const;
@@ -244,20 +230,8 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t n_blocks_;
   std::uint64_t n_regions_;
   std::size_t flag_base_ = 0;  ///< row offset of the written-block bits
-  std::size_t row_words_ = 0;  ///< full region-row length
-  // ----- flat share rows (layout above) -----
-  static constexpr std::uint32_t kNoRow = ~0u;
-  /// Upper bound on one chunk's bytes (at least one row per chunk).
-  static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
-  /// region -> row id (kNoRow = never written); grown only as far as the
-  /// highest region written.
-  std::vector<std::uint32_t> row_of_region_;
-  /// Row storage: chunk i holds rows [i << chunk_shift_, (i + 1) <<
-  /// chunk_shift_), in the order regions were first written.
-  std::vector<std::unique_ptr<pram::Word[]>> row_chunks_;
-  unsigned chunk_shift_ = 0;       ///< log2(rows per chunk)
-  std::uint32_t chunk_mask_ = 0;  ///< rows per chunk - 1
-  std::uint32_t rows_ = 0;        ///< materialized rows
+  /// Share region rows (layout above), keyed by region.
+  util::PagedRows<pram::Word> rows_;
   std::vector<std::uint32_t> identity_indices_;  ///< {0..b-1} (healthy set)
   std::vector<pram::Word> encode_scratch_;       ///< d share words
   std::vector<ModuleId> block_placement_;        ///< encode_block's d modules

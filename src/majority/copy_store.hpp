@@ -16,15 +16,14 @@
 // word-at-a-time semantics.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "pram/faults.hpp"
 #include "pram/types.hpp"
 #include "util/assert.hpp"
+#include "util/paged_rows.hpp"
 #include "util/strong_id.hpp"
 
 namespace pramsim::majority {
@@ -39,20 +38,18 @@ static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
               "the (value, stamp) pairs");
 
 /// Paged (region, copy-index) -> Copy storage. Region rows (r copy
-/// slices of region_words() copies each) live in fixed pages of as many
-/// whole rows as fit in kPageBytes (at least one, a power of two so a
-/// shift finds the page). A page is allocated zero-filled on the first
-/// write to any of its rows, so every row never written reads the
-/// initial {0, 0} copy. Row storage is proportional to the pages a run
-/// writes, and the page directory and per-region touched bits grow only
-/// as far as the highest region written — nothing is sized by m*r, which
-/// keeps full-scale memories (m up to n^2 for n in the thousands) cheap
-/// to construct.
+/// slices of region_words() copies each) live in a util::PagedRows
+/// table keyed by region: a row is materialized (its page allocated
+/// zero-filled, its touched bit set) on the first write into it, so every
+/// row never written reads the initial {0, 0} copy. Nothing is sized by
+/// m*r, which keeps full-scale memories (m up to n^2 for n in the
+/// thousands) cheap to construct.
 ///
-/// Pages never move once allocated, so references and row pointers stay
-/// valid until clear_rows(). The directory and the touched bits change
-/// only in the materializing calls (write, corrupt, store_all,
-/// ensure_row, restore_row) — never in reads or write_prepared.
+/// Rows never move once materialized, so references and row pointers
+/// stay valid until clear_rows(). The table changes only in the
+/// materializing calls (write, corrupt, store_all, ensure_row,
+/// restore_row) and in a snapshot restore through rows() — never in
+/// reads or write_prepared.
 class CopyStore {
  public:
   CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
@@ -68,14 +65,14 @@ class CopyStore {
   /// Regions with at least one written copy (live-set accounting; with
   /// region_words == 1 this is exactly "variables with >= 1 written
   /// copy", the classic meaning).
-  [[nodiscard]] std::uint64_t touched_vars() const { return touched_rows_; }
+  [[nodiscard]] std::uint64_t touched_vars() const { return rows_.count(); }
   /// True when `var`'s region row was materialized (>= 1 copy of some
   /// variable in the region ever written). Untouched variables read as
   /// the initial {0, 0} copy everywhere, so repair passes can restore
   /// their redundancy by relocation alone. A row sharing a page with
   /// written neighbours stays untouched until it is written itself.
   [[nodiscard]] bool touched(VarId var) const {
-    return region_touched(region_of(var));
+    return rows_.contains(region_of(var));
   }
 
   [[nodiscard]] const Copy& at(VarId var, std::uint32_t copy) const {
@@ -97,11 +94,10 @@ class CopyStore {
 
   // ----- value-phase serve surface -----
   //
-  // The page directory and touched bits must not change while value-phase
-  // workers write concurrently, so the value phase is two-phase: the
-  // serving thread materializes every written variable's region row up
-  // front (ensure_row: allocates the page, grows the directory, sets the
-  // touched bit), then workers update DISTINCT variables' slots in place
+  // The row table must not change while value-phase workers write
+  // concurrently, so the value phase is two-phase: the serving thread
+  // materializes every written variable's region row up front
+  // (ensure_row), then workers update DISTINCT variables' slots in place
   // (write_prepared) — pure lookups, no allocation, no growth.
   // Distinct variables of a SHARED row or page touch disjoint Copy slots,
   // so the frozen-structure rule carries over to any region width.
@@ -115,9 +111,9 @@ class CopyStore {
   void write_prepared(VarId var, std::uint32_t copy, pram::Word value,
                       std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    PRAMSIM_DASSERT(region_touched(region_of(var)));
-    find_row(region_of(var))[static_cast<std::size_t>(copy) * w_ +
-                             var.index() % w_] = Copy{value, stamp};
+    PRAMSIM_DASSERT(rows_.contains(region_of(var)));
+    rows_.find(region_of(var))[static_cast<std::size_t>(copy) * w_ +
+                               var.index() % w_] = Copy{value, stamp};
   }
 
   /// The freshest value among the copies selected by `mask` (bit i =>
@@ -211,10 +207,11 @@ class CopyStore {
   [[nodiscard]] std::span<const Copy> region_span(std::uint64_t region,
                                                   std::uint32_t copy) const {
     PRAMSIM_DASSERT(region < n_regions_ && copy < r_);
-    if (!region_touched(region)) {
+    const Copy* row = rows_.find(region);
+    if (row == nullptr) {
       return {};
     }
-    return {find_row(region) + static_cast<std::size_t>(copy) * w_, w_};
+    return {row + static_cast<std::size_t>(copy) * w_, w_};
   }
 
   /// Bulk repair: memcpy copy `from`'s whole region slice over copy
@@ -231,55 +228,32 @@ class CopyStore {
   /// stream depends only on the stored state.
   template <typename Fn>
   void for_each_row(Fn&& fn) const {
-    for (std::size_t word = 0; word < touched_.size(); ++word) {
-      for (std::uint64_t bits = touched_[word]; bits != 0;
-           bits &= bits - 1) {
-        const std::uint64_t region =
-            word * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
-        fn(region, std::span<const Copy>(find_row(region), row_len_));
-      }
-    }
+    rows_.for_each(std::forward<Fn>(fn));
   }
 
-  /// Install one serialized region row — values AND stamps — replacing
-  /// any existing row. Restore-only: `copies` must hold exactly
-  /// redundancy() * region_words() entries.
+  /// The region rows themselves, keyed by region: the table the native
+  /// snapshot body frames with pram::put_rows / pram::get_rows.
+  [[nodiscard]] const util::PagedRows<Copy>& rows() const { return rows_; }
+  [[nodiscard]] util::PagedRows<Copy>& rows() { return rows_; }
+
+  /// Install one region row — values AND stamps — replacing any existing
+  /// row. `copies` must hold exactly redundancy() * region_words()
+  /// entries.
   void restore_row(std::uint64_t region, std::span<const Copy> copies);
 
-  /// Drop every materialized row (restore resets to this blank state
-  /// before installing the snapshot's rows, so a second restore onto the
-  /// same instance is exact, not additive).
-  void clear_rows();
+  /// Drop every materialized row.
+  void clear_rows() { rows_.clear(); }
 
  private:
-  /// Upper bound on one page's row bytes.
-  static constexpr std::size_t kPageBytes = 4096;
-
-  [[nodiscard]] bool region_touched(std::uint64_t region) const {
-    const std::uint64_t word = region >> 6;
-    return word < touched_.size() && ((touched_[word] >> (region & 63)) & 1);
-  }
-  /// The region's row in its page, or nullptr when the page is absent. A
-  /// row in an allocated page that was never written reads all {0, 0}.
-  /// Never allocates, so it is safe during a value-phase fan-out.
-  [[nodiscard]] Copy* find_row(std::uint64_t region) const {
-    const std::uint64_t page = region >> shift_;
-    if (page >= pages_.size() || pages_[page] == nullptr) {
-      return nullptr;
-    }
-    return pages_[page].get() + (region & row_mask_) * row_len_;
-  }
-  /// The region's row, materialized (page allocated, touched bit set).
+  /// The region's row, materialized (serving thread only).
   [[nodiscard]] Copy* row(std::uint64_t region) {
-    return region_touched(region) ? find_row(region) : materialize(region);
+    PRAMSIM_ASSERT(region < n_regions_);
+    return rows_.insert(region);
   }
-  /// Allocate the region's page if absent and set its (clear) touched
-  /// bit. Serving thread only: may grow the directory and the bits.
-  [[nodiscard]] Copy* materialize(std::uint64_t region);
-  /// Pointer to `var`'s Copy for copy 0, or nullptr when its page is
-  /// absent; copy i lives at base[i * region_words()].
+  /// Pointer to `var`'s Copy for copy 0, or nullptr when its region was
+  /// never written; copy i lives at base[i * region_words()].
   [[nodiscard]] const Copy* column(VarId var) const {
-    const Copy* base = find_row(region_of(var));
+    const Copy* base = rows_.find(region_of(var));
     return base == nullptr ? nullptr : base + var.index() % w_;
   }
 
@@ -287,13 +261,8 @@ class CopyStore {
   std::uint32_t r_;
   std::uint32_t w_;
   std::uint64_t n_regions_;
-  std::size_t row_len_;     ///< copies per region row: r * region_words
-  unsigned shift_;          ///< log2(rows per page)
-  std::uint64_t row_mask_;  ///< rows per page - 1
-  /// Page directory, indexed by region >> shift_; null = no row written.
-  std::vector<std::unique_ptr<Copy[]>> pages_;
-  std::vector<std::uint64_t> touched_;  ///< one bit per materialized region
-  std::uint64_t touched_rows_ = 0;      ///< set bits in touched_
+  /// Region rows of r * region_words copies each, copy-major.
+  util::PagedRows<Copy> rows_;
 };
 
 }  // namespace pramsim::majority

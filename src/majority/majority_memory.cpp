@@ -26,12 +26,6 @@ MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine,
   }
 }
 
-MajorityMemory::MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
-                               SchedulerConfig scheduler,
-                               std::uint32_t region_words)
-    : MajorityMemory(std::make_unique<DmmpcEngine>(std::move(map), scheduler),
-                     region_words) {}
-
 void MajorityMemory::copies_into_current(VarId var,
                                          std::span<ModuleId> out) const {
   engine_->map().copies_into(var, out);
@@ -42,7 +36,6 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
                                         pram::ServeContext& ctx) {
   PRAMSIM_ASSERT(plan.reads.size() == ctx.read_values().size());
   const std::uint64_t stamp = advance_step_clock();
-  ctx.stamp_step(stamp);
   obs_count("majority.steps");
   obs_count("majority.reads", plan.reads.size());
   obs_count("majority.writes", plan.writes.size());
@@ -372,14 +365,9 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, r);
   put_u32(sink, w);
 
-  put_u64(sink, store_.touched_vars());
-  store_.for_each_row([&](std::uint64_t region, std::span<const Copy> row) {
-    put_u64(sink, region);
-    // Copy is padding-free (static_assert in copy_store.hpp), so the row
-    // serializes as one raw span of (value, stamp) pairs.
-    sink.write(row.data(), row.size_bytes());
-  });
-
+  // Copy is padding-free (static_assert in copy_store.hpp), so each row
+  // serializes as one raw span of (value, stamp) pairs.
+  put_rows(sink, store_.rows());
   relocations_.snapshot(sink);
   put_u64(sink, scrub_cursor_);
   put_u64(sink, scrub_stores_);
@@ -393,27 +381,8 @@ bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
     return false;
   }
 
-  // Rows and overlay keys arrive strictly ascending and in range, as
-  // snapshot_body writes them; anything else is a forged frame.
-  store_.clear_rows();
-  std::uint64_t n_rows = 0;
-  if (!get_u64(source, n_rows) || n_rows > store_.num_regions()) {
-    return false;
-  }
-  const std::size_t row_len = static_cast<std::size_t>(r) * w;
-  std::vector<Copy> row(row_len);
-  std::uint64_t next_region = 0;
-  for (std::uint64_t i = 0; i < n_rows; ++i) {
-    std::uint64_t region = 0;
-    if (!get_ascending_key(source, next_region, store_.num_regions(),
-                           region) ||
-        !source.read(row.data(), row_len * sizeof(Copy))) {
-      return false;
-    }
-    store_.restore_row(region, row);
-  }
-
-  return relocations_.restore(source, store_.num_vars() * r,
+  return get_rows(source, store_.rows(), store_.num_regions()) &&
+         relocations_.restore(source, store_.num_vars() * r,
                               num_modules()) &&
          get_u64(source, scrub_cursor_) && get_u64(source, scrub_stores_);
 }

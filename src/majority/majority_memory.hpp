@@ -37,10 +37,6 @@ class MajorityMemory final : public pram::MemorySystem {
   explicit MajorityMemory(std::unique_ptr<AccessEngine> engine,
                           std::uint32_t region_words = 1);
 
-  /// Convenience: DMMPC engine with the given scheduler parameters.
-  MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
-                 SchedulerConfig scheduler, std::uint32_t region_words = 1);
-
   /// Serves the plan's request list (reads first, then write-only
   /// variables; requesters synthesized round-robin over the engine's
   /// processors) through the engine's run_step_into, then runs the value

@@ -105,10 +105,4 @@ void HashedMap::copies_into(VarId var, std::span<ModuleId> out) const {
   sample_distinct_modules(rng, num_modules(), out);
 }
 
-std::unique_ptr<MemoryMap> make_single_copy_map(std::uint64_t m_vars,
-                                                std::uint32_t n_modules,
-                                                std::uint64_t seed) {
-  return std::make_unique<HashedMap>(m_vars, n_modules, 1, seed);
-}
-
 }  // namespace pramsim::memmap

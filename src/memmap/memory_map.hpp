@@ -94,9 +94,4 @@ class HashedMap final : public MemoryMap {
   std::uint64_t seed_;
 };
 
-/// Degenerate r = 1 hashed placement (used by the probabilistic
-/// Mehlhorn-Vishkin baseline and the M = m extreme case).
-[[nodiscard]] std::unique_ptr<MemoryMap> make_single_copy_map(
-    std::uint64_t m_vars, std::uint32_t n_modules, std::uint64_t seed);
-
 }  // namespace pramsim::memmap

@@ -113,15 +113,14 @@ const char* to_string(ServeBackend backend) {
 FlatMemory::FlatMemory(std::uint64_t m_cells) : cells_(m_cells, 0) {}
 
 MemStepCost FlatMemory::serve(const AccessPlan& plan, ServeContext& ctx) {
-  const MemStepCost cost = step(plan.reads, ctx.read_values(), plan.writes);
-  ctx.stamp_step(steps_served());
-  return cost;
+  return step(plan.reads, ctx.read_values(), plan.writes);
 }
 
 MemStepCost FlatMemory::step(std::span<const VarId> reads,
                              std::span<Word> read_values,
                              std::span<const VarWrite> writes) {
   PRAMSIM_ASSERT(reads.size() == read_values.size());
+  advance_step_clock();
   for (std::size_t i = 0; i < reads.size(); ++i) {
     PRAMSIM_ASSERT(reads[i].index() < cells_.size());
     read_values[i] = cells_[reads[i].index()];

@@ -96,8 +96,8 @@ class MemorySystem {
   // the caller combines the step ONCE into an arena-backed
   // AccessPlan (pram::PlanBuilder, or pram::Machine from its own
   // combining tables) and hands the per-step I/O surface — output span,
-  // step clock, outage flags, executor — in one caller-owned
-  // ServeContext. The contract:
+  // outage flags, executor — in one caller-owned ServeContext. The
+  // contract:
   //
   //  * Outage flags travel only through the context (ctx.enable_flags /
   //    ctx.flag_read); wrappers read their inner memory's flags there.
@@ -110,9 +110,9 @@ class MemorySystem {
   //    telemetry accumulated per chunk and folded in chunk order, never
   //    atomics racing on shared counters. Group-parallel serve must be
   //    bit-identical to serial serve at ANY worker count.
-  //  * Every serve stamps the engine step clock (advance_step_clock) and
-  //    publishes the stamp via ctx.stamp_step, so fault hooks and probes
-  //    share one clock instead of per-scheme counters.
+  //  * Every serve advances the engine step clock (advance_step_clock)
+  //    once, so fault hooks and probes share one clock instead of
+  //    per-scheme counters.
 
   /// Serve one combined step. ctx.read_values()[i] receives the value of
   /// plan.reads[i]; ctx.flags() marks the reads served as flagged losses.
@@ -295,7 +295,8 @@ class MemorySystem {
 
   /// Advance the engine step clock by one P-RAM step and return the new
   /// stamp. Called exactly once per served step, by serve() (never by
-  /// the step() adapter, which delegates to serve()).
+  /// the step() adapter, which delegates to serve(); FlatMemory's serve()
+  /// delegates the other way, so its step() advances the clock).
   std::uint64_t advance_step_clock() { return ++step_clock_; }
 
   // ----- observability hook helpers (no-ops unless a sink is attached,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/rng.hpp"
-#include "util/sorted_entries.hpp"
 
 namespace pramsim::pram {
 
@@ -55,43 +54,13 @@ std::uint32_t RelocationOverlay::relocate_dead(
                              placement[unit].index(), replacement.index());
       }
     }
-    moved_[entity * units + unit] = replacement;
+    *moved_.insert(entity * units + unit) = replacement;
     placement[unit] = replacement;
     ++relocated;
   }
   result.relocated += relocated;
   stats.units_relocated += relocated;
   return relocated;
-}
-
-void RelocationOverlay::snapshot(SnapshotSink& sink) const {
-  const auto entries = util::sorted_entries(moved_);
-  put_u64(sink, entries.size());
-  for (const auto& [key, module] : entries) {
-    put_u64(sink, key);
-    put_u32(sink, module->value());
-  }
-}
-
-bool RelocationOverlay::restore(SnapshotSource& source,
-                                std::uint64_t n_keys,
-                                std::uint32_t n_modules) {
-  moved_.clear();
-  std::uint64_t count = 0;
-  if (!get_u64(source, count) || count > n_keys) {
-    return false;
-  }
-  std::uint64_t next = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t key = 0;
-    std::uint32_t module = 0;
-    if (!get_ascending_key(source, next, n_keys, key) ||
-        !get_u32(source, module) || module >= n_modules) {
-      return false;
-    }
-    moved_.emplace(key, ModuleId(module));
-  }
-  return true;
 }
 
 }  // namespace pramsim::pram

@@ -16,13 +16,13 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
 #include "obs/sink.hpp"
 #include "pram/faults.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/snapshot.hpp"
 #include "pram/types.hpp"
+#include "util/paged_rows.hpp"
 
 namespace pramsim::pram {
 
@@ -32,14 +32,13 @@ class RelocationOverlay {
   /// `entity` (one per unit). Until the first relocation this returns at
   /// once, so the healthy and degraded value phases pay no lookups.
   void apply(std::uint64_t entity, std::span<ModuleId> placement) const {
-    if (moved_.empty()) {
+    if (moved_.count() == 0) {
       return;
     }
     const std::uint64_t units = placement.size();
     for (std::uint64_t unit = 0; unit < units; ++unit) {
-      const auto it = moved_.find(entity * units + unit);
-      if (it != moved_.end()) {
-        placement[unit] = it->second;
+      if (const ModuleId* module = moved_.find(entity * units + unit)) {
+        placement[unit] = *module;
       }
     }
   }
@@ -60,20 +59,25 @@ class RelocationOverlay {
                               std::span<ModuleId> placement, obs::Sink* sink,
                               ScrubResult& result, ReliabilityStats& stats);
 
-  /// Snapshot framing: the entry count, then (key u64, module u32) per
-  /// relocated unit in ascending key order, key = entity * units + unit.
-  void snapshot(SnapshotSink& sink) const;
+  /// Snapshot framing (put_rows): the entry count, then (key u64,
+  /// module u32) per relocated unit in ascending key order,
+  /// key = entity * units + unit.
+  void snapshot(SnapshotSink& sink) const { put_rows(sink, moved_); }
   /// Replace the overlay with a snapshot's, for `n_keys` (entities times
   /// units) keys over `n_modules` modules. False on a short read, a
   /// repeated or descending key, a key past the key space, or a module
   /// past n_modules: frames no snapshot writes.
   [[nodiscard]] bool restore(SnapshotSource& source, std::uint64_t n_keys,
-                             std::uint32_t n_modules);
+                             std::uint32_t n_modules) {
+    return get_rows(source, moved_, n_keys,
+                    [n_modules](std::span<const ModuleId> row) {
+                      return row[0].value() < n_modules;
+                    });
+  }
 
  private:
-  /// (entity * units + unit) -> replacement module. Lookup-only; the
-  /// snapshot orders the entries by key.
-  std::unordered_map<std::uint64_t, ModuleId> moved_;
+  /// (entity * units + unit) -> replacement module, one-element rows.
+  util::PagedRows<ModuleId> moved_;
 };
 
 }  // namespace pramsim::pram

@@ -4,8 +4,6 @@
 // caller owns and the scheme fills:
 //
 //   * read_values()  - the output span (read_values[i] <- plan.reads[i]);
-//   * step()         - the step number the scheme stamped this serve with
-//                      (the engine-wide clock in MemorySystem advances it);
 //   * outage flags   - per-read "this value is a FLAGGED loss, not a
 //                      candidate lie" bits; the context is the only
 //                      channel they travel on (MemorySystem::step's
@@ -19,8 +17,8 @@
 // Ownership: the CALLER (driver, bench, test) owns the context and the
 // executor it points at; both outlive the serve() call. A context is
 // reused across steps via bind(), which re-arms the output span and
-// clears the per-step state (flags, step stamp). Schemes must treat the
-// context as per-step scratch: nothing in it survives bind().
+// clears the per-step outage flags. Schemes must treat the context as
+// per-step scratch: nothing in it survives bind().
 //
 // Thread-safety inside group-parallel serve: flag_read() writes one
 // std::uint8_t per read index — indices are disjoint across request
@@ -55,7 +53,6 @@ class ServeContext {
   void bind(std::span<Word> read_values) {
     read_values_ = read_values;
     flags_.clear();
-    step_ = 0;
   }
 
   /// Attach (or detach, with nullptr) the worker-thread handle. Schemes
@@ -66,14 +63,6 @@ class ServeContext {
 
   /// Output span: read_values()[i] receives the value of plan.reads[i].
   [[nodiscard]] std::span<Word> read_values() const { return read_values_; }
-
-  // ----- step clock (stamped by the serving scheme) -----
-
-  /// The engine step number this serve was stamped with (0 until the
-  /// scheme calls stamp_step). Wrappers and probes read the clock here
-  /// instead of growing per-scheme counters.
-  [[nodiscard]] std::uint64_t step() const { return step_; }
-  void stamp_step(std::uint64_t step) { step_ = step; }
 
   // ----- per-read outage flags -----
 
@@ -96,7 +85,6 @@ class ServeContext {
  private:
   std::span<Word> read_values_;
   std::vector<std::uint8_t> flags_;
-  std::uint64_t step_ = 0;
   util::Executor* executor_ = nullptr;
 };
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "pram/types.hpp"
+#include "util/paged_rows.hpp"
 
 namespace pramsim::pram {
 
@@ -100,8 +101,8 @@ inline void put_word(SnapshotSink& sink, Word v) { sink.write(&v, sizeof(v)); }
 }
 
 /// Read the next key of a strictly ascending key sequence whose keys all
-/// lie below `limit` (the row ids and overlay keys native bodies write in
-/// order). False on a short read, on a key below `next` (a repeated or
+/// lie below `limit` (the keys put_rows writes, and the default body's
+/// variables). False on a short read, on a key below `next` (a repeated or
 /// descending key, which no snapshot body emits) and on a key at or past
 /// `limit`; on success `next` becomes key + 1.
 [[nodiscard]] inline bool get_ascending_key(SnapshotSource& source,
@@ -113,6 +114,55 @@ inline void put_word(SnapshotSink& sink, Word v) { sink.write(&v, sizeof(v)); }
   }
   next = key + 1;
   return true;
+}
+
+// ----- keyed-row framing (the native bodies' paged tables) -----------------
+
+/// Frame every present row of `rows`: the row count (u64), then per row
+/// its key (u64) and its raw bytes, in ascending key order. The order is
+/// the table's walk, so the bytes depend only on the stored rows.
+template <typename T>
+void put_rows(SnapshotSink& sink, const util::PagedRows<T>& rows) {
+  put_u64(sink, rows.count());
+  rows.for_each([&](std::uint64_t key, std::span<const T> row) {
+    put_u64(sink, key);
+    sink.write(row.data(), row.size_bytes());
+  });
+}
+
+/// Replace `rows` with a put_rows frame whose keys lie below `limit`.
+/// `check(row)` vets each row's contents (a value bound the table's owner
+/// knows). False on a short read, a count past `limit`, a repeated,
+/// descending or out-of-range key, or a row `check` rejects: frames no
+/// snapshot writes.
+template <typename T, typename Check>
+[[nodiscard]] bool get_rows(SnapshotSource& source, util::PagedRows<T>& rows,
+                            std::uint64_t limit, Check&& check) {
+  rows.clear();
+  std::uint64_t count = 0;
+  if (!get_u64(source, count) || count > limit) {
+    return false;
+  }
+  std::uint64_t next = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t key = 0;
+    if (!get_ascending_key(source, next, limit, key)) {
+      return false;
+    }
+    T* row = rows.insert(key);
+    if (!source.read(row, rows.row_len() * sizeof(T)) ||
+        !check(std::span<const T>(row, rows.row_len()))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+[[nodiscard]] bool get_rows(SnapshotSource& source, util::PagedRows<T>& rows,
+                            std::uint64_t limit) {
+  return get_rows(source, rows, limit,
+                  [](std::span<const T>) { return true; });
 }
 
 }  // namespace pramsim::pram

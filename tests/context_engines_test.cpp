@@ -120,8 +120,8 @@ TEST(Expander, EccentricityBoundsDiameter) {
 
 TEST(RanadeEngine, ExpectedTimeLogarithmic) {
   const std::uint32_t n = 256;
-  auto map = std::shared_ptr<memmap::MemoryMap>(
-      memmap::make_single_copy_map(static_cast<std::uint64_t>(n) * n, n, 5));
+  auto map = std::make_shared<memmap::HashedMap>(
+      static_cast<std::uint64_t>(n) * n, n, 1, 5);
   core::RanadeButterflyEngine engine(map, n);
   util::Rng rng(13);
   util::RunningStats times;
@@ -145,8 +145,7 @@ TEST(RanadeEngine, AdversarialBatchBlowsUp) {
   // row serialize — no worst-case guarantee, unlike the HP schemes.
   const std::uint32_t n = 128;
   const std::uint64_t m = static_cast<std::uint64_t>(n) * n;
-  auto map = std::shared_ptr<memmap::MemoryMap>(
-      memmap::make_single_copy_map(m, n, 5));
+  auto map = std::make_shared<memmap::HashedMap>(m, n, 1, 5);
   core::RanadeButterflyEngine engine(map, n);
   // Find many variables in one module (the known-hash adversary).
   std::vector<ModuleId> copy(1);

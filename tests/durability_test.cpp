@@ -348,8 +348,17 @@ struct GoldenCheckpoint {
   bool faulted;  ///< modules die mid-run, so the scrub pass relocates
   std::uint64_t bytes;
   std::uint32_t crc;  ///< CRC-32 of the whole file
+  /// CRC-32 of the file without its 4-byte trailer. The trailer is the
+  /// payload's own CRC-32, so by CRC's residue property the whole-file
+  /// CRC depends only on the header and the payload's length; this one
+  /// pins the payload's bytes.
+  std::uint32_t body_crc;
   /// Serve the steps as plans through serve(plan, ctx) instead of step().
   bool served = false;
+  /// Every third step writes the value 0, so the oracle image holds
+  /// zero-valued entries that only the file's bytes can tell apart from
+  /// never-written variables.
+  bool zeros = false;
 };
 
 /// A fixed state: 24 steps of 64 writes each, through the step clock,
@@ -368,7 +377,9 @@ std::unique_ptr<pram::MemorySystem> golden_memory(
       writes.push_back(
           {VarId(static_cast<std::uint32_t>((step * 37 + i * 101) %
                                             memory->size())),
-           static_cast<pram::Word>(step * 1000 + i)});
+           golden.zeros && step % 3 == 0
+               ? pram::Word{0}
+               : static_cast<pram::Word>(step * 1000 + i)});
       batch.push_back({ProcId(static_cast<std::uint32_t>(i)),
                        pram::AccessOp::kWrite, writes.back().var,
                        writes.back().value});
@@ -399,7 +410,10 @@ std::unique_ptr<pram::MemorySystem> golden_scheme(
 // rows replaced them. Every
 // payload spans several 64 KiB stream blocks. The faulted row carries a
 // non-empty relocation overlay: modules die mid-run and the final scrub
-// pass re-homes their copies.
+// pass re-homes their copies. The two "zeros" rows write the value 0 in
+// every third step, and every row's body CRC was recorded with the
+// hash-map oracle image and overlay, before one paged table held every
+// keyed store.
 TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
   const std::string dir = scratch_dir("ckpt_golden");
   const auto faulted_dmmpc = [] {
@@ -410,9 +424,9 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
                           .onset_min = 4,
                           .onset_max = 16});
   };
-  const auto faulted_ida = [] {
+  const auto faulted_ida = [](std::uint32_t region_words) {
     return std::make_unique<faults::FaultableMemory>(
-        golden_scheme(core::SchemeKind::kIda),
+        golden_scheme(core::SchemeKind::kIda, region_words),
         faults::FaultSpec{.seed = 41,
                           .module_kill_rate = 0.1,
                           .corruption_rate = 0.05,
@@ -422,18 +436,23 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
   const GoldenCheckpoint table[] = {
       {"dmmpc",
        [] { return golden_scheme(core::SchemeKind::kDmmpc); }, false,
-       184412, 0x33ba2b1eu},
+       184412, 0x33ba2b1eu, 0xc29f571au},
       {"ida", [] { return golden_scheme(core::SchemeKind::kIda); }, false,
-       74812, 0x507eaf2eu},
+       74812, 0x507eaf2eu, 0x3e34b407u},
       {"dmmpc_w8",
        [] { return golden_scheme(core::SchemeKind::kDmmpc, 8); }, false,
-       462940, 0x755998fdu},
-      {"dmmpc_faulted_scrubbed", faulted_dmmpc, true, 245596, 0xf04877c7u},
+       462940, 0x755998fdu, 0xe9aa54ecu},
+      {"dmmpc_faulted_scrubbed", faulted_dmmpc, true, 245596, 0xf04877c7u,
+       0x69fee72fu},
       {"ida_w64_served",
        [] { return golden_scheme(core::SchemeKind::kIda, 64); }, false,
-       67452, 0x1c92a380u, true},
-      {"ida_faulted_scrubbed_served", faulted_ida, true, 110016, 0x1304645du,
-       true},
+       67452, 0x1c92a380u, 0xc2f9b8f0u, true},
+      {"ida_faulted_scrubbed_served", [&] { return faulted_ida(1); }, true,
+       110016, 0x1304645du, 0xb9f71262u, true},
+      {"dmmpc_faulted_zeros", faulted_dmmpc, true, 245596, 0xf04877c7u,
+       0x0aeccc69u, false, true},
+      {"ida_w64_faulted_zeros_served", [&] { return faulted_ida(64); }, true,
+       102656, 0x2f4b2917u, 0x765fe663u, true, true},
   };
   for (const GoldenCheckpoint& golden : table) {
     SCOPED_TRACE(golden.name);
@@ -448,6 +467,9 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
     EXPECT_EQ(file, durability::Checkpointer::file_image(*memory, 24));
     EXPECT_EQ(file.size(), golden.bytes);
     EXPECT_EQ(durability::crc32(file.data(), file.size()), golden.crc);
+    ASSERT_GT(file.size(), 4u);
+    EXPECT_EQ(durability::crc32(file.data(), file.size() - 4),
+              golden.body_crc);
     for (const auto& entry : fs::directory_iterator(dir)) {
       EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     }

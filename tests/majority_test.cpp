@@ -775,7 +775,8 @@ std::unique_ptr<MajorityMemory> make_memory(std::uint32_t n, double eps,
   cfg.c = params.c;
   cfg.cluster_size = params.cluster;
   cfg.n_processors = n;
-  return std::make_unique<MajorityMemory>(std::move(map), cfg);
+  return std::make_unique<MajorityMemory>(
+      std::make_unique<DmmpcEngine>(std::move(map), cfg));
 }
 
 TEST(MajorityMemory, ReadYourWrite) {
@@ -930,7 +931,8 @@ TEST(MajorityMemory, RunsPrefixSumIdenticallyToIdealPram) {
   scfg.cluster_size = params.cluster;
   scfg.n_processors = n;
   pram::Machine simulated(cfg, std::move(spec2.program),
-                          std::make_unique<MajorityMemory>(map, scfg));
+                          std::make_unique<MajorityMemory>(
+                              std::make_unique<DmmpcEngine>(map, scfg)));
 
   util::Rng rng(77);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -101,7 +101,7 @@ TEST(HashedMap, SpreadsAcrossModules) {
 }
 
 TEST(SingleCopyMap, HasRedundancyOne) {
-  const auto map = make_single_copy_map(10'000, 64, 11);
+  const auto map = std::make_unique<HashedMap>(10'000, 64, 1, 11);
   EXPECT_EQ(map->redundancy(), 1u);
   std::unordered_set<std::uint32_t> seen;
   for (std::uint32_t v = 0; v < 1000; ++v) {

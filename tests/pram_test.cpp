@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "cache/cached_memory.hpp"
 #include "pram/machine.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/program.hpp"
 #include "pram/programs.hpp"
 #include "pram/trace.hpp"
@@ -648,6 +651,48 @@ TEST(FlatMemory, UnitTimePerStep) {
   const auto cost = mem.step(reads, values, {});
   EXPECT_EQ(cost.time, 1u);
   EXPECT_EQ(cost.work, 3u);
+}
+
+/// Serve `steps` steps through step() and as many through serve(), each
+/// writing one variable and reading another.
+void step_and_serve(MemorySystem& memory, std::uint64_t steps) {
+  const VarId reads[] = {VarId(7)};
+  Word values[1] = {0};
+  PlanBuilder builder;
+  ServeContext ctx;
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    const VarWrite writes[] = {
+        {VarId(static_cast<std::uint32_t>(s % 7)), static_cast<Word>(s + 1)}};
+    memory.step(reads, values, writes);
+    ctx.bind(values);
+    memory.serve(builder.build(reads, writes, memory), ctx);
+  }
+}
+
+// The engine step clock counts every step, whichever entry served it.
+TEST(FlatMemory, StepClockCountsStepAndServeAlike) {
+  FlatMemory mem(16);
+  step_and_serve(mem, 5);
+  EXPECT_EQ(mem.steps_served(), 10u);
+
+  BufferSink sink;
+  mem.snapshot(sink);
+  FlatMemory restored(16);
+  BufferSource source(sink.bytes());
+  ASSERT_TRUE(restored.restore(source));
+  EXPECT_EQ(restored.steps_served(), 10u);
+  EXPECT_EQ(restored.peek(VarId(3)), mem.peek(VarId(3)));
+}
+
+// A cache serves its inner memory once per step, so the two clocks stay
+// equal (fault onsets and scrub stamps compare against one clock).
+TEST(FlatMemory, CacheAndTheMemoryItWrapsShareOneClock) {
+  auto owned = std::make_unique<FlatMemory>(16);
+  const FlatMemory& flat = *owned;
+  cache::CachedMemory cached(std::move(owned), {.capacity = 4});
+  step_and_serve(cached, 5);
+  EXPECT_EQ(cached.steps_served(), 10u);
+  EXPECT_EQ(flat.steps_served(), cached.steps_served());
 }
 
 }  // namespace

@@ -5,18 +5,22 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "pram/snapshot.hpp"
 #include "util/bitset.hpp"
 #include "util/fit.hpp"
 #include "util/math.hpp"
+#include "util/paged_rows.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/sorted_entries.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strong_id.hpp"
@@ -207,37 +211,206 @@ TEST(Rng, SplitStreamsDecorrelated) {
   EXPECT_LT(same, 3);
 }
 
-// ------------------------------------------------------ sorted_entries ----
+// ---------------------------------------------------------- paged rows ----
 
-// The radix order equals std::map's order for key spans needing one,
-// two and all six 11-bit passes (including key 0 and the top bit), and
-// every pointer addresses the mapped value of its own key.
-TEST(SortedEntries, MatchesOrderedMapAtEveryKeyWidth) {
-  EXPECT_TRUE(
-      sorted_entries(std::unordered_map<std::uint64_t, int>{}).empty());
-  Rng rng(5);
-  for (const std::uint64_t bound :
-       {std::uint64_t{1} << 11, std::uint64_t{1} << 20, ~std::uint64_t{0}}) {
-    std::unordered_map<std::uint64_t, int> hashed;
-    std::map<std::uint64_t, int> ordered;
-    for (int i = 0; i < 5000; ++i) {
-      const std::uint64_t key = rng.next() % bound;
-      hashed[key] = i;
-      ordered[key] = i;
-    }
-    hashed[0] = -1;
-    ordered[0] = -1;
-    hashed[bound - 1] = -2;
-    ordered[bound - 1] = -2;
-    const auto entries = sorted_entries(hashed);
-    ASSERT_EQ(entries.size(), ordered.size());
-    std::size_t i = 0;
-    for (const auto& [key, value] : ordered) {
-      ASSERT_EQ(entries[i].first, key) << "bound " << bound << " at " << i;
-      EXPECT_EQ(*entries[i].second, value);
-      ++i;
+/// A 16-byte padding-free element, the size of majority::Copy.
+struct Pair {
+  std::uint64_t value = 0;
+  std::uint64_t stamp = 0;
+};
+
+template <typename T>
+T element(std::uint64_t x) {
+  if constexpr (std::is_same_v<T, Pair>) {
+    return Pair{x, x * 3 + 1};
+  } else {
+    return static_cast<T>(x);
+  }
+}
+
+template <typename T>
+bool same_row(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+/// Every query of `rows` agrees with `ref` at every key below `limit`,
+/// and the walk visits exactly ref's keys in ascending order.
+template <typename T>
+void expect_same_as_reference(
+    const PagedRows<T>& rows,
+    const std::map<std::uint64_t, std::vector<T>>& ref, std::uint64_t limit) {
+  ASSERT_EQ(rows.count(), ref.size());
+  for (std::uint64_t key = 0; key < limit; ++key) {
+    const auto it = ref.find(key);
+    ASSERT_EQ(rows.contains(key), it != ref.end()) << key;
+    const T* row = rows.find(key);
+    if (it == ref.end()) {
+      ASSERT_EQ(row, nullptr) << key;
+    } else {
+      ASSERT_NE(row, nullptr) << key;
+      ASSERT_TRUE(same_row<T>({row, rows.row_len()}, it->second)) << key;
     }
   }
+  auto next = ref.begin();
+  rows.for_each([&](std::uint64_t key, std::span<const T> row) {
+    ASSERT_NE(next, ref.end());
+    ASSERT_EQ(key, next->first);
+    ASSERT_TRUE(same_row<T>(row, next->second)) << key;
+    ++next;
+  });
+  ASSERT_EQ(next, ref.end());
+}
+
+/// One seeded stream of inserts (fresh and repeated, each rewriting part
+/// of the row), erases, far lookups and the occasional clear, over
+/// `limit` keys whose last page is partial, checked after every
+/// operation. A fresh or re-inserted row must read all zero.
+template <typename T>
+void run_operation_stream(std::size_t row_len, std::uint64_t limit,
+                          std::uint64_t seed) {
+  PagedRows<T> rows(row_len);
+  ASSERT_EQ(rows.row_len(), row_len);
+  std::map<std::uint64_t, std::vector<T>> ref;
+  Rng rng(seed);
+  const std::vector<T> zero(row_len);
+  for (int op = 0; op < 400; ++op) {
+    SCOPED_TRACE(::testing::Message() << "op " << op);
+    const std::uint64_t key = rng.below(limit);
+    const std::uint64_t kind = rng.below(20);
+    if (kind < 12) {
+      const bool fresh = !ref.contains(key);
+      T* row = rows.insert(key);
+      auto& expect = ref.try_emplace(key, zero).first->second;
+      if (fresh) {
+        ASSERT_TRUE(same_row<T>({row, row_len}, zero));
+      }
+      const std::size_t at = rng.below(row_len);
+      row[at] = expect[at] = element<T>(rng.below(4));
+    } else if (kind < 16) {
+      rows.erase(key);
+      ref.erase(key);
+    } else if (kind < 19) {
+      // Lookups past the highest key read nothing and grow nothing.
+      const std::size_t pages = rows.pages();
+      const std::uint64_t far = limit + rng.below(4 * limit);
+      EXPECT_FALSE(rows.contains(far));
+      EXPECT_EQ(rows.find(far), nullptr);
+      EXPECT_EQ(std::as_const(rows).find(std::uint64_t{1} << 62), nullptr);
+      EXPECT_EQ(rows.pages(), pages);
+    } else {
+      rows.clear();
+      ref.clear();
+      EXPECT_EQ(rows.pages(), 0u);
+    }
+    expect_same_as_reference(rows, ref, limit);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Row length 1 (the oracle image): 512 words per page, 2.5 pages.
+TEST(PagedRows, WordRowsMatchAnOrderedMapReference) {
+  run_operation_stream<std::int64_t>(1, 1300, 11);
+}
+
+// serve_dmmpc's CopyStore row: r = 5 copies of 16 bytes, 32 rows per
+// page, 3.5 pages.
+TEST(PagedRows, CopyRowsMatchAnOrderedMapReference) {
+  run_operation_stream<Pair>(5, 112, 12);
+}
+
+// ida_wide's share row: d = 20 shares times 6 blocks plus one flag word,
+// 4 rows per page, the last page holding 2.
+TEST(PagedRows, ShareRowsMatchAnOrderedMapReference) {
+  run_operation_stream<std::int64_t>(121, 38, 13);
+}
+
+// Pages hold whole rows up to 4 KiB, at least one row, a power of two.
+TEST(PagedRows, PagesHoldWholeRowsUpToFourKiB) {
+  const auto pages_for = [](auto rows, std::uint64_t key) {
+    (void)rows.insert(key);
+    return rows.pages();
+  };
+  EXPECT_EQ(pages_for(PagedRows<std::int64_t>(1), 511), 1u);
+  EXPECT_EQ(pages_for(PagedRows<std::int64_t>(1), 512), 2u);
+  EXPECT_EQ(pages_for(PagedRows<std::uint32_t>(1), 1023), 1u);
+  EXPECT_EQ(pages_for(PagedRows<Pair>(5), 31), 1u);
+  EXPECT_EQ(pages_for(PagedRows<Pair>(5), 32), 2u);
+  EXPECT_EQ(pages_for(PagedRows<std::int64_t>(121), 3), 1u);
+  EXPECT_EQ(pages_for(PagedRows<std::int64_t>(121), 4), 2u);
+  EXPECT_EQ(pages_for(PagedRows<std::int64_t>(1000), 1), 2u);
+}
+
+/// A keyed-row frame as pram::put_rows lays it out, built by hand.
+class RowFrame {
+ public:
+  RowFrame& u64(std::uint64_t v) {
+    pram::put_u64(sink_, v);
+    return *this;
+  }
+  RowFrame& row(std::span<const std::int64_t> words) {
+    sink_.write(words.data(), words.size_bytes());
+    return *this;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return sink_.bytes();
+  }
+
+ private:
+  pram::BufferSink sink_;
+};
+
+// put_rows writes (count, then key and raw row bytes ascending), and
+// get_rows restores exactly that, replacing what the table held.
+TEST(PagedRowsFraming, RoundTripsTheAscendingKeyFrame) {
+  PagedRows<std::int64_t> rows(2);
+  const std::int64_t row9[] = {7, -1};
+  const std::int64_t row2[] = {0, 0};
+  std::copy_n(row9, 2, rows.insert(9));
+  std::copy_n(row2, 2, rows.insert(2));
+  pram::BufferSink sink;
+  pram::put_rows(sink, rows);
+  RowFrame expected;
+  expected.u64(2).u64(2).row(row2).u64(9).row(row9);
+  EXPECT_TRUE(std::ranges::equal(sink.bytes(), expected.bytes()));
+
+  PagedRows<std::int64_t> restored(2);
+  (void)restored.insert(4);
+  pram::BufferSource source(sink.bytes());
+  ASSERT_TRUE(pram::get_rows(source, restored, 10));
+  EXPECT_TRUE(source.exhausted());
+  std::map<std::uint64_t, std::vector<std::int64_t>> ref = {
+      {2, {0, 0}}, {9, {7, -1}}};
+  expect_same_as_reference(restored, ref, 12);
+}
+
+// Every frame no put_rows call writes is rejected.
+TEST(PagedRowsFraming, RejectsFramesNoSnapshotWrites) {
+  const std::int64_t a[] = {1, 2};
+  const std::int64_t b[] = {3, 4};
+  const auto rejects = [](const RowFrame& frame, std::uint64_t limit) {
+    PagedRows<std::int64_t> rows(2);
+    pram::BufferSource source(frame.bytes());
+    return !pram::get_rows(source, rows, limit,
+                           [](std::span<const std::int64_t> row) {
+                             return row[0] != 99;
+                           });
+  };
+  EXPECT_FALSE(rejects(RowFrame().u64(2).u64(1).row(a).u64(3).row(b), 4));
+  EXPECT_TRUE(rejects(RowFrame().u64(2).u64(3).row(a).u64(3).row(b), 4))
+      << "repeated key";
+  EXPECT_TRUE(rejects(RowFrame().u64(2).u64(3).row(a).u64(1).row(b), 4))
+      << "descending key";
+  EXPECT_TRUE(rejects(RowFrame().u64(1).u64(4).row(a), 4)) << "key at limit";
+  EXPECT_TRUE(rejects(RowFrame().u64(5).u64(0).row(a), 4))
+      << "count over limit";
+  EXPECT_TRUE(rejects(RowFrame().u64(1).u64(0).row({a, 1}), 4))
+      << "short row";
+  const std::int64_t bad[] = {99, 0};
+  EXPECT_TRUE(rejects(RowFrame().u64(2).u64(0).row(a).u64(2).row(bad), 4))
+      << "row check";
 }
 
 // -------------------------------------------------------------- bitset ----
