@@ -213,10 +213,16 @@ struct Executor::Pool {
         wake.wait(lock, fresh);  // the destructor moves the ticket too
         sleepers.fetch_sub(1, std::memory_order_acq_rel);
       }
+      // Adopt the generation before reading the stop flag. The destructor
+      // sets the flag before its release store of the last ticket, so a
+      // thread that adopts that ticket also sees the flag. In the other
+      // order, the destructor could land between the two reads: the
+      // thread would adopt the last generation, wait for one that never
+      // comes, and the join would hang.
+      seen = generation_of(ticket.load(std::memory_order_acquire));
       if (stopping.load(std::memory_order_relaxed)) {
         return;
       }
-      seen = generation_of(ticket.load(std::memory_order_acquire));
       serve_chunks();
     }
   }
