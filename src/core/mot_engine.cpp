@@ -1,5 +1,7 @@
 #include "core/mot_engine.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "core/prom.hpp"
@@ -9,6 +11,36 @@
 #include "util/math.hpp"
 
 namespace pramsim::core {
+
+namespace {
+
+/// No probe seen yet at this processor or column.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+/// Representative of probe `p`'s component (path halving).
+std::uint32_t find(std::vector<std::uint32_t>& parent, std::uint32_t p) {
+  while (parent[p] != p) {
+    parent[p] = parent[parent[p]];
+    p = parent[p];
+  }
+  return p;
+}
+
+/// Join probe `p` with the probe first seen at `first`, or record `p`
+/// there. The smaller probe stays the root, so a root is its
+/// component's first probe.
+void join(std::vector<std::uint32_t>& parent, std::uint32_t& first,
+          std::uint32_t p) {
+  if (first == kNone) {
+    first = p;
+    return;
+  }
+  const std::uint32_t a = find(parent, first);
+  const std::uint32_t b = find(parent, p);
+  parent[std::max(a, b)] = std::min(a, b);
+}
+
+}  // namespace
 
 const char* to_string(MotScheme scheme) {
   switch (scheme) {
@@ -59,6 +91,8 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
   phase_budget_ = 2 * round_trip + config_.protocol.cluster_size;
   phase_overhead_ =
       n > 1 ? static_cast<std::uint64_t>(util::ilog2_ceil(n)) : 0;
+  proc_first_.assign(n, kNone);
+  col_first_.assign(shape_.cols, kNone);
 }
 
 void MotEngine::round_trip_path(std::uint32_t proc, std::uint32_t module,
@@ -84,17 +118,102 @@ void MotEngine::round_trip_path(std::uint32_t proc, std::uint32_t module,
   }
 }
 
-net::Packet& MotEngine::packet_at(std::uint32_t i) {
-  if (i == packets_.size()) {
-    packets_.emplace_back();
+std::uint64_t MotEngine::round_trip_hops(std::uint32_t proc,
+                                         std::uint32_t module) const {
+  std::uint64_t one_way = request_hops_;
+  if (config_.scheme == MotScheme::kHpLeaves && config_.lca_turnaround) {
+    // Down the row tree, up column tree to the rows' LCA and down again,
+    // then the port.
+    const std::uint32_t side = shape_.rows;
+    one_way = static_cast<std::uint64_t>(util::ilog2_floor(side)) +
+              2 * static_cast<std::uint64_t>(
+                      std::bit_width(proc ^ (module / side))) +
+              1;
   }
-  net::Packet& packet = packets_[i];
-  packet.id = i;
-  packet.injected_at = 0;
-  packet.next_edge = 0;
-  packet.waiting_since = 0;
-  packet.delivered_at = std::numeric_limits<std::uint64_t>::max();
-  return packet;
+  return 2 * one_way - 1;
+}
+
+MotEngine::PhaseReport MotEngine::route_probes(std::uint64_t budget) {
+  const auto count = static_cast<std::uint32_t>(probes_.size());
+  // The first-seen slot of the column tree every route to `module`
+  // climbs.
+  const bool leaves = config_.scheme == MotScheme::kHpLeaves;
+  auto column_first = [&](std::uint32_t module) -> std::uint32_t& {
+    return col_first_[leaves ? module % shape_.rows : module];
+  };
+  // Probes that share a source processor or a target column are joined;
+  // no other pair can ever claim a common channel.
+  parent_.resize(count);
+  for (std::uint32_t p = 0; p < count; ++p) {
+    parent_[p] = p;
+    join(parent_, proc_first_[probes_[p].proc], p);
+    join(parent_, column_first(probes_[p].module), p);
+  }
+  for (const Probe& probe : probes_) {
+    proc_first_[probe.proc] = kNone;
+    column_first(probe.module) = kNone;
+  }
+  // Group the probes by component, components in order of their first
+  // probe and probes in order within each.
+  end_.assign(count, 0);
+  for (std::uint32_t p = 0; p < count; ++p) {
+    parent_[p] = find(parent_, p);
+    ++end_[parent_[p]];
+  }
+  std::uint32_t next = 0;
+  for (std::uint32_t p = 0; p < count; ++p) {
+    if (parent_[p] == p) {
+      const std::uint32_t size = end_[p];
+      end_[p] = next;
+      next += size;
+    }
+  }
+  order_.resize(count);
+  for (std::uint32_t p = 0; p < count; ++p) {
+    order_[end_[parent_[p]]++] = p;
+  }
+
+  PhaseReport report;
+  delivered_.assign(count, 0);
+  for (std::uint32_t begin = 0; begin < count;) {
+    const std::uint32_t end = end_[order_[begin]];
+    const bool lone = end - begin == 1;
+    const Probe& first = probes_[order_[begin]];
+    // Alone on every channel of its route, a packet moves one hop per
+    // cycle from its injection on.
+    const std::uint64_t arrival =
+        lone ? first.injected_at + round_trip_hops(first.proc, first.module)
+             : 0;
+    if (lone && arrival <= budget) {
+      delivered_[order_[begin]] = 1;
+      ++report.delivered;
+      report.cycles = std::max(report.cycles, arrival);
+      report.max_queue = std::max<std::uint64_t>(report.max_queue, 1);
+    } else {
+      for (std::uint32_t k = 0; begin + k < end; ++k) {
+        if (k == packets_.size()) {
+          packets_.emplace_back();
+        }
+        const std::uint32_t p = order_[begin + k];
+        net::Packet& packet = packets_[k];
+        packet.id = p;
+        packet.injected_at = probes_[p].injected_at;
+        packet.next_edge = 0;
+        packet.delivered_at = std::numeric_limits<std::uint64_t>::max();
+        round_trip_path(probes_[p].proc, probes_[p].module, packet.path);
+      }
+      const auto routed = net::route_all({packets_.data(), end - begin},
+                                         budget, 0, route_);
+      report.cycles = std::max(report.cycles, routed.cycles);
+      report.max_queue = std::max(report.max_queue, routed.max_edge_queue);
+      report.delivered += routed.delivered;
+      for (std::uint32_t k = 0; begin + k < end; ++k) {
+        delivered_[order_[begin + k]] = packets_[k].delivered() ? 1 : 0;
+      }
+    }
+    begin = end;
+  }
+  return report;
 }
 
 /// The 2DMOT round: one routed phase. Every live request in `active`
@@ -115,7 +234,7 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
     const std::uint32_t s = protocol.cluster_size();
     const std::uint32_t n = e.n_processors();
     const auto requests = protocol.requests();
-    std::uint32_t count = 0;
+    e.probes_.clear();
     e.origin_.clear();
     for (const auto idx : active) {
       const std::uint32_t cluster = requests[idx].requester.value() / s;
@@ -128,21 +247,19 @@ class MotEngine::RoutedPhase final : public majority::ClusterProtocol::Kernel {
         // Cluster member `copy mod s` handles this copy: the packet
         // starts from that processor's row-tree root. Members take turns
         // injecting (injected_at staggers same-source packets).
-        const std::uint32_t proc = (cluster * s + copy % s) % n;
-        net::Packet& packet = e.packet_at(count++);
-        packet.injected_at = copy / s;  // serialize a member's own packets
-        e.round_trip_path(proc, copies[copy].value(), packet.path);
+        e.probes_.push_back({.proc = (cluster * s + copy % s) % n,
+                             .module = copies[copy].value(),
+                             .injected_at = copy / s});
         e.origin_.emplace_back(idx, copy);
       }
     }
     // Live requests always have an unaccessed copy to send for.
-    PRAMSIM_DASSERT(count > 0);
-    const auto report =
-        net::route_all({e.packets_.data(), count}, budget_, 0, e.route_);
+    PRAMSIM_DASSERT(!e.probes_.empty());
+    const PhaseReport report = e.route_probes(budget_);
     cycles_ += report.cycles + e.phase_overhead_;
-    majority::RoundOutcome outcome{.max_queue = report.max_edge_queue};
-    for (std::uint32_t p = 0; p < count; ++p) {
-      if (e.packets_[p].delivered() &&
+    majority::RoundOutcome outcome{.max_queue = report.max_queue};
+    for (std::uint32_t p = 0; p < e.probes_.size(); ++p) {
+      if (e.delivered_[p] != 0 &&
           protocol.access(e.origin_[p].first, e.origin_[p].second)) {
         ++outcome.served;
       }
@@ -173,15 +290,14 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
   // entry's home module). This is the paper's conclusion-section scheme;
   // with it, processors need no local O(m log rM)-bit tables.
   if (config_.prom_lookup && !requests.empty()) {
-    for (std::uint32_t i = 0; i < requests.size(); ++i) {
-      const auto home =
-          prom_home_module(requests[i].var, map_->num_modules());
-      round_trip_path(requests[i].requester.value() % n_processors(),
-                      home.value(), packet_at(i).path);
+    probes_.clear();
+    for (const majority::VarRequest& request : requests) {
+      probes_.push_back(
+          {.proc = request.requester.value() % n_processors(),
+           .module = prom_home_module(request.var, map_->num_modules())
+                         .value()});
     }
-    const auto report =
-        net::route_all({packets_.data(), requests.size()},
-                       /*max_cycles=*/1'000'000, 0, route_);
+    const PhaseReport report = route_probes(/*budget=*/1'000'000);
     PRAMSIM_ASSERT_MSG(report.delivered == requests.size(),
                        "P-ROM lookup phase failed to complete");
     prom = report.cycles;

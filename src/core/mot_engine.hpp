@@ -28,6 +28,20 @@
 // per-phase control overhead of ceil(log2 n) cycles accounts for the
 // prefix/sorting control work the LPP machinery performs on the trees
 // between phases.
+//
+// A round trip uses only its source processor's row tree, its module
+// column's tree and the module's port, so two packets of a phase can
+// meet only when they leave the same processor or enter the same
+// column. Every routed phase (the protocol's and the P-ROM lookup's) is
+// therefore split into the components of that relation, joined by a
+// union-find over the phase's probes. A one-packet component never
+// waits: it arrives at injected_at + round_trip_hops() with queue 1, and
+// its path is never built (one the budget would cut off routes like any
+// other component). Each larger component routes on its own, its
+// packets keeping the phase's ids so the FIFO tie-break is unchanged.
+// The phase reports the maxima of its components' cycles and queues,
+// which is what routing the whole phase at once reports, and applies
+// deliveries in probe order.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +85,8 @@ class MotEngine final : public majority::AccessEngine {
   MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
             MotEngineConfig config);
 
-  /// Schedules over per-instance scratch (protocol state, packets and the
-  /// router's claim table).
+  /// Schedules over per-instance scratch (protocol state, the phase's
+  /// probes and component tables, packets and the router's scratch).
   void run_step_into(std::span<const majority::VarRequest> requests,
                      majority::ScheduleResult& out) override;
 
@@ -85,17 +99,37 @@ class MotEngine final : public majority::AccessEngine {
   [[nodiscard]] const net::MotShape& shape() const { return shape_; }
   /// One-way request path length in hops (including the module port).
   [[nodiscard]] std::uint64_t request_hops() const { return request_hops_; }
+  /// Hops of the round trip from processor `proc` to `module` and back:
+  /// the cycles a packet alone on its channels takes.
+  [[nodiscard]] std::uint64_t round_trip_hops(std::uint32_t proc,
+                                              std::uint32_t module) const;
   /// Cycles spent in P-ROM lookup phases so far (0 unless enabled).
   [[nodiscard]] std::uint64_t prom_cycles() const { return prom_cycles_; }
 
  private:
   class RoutedPhase;
 
+  /// One packet of a routed phase: a round trip from `proc` to `module`
+  /// that leaves at cycle `injected_at`.
+  struct Probe {
+    std::uint32_t proc = 0;
+    std::uint32_t module = 0;
+    std::uint64_t injected_at = 0;
+  };
+  /// What a routed phase reports: the cycles until its last delivery (or
+  /// the budget), the peak channel queue and the packets delivered.
+  struct PhaseReport {
+    std::uint64_t cycles = 0;
+    std::uint64_t max_queue = 0;
+    std::uint64_t delivered = 0;
+  };
+
+  /// Route the phase in probes_ within `budget` cycles, component by
+  /// component, and set delivered_[p] for every probe p.
+  PhaseReport route_probes(std::uint64_t budget);
   /// Request route from `proc` to `module` and the reply back, into `out`.
   void round_trip_path(std::uint32_t proc, std::uint32_t module,
                        net::Path& out) const;
-  /// Packet scratch slot `i`, reset for a fresh route.
-  net::Packet& packet_at(std::uint32_t i);
 
   std::shared_ptr<const memmap::MemoryMap> map_;
   MotEngineConfig config_;
@@ -110,9 +144,24 @@ class MotEngine final : public majority::AccessEngine {
   std::uint64_t prom_cycles_ = 0;
 
   majority::ClusterProtocol protocol_;
-  std::vector<net::Packet> packets_;
-  /// Per packet of the current phase: (request, copy) it accesses.
+  std::vector<Probe> probes_;
+  /// Per probe of the current phase: (request, copy) it accesses.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> origin_;
+  /// Per probe: delivered within the phase's budget.
+  std::vector<std::uint8_t> delivered_;
+  /// Per probe: union-find parent, then the component's smallest probe.
+  std::vector<std::uint32_t> parent_;
+  /// Per component's smallest probe: its member count, then its end in
+  /// order_.
+  std::vector<std::uint32_t> end_;
+  /// The probes grouped by component, ascending within each component.
+  std::vector<std::uint32_t> order_;
+  /// First probe of the phase per processor and per column; every entry
+  /// is ~0 between phases (reset through the probe list).
+  std::vector<std::uint32_t> proc_first_;
+  std::vector<std::uint32_t> col_first_;
+  /// Packets of the multi-packet component being routed.
+  std::vector<net::Packet> packets_;
   net::RouteScratch route_;
 };
 

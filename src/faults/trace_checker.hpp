@@ -32,7 +32,6 @@ class TraceChecker {
 
   /// Validate an observed read; returns true when consistent.
   bool check_read(VarId var, pram::Word observed) {
-    ++reads_checked_;
     if (observed == expected(var)) {
       return true;
     }
@@ -40,7 +39,6 @@ class TraceChecker {
     return false;
   }
 
-  [[nodiscard]] std::uint64_t reads_checked() const { return reads_checked_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
 
   /// The ideal replica (the committed-write image): one word per
@@ -56,16 +54,14 @@ class TraceChecker {
     pram::put_rows(sink, ideal_);
   }
   /// Replace the image with a snapshot's over `m` variables and zero the
-  /// counters. False on frames no snapshot writes.
+  /// mismatch count. False on frames no snapshot writes.
   [[nodiscard]] bool restore(pram::SnapshotSource& source, std::uint64_t m) {
-    reads_checked_ = 0;
     mismatches_ = 0;
     return pram::get_rows(source, ideal_, m);
   }
 
  private:
   util::PagedRows<pram::Word> ideal_;
-  std::uint64_t reads_checked_ = 0;
   std::uint64_t mismatches_ = 0;
 };
 

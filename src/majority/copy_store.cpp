@@ -18,12 +18,6 @@ CopyStore::CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
   PRAMSIM_ASSERT(region_words >= 1);
 }
 
-void CopyStore::restore_row(std::uint64_t region,
-                            std::span<const Copy> copies) {
-  PRAMSIM_ASSERT(copies.size() == rows_.row_len());
-  std::memcpy(row(region), copies.data(), copies.size_bytes());
-}
-
 Copy CopyStore::freshest(VarId var, std::uint64_t mask) const {
   PRAMSIM_ASSERT(mask != 0);
   const Copy* col = column(var);

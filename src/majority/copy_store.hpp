@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "pram/faults.hpp"
 #include "pram/types.hpp"
@@ -46,9 +45,9 @@ static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
 /// thousands) cheap to construct.
 ///
 /// Rows never move once materialized, so references and row pointers
-/// stay valid until clear_rows(). The table changes only in the
-/// materializing calls (write, corrupt, store_all, ensure_row,
-/// restore_row) and in a snapshot restore through rows() — never in
+/// stay valid until the table is cleared through rows(). The table
+/// changes only in the materializing calls (write, corrupt, store_all,
+/// ensure_row) and in a snapshot restore through rows() — never in
 /// reads or write_prepared.
 class CopyStore {
  public:
@@ -222,27 +221,11 @@ class CopyStore {
 
   // ----- snapshot surface (durability checkpoints) -----
 
-  /// Visit every materialized region row in ascending region order as
-  /// fn(region, row), where row holds redundancy() * region_words()
-  /// copies, copy-major. The order is canonical, so a serializer's byte
-  /// stream depends only on the stored state.
-  template <typename Fn>
-  void for_each_row(Fn&& fn) const {
-    rows_.for_each(std::forward<Fn>(fn));
-  }
-
-  /// The region rows themselves, keyed by region: the table the native
-  /// snapshot body frames with pram::put_rows / pram::get_rows.
+  /// The region rows themselves, keyed by region, each holding
+  /// redundancy() * region_words() copies, copy-major: the table the
+  /// native snapshot body frames with pram::put_rows / pram::get_rows.
   [[nodiscard]] const util::PagedRows<Copy>& rows() const { return rows_; }
   [[nodiscard]] util::PagedRows<Copy>& rows() { return rows_; }
-
-  /// Install one region row — values AND stamps — replacing any existing
-  /// row. `copies` must hold exactly redundancy() * region_words()
-  /// entries.
-  void restore_row(std::uint64_t region, std::span<const Copy> copies);
-
-  /// Drop every materialized row.
-  void clear_rows() { rows_.clear(); }
 
  private:
   /// The region's row, materialized (serving thread only).

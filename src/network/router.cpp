@@ -28,15 +28,73 @@ RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
   }
 
   auto& claims = scratch.claims;
-  claims.reserve(in_flight.size());
+  if (in_flight.size() > kScanPackets) {
+    claims.reserve(in_flight.size());
+  }
   std::uint64_t pending = in_flight.size();
   std::uint64_t cycle = start_cycle;
+  const std::uint64_t end = start_cycle + max_cycles;
   std::uint64_t latency_sum = 0;
 
-  while (pending > 0 && cycle < start_cycle + max_cycles) {
-    claims.clear();
+  // Move packet `i` `hops` hops, one per cycle from `cycle` on, each
+  // time the winner of `queue` contenders for its channel.
+  auto advance = [&](std::uint32_t i, std::uint64_t queue,
+                     std::uint64_t hops) {
+    report.max_edge_queue = std::max(report.max_edge_queue, queue);
+    Packet& p = packets[i];
+    p.next_edge += static_cast<std::uint32_t>(hops);
+    report.total_hops += hops;
+    p.waiting_since = cycle + hops;
+    if (p.next_edge == p.path.size()) {
+      p.delivered_at = cycle + hops;
+      ++report.delivered;
+      --pending;
+      const std::uint64_t latency = p.delivered_at - p.injected_at;
+      latency_sum += latency;
+      report.max_latency = std::max(report.max_latency, latency);
+    }
+  };
+
+  auto& scan = scratch.scan;
+
+  while (pending > 0 && cycle < end) {
     // Compact away the packets that arrived last cycle while claiming.
     std::size_t kept = 0;
+    if (in_flight.size() > kScanPackets) {
+      claims.clear();
+      for (const std::uint32_t i : in_flight) {
+        const Packet& p = packets[i];
+        if (p.delivered()) {
+          continue;
+        }
+        in_flight[kept++] = i;
+        if (p.injected_at > cycle) {
+          continue;
+        }
+        auto [claim, fresh] =
+            claims.try_emplace(p.path[p.next_edge].raw, {i, 1});
+        if (!fresh) {
+          ++claim->queue;
+          const Packet& cur = packets[claim->packet];
+          // FIFO: the packet blocked longest wins; ties by id.
+          if (p.waiting_since < cur.waiting_since ||
+              (p.waiting_since == cur.waiting_since && p.id < cur.id)) {
+            claim->packet = i;
+          }
+        }
+      }
+      in_flight.resize(kept);
+      for (const auto touched : claims.touched()) {
+        const RouteScratch::Claim& claim = claims.value_at(touched);
+        advance(claim.packet, claim.queue, 1);
+      }
+      ++cycle;
+      continue;
+    }
+
+    std::size_t k = 0;
+    std::uint64_t next_injection = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t longest = 0;
     for (const std::uint32_t i : in_flight) {
       const Packet& p = packets[i];
       if (p.delivered()) {
@@ -44,39 +102,70 @@ RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
       }
       in_flight[kept++] = i;
       if (p.injected_at > cycle) {
+        next_injection = std::min(next_injection, p.injected_at);
         continue;
       }
-      auto [claim, fresh] =
-          claims.try_emplace(p.path[p.next_edge].raw, {i, 1});
-      if (!fresh) {
-        ++claim->queue;
-        const Packet& cur = packets[claim->packet];
-        // FIFO: the packet blocked longest wins; ties by id.
-        if (p.waiting_since < cur.waiting_since ||
-            (p.waiting_since == cur.waiting_since && p.id < cur.id)) {
-          claim->packet = i;
+      const std::uint64_t left = p.path.size() - p.next_edge;
+      longest = std::max(longest, left);
+      scan[k++] = {.route = p.path.data() + p.next_edge,
+                   .left = left,
+                   .since = p.waiting_since,
+                   .id = p.id,
+                   .slot = i,
+                   .queue = 1,
+                   .beaten = false};
+    }
+    in_flight.resize(kept);
+    // Every pair on one channel: both count as contenders, and the
+    // lower-ranked one (FIFO, ties by id) loses. The one packet per
+    // channel that nobody outranks moves.
+    bool contended = false;
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        RouteScratch::Contender& x = scan[a];
+        RouteScratch::Contender& y = scan[b];
+        if (*x.route != *y.route) {
+          continue;
+        }
+        contended = true;
+        ++x.queue;
+        ++y.queue;
+        const bool y_first =
+            y.since < x.since || (y.since == x.since && y.id < x.id);
+        (y_first ? x : y).beaten = true;
+      }
+    }
+    if (contended) {
+      for (std::size_t a = 0; a < k; ++a) {
+        if (!scan[a].beaten) {
+          advance(scan[a].slot, scan[a].queue, 1);
+        }
+      }
+      ++cycle;
+      continue;
+    }
+    // Nobody contends, so every injected packet moves, cycle after cycle,
+    // until two of them would claim one channel, a packet is injected,
+    // the last one arrives or the budget ends: run ahead to that cycle.
+    std::uint64_t run = std::min(end - cycle, next_injection - cycle);
+    if (k > 0) {
+      run = std::min(run, longest);
+    }
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        const std::uint64_t both = std::min({scan[a].left, scan[b].left, run});
+        for (std::uint64_t d = 1; d < both; ++d) {
+          if (scan[a].route[d] == scan[b].route[d]) {
+            run = d;
+            break;
+          }
         }
       }
     }
-    in_flight.resize(kept);
-    for (const auto slot : claims.touched()) {
-      const RouteScratch::Claim& claim = claims.value_at(slot);
-      report.max_edge_queue =
-          std::max<std::uint64_t>(report.max_edge_queue, claim.queue);
-      Packet& p = packets[claim.packet];
-      ++p.next_edge;
-      ++report.total_hops;
-      p.waiting_since = cycle + 1;
-      if (p.next_edge == p.path.size()) {
-        p.delivered_at = cycle + 1;
-        ++report.delivered;
-        --pending;
-        const std::uint64_t latency = p.delivered_at - p.injected_at;
-        latency_sum += latency;
-        report.max_latency = std::max(report.max_latency, latency);
-      }
+    for (std::size_t a = 0; a < k; ++a) {
+      advance(scan[a].slot, 1, std::min(run, scan[a].left));
     }
-    ++cycle;
+    cycle += run;
   }
 
   report.cycles = cycle - start_cycle;

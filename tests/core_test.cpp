@@ -4,7 +4,9 @@
 // simulating machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -17,6 +19,7 @@
 #include "faults/faultable_memory.hpp"
 #include "majority/majority_memory.hpp"
 #include "memmap/memory_map.hpp"
+#include "network/paths.hpp"
 #include "pram/machine.hpp"
 #include "pram/programs.hpp"
 #include "pram/trace.hpp"
@@ -149,6 +152,77 @@ TEST(MotEngine, AllThreeSchemesComplete) {
   }
 }
 
+// The closed-form round-trip length matches the built route's on every
+// placement, for every processor and module of a small instance.
+TEST(MotEngine, RoundTripHopsMatchTheBuiltRoute) {
+  for (const bool lca : {false, true}) {
+    for (const auto kind :
+         {SchemeKind::kHpMot, SchemeKind::kLppMot, SchemeKind::kCrossbar}) {
+      if (lca && kind != SchemeKind::kHpMot) {
+        continue;
+      }
+      auto inst = make_scheme({.kind = kind, .n = 16, .lca_turnaround = lca});
+      const auto& engine = dynamic_cast<const MotEngine&>(*inst.engine);
+      const net::MotShape& shape = engine.shape();
+      for (std::uint32_t proc = 0; proc < 16; ++proc) {
+        for (std::uint32_t module = 0; module < inst.n_modules; ++module) {
+          const std::size_t one_way =
+              kind == SchemeKind::kHpMot
+                  ? net::hp_request_path(shape.rows, proc,
+                                         module / shape.rows,
+                                         module % shape.rows, lca)
+                        .size()
+                  : net::root_module_request_path(shape, proc, module).size();
+          ASSERT_EQ(engine.round_trip_hops(proc, module), 2 * one_way - 1)
+              << to_string(kind) << " lca " << lca << " proc " << proc
+              << " module " << module;
+        }
+      }
+    }
+  }
+}
+
+// A request whose copies sit in distinct module columns, each sent by
+// its own cluster member, routes as lone packets: every copy arrives one
+// round trip after injection, so the step takes the longest round trip
+// plus the phase overhead, and no channel ever holds two packets. Twenty
+// such requests, routed via the column-tree roots and via the rows' LCA
+// (where the round trip's length depends on both rows).
+TEST(MotEngine, LonePacketsArriveAfterOneRoundTrip) {
+  const std::uint32_t side = 64;  // S = n at eps = 1
+  for (const bool lca : {false, true}) {
+    auto inst = make_scheme(
+        {.kind = SchemeKind::kHpMot, .n = side, .lca_turnaround = lca});
+    std::uint32_t checked = 0;
+    for (std::uint32_t var = 0; checked < 20; ++var) {
+      const auto copies = inst.map->copies(VarId(var));
+      std::set<std::uint32_t> columns;
+      std::uint64_t longest = 0;
+      for (std::uint32_t copy = 0; copy < copies.size(); ++copy) {
+        const std::uint32_t module = copies[copy].value();
+        columns.insert(module % side);
+        // Member `copy` of cluster 0 is processor `copy`.
+        const auto one_way = net::hp_request_path(side, copy, module / side,
+                                                  module % side, lca)
+                                 .size();
+        longest = std::max<std::uint64_t>(longest, 2 * one_way - 1);
+      }
+      if (columns.size() != inst.r) {
+        continue;
+      }
+      ++checked;
+      const std::vector<VarRequest> reqs = {{VarId(var), ProcId(0)}};
+      const auto result = inst.engine->run_step(reqs);
+      EXPECT_EQ(result.max_queue, 1u) << var;
+      EXPECT_EQ(result.rounds, 1u) << var;
+      EXPECT_EQ(result.work, inst.c) << var;
+      EXPECT_EQ(result.time,
+                longest + static_cast<std::uint64_t>(util::ilog2_ceil(side)))
+          << "var " << var << " lca " << lca;
+    }
+  }
+}
+
 TEST(MotEngine, Stage1BoundsLiveSet) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 128});
   const auto reqs = distinct_requests(128, inst.m, 13);
@@ -174,6 +248,12 @@ struct MotFingerprintCase {
   const char* name;
   SchemeSpec spec;
   std::uint64_t want;
+  /// Nonzero: run a MotEngine built directly on the instance's map with
+  /// clusters of this size (make_scheme always uses r). Members then send
+  /// several copies each, so injections stagger and row trees carry more
+  /// than one packet of a phase from stage 1 on. These constants were
+  /// recorded with the router's claim table routing each phase whole.
+  std::uint32_t cluster_size = 0;
 };
 
 class MotScheduleFingerprintTest
@@ -185,6 +265,19 @@ TEST_P(MotScheduleFingerprintTest, RunStepMatchesTheGoldenSchedule) {
   spec.seed = 17;
   auto inst = make_scheme(spec);
   const std::uint32_t n = spec.n;
+  majority::AccessEngine* engine = inst.engine;
+  std::unique_ptr<MotEngine> direct;
+  if (fc.cluster_size != 0) {
+    direct = std::make_unique<MotEngine>(
+        inst.map,
+        MotEngineConfig{.scheme = spec.kind == SchemeKind::kLppMot
+                                      ? MotScheme::kLppRoots
+                                      : MotScheme::kHpLeaves,
+                        .protocol = {.c = inst.c,
+                                     .cluster_size = fc.cluster_size,
+                                     .n_processors = n}});
+    engine = direct.get();
+  }
   std::uint64_t h = 0;
   for (std::uint64_t b = 0; b < 4; ++b) {
     auto reqs = b == 2 ? std::vector<VarRequest>{}
@@ -194,7 +287,7 @@ TEST_P(MotScheduleFingerprintTest, RunStepMatchesTheGoldenSchedule) {
         reqs[i].requester = ProcId(i / 2);
       }
     }
-    const auto result = inst.engine->run_step(reqs);
+    const auto result = engine->run_step(reqs);
     for (const auto mask : result.accessed_mask) {
       ASSERT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
                 inst.c);
@@ -239,6 +332,14 @@ INSTANTIATE_TEST_SUITE_P(
         MotFingerprintCase{"crossbar",
                            {.kind = SchemeKind::kCrossbar, .n = 64},
                            0x8195842d9f2ae121ULL},
+        MotFingerprintCase{"hp_direct_cluster3",
+                           {.kind = SchemeKind::kHpMot, .n = 64},
+                           0x2843b2c991cd2c35ULL,
+                           3},
+        MotFingerprintCase{"lpp_direct_cluster4",
+                           {.kind = SchemeKind::kLppMot, .n = 64},
+                           0x407085c1e024132fULL,
+                           4},
         MotFingerprintCase{"dmmpc",
                            {.kind = SchemeKind::kDmmpc, .n = 64},
                            0xf53026cce2e2b558ULL},

@@ -344,7 +344,7 @@ void expect_same_as_reference(const CopyStore& store,
     }
   }
   auto next = ref.rows.begin();
-  store.for_each_row([&](std::uint64_t region, std::span<const Copy> row) {
+  store.rows().for_each([&](std::uint64_t region, std::span<const Copy> row) {
     ASSERT_NE(next, ref.rows.end());
     ASSERT_EQ(region, next->first);
     ASSERT_EQ(row.size(), next->second.size());
@@ -428,10 +428,10 @@ TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
       for (auto& entry : row) {
         entry = Copy{static_cast<Word>(rng.below(3)), rng.below(3)};
       }
-      store.restore_row(v / w, row);
+      std::copy(row.begin(), row.end(), store.rows().insert(v / w));
       ref.rows[v / w] = row;
     } else {
-      store.clear_rows();
+      store.rows().clear();
       ref.rows.clear();
     }
     hooks.stuck = rng.below(all + 1);
@@ -469,7 +469,7 @@ TEST(PagedStore, AllDeadStoreIntoASharedPageLeavesTheRowUntouched) {
   EXPECT_EQ(key(store.at(VarId(1), 2)), key(Copy{}));
   EXPECT_TRUE(store.region_span(1, 0).empty());
   std::vector<std::uint64_t> walked;
-  store.for_each_row(
+  store.rows().for_each(
       [&](std::uint64_t region, std::span<const Copy>) {
         walked.push_back(region);
       });

@@ -394,5 +394,212 @@ TEST(Router, OrderIndependentAndWritesBackInFlightState) {
   }
 }
 
+// ------------------------------------------- disjoint packet sets ------
+
+enum class Net : std::uint8_t { kHp, kLpp, kCrossbar };
+
+struct NetCase {
+  Net net;
+  std::uint32_t rows;  ///< processors (row trees)
+  std::uint32_t cols;  ///< module columns (column trees)
+};
+
+// A round trip like the 2DMOT engine's: the request from processor
+// `proc` to a module in column `col`, then the reply retracing it.
+Path round_trip(const NetCase& nc, std::uint32_t proc, std::uint32_t col,
+                util::Rng& rng) {
+  Path path;
+  if (nc.net == Net::kHp) {
+    append_hp_request_path(path, nc.rows, proc,
+                           static_cast<std::uint32_t>(rng.below(nc.rows)),
+                           col, rng.below(3) == 0);
+  } else {
+    append_root_module_request_path(
+        path,
+        nc.net == Net::kLpp ? square_mot(nc.rows) : rect_mot(nc.rows, nc.cols),
+        proc, col);
+  }
+  for (std::size_t i = path.size() - 1; i > 0; --i) {
+    path.push_back(flipped(path[i - 1]));
+  }
+  return path;
+}
+
+// What routing the union of packet sets that share no channel reports,
+// from the reports of routing each set alone.
+RouteReport fold(const std::vector<RouteReport>& parts) {
+  RouteReport out;
+  double latency_sum = 0;
+  for (const RouteReport& part : parts) {
+    out.cycles = std::max(out.cycles, part.cycles);
+    out.delivered += part.delivered;
+    out.total_hops += part.total_hops;
+    out.max_edge_queue = std::max(out.max_edge_queue, part.max_edge_queue);
+    out.max_latency = std::max(out.max_latency, part.max_latency);
+    latency_sum += part.mean_latency * static_cast<double>(part.delivered);
+  }
+  if (out.delivered > 0) {
+    out.mean_latency = latency_sum / static_cast<double>(out.delivered);
+  }
+  return out;
+}
+
+void expect_same_report(const RouteReport& a, const RouteReport& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.total_hops, b.total_hops);
+  EXPECT_EQ(a.max_edge_queue, b.max_edge_queue);
+  EXPECT_EQ(a.max_latency, b.max_latency);
+  EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency);
+}
+
+void expect_same_packet(const Packet& a, const Packet& b) {
+  EXPECT_EQ(a.delivered_at, b.delivered_at) << a.id;
+  EXPECT_EQ(a.next_edge, b.next_edge) << a.id;
+  EXPECT_EQ(a.waiting_since, b.waiting_since) << a.id;
+}
+
+class DisjointSetsTest : public ::testing::TestWithParam<NetCase> {};
+
+// Eight packet sets on disjoint processor rows and module columns share
+// no channel. Routing each set alone (sets of up to kScanPackets use the
+// scan, larger ones the claim table) must leave every packet as routing
+// their union once does (the claim table while more than kScanPackets
+// are in flight), and the reports must fold to the union's: through a
+// budget that cuts packets off mid-route, and again when the cut-off
+// packets resume.
+TEST_P(DisjointSetsTest, RoutingEachSetAloneEqualsRoutingTheirUnion) {
+  const NetCase& nc = GetParam();
+  constexpr std::uint32_t kSets = 8;
+  const std::vector<std::uint32_t> sizes = {1, 2, 3, 5, 9, 17, 33, 40};
+  const std::uint64_t start = 7;
+  util::Rng rng(31 + static_cast<std::uint64_t>(nc.net));
+  std::vector<std::vector<Packet>> sets(kSets);
+  std::vector<Packet> all;
+  for (std::uint32_t g = 0; g < kSets; ++g) {
+    const std::uint32_t row_span = nc.rows / kSets;
+    const std::uint32_t col_span = nc.cols / kSets;
+    for (std::uint32_t k = 0; k < sizes[g]; ++k) {
+      Packet packet;
+      packet.id = static_cast<std::uint32_t>(all.size());
+      packet.injected_at = start - 2 + rng.below(6);  // some before start
+      packet.path = round_trip(
+          nc, g * row_span + static_cast<std::uint32_t>(rng.below(row_span)),
+          g * col_span + static_cast<std::uint32_t>(rng.below(col_span)),
+          rng);
+      sets[g].push_back(packet);
+      all.push_back(packet);
+    }
+  }
+  ASSERT_GT(all.size(), kScanPackets);
+  ASSERT_GT(sizes.back(), kScanPackets);
+
+  auto route_and_compare = [&](std::uint64_t max_cycles,
+                               std::uint64_t from) {
+    std::vector<RouteReport> parts;
+    for (auto& set : sets) {
+      parts.push_back(route_all(set, max_cycles, from));
+    }
+    const RouteReport whole = route_all(all, max_cycles, from);
+    expect_same_report(fold(parts), whole);
+    std::size_t i = 0;
+    for (const auto& set : sets) {
+      for (const Packet& packet : set) {
+        expect_same_packet(packet, all[i++]);
+      }
+    }
+    return whole;
+  };
+
+  const std::uint64_t budget = all[0].path.size() + 8;
+  const RouteReport cut = route_and_compare(budget, start);
+  EXPECT_EQ(cut.cycles, budget);
+  EXPECT_GT(cut.delivered, sizes[0]);
+  EXPECT_LT(cut.delivered, all.size());
+  EXPECT_GE(cut.max_edge_queue, 2u);
+
+  const RouteReport rest = route_and_compare(1'000'000, start + budget);
+  EXPECT_EQ(cut.delivered + rest.delivered, all.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Router, DisjointSetsTest,
+    ::testing::Values(NetCase{Net::kHp, 64, 64}, NetCase{Net::kLpp, 64, 64},
+                      NetCase{Net::kCrossbar, 16, 128}),
+    [](const ::testing::TestParamInfo<NetCase>& info) {
+      switch (info.param.net) {
+        case Net::kHp: return "hp";
+        case Net::kLpp: return "lpp";
+        case Net::kCrossbar: return "crossbar";
+      }
+      return "unknown";
+    });
+
+// The same contended packets, routed alone by the scan and, beside
+// enough packets on channels of their own to keep more than
+// kScanPackets in flight to the end, by the claim table: every packet
+// ends the same, and the union's report is the fold of the two sets'.
+// Seeded sets of 2 to kScanPackets packets with injections spread from
+// one cycle to thirty, cut off by a budget and then resumed, exercise
+// every way the scan runs ahead (to a meeting, an injection, the last
+// arrival or the budget).
+TEST(Router, ScanAndClaimTableAgree) {
+  const NetCase nc{Net::kHp, 16, 16};
+  std::uint32_t contended = 0;
+  std::uint32_t cut_short = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(100 + seed);
+    const std::uint64_t spread = std::vector<std::uint64_t>{1, 4, 30}[seed % 3];
+    std::vector<Packet> scanned(2 + rng.below(kScanPackets - 1));
+    for (std::uint32_t p = 0; p < scanned.size(); ++p) {
+      scanned[p].id = p;
+      scanned[p].injected_at = rng.below(spread);
+      scanned[p].path = round_trip(
+          nc, static_cast<std::uint32_t>(rng.below(4)),
+          static_cast<std::uint32_t>(rng.below(3)), rng);
+    }
+    std::vector<Packet> tabled = scanned;
+
+    // Route both copies from `from` within `max_cycles`.
+    auto route_both = [&](std::uint64_t max_cycles, std::uint64_t from) {
+      const RouteReport alone = route_all(scanned, max_cycles, from);
+      // Each filler walks channels of a row tree no contended packet
+      // uses, and is in flight until a cycle after the contended set's
+      // route ends.
+      std::vector<Packet> fillers(kScanPackets + 1);
+      for (std::uint32_t f = 0; f < fillers.size(); ++f) {
+        fillers[f].id = static_cast<std::uint32_t>(scanned.size()) + f;
+        for (std::uint32_t pos = 2; pos < alone.cycles + 4; ++pos) {
+          fillers[f].path.push_back(
+              tree_edge(TreeKind::kRow, 1000 + f, pos, Direction::kDown));
+        }
+      }
+      std::vector<Packet> both = tabled;
+      both.insert(both.end(), fillers.begin(), fillers.end());
+      const RouteReport table = route_all(both, max_cycles, from);
+      const RouteReport filler_alone = route_all(fillers, max_cycles, from);
+      expect_same_report(fold({alone, filler_alone}), table);
+      for (std::uint32_t p = 0; p < scanned.size(); ++p) {
+        tabled[p] = both[p];
+        expect_same_packet(scanned[p], tabled[p]);
+      }
+      return alone;
+    };
+
+    const std::uint64_t budget = 5 + rng.below(60);
+    const RouteReport cut = route_both(budget, seed % 2);
+    const RouteReport rest = route_both(1'000'000, seed % 2 + cut.cycles);
+    EXPECT_EQ(cut.delivered + rest.delivered, scanned.size());
+    contended += cut.max_edge_queue >= 2 ? 1 : 0;
+    cut_short += cut.delivered < scanned.size() ? 1 : 0;
+    if (HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(contended, 15u);
+  EXPECT_GT(cut_short, 5u);
+}
+
 }  // namespace
 }  // namespace pramsim::net

@@ -14,8 +14,9 @@ perf regression shows up in the trajectory, not as a CI failure; a
 silently dropped table or renamed column does fail.
 
 The experiments in VALUE_EXPERIMENTS report simulated costs (rounds,
-cycles, copy accesses), which no host changes, so every table row is
-compared too: strings and integers exactly, other numbers to REL_TOL
+cycles, copy accesses) or closed-form and seeded-map quantities (the
+Theorem 1 bound, the Lemma 2 expansion), which no host changes, so
+every table row is compared too: strings and integers exactly, other numbers to REL_TOL
 relative (compilers and libms may differ in the last bits). Fits are
 not compared (their verdicts come from libm-derived R^2), and the
 manifest stays keys-only (its worker count is the host's).
@@ -27,7 +28,8 @@ import re
 import sys
 
 # Experiments whose table rows are compared value by value.
-VALUE_EXPERIMENTS = frozenset({"C1", "T2", "T3"})
+VALUE_EXPERIMENTS = frozenset(
+    {"C1", "T2", "T3", "theorem1_bound", "lemma2_expansion"})
 REL_TOL = 1e-9
 
 
@@ -166,6 +168,8 @@ def self_test():
         ("C1", row, ["HP-MPC", 7, 7.25, 0.1]),
         ("C1", row, ["HP-DMMPC", "7", 7.25, 0.1]),
         ("C1", row, row[:3]),
+        ("theorem1_bound", row, ["HP-DMMPC", 7, 7.5, 0.1]),
+        ("lemma2_expansion", row, ["HP-DMMPC", 7, 7.25, 0.2]),
     ]
     for experiment, base, fresh in same_rows + differ_rows:
         errors = []
