@@ -5,6 +5,7 @@
 // mirrored to BENCH_micro.json via bench::Reporter like every other
 // experiment binary.
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -292,6 +293,48 @@ int main() {
       do_not_optimize(buf);
     });
     add_row(table, "hashed_map_copies", "m=2^20 r=7", m, 7.0);
+  }
+  {
+    // A step's placement, in ns per variable: copies_into one variable at
+    // a time, then one copies_batch call over the same keys (HashedMap's
+    // AVX2 kernel on hosts that have it), at serve_dmmpc's map and at
+    // ida_wide's share placement.
+    struct Geometry {
+      std::uint64_t m;
+      std::uint32_t modules;
+      std::uint32_t r;
+      const char* params;
+    };
+    constexpr std::size_t kKeys = 4096;
+    const auto per_variable = [](Measurement m) {
+      m.iterations *= kKeys;
+      m.ns_per_op /= static_cast<double>(kKeys);
+      return m;
+    };
+    for (const Geometry& g :
+         {Geometry{1U << 18, 1U << 18, 5, "m=M=2^18 r=5"},
+          Geometry{104'858, 1U << 20, 20, "blocks=104858 M=2^20 d=20"}}) {
+      const memmap::HashedMap map(g.m, g.modules, g.r, 17);
+      util::Rng rng(9);
+      std::vector<VarId> keys(kKeys);
+      for (auto& key : keys) {
+        key = VarId(static_cast<std::uint32_t>(rng.below(g.m)));
+      }
+      std::vector<ModuleId> rows(kKeys * g.r);
+      const auto each = measure([&] {
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          map.copies_into(keys[i], std::span(rows).subspan(i * g.r, g.r));
+        }
+        do_not_optimize(rows);
+      }, 1);
+      add_row(table, "hashed_map_copies", g.params, per_variable(each), g.r);
+      const auto batch = measure([&] {
+        map.copies_batch(keys, rows);
+        do_not_optimize(rows);
+      }, 1);
+      add_row(table, "hashed_map_copies_batch", g.params, per_variable(batch),
+              g.r);
+    }
   }
   {
     memmap::TableMap map(1 << 16, 1 << 12, 7, 5);

@@ -25,14 +25,17 @@ void RanadeButterflyEngine::run_step_into(
   }
   out.work = requests.size();
   out.accessed_mask.assign(requests.size(), 1);  // the single copy
+  vars_.resize(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    vars_[i] = requests[i].var;
+  }
+  out.copies.resize(requests.size());
+  map_->copies_batch(vars_, out.copies);
   pairs_.clear();
-  ModuleId copy[1];
-  for (const auto& req : requests) {
-    map_->copies_into(req.var, copy);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
     // Source: the requester's input row (processors spread over rows).
-    const std::uint32_t src =
-        req.requester.value() % shape_.rows;
-    pairs_.emplace_back(src, copy[0].value());
+    const std::uint32_t src = requests[i].requester.value() % shape_.rows;
+    pairs_.emplace_back(src, out.copies[i].value());
   }
   const auto load = net::route_congestion(shape_, pairs_);
   // Pipelined store-and-forward with combining: dilation + congestion - 1

@@ -49,6 +49,8 @@ class RanadeButterflyEngine final : public majority::AccessEngine {
   std::shared_ptr<const memmap::MemoryMap> map_;
   std::uint32_t n_processors_;
   net::ButterflyShape shape_;
+  /// The requests' variables, the batch placement's keys.
+  std::vector<VarId> vars_;
   /// (source row, target module) per request, reused across steps.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
 };

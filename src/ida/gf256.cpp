@@ -1,7 +1,8 @@
 #include "ida/gf256.hpp"
 
+#include "util/isa.hpp"
+
 #if defined(__x86_64__)
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -78,29 +79,6 @@ __attribute__((target("avx2"))) std::size_t mul_span_accum_avx2(
   return i;
 }
 
-/// True when the CPU has AVX2 and the OS saves the YMM registers
-/// (CPUID.1:ECX.OSXSAVE, XCR0 bits 1-2, CPUID.7.0:EBX.AVX2). Probed
-/// inline through <cpuid.h>: __builtin_cpu_supports would link libgcc's
-/// CPU-model constructor into every program that links this library.
-bool have_avx2() {
-  unsigned eax = 0;
-  unsigned ebx = 0;
-  unsigned ecx = 0;
-  unsigned edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
-      (ecx & bit_OSXSAVE) == 0) {
-    return false;
-  }
-  unsigned xcr0_lo = 0;
-  unsigned xcr0_hi = 0;
-  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-  if ((xcr0_lo & 0x6u) != 0x6u) {
-    return false;  // the OS does not save the XMM and YMM state
-  }
-  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
-         (ebx & bit_AVX2) != 0;
-}
-
 #endif
 
 }  // namespace
@@ -135,8 +113,7 @@ void GF256::mul_span_accum(Elem* dst, const Elem* src, std::size_t n,
   }
   std::size_t done = 0;
 #if defined(__x86_64__)
-  static const bool kHaveAvx2 = have_avx2();  // probed once, on first use
-  if (kHaveAvx2) {
+  if (util::have_avx2()) {
     done = mul_span_accum_avx2(dst, src, n, c);
   }
 #endif

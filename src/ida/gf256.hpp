@@ -81,8 +81,9 @@ class GF256 {
   // field constant c. Multiplication by c is linear over GF(2), so
   // c * x = c * (x & 0x0F) ^ c * (x & 0xF0): two 16-entry tables per
   // constant (8 KiB for all 256, built at compile time) cover every
-  // product. On x86-64 hosts with AVX2 (probed once per process, on
-  // first use), mul_span_accum looks both nibbles of 32 bytes up at
+  // product. On x86-64 hosts with AVX2 (util::have_avx2, probed once
+  // per process on first use), mul_span_accum looks both nibbles of 32
+  // bytes up at
   // once with vpshufb; the bytes past the last whole 32-byte chunk, and
   // every byte on other hosts, go through the scalar loop below. Both
   // are exact field arithmetic, so they agree bit for bit.

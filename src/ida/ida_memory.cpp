@@ -258,13 +258,19 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   const std::uint32_t d = config_.d;
 
   // The plan's groups are this scheme's blocks, ascending; each group is
-  // read, written, or both. Its placement is computed once per step.
+  // read, written, or both. Every group's placement is computed once per
+  // step, all in one batch call, then the scrub relocations go on top.
   constexpr std::uint8_t kGroupRead = 1;
   constexpr std::uint8_t kGroupWrite = 2;
   const std::size_t n_groups = plan.num_groups();
   group_ops_.assign(n_groups, 0);
   group_status_.assign(n_groups, DecodeStatus::kOk);
+  group_blocks_.resize(n_groups);
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    group_blocks_[g] = VarId(static_cast<std::uint32_t>(plan.group_keys[g]));
+  }
   placements_.resize(n_groups * d);
+  placement_.copies_batch(group_blocks_, placements_);
   for (std::size_t g = 0; g < n_groups; ++g) {
     for (std::uint32_t i = plan.group_offsets[g];
          i < plan.group_offsets[g + 1]; ++i) {
@@ -276,8 +282,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
         group_ops_[g] |= kGroupWrite;
       }
     }
-    placement_into_current(plan.group_keys[g],
-                           {placements_.data() + g * d, d});
+    relocations_.apply(plan.group_keys[g], {placements_.data() + g * d, d});
   }
 
   // Module round accounting: modules serve one share per round, so a

@@ -68,9 +68,11 @@ class IdaMemory final : public pram::MemorySystem {
   IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config);
 
   /// The plan's groups ARE this scheme's blocks
-  /// (plan_group_of = block index). Each group's share placement is
-  /// computed once per step; phase 1 charges read groups, phase 2 write
-  /// groups, both in ascending block order. The coding is step-batched:
+  /// (plan_group_of = block index). The groups' share placements are
+  /// computed once per step by one HashedMap::copies_batch call, with
+  /// the scrub relocations applied per group; phase 1 charges read
+  /// groups, phase 2 write groups, both in ascending block order. The
+  /// coding is step-batched:
   ///   * healthy: every group is read or written (writes are
   ///     read-modify-write), so the b stored shares of EVERY group are
   ///     gathered into share-major spans and decoded by one
@@ -251,6 +253,7 @@ class IdaMemory final : public pram::MemorySystem {
   std::vector<std::uint32_t> module_load_;     ///< dense, reset via touched
   std::vector<std::uint32_t> touched_modules_;
   std::vector<std::uint64_t> pick_keys_;       ///< (load << 8 | share) keys
+  std::vector<VarId> group_blocks_;            ///< the groups' block keys
   std::vector<ModuleId> placements_;           ///< group g at [g*d,(g+1)*d)
   std::vector<std::uint8_t> group_ops_;        ///< kGroupRead | kGroupWrite
   std::vector<DecodeStatus> group_status_;

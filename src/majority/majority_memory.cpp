@@ -63,10 +63,10 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
   // Two-phase for the paged store: rows this step will write are
   // materialized up front on the serving thread, so serve_range only
   // mutates distinct pre-existing rows (the page directory and touched
-  // bits stay frozen while ranges run). Under the degraded protocol each
-  // write's placement is computed here once and kept for serve_range,
-  // and a write whose every module is dead stores nothing, so its row
-  // stays untouched.
+  // bits stay frozen while ranges run). Under the degraded protocol the
+  // schedule's copies become each request's current placement here, with
+  // the scrub relocations applied in place, and a write whose every
+  // module is dead stores nothing, so its row stays untouched.
   const std::uint32_t r = engine_->map().redundancy();
   if (hooks_ == nullptr) {
     for (const auto& w : plan.writes) {
@@ -74,15 +74,18 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
     }
   } else {
     ctx.enable_flags();
-    write_modules_.resize(plan.writes.size() * r);
+    PRAMSIM_ASSERT(schedule_.copies.size() == plan.requests.size() * r);
+    for (std::size_t j = 0; j < plan.requests.size(); ++j) {
+      relocations_.apply(plan.requests[j].var.index(),
+                         {schedule_.copies.data() + j * r, r});
+    }
     for (std::size_t i = 0; i < plan.writes.size(); ++i) {
-      const std::span<ModuleId> modules(write_modules_.data() + i * r, r);
-      copies_into_current(plan.writes[i].var, modules);
-      for (const ModuleId module : modules) {
-        if (!hooks_->module_dead(module, stamp)) {
-          store_.ensure_row(plan.writes[i].var);
-          break;
-        }
+      const ModuleId* modules =
+          schedule_.copies.data() + std::size_t{plan.write_request[i]} * r;
+      if (std::any_of(modules, modules + r, [&](ModuleId module) {
+            return !hooks_->module_dead(module, stamp);
+          })) {
+        store_.ensure_row(plan.writes[i].var);
       }
     }
   }
@@ -165,19 +168,13 @@ void MajorityMemory::serve_range(const pram::AccessPlan& plan,
   }
 
   // Degraded protocol: each request's read votes over the pre-step
-  // state, then its write stores through. A write's placement comes from
-  // serve()'s pre-pass; only read-only requests compute their own.
+  // state, then its write stores through, both over the placement
+  // serve()'s pre-pass made current in the schedule's copies.
   const bool journal_events = obs::kEnabled && observer() != nullptr;
-  ModuleId read_modules[64];
   for (std::size_t j = lo; j < hi; ++j) {
     const std::uint32_t w = plan.request_write[j];
-    std::span<const ModuleId> modules;
-    if (w != pram::AccessPlan::kNone) {
-      modules = {write_modules_.data() + std::size_t{w} * r, r};
-    } else {
-      copies_into_current(plan.reads[j], {read_modules, r});
-      modules = {read_modules, r};
-    }
+    const std::span<const ModuleId> modules(schedule_.copies.data() + j * r,
+                                            r);
     if (j < n_reads) {
       const auto outcome = store_.vote(plan.reads[j], modules, stamp, *hooks_);
       read_values[j] = outcome.winner.value;

@@ -146,13 +146,12 @@ class MajorityMemory final : public pram::MemorySystem {
   std::uint32_t n_processors_;
   pram::ServeBackend backend_ = pram::ServeBackend::kSerial;
   /// serve() scratch: the plan's requests with synthesized requesters,
-  /// and the engine's schedule of them, both reused across steps.
+  /// and the engine's schedule of them, both reused across steps. Under
+  /// fault hooks serve() turns the schedule's copies into each request's
+  /// current placement, which serve_range reads for the request's read
+  /// and write halves.
   std::vector<VarRequest> request_scratch_;
   ScheduleResult schedule_;
-  /// Under fault hooks: each write's current placement (r modules per
-  /// plan write), computed once per step by serve()'s row pre-pass and
-  /// reused by serve_range for the write and its request's read half.
-  std::vector<ModuleId> write_modules_;
   std::vector<ChunkTally> chunk_scratch_;
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;

@@ -94,11 +94,13 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
   accessed_.assign(count, 0);
   result.accessed_mask.assign(count, 0);
   mask_ = result.accessed_mask.data();
-  copies_.resize(static_cast<std::size_t>(count) * r_);
+  vars_.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    map.copies_into(requests[i].var,
-                    {copies_.data() + static_cast<std::size_t>(i) * r_, r_});
+    vars_[i] = requests[i].var;
   }
+  result.copies.resize(static_cast<std::size_t>(count) * r_);
+  map.copies_batch(vars_, result.copies);
+  copies_ = result.copies.data();
   live_ = count;
 
   if (config.all_at_once) {
@@ -175,6 +177,7 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
   PRAMSIM_ASSERT(live_ == 0);
   requests_ = {};  // drop the views of the caller's batch and result
   mask_ = nullptr;
+  copies_ = nullptr;
 }
 
 RoundOutcome FirstClaimRound::round(ClusterProtocol& protocol,

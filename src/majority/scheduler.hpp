@@ -82,16 +82,21 @@ struct ScheduleResult {
   /// Per request: bitmask of which copy indices were accessed (>= c bits
   /// set for every request on return).
   std::vector<std::uint64_t> accessed_mask;
+  /// Per request: the map's modules of its r copies, request i's at
+  /// [i*r, (i+1)*r), placed once per step by one
+  /// MemoryMap::copies_batch call.
+  std::vector<ModuleId> copies;
   /// Live-variable count after each round — the decay curve whose
   /// geometric shape is the content of the Upfal-Wigderson progress
   /// argument (driven by the Lemma 2 expansion).
   std::vector<std::uint64_t> live_per_round;
 
-  /// Zero every count and empty both vectors, keeping their capacity.
+  /// Zero every count and empty every vector, keeping their capacity.
   void clear() {
     time = rounds = stage1_rounds = stage2_rounds = work = 0;
     live_after_stage1 = max_queue = 0;
     accessed_mask.clear();
+    copies.clear();
     live_per_round.clear();
   }
 };
@@ -108,11 +113,11 @@ struct RoundOutcome {
   std::uint64_t max_queue = 0;  ///< peak contention at one module/channel
 };
 
-/// The two-stage cluster protocol over reusable per-engine scratch: each
-/// request's copies are written once per step into one flat table, the
-/// (cluster, member) slots are a dense table indexed by requester id, and
-/// the live count is kept incrementally. A warmed-up instance runs a step
-/// without touching the heap.
+/// The two-stage cluster protocol over reusable per-engine scratch: the
+/// step's copies are placed by one batch call into the result's flat
+/// table, the (cluster, member) slots are a dense table indexed by
+/// requester id, and the live count is kept incrementally. A warmed-up
+/// instance runs a step without touching the heap.
 class ClusterProtocol {
  public:
   /// One machine round over the live requests in `active` (distinct, all
@@ -127,10 +132,10 @@ class ClusterProtocol {
   };
 
   /// Schedule one step's requests into `result`, in place: its vectors
-  /// are reused and its accessed_mask is the protocol's working mask.
-  /// Every field but `time` is set. Preconditions: requests hold
-  /// distinct variables (combining already done) and
-  /// map.redundancy() <= 64.
+  /// are reused, and its accessed_mask and copies are the protocol's
+  /// working mask and copies table. Every field but `time` is set.
+  /// Preconditions: requests hold distinct variables (combining already
+  /// done) and map.redundancy() <= 64.
   void run(const memmap::MemoryMap& map, std::span<const VarRequest> requests,
            const SchedulerConfig& config, Kernel& kernel,
            ScheduleResult& result);
@@ -143,7 +148,7 @@ class ClusterProtocol {
     return requests_;
   }
   [[nodiscard]] std::span<const ModuleId> copies(std::uint32_t request) const {
-    return {copies_.data() + static_cast<std::size_t>(request) * r_, r_};
+    return {copies_ + static_cast<std::size_t>(request) * r_, r_};
   }
   [[nodiscard]] std::uint64_t mask(std::uint32_t request) const {
     return mask_[request];
@@ -176,10 +181,11 @@ class ClusterProtocol {
   std::uint32_t modules_ = 0;
   std::uint64_t live_ = 0;
   std::vector<std::uint32_t> accessed_;
-  /// The result's accessed_mask while run() works on it.
+  /// The result's accessed_mask and copies while run() works on them.
   std::uint64_t* mask_ = nullptr;
-  /// All requests' copies, flattened: request i's at [i*r, (i+1)*r).
-  std::vector<ModuleId> copies_;
+  const ModuleId* copies_ = nullptr;
+  /// The requests' variables, the batch placement's keys.
+  std::vector<VarId> vars_;
   /// Requester id -> request index (~0 when none) for the requesters
   /// inside the n_processors clusters: slot (cluster k, member j) is id
   /// k*s + j.

@@ -199,13 +199,18 @@ std::vector<VarId> adversarial_batch(const MemoryMap& map, std::uint32_t count,
       std::min<std::uint64_t>(map.num_vars(), 8ULL * count);
   const auto pool = rng.sample_without_replacement(map.num_vars(), pool_size);
 
-  std::unordered_map<std::uint32_t, std::uint32_t> module_load;
-  std::vector<std::vector<ModuleId>> pool_copies(pool.size());
+  // The pool's copies, placed by one batch call: candidate i's at
+  // [i*r, (i+1)*r).
+  const std::uint32_t r = map.redundancy();
+  std::vector<VarId> pool_vars(pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    pool_copies[i] = map.copies(VarId(static_cast<std::uint32_t>(pool[i])));
-    for (const auto mod : pool_copies[i]) {
-      ++module_load[mod.value()];
-    }
+    pool_vars[i] = VarId(static_cast<std::uint32_t>(pool[i]));
+  }
+  std::vector<ModuleId> pool_copies(pool.size() * r);
+  map.copies_batch(pool_vars, pool_copies);
+  std::unordered_map<std::uint32_t, std::uint32_t> module_load;
+  for (const auto mod : pool_copies) {
+    ++module_load[mod.value()];
   }
 
   // Score each candidate by the total load of the modules its copies
@@ -216,8 +221,8 @@ std::vector<VarId> adversarial_batch(const MemoryMap& map, std::uint32_t count,
   }
   std::vector<std::uint64_t> score(pool.size(), 0);
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    for (const auto mod : pool_copies[i]) {
-      score[i] += module_load[mod.value()];
+    for (std::uint32_t k = 0; k < r; ++k) {
+      score[i] += module_load[pool_copies[i * r + k].value()];
     }
   }
   std::stable_sort(order.begin(), order.end(),

@@ -51,6 +51,14 @@ class MemoryMap {
   /// Modules are distinct within one variable.
   virtual void copies_into(VarId var, std::span<ModuleId> out) const = 0;
 
+  /// Write the copies of every variable in `vars` into one flat table:
+  /// variable i's modules, exactly as copies_into writes them, at
+  /// out[i*r, (i+1)*r), so out.size() == vars.size() * redundancy().
+  /// Keys may repeat and come in any order. This default loops
+  /// copies_into.
+  virtual void copies_batch(std::span<const VarId> vars,
+                            std::span<ModuleId> out) const;
+
   /// Convenience allocating variant.
   [[nodiscard]] std::vector<ModuleId> copies(VarId var) const;
 
@@ -83,12 +91,25 @@ class TableMap final : public MemoryMap {
 };
 
 /// Computed map: copies derived on demand from hash(seed, var); no table.
+/// copies_into is the reference stream: SplitMix64 seeds a per-variable
+/// Xoshiro256**, and Lemire's bounded draw picks each copy's module,
+/// redrawing modules the variable already holds.
 class HashedMap final : public MemoryMap {
  public:
   HashedMap(std::uint64_t m_vars, std::uint32_t n_modules,
             std::uint32_t redundancy, std::uint64_t seed);
 
   void copies_into(VarId var, std::span<ModuleId> out) const override;
+
+  /// On x86-64 hosts with AVX2 (util::have_avx2) and r <= 64, runs the
+  /// stream for four variables at once, one per 64-bit lane. A lane that
+  /// leaves the stream's straight line (a Lemire rejection, a module it
+  /// already holds, the all-zero-state guard) is placed again by
+  /// copies_into, and so is the tail past the last whole group of four
+  /// and every variable on other hosts, so the table always equals
+  /// copies_into's.
+  void copies_batch(std::span<const VarId> vars,
+                    std::span<ModuleId> out) const override;
 
  private:
   std::uint64_t seed_;

@@ -1,0 +1,20 @@
+// Instruction-set probe: the one place the library asks the host CPU
+// what it can run. Vector kernels (GF(256) span coding, HashedMap's
+// batch placement) are compiled with a per-function target attribute
+// and chosen at run time through this probe, so one binary runs
+// everywhere and no build flag selects a kernel.
+//
+// The probe reads CPUID and XGETBV through <cpuid.h>, not
+// __builtin_cpu_supports: the builtin links libgcc's CPU-model
+// constructor into every program that links the library. pramlint's
+// isa-probe rule keeps every other file in src/ off those primitives.
+#pragma once
+
+namespace pramsim::util {
+
+/// True when the host runs AVX2 code: the CPU has AVX2 and the OS saves
+/// the YMM registers. Probed once per process, on first use; false on
+/// builds for other architectures.
+[[nodiscard]] bool have_avx2();
+
+}  // namespace pramsim::util

@@ -18,12 +18,18 @@ namespace pramsim::util {
 /// Xoshiro256** state (the construction recommended by its authors).
 class SplitMix64 {
  public:
+  /// The state increment and the output function's two multipliers
+  /// (memmap::HashedMap's vector kernel recomputes this generator).
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+  static constexpr std::uint64_t kMul1 = 0xBF58476D1CE4E5B9ULL;
+  static constexpr std::uint64_t kMul2 = 0x94D049BB133111EBULL;
+
   constexpr explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    std::uint64_t z = (state_ += kGamma);
+    z = (z ^ (z >> 30)) * kMul1;
+    z = (z ^ (z >> 27)) * kMul2;
     return z ^ (z >> 31);
   }
 

@@ -2,14 +2,19 @@
 // bad-map union bound, and the expansion verifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "memmap/expansion.hpp"
 #include "memmap/memory_map.hpp"
 #include "memmap/params.hpp"
+#include "util/isa.hpp"
 #include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace pramsim::memmap {
 namespace {
@@ -110,6 +115,173 @@ TEST(SingleCopyMap, HasRedundancyOne) {
     seen.insert(copies[0].value());
   }
   EXPECT_GT(seen.size(), 55u);
+}
+
+// ------------------------------------------------- batch placement ------
+
+/// A geometry the library places through, with the fold of copies_into
+/// over every variable, recorded before the batch kernel existed: it pins
+/// the reference stream itself, which the schedule fingerprints only
+/// cover indirectly.
+struct Geometry {
+  const char* name;
+  std::uint64_t m;
+  std::uint32_t modules;
+  std::uint32_t r;
+  std::uint64_t golden;
+};
+
+constexpr std::uint64_t kMapSeed = 17;
+
+const Geometry kGeometries[] = {
+    // serve_dmmpc's Theorem 2 map (n = 4096, m = n^1.5).
+    {"r5", 1U << 18, 1U << 18, 5, 0xD8E880F572D425E7ULL},
+    // durable_faults' map (n = 1024, m = n^2).
+    {"r7", 1U << 20, 1U << 20, 7, 0x7AA0D7F8F0DD2889ULL},
+    // IDA's share placement at m = 2^20, b = 10, d = 20.
+    {"ida_d20", 104'858, 1U << 20, 20, 0x646489B39AD58D4AULL},
+    // A module count that is no power of two: Lemire's threshold is live.
+    {"prime_modules", 100'003, 100'003, 5, 0xEFE95461D5094CAEULL},
+    // r == M: nearly every lane draws a module it already holds.
+    {"modules_eq_r", 4096, 5, 5, 0xDC93D7E0293FF3F3ULL},
+    {"single_copy", 1U << 16, 1U << 12, 1, 0x50F308B03B12EE0EULL},
+};
+
+std::uint64_t fold_copies(const MemoryMap& map) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::vector<ModuleId> row(map.redundancy());
+  for (std::uint64_t v = 0; v < map.num_vars(); ++v) {
+    map.copies_into(VarId(static_cast<std::uint32_t>(v)), row);
+    for (const ModuleId module : row) {
+      h = (h ^ module.value()) * 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+/// Places `keys` through both batch entries of `map`: the dispatching
+/// one (HashedMap's AVX2 kernel on hosts that have it) and the base
+/// class's copies_into loop. Each writes a table followed by guard rows;
+/// every row must equal copies_into's and the guard rows must stay
+/// untouched.
+void expect_batch_matches(const MemoryMap& map, std::span<const VarId> keys) {
+  const std::uint32_t r = map.redundancy();
+  const ModuleId guard(~0U);
+  std::vector<ModuleId> expected(r);
+  for (const bool scalar : {false, true}) {
+    std::vector<ModuleId> table((keys.size() + 4) * r, guard);
+    const std::span<ModuleId> rows(table.data(), keys.size() * r);
+    if (scalar) {
+      map.MemoryMap::copies_batch(keys, rows);
+    } else {
+      map.copies_batch(keys, rows);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      map.copies_into(keys[i], expected);
+      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                             rows.begin() + static_cast<std::ptrdiff_t>(i * r)))
+          << (scalar ? "scalar loop" : "dispatching entry") << ": key "
+          << i << " (var " << keys[i].value() << ") of " << keys.size();
+    }
+    for (std::size_t i = rows.size(); i < table.size(); ++i) {
+      ASSERT_EQ(table[i], guard)
+          << (scalar ? "scalar loop" : "dispatching entry")
+          << " wrote past its table of " << keys.size() << " rows";
+    }
+  }
+}
+
+TEST(HashedMapBatch, ReferenceStreamMatchesGoldenFold) {
+  for (const Geometry& g : kGeometries) {
+    const HashedMap map(g.m, g.modules, g.r, kMapSeed);
+    EXPECT_EQ(fold_copies(map), g.golden) << g.name;
+  }
+}
+
+TEST(HashedMapBatch, EqualsCopiesIntoOnEveryVariable) {
+  RecordProperty("avx2", util::have_avx2() ? "yes" : "no");
+  // Chunks that are no multiple of four end every batch in a tail.
+  constexpr std::uint64_t kChunk = (1U << 14) + 3;
+  std::vector<VarId> keys;
+  for (const Geometry& g : kGeometries) {
+    SCOPED_TRACE(g.name);
+    const HashedMap map(g.m, g.modules, g.r, kMapSeed);
+    for (std::uint64_t lo = 0; lo < g.m; lo += kChunk) {
+      keys.clear();
+      for (std::uint64_t v = lo; v < std::min(g.m, lo + kChunk); ++v) {
+        keys.emplace_back(static_cast<std::uint32_t>(v));
+      }
+      expect_batch_matches(map, keys);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(HashedMapBatch, LemireRejectionsPlaceLikeCopiesInto) {
+  // M = 2^32 - 65535, so 2^64 mod M = 65535^2 and about one draw in 2^32
+  // rejects. Found by scanning the stream: each of these variables
+  // rejects one of its first r draws.
+  constexpr std::uint32_t kModules = 4'294'901'761U;
+  constexpr std::uint32_t kR = 5;
+  const HashedMap map(1ULL << 32, kModules, kR, kMapSeed);
+  const std::uint64_t threshold = (0 - std::uint64_t{kModules}) % kModules;
+  for (const std::uint32_t var : {1'215'275'006U, 1'472'110'386U,
+                                  1'673'794'801U}) {
+    // The premise, through the stream's own generators: the low half of
+    // one of the first r draws times M falls below the threshold.
+    util::SplitMix64 mixer(kMapSeed ^
+                           (util::SplitMix64::kGamma * (var + 1ULL)));
+    util::Rng rng(mixer.next());
+    bool rejects = false;
+    for (std::uint32_t draw = 0; draw < kR; ++draw) {
+      const auto product = static_cast<__uint128_t>(rng.next()) * kModules;
+      rejects = rejects || static_cast<std::uint64_t>(product) < threshold;
+    }
+    ASSERT_TRUE(rejects) << "var " << var;
+    // The rejecting variable in every lane of a group of four.
+    for (std::uint32_t lane = 0; lane < 4; ++lane) {
+      std::vector<VarId> keys;
+      for (std::uint32_t i = 0; i < 4; ++i) {
+        keys.emplace_back(i == lane ? var : var + 10 + i);
+      }
+      expect_batch_matches(map, keys);
+    }
+  }
+}
+
+TEST(HashedMapBatch, CountsZeroToNine) {
+  for (const Geometry& g : kGeometries) {
+    SCOPED_TRACE(g.name);
+    const HashedMap map(g.m, g.modules, g.r, kMapSeed);
+    for (std::uint32_t count = 0; count <= 9; ++count) {
+      std::vector<VarId> keys;
+      for (std::uint32_t i = 0; i < count; ++i) {
+        keys.emplace_back(static_cast<std::uint32_t>((i * 7919ULL) % g.m));
+      }
+      expect_batch_matches(map, keys);
+    }
+  }
+}
+
+TEST(HashedMapBatch, UnsortedKeysWithRepeats) {
+  const HashedMap map(1U << 18, 1U << 18, 5, kMapSeed);
+  const std::uint32_t last = (1U << 18) - 1;
+  const std::vector<VarId> keys = {
+      VarId(9),  VarId(3),    VarId(3),  VarId(last), VarId(9),
+      VarId(0),  VarId(last), VarId(3),  VarId(42),   VarId(42),
+      VarId(7),  VarId(0),    VarId(42), VarId(1),    VarId(9)};
+  expect_batch_matches(map, keys);
+}
+
+TEST(TableMap, BatchEqualsCopiesInto) {
+  const TableMap map(1000, 64, 7, 1);
+  std::vector<VarId> keys;
+  for (std::uint32_t v = 0; v < 1000; v += 3) {
+    keys.emplace_back(999 - v);
+  }
+  expect_batch_matches(map, keys);
 }
 
 // ------------------------------------------------------ parameters ------

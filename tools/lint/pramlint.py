@@ -42,6 +42,15 @@ Rule catalog (docs/static-analysis.md is the narrative version):
                     annotation on the loop (same line or the two lines
                     above) stating why order cannot be observed.
 
+  Platform probes (src/ only)
+    isa-probe       <cpuid.h>, __get_cpuid / __get_cpuid_count, xgetbv,
+                    __builtin_cpu_supports / __builtin_cpu_init outside
+                    src/util/isa.* — every vector kernel is chosen
+                    through util's one probe (the builtins also link
+                    libgcc's CPU-model constructor ahead of all other
+                    code). XGETBV is spelled inside an asm string, so
+                    this rule scans code with string literals kept.
+
   Interface (src/ only)
     serve-entry     a `step(...)` declaration marked `override` outside
                     src/pram/ — serve(plan, ctx) is the one entry a
@@ -134,6 +143,7 @@ RULES = {
     "ban-thread": "raw threading primitive outside src/util/parallel.*",
     "unordered-iter": "iteration over an unordered container "
                       "(implementation-defined order)",
+    "isa-probe": "CPU feature probe outside src/util/isa.*",
     "serve-entry": "step() override outside src/pram/ (memories "
                    "implement serve(plan, ctx))",
     "xa-obs-events": "obs::EventKind vocabulary drift across artifacts",
@@ -166,6 +176,8 @@ HINTS = {
                       "or annotate the loop with "
                       "`// pramlint: ordered-fold (<invariant>)` if the "
                       "fold is provably order-free",
+    "isa-probe": "call util::have_avx2() (src/util/isa.hpp); a probe "
+                 "for another instruction set belongs in src/util/isa.*",
     "serve-entry": "implement serve(plan, ctx)",
     "xa-obs-events": "update src/obs/journal.{hpp,cpp}, "
                      "tools/check_obs_schema.py EVENT_KINDS and "
@@ -213,10 +225,18 @@ class SourceView:
     def __init__(self, text):
         self.text = text
         self.code, self.comments = _strip(text)
+        self._code_with_strings = None
         self._line_starts = [0]
         for i, ch in enumerate(text):
             if ch == "\n":
                 self._line_starts.append(i + 1)
+
+    @property
+    def code_with_strings(self):
+        """The text with comments blanked but string literals kept."""
+        if self._code_with_strings is None:
+            self._code_with_strings, _ = _strip(self.text, keep_strings=True)
+        return self._code_with_strings
 
     def line_of(self, offset):
         return bisect.bisect_right(self._line_starts, offset)
@@ -229,7 +249,7 @@ class SourceView:
 _RAW_PREFIX_RE = re.compile(r'(?:u8|[uUL])?R$')
 
 
-def _strip(text):
+def _strip(text, keep_strings=False):
     out = []
     comments = {}
     i, n = 0, len(text)
@@ -244,6 +264,16 @@ def _strip(text):
                 line += 1
             else:
                 out.append(" ")
+        i = upto
+
+    def literal(upto):
+        """A string or char literal's body: kept or blanked."""
+        nonlocal i, line
+        if not keep_strings:
+            blank(upto)
+            return
+        out.append(text[i:upto])
+        line += text.count("\n", i, upto)
         i = upto
 
     def note_comment(start, end):
@@ -298,7 +328,7 @@ def _strip(text):
                 j = n if j < 0 else j + len(closer)
                 out.append('"')
                 i += 1
-                blank(j)
+                literal(j)
             else:
                 out.append('"')
                 j = i + 1
@@ -308,7 +338,7 @@ def _strip(text):
                     j += 1
                 j = min(j + 1, n)
                 i += 1
-                blank(j)
+                literal(j)
         elif ch == "'":
             out.append("'")
             j = i + 1
@@ -318,7 +348,7 @@ def _strip(text):
                 j += 1
             j = min(j + 1, n)
             i += 1
-            blank(j)
+            literal(j)
         else:
             out.append(ch)
             if ch == "\n":
@@ -363,6 +393,7 @@ BAN_INCLUDES = {
     "condition_variable": "ban-thread",
     "future": "ban-thread",
     "random": "ban-random",
+    "cpuid.h": "isa-probe",
     "ctime": "ban-time",
     "time.h": "ban-time",
     "cstdlib": None,  # fine by itself; rand()/getenv() calls are caught
@@ -373,7 +404,16 @@ BAN_INCLUDES = {
 BAN_EXEMPT = {
     "ban-chrono": re.compile(r"^src/util/stopwatch\.(hpp|cpp)$"),
     "ban-thread": re.compile(r"^src/util/parallel\.(hpp|cpp)$"),
+    "isa-probe": re.compile(r"^src/util/isa\.(hpp|cpp)$"),
 }
+
+# CPU feature probes, matched against code with string literals kept:
+# the XGETBV instruction is spelled inside an asm string.
+ISA_PROBE_PATTERNS = [
+    re.compile(r"\b__get_cpuid(?:_count)?\b"),
+    re.compile(r"\b__builtin_cpu_(?:supports|init)\b"),
+    re.compile(r"\b_?xgetbv\b"),
+]
 
 
 def subsystem_of(relpath):
@@ -440,6 +480,13 @@ def check_bans(relpath, view, findings):
             findings.append(Finding(
                 relpath, view.line_of(m.start()), rule,
                 f"{what} — {RULES[rule]}"))
+    if BAN_EXEMPT["isa-probe"].match(relpath):
+        return
+    for pattern in ISA_PROBE_PATTERNS:
+        for m in pattern.finditer(view.code_with_strings):
+            findings.append(Finding(
+                relpath, view.line_of(m.start()), "isa-probe",
+                f"{m.group(0)} — {RULES['isa-probe']}"))
 
 
 # ---- the one serve entry ---------------------------------------------------
