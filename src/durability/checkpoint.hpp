@@ -10,14 +10,14 @@
 //
 // Files are named `ckpt-<step>.bin` in the configured directory; the
 // newest `keep` checkpoints are retained. write() streams the snapshot
-// to `ckpt-<step>.bin.tmp` in one pass through a fixed 64 KiB buffer —
-// the CRC folds each block as it leaves, and the header's payload length
-// is filled in by seeking back — then renames the file into place. It
-// never holds the whole image in memory; the bytes on disk equal
-// file_image(). latest() returns the newest file that VALIDATES end to
-// end (header, length, CRC), read in blocks, so a checkpoint torn
-// mid-write falls back to its predecessor — the crash matrix's
-// kMidCheckpoint case.
+// to `ckpt-<step>.bin.tmp` in one pass through a fixed 1 MiB buffer —
+// the CRC (durability/crc32.hpp) folds each block as it leaves, and the
+// header's payload length is filled in by seeking back — then renames
+// the file into place. It never holds the whole image in memory; the
+// bytes on disk equal file_image(). latest() returns the newest file
+// that VALIDATES end to end (header, length, CRC), read in 1 MiB
+// blocks, so a checkpoint torn mid-write falls back to its predecessor
+// — the crash matrix's kMidCheckpoint case.
 #pragma once
 
 #include <cstdint>

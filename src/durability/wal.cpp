@@ -1,6 +1,7 @@
 #include "durability/wal.hpp"
 
 #include <cstring>
+#include <optional>
 
 #include "durability/crc32.hpp"
 #include "util/assert.hpp"
@@ -33,23 +34,94 @@ void put_word(std::vector<std::uint8_t>& out, pram::Word value) {
   put_bytes(out, &value, sizeof(value));
 }
 
-/// Cursor over a decoded payload; every read is bounds-checked so a
-/// CRC-valid but semantically short payload rejects instead of reading
-/// past the end.
-struct PayloadReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t offset = 0;
-
-  bool read(void* out, std::size_t n) {
-    if (size - offset < n) {
-      return false;
-    }
-    std::memcpy(out, data + offset, n);
-    offset += n;
-    return true;
-  }
+/// One complete, CRC-valid frame whose payload holds a whole record of a
+/// known kind: the unit read_wal decodes and truncate_through keeps.
+struct Frame {
+  WalRecordKind kind = WalRecordKind::kStepCommit;
+  std::uint64_t step = 0;
+  std::uint32_t count = 0;  ///< kStepCommit: (var, value) pairs in body
+  const std::uint8_t* body = nullptr;  ///< the kind's fields after these
+  std::size_t size = 0;                ///< frame bytes, header included
 };
+
+/// One (u64 var, value) pair of a kStepCommit body.
+constexpr std::size_t kWriteBytes =
+    sizeof(std::uint64_t) + sizeof(pram::Word);
+
+/// The frame at `offset` of `log`, or nullopt where the log stops being
+/// readable: a short header or payload (a torn write), a CRC mismatch, an
+/// unknown kind, or a payload shorter than its kind's fields. Bytes past
+/// those fields are allowed and ignored.
+[[nodiscard]] std::optional<Frame> parse_frame(
+    std::span<const std::uint8_t> log, std::size_t offset) {
+  const std::size_t left = log.size() - offset;
+  if (left < kFrameHeaderBytes) {
+    return std::nullopt;
+  }
+  const std::uint8_t* at = log.data() + offset;
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+  std::memcpy(&length, at, sizeof(length));
+  std::memcpy(&crc, at + sizeof(length), sizeof(crc));
+  if (left - kFrameHeaderBytes < length) {
+    return std::nullopt;
+  }
+  const std::uint8_t* payload = at + kFrameHeaderBytes;
+  if (crc32(payload, length) != crc) {
+    return std::nullopt;
+  }
+  Frame frame;
+  constexpr std::size_t kFixed = 1 + sizeof(frame.step);  // kind, step
+  if (length < kFixed) {
+    return std::nullopt;
+  }
+  std::memcpy(&frame.step, payload + 1, sizeof(frame.step));
+  frame.body = payload + kFixed;
+  std::size_t body_left = length - kFixed;
+  std::size_t need = 0;
+  switch (static_cast<WalRecordKind>(payload[0])) {
+    case WalRecordKind::kStepCommit:
+      if (body_left < sizeof(frame.count)) {
+        return std::nullopt;
+      }
+      std::memcpy(&frame.count, frame.body, sizeof(frame.count));
+      frame.body += sizeof(frame.count);
+      body_left -= sizeof(frame.count);
+      need = std::size_t{frame.count} * kWriteBytes;
+      break;
+    case WalRecordKind::kScrubRelocation:
+      need = sizeof(std::uint64_t);
+      break;
+    case WalRecordKind::kFaultOnset:
+      need = sizeof(std::uint32_t);
+      break;
+    default:
+      return std::nullopt;  // unknown kind: corruption, stop here
+  }
+  if (body_left < need) {
+    return std::nullopt;
+  }
+  frame.kind = static_cast<WalRecordKind>(payload[0]);
+  frame.size = kFrameHeaderBytes + length;
+  return frame;
+}
+
+/// Every byte of the file at `path`; nullopt when it cannot be opened.
+[[nodiscard]] std::optional<std::vector<std::uint8_t>> read_file(
+    const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return std::nullopt;
+  }
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t chunk[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + got);
+  }
+  std::fclose(file);
+  return bytes;
+}
 
 }  // namespace
 
@@ -151,38 +223,22 @@ void Wal::truncate_through(std::uint64_t through_step) {
   flush();
   std::fclose(file_);
   file_ = nullptr;
-  const WalReadResult old = read_wal(config_.path);
+  const std::vector<std::uint8_t> old =
+      read_file(config_.path).value_or(std::vector<std::uint8_t>{});
   file_ = std::fopen(config_.path.c_str(), "wb");
   PRAMSIM_ASSERT(file_ != nullptr);
-  file_bytes_ = 0;
-  // Re-frame the surviving tail. last_record_ tracking restarts with the
-  // re-framed records; durable_step_ is unchanged (the checkpoint now
-  // covers the dropped prefix).
-  for (const WalRecord& record : old.records) {
-    if (record.step <= through_step) {
-      continue;
+  // Keep each surviving frame as it was on disk, up to where read_wal
+  // would stop. last_record_ follows the kept frames; durable_step_ is
+  // unchanged (the checkpoint now covers the dropped prefix).
+  std::size_t offset = 0;
+  while (const auto frame = parse_frame(old, offset)) {
+    if (frame->step > through_step) {
+      last_record_.offset = buffer_.size();
+      last_record_.length = frame->size;
+      buffer_.insert(buffer_.end(), old.begin() + offset,
+                     old.begin() + offset + frame->size);
     }
-    payload_.clear();
-    put_u8(payload_, static_cast<std::uint8_t>(record.kind));
-    put_u64(payload_, record.step);
-    switch (record.kind) {
-      case WalRecordKind::kStepCommit:
-        put_u32(payload_,
-                static_cast<std::uint32_t>(record.writes.size()));
-        for (const auto& write : record.writes) {
-          put_u64(payload_, write.var.index());
-          put_word(payload_, write.value);
-        }
-        break;
-      case WalRecordKind::kScrubRelocation:
-        put_u64(payload_, record.relocated);
-        break;
-      case WalRecordKind::kFaultOnset:
-        put_u32(payload_, record.module);
-        break;
-    }
-    --appended_records_;  // frame_record re-counts the re-framed record
-    frame_record(payload_);
+    offset += frame->size;
   }
   const std::size_t written =
       std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
@@ -197,91 +253,42 @@ void Wal::truncate_through(std::uint64_t through_step) {
 
 WalReadResult read_wal(const std::string& path) {
   WalReadResult result;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const auto bytes = read_file(path);
+  if (!bytes) {
     return result;  // no log yet: empty, untorn
   }
-  std::vector<std::uint8_t> bytes;
-  {
-    std::uint8_t chunk[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-      bytes.insert(bytes.end(), chunk, chunk + got);
-    }
-  }
-  std::fclose(file);
-
   std::size_t offset = 0;
-  while (true) {
-    if (bytes.size() - offset < kFrameHeaderBytes) {
-      result.torn_tail = offset < bytes.size();
-      break;
-    }
-    std::uint32_t length = 0;
-    std::uint32_t crc = 0;
-    std::memcpy(&length, bytes.data() + offset, sizeof(length));
-    std::memcpy(&crc, bytes.data() + offset + sizeof(length), sizeof(crc));
-    if (bytes.size() - offset - kFrameHeaderBytes < length) {
-      result.torn_tail = true;
-      break;
-    }
-    const std::uint8_t* body = bytes.data() + offset + kFrameHeaderBytes;
-    if (crc32(body, length) != crc) {
-      result.torn_tail = true;
-      break;
-    }
-    PayloadReader reader{body, length};
+  while (const auto frame = parse_frame(*bytes, offset)) {
     WalRecord record;
-    std::uint8_t kind = 0;
-    if (!reader.read(&kind, sizeof(kind)) ||
-        !reader.read(&record.step, sizeof(record.step))) {
-      result.torn_tail = true;
-      break;
-    }
-    bool ok = true;
-    switch (static_cast<WalRecordKind>(kind)) {
-      case WalRecordKind::kStepCommit: {
-        record.kind = WalRecordKind::kStepCommit;
-        std::uint32_t count = 0;
-        ok = reader.read(&count, sizeof(count));
-        if (ok) {
-          record.writes.reserve(count);
-          for (std::uint32_t i = 0; ok && i < count; ++i) {
-            std::uint64_t var = 0;
-            pram::Word value = 0;
-            ok = reader.read(&var, sizeof(var)) &&
-                 reader.read(&value, sizeof(value));
-            if (ok) {
-              record.writes.push_back(
-                  {VarId(static_cast<std::uint32_t>(var)), value});
-            }
-          }
+    record.kind = frame->kind;
+    record.step = frame->step;
+    switch (frame->kind) {
+      case WalRecordKind::kStepCommit:
+        record.writes.reserve(frame->count);
+        for (std::uint32_t i = 0; i < frame->count; ++i) {
+          std::uint64_t var = 0;
+          pram::Word value = 0;
+          const std::uint8_t* pair = frame->body + i * kWriteBytes;
+          std::memcpy(&var, pair, sizeof(var));
+          std::memcpy(&value, pair + sizeof(var), sizeof(value));
+          record.writes.push_back(
+              {VarId(static_cast<std::uint32_t>(var)), value});
         }
+        result.durable_step = record.step;
         break;
-      }
       case WalRecordKind::kScrubRelocation:
-        record.kind = WalRecordKind::kScrubRelocation;
-        ok = reader.read(&record.relocated, sizeof(record.relocated));
+        std::memcpy(&record.relocated, frame->body,
+                    sizeof(record.relocated));
         break;
       case WalRecordKind::kFaultOnset:
-        record.kind = WalRecordKind::kFaultOnset;
-        ok = reader.read(&record.module, sizeof(record.module));
-        break;
-      default:
-        ok = false;  // unknown kind: treat as corruption, stop here
+        std::memcpy(&record.module, frame->body, sizeof(record.module));
         break;
     }
-    if (!ok) {
-      result.torn_tail = true;
-      break;
-    }
-    offset += kFrameHeaderBytes + length;
-    result.valid_bytes = offset;
-    if (record.kind == WalRecordKind::kStepCommit) {
-      result.durable_step = record.step;
-    }
+    offset += frame->size;
     result.records.push_back(std::move(record));
   }
+  result.valid_bytes = offset;
+  result.torn_tail = offset < bytes->size();
   return result;
 }
 

@@ -24,7 +24,9 @@
 // or CRC check — a torn final record truncates cleanly to the last
 // complete record, never poisons replay. truncate_through(step) is the
 // checkpoint protocol's log-trim: rewrite the file keeping only records
-// newer than the checkpoint. See docs/durability.md.
+// newer than the checkpoint, each frame copied as it was on disk, up to
+// where read_wal stops (one frame parser serves both). See
+// docs/durability.md.
 #pragma once
 
 #include <cstdint>

@@ -33,11 +33,29 @@ bool probe_avx2() {
 #endif
 }
 
+bool probe_pclmul() {
+#if defined(__x86_64__)
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+         (ecx & bit_PCLMUL) != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 bool have_avx2() {
   static const bool kHaveAvx2 = probe_avx2();
   return kHaveAvx2;
+}
+
+bool have_pclmul() {
+  static const bool kHavePclmul = probe_pclmul();
+  return kHavePclmul;
 }
 
 }  // namespace pramsim::util

@@ -1,8 +1,9 @@
 // Instruction-set probe: the one place the library asks the host CPU
-// what it can run. Vector kernels (GF(256) span coding, HashedMap's
-// batch placement) are compiled with a per-function target attribute
-// and chosen at run time through this probe, so one binary runs
-// everywhere and no build flag selects a kernel.
+// what it can run. It has two answers: AVX2 (GF(256) span coding,
+// HashedMap's batch placement) and PCLMULQDQ (the CRC-32 folding
+// kernel). Vector kernels are compiled with a per-function target
+// attribute and chosen at run time through this probe, so one binary
+// runs everywhere and no build flag selects a kernel.
 //
 // The probe reads CPUID and XGETBV through <cpuid.h>, not
 // __builtin_cpu_supports: the builtin links libgcc's CPU-model
@@ -16,5 +17,11 @@ namespace pramsim::util {
 /// the YMM registers. Probed once per process, on first use; false on
 /// builds for other architectures.
 [[nodiscard]] bool have_avx2();
+
+/// True when the host runs PCLMULQDQ (carry-less multiply) on XMM
+/// registers: CPUID.1:ECX.PCLMULQDQ. Kernels behind it use SSE2 beside
+/// the multiply, which every x86-64 host has. Probed once per process,
+/// on first use; false on builds for other architectures.
+[[nodiscard]] bool have_pclmul();
 
 }  // namespace pramsim::util

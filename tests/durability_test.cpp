@@ -7,6 +7,7 @@
 // lost committed-and-durable writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +44,30 @@ std::string scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
+}
+
+/// The classic byte-at-a-time CRC-32, an oracle independent of every
+/// path `durability::Crc32` dispatches to.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::vector<std::uint8_t> bytes(fs::file_size(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  if (file != nullptr) {
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+  return bytes;
 }
 
 // ----- WAL unit tests ------------------------------------------------------
@@ -208,6 +233,139 @@ TEST(Wal, TruncateThroughDropsOnlyCoveredRecords) {
   EXPECT_EQ(log.durable_step, 6u);
 }
 
+// truncate_through keeps the surviving frames exactly as they were on
+// disk. The log holds all three record kinds around the through-step and
+// ends in a torn record, which the truncation drops. The file's size and
+// CRC and the span of its last record were recorded while
+// truncate_through still decoded every record and re-encoded the
+// survivors.
+TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
+  const std::string dir = scratch_dir("wal_trunc_bytes");
+  const std::string path = dir + "/wal.log";
+  durability::Wal wal({path, 1});
+  for (std::uint64_t step = 1; step <= 8; ++step) {
+    std::vector<pram::VarWrite> writes;
+    for (std::uint64_t i = 0; i < step % 4; ++i) {
+      writes.push_back({VarId(static_cast<std::uint32_t>(step * 97 + i)),
+                        static_cast<pram::Word>(step * 1000 + i) - 3000});
+    }
+    wal.append_step(step, writes);
+    if (step % 3 == 0) {
+      wal.append_relocation(step, step * 11);
+    }
+    if (step % 2 == 1) {
+      wal.append_onset(step, static_cast<std::uint32_t>(step + 40));
+    }
+  }
+  const std::vector<pram::VarWrite> last = {{VarId(900), 9},
+                                            {VarId(901), -9}};
+  wal.append_step(9, last);
+  wal.flush();
+  const auto torn = wal.last_record();
+  fs::resize_file(path, torn.offset + torn.length - 5);
+  ASSERT_TRUE(durability::read_wal(path).torn_tail);
+
+  wal.truncate_through(4);
+  const auto bytes = read_bytes(path);
+  EXPECT_EQ(bytes.size(), 247u);
+  EXPECT_EQ(reference_crc32(bytes.data(), bytes.size()), 0x47a559f4u);
+  EXPECT_EQ(wal.file_bytes(), 247u);
+  EXPECT_EQ(wal.last_record().offset, 226u);
+  EXPECT_EQ(wal.last_record().length, 21u);
+  EXPECT_EQ(wal.appended_records(), 15u);
+
+  const auto log = durability::read_wal(path);
+  EXPECT_FALSE(log.torn_tail);
+  using Kind = durability::WalRecordKind;
+  const std::vector<std::pair<Kind, std::uint64_t>> expected = {
+      {Kind::kStepCommit, 5},      {Kind::kFaultOnset, 5},
+      {Kind::kStepCommit, 6},      {Kind::kScrubRelocation, 6},
+      {Kind::kStepCommit, 7},      {Kind::kFaultOnset, 7},
+      {Kind::kStepCommit, 8}};
+  ASSERT_EQ(log.records.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(log.records[i].kind, expected[i].first) << "record " << i;
+    EXPECT_EQ(log.records[i].step, expected[i].second) << "record " << i;
+  }
+
+  // Appends continue from the truncated file's end.
+  wal.append_onset(10, 7);
+  wal.flush();
+  EXPECT_EQ(wal.last_record().offset, 247u);
+  EXPECT_EQ(wal.file_bytes(), 268u);
+}
+
+/// A WAL frame around `payload`: u32 length, u32 CRC-32, the payload.
+std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload) {
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = reference_crc32(payload.data(), payload.size());
+  std::vector<std::uint8_t> frame(8 + payload.size());
+  std::memcpy(frame.data(), &length, 4);
+  std::memcpy(frame.data() + 4, &crc, 4);
+  std::copy(payload.begin(), payload.end(), frame.begin() + 8);
+  return frame;
+}
+
+/// A record payload: the kind byte, the u64 step, then `body`.
+std::vector<std::uint8_t> wal_payload(std::uint8_t kind, std::uint64_t step,
+                                      const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> payload(9 + body.size());
+  payload[0] = kind;
+  std::memcpy(payload.data() + 1, &step, 8);
+  std::copy(body.begin(), body.end(), payload.begin() + 9);
+  return payload;
+}
+
+// A frame with a valid CRC whose payload does not hold a whole record of
+// a known kind ends the readable log for read_wal and truncate_through
+// alike: the valid frame after it is dropped too.
+TEST(Wal, TruncateThroughStopsWhereReadWalStops) {
+  const std::string dir = scratch_dir("wal_trunc_stop");
+  const std::string path = dir + "/wal.log";
+  const std::vector<std::uint8_t> onset_body = {7, 0, 0, 0};
+  const std::vector<std::vector<std::uint8_t>> bad_payloads = {
+      wal_payload(9, 3, onset_body),                  // unknown kind
+      wal_payload(1, 3, {2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+                         5, 0, 0, 0, 0, 0, 0, 0}),    // 2 writes, 1 held
+      wal_payload(2, 3, {4, 0, 0, 0}),                // short relocation
+      wal_payload(3, 3, {}),                          // onset, no module
+      {3, 3, 0, 0, 0},                                // no whole step
+  };
+  for (std::size_t c = 0; c < bad_payloads.size(); ++c) {
+    SCOPED_TRACE(c);
+    durability::Wal wal({path, 1});
+    wal.append_onset(1, 4);
+    wal.append_relocation(2, 6);
+    wal.flush();
+    const auto kept = wal.last_record();
+    {
+      std::FILE* file = std::fopen(path.c_str(), "ab");
+      ASSERT_NE(file, nullptr);
+      for (const auto& frame : {wal_frame(bad_payloads[c]),
+                                wal_frame(wal_payload(3, 5, onset_body))}) {
+        ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), file),
+                  frame.size());
+      }
+      std::fclose(file);
+    }
+    const auto log = durability::read_wal(path);
+    EXPECT_TRUE(log.torn_tail);
+    ASSERT_EQ(log.records.size(), 2u);
+    EXPECT_EQ(log.valid_bytes, kept.offset + kept.length);
+
+    const auto before = read_bytes(path);
+    wal.truncate_through(1);
+    const auto after = read_bytes(path);
+    ASSERT_EQ(after.size(), kept.length);
+    EXPECT_TRUE(std::equal(after.begin(), after.end(),
+                           before.begin() + kept.offset));
+    const auto trimmed = durability::read_wal(path);
+    EXPECT_FALSE(trimmed.torn_tail);
+    ASSERT_EQ(trimmed.records.size(), 1u);
+    EXPECT_EQ(trimmed.records[0].relocated, 6u);
+  }
+}
+
 // ----- checkpoint unit tests -----------------------------------------------
 
 TEST(Checkpoint, RoundTripRestoresStateAndStepClock) {
@@ -285,49 +443,46 @@ TEST(Checkpoint, TornNewestFileFallsBackToPreviousValidOne) {
 
 // ----- CRC-32 and the streamed checkpoint file --------------------------
 
-/// The classic byte-at-a-time CRC-32, as an independent oracle for the
-/// sliced implementation.
-std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= data[i];
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::vector<std::uint8_t> read_bytes(const std::string& path) {
-  std::vector<std::uint8_t> bytes(fs::file_size(path));
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(file, nullptr);
-  if (file != nullptr) {
-    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
-    std::fclose(file);
-  }
-  return bytes;
-}
-
 TEST(Crc32, MatchesTheStandardCheckValue) {
   const char* check = "123456789";
   EXPECT_EQ(durability::crc32(check, 9), 0xCBF43926u);
   EXPECT_EQ(durability::crc32(check, 0), 0u);
 }
 
-// Every length and start alignment around the 8-byte stride, and every
-// split point of the streaming form, agree with the bytewise oracle.
-TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAlignmentAndSplit) {
-  std::vector<std::uint8_t> data(300);
-  std::uint32_t x = 12345;
+/// `size` pseudo-random bytes, the same for every call with one seed.
+std::vector<std::uint8_t> crc_input(std::size_t size, std::uint32_t seed) {
+  std::vector<std::uint8_t> data(size);
+  std::uint32_t x = seed;
   for (auto& byte : data) {
     x = x * 1103515245u + 12345u;
     byte = static_cast<std::uint8_t>(x >> 24);
   }
-  for (std::size_t start = 0; start < 8; ++start) {
-    for (std::size_t len = 0; start + len <= 80; ++len) {
-      ASSERT_EQ(durability::crc32(data.data() + start, len),
-                reference_crc32(data.data() + start, len))
+  return data;
+}
+
+/// CRC-32 through the slicing-by-8 loop alone.
+std::uint32_t sliced_crc32(const std::uint8_t* data, std::size_t size) {
+  durability::Crc32 crc;
+  crc.update_sliced(data, size);
+  return crc.value();
+}
+
+// The dispatching entry (the carry-less-multiply kernel where the host
+// has PCLMULQDQ) and the table loop against the bytewise oracle, at
+// every length up to 1,100 bytes from every start offset 0-15: each
+// chunk count around the kernel's 64-byte minimum, its 4-lane loop, its
+// 16-byte single-fold loop and the 0-15 byte table tail. Streaming
+// carries the state into the kernel: two update() calls split anywhere
+// in a 4 KiB buffer equal one pass, on both paths.
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAlignmentAndSplit) {
+  const auto data = crc_input(4096, 12345);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::uint8_t* p = data.data() + start;
+      const std::uint32_t expect = reference_crc32(p, len);
+      ASSERT_EQ(durability::crc32(p, len), expect)
+          << "start " << start << " len " << len;
+      ASSERT_EQ(sliced_crc32(p, len), expect)
           << "start " << start << " len " << len;
     }
   }
@@ -337,6 +492,33 @@ TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAlignmentAndSplit) {
     crc.update(data.data(), split);
     crc.update(data.data() + split, data.size() - split);
     ASSERT_EQ(crc.value(), whole) << "split " << split;
+    durability::Crc32 sliced;
+    sliced.update_sliced(data.data(), split);
+    sliced.update_sliced(data.data() + split, data.size() - split);
+    ASSERT_EQ(sliced.value(), whole) << "split " << split;
+  }
+}
+
+// Checkpoint-sized spans: one 64 KiB and one 1 MiB stream block, and a
+// 1 MiB block with a 13-byte tail, in one call and in 1,000,003-byte
+// and 4,099-byte pieces.
+TEST(Crc32, LargeBuffersMatchBytewiseAndSliced) {
+  for (const std::size_t size :
+       {std::size_t{1} << 16, std::size_t{1} << 20,
+        (std::size_t{1} << 20) + 13}) {
+    SCOPED_TRACE(size);
+    const auto data = crc_input(size, static_cast<std::uint32_t>(size));
+    const std::uint32_t expect = reference_crc32(data.data(), size);
+    EXPECT_EQ(durability::crc32(data.data(), size), expect);
+    EXPECT_EQ(sliced_crc32(data.data(), size), expect);
+    for (const std::size_t piece :
+         {std::size_t{1000003}, std::size_t{4099}}) {
+      durability::Crc32 crc;
+      for (std::size_t at = 0; at < size; at += piece) {
+        crc.update(data.data() + at, std::min(piece, size - at));
+      }
+      EXPECT_EQ(crc.value(), expect) << "piece " << piece;
+    }
   }
 }
 
@@ -359,6 +541,8 @@ struct GoldenCheckpoint {
   /// zero-valued entries that only the file's bytes can tell apart from
   /// never-written variables.
   bool zeros = false;
+  /// Distance between the variables one step writes.
+  std::uint64_t stride = 101;
 };
 
 /// A fixed state: 24 steps of 64 writes each, through the step clock,
@@ -375,8 +559,8 @@ std::unique_ptr<pram::MemorySystem> golden_memory(
     pram::AccessBatch batch;
     for (std::uint64_t i = 0; i < 64; ++i) {
       writes.push_back(
-          {VarId(static_cast<std::uint32_t>((step * 37 + i * 101) %
-                                            memory->size())),
+          {VarId(static_cast<std::uint32_t>(
+               (step * 37 + i * golden.stride) % memory->size())),
            golden.zeros && step % 3 == 0
                ? pram::Word{0}
                : static_cast<pram::Word>(step * 1000 + i)});
@@ -407,13 +591,15 @@ std::unique_ptr<pram::MemorySystem> golden_scheme(
 // the hash-map CopyStore produced before rows moved into pages. The two
 // served IDA rows were recorded with the per-block IDA serve path and
 // the hash-map share rows, before the step-batched recode and the flat
-// rows replaced them. Every
-// payload spans several 64 KiB stream blocks. The faulted row carries a
+// rows replaced them. The faulted row carries a
 // non-empty relocation overlay: modules die mid-run and the final scrub
 // pass re-homes their copies. The two "zeros" rows write the value 0 in
 // every third step, and every row's body CRC was recorded with the
 // hash-map oracle image and overlay, before one paged table held every
-// keyed store.
+// keyed store. The other rows fit in one 1 MiB stream block; the wide
+// row's 3.9 MB file spans four, so the writer drains its buffer
+// mid-snapshot and validation and restore refill theirs. That row was
+// recorded with 64 KiB stream blocks and the slicing-by-8 CRC alone.
 TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
   const std::string dir = scratch_dir("ckpt_golden");
   const auto faulted_dmmpc = [] {
@@ -453,6 +639,14 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
        0x0aeccc69u, false, true},
       {"ida_w64_faulted_zeros_served", [&] { return faulted_ida(64); }, true,
        102656, 0x2f4b2917u, 0x765fe663u, true, true},
+      {"dmmpc_w64_n256_wide",
+       [] {
+         return core::make_memory({.kind = core::SchemeKind::kDmmpc,
+                                   .n = 256,
+                                   .seed = 3,
+                                   .region_words = 64});
+       },
+       false, 3867956, 0x9f6b9a63u, 0xd37d79d0u, false, false, 2053},
   };
   for (const GoldenCheckpoint& golden : table) {
     SCOPED_TRACE(golden.name);

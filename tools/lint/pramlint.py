@@ -50,6 +50,12 @@ Rule catalog (docs/static-analysis.md is the narrative version):
                     libgcc's CPU-model constructor ahead of all other
                     code). XGETBV is spelled inside an asm string, so
                     this rule scans code with string literals kept.
+    isa-dispatch    a file defining a function with
+                    __attribute__((target(...))) (or [[gnu::target]])
+                    that calls no util::have_* probe — a kernel reached
+                    without one runs illegal instructions on a host
+                    that lacks the extension, which no CI host that has
+                    it can catch
 
   Interface (src/ only)
     serve-entry     a `step(...)` declaration marked `override` outside
@@ -144,6 +150,8 @@ RULES = {
     "unordered-iter": "iteration over an unordered container "
                       "(implementation-defined order)",
     "isa-probe": "CPU feature probe outside src/util/isa.*",
+    "isa-dispatch": "target(...) kernel in a file that calls no "
+                    "util::have_* probe",
     "serve-entry": "step() override outside src/pram/ (memories "
                    "implement serve(plan, ctx))",
     "xa-obs-events": "obs::EventKind vocabulary drift across artifacts",
@@ -176,8 +184,12 @@ HINTS = {
                       "or annotate the loop with "
                       "`// pramlint: ordered-fold (<invariant>)` if the "
                       "fold is provably order-free",
-    "isa-probe": "call util::have_avx2() (src/util/isa.hpp); a probe "
-                 "for another instruction set belongs in src/util/isa.*",
+    "isa-probe": "call util::have_avx2() or util::have_pclmul() "
+                 "(src/util/isa.hpp); a probe for another instruction "
+                 "set belongs in src/util/isa.*",
+    "isa-dispatch": "call the kernel only behind util::have_avx2() / "
+                    "util::have_pclmul() in the same file, with a "
+                    "portable path for hosts that answer false",
     "serve-entry": "implement serve(plan, ctx)",
     "xa-obs-events": "update src/obs/journal.{hpp,cpp}, "
                      "tools/check_obs_schema.py EVENT_KINDS and "
@@ -487,6 +499,28 @@ def check_bans(relpath, view, findings):
             findings.append(Finding(
                 relpath, view.line_of(m.start()), "isa-probe",
                 f"{m.group(0)} — {RULES['isa-probe']}"))
+
+
+# A function compiled for an instruction-set extension, and the probe
+# call that must guard it in the same file. Scanned on code with string
+# literals blanked, so neither fires from a comment or a string.
+TARGET_ATTR_RE = re.compile(
+    r"__attribute__\s*\(\s*\(\s*target\s*\("
+    r"|\[\[\s*gnu\s*::\s*target\s*\(")
+PROBE_CALL_RE = re.compile(r"\butil\s*::\s*have_\w+\s*\(")
+
+
+def check_isa_dispatch(relpath, view, findings):
+    """A src/ file that defines target(...) functions must call a
+    util::have_* probe; one finding, at the first such function."""
+    if subsystem_of(relpath) is None:
+        return
+    m = TARGET_ATTR_RE.search(view.code)
+    if m is None or PROBE_CALL_RE.search(view.code):
+        return
+    findings.append(Finding(
+        relpath, view.line_of(m.start()), "isa-dispatch",
+        RULES["isa-dispatch"]))
 
 
 # ---- the one serve entry ---------------------------------------------------
@@ -1048,6 +1082,7 @@ def scan_tree(root):
         sub = subsystem_of(rel)
         check_includes(rel, view, findings)
         check_bans(rel, view, findings)
+        check_isa_dispatch(rel, view, findings)
         check_serve_entry(rel, view, findings)
         check_unordered_iteration(
             rel, view, dir_members.get(sub, set()),
@@ -1119,6 +1154,7 @@ def run_self_test(fixtures_root):
         sub = subsystem_of(rel)
         check_includes(rel, view, findings)
         check_bans(rel, view, findings)
+        check_isa_dispatch(rel, view, findings)
         check_serve_entry(rel, view, findings)
         check_unordered_iteration(
             rel, view, dir_members.get(sub, set()),
