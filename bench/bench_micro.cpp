@@ -16,7 +16,6 @@
 #include "durability/crc32.hpp"
 #include "ida/dispersal.hpp"
 #include "ida/gf256.hpp"
-#include "majority/copy_store.hpp"
 #include "majority/scheduler.hpp"
 #include "memmap/memory_map.hpp"
 #include "network/paths.hpp"
@@ -130,36 +129,7 @@ int main() {
             8.0 * b);
   }
 
-  // ---- region-width sweeps (the PR's tentpole numbers) --------------
-  // Majority vote, healthy path: one full certification sweep over 2^14
-  // stored words at r = 5 copies. Width 1 is today's word-at-a-time mode
-  // (one vote_region call per word — the W = 1 store is bit-identical to
-  // the classic layout); wider regions certify whole spans with memcmp.
-  for (const std::uint32_t w : {1u, 8u, 64u}) {
-    const std::uint64_t m_words = 1 << 14;
-    const std::uint32_t r = 5;
-    majority::CopyStore store(m_words, r, w);
-    util::Rng rng(12);
-    for (std::uint64_t v = 0; v < m_words; ++v) {
-      const auto value = static_cast<pram::Word>(rng.next());
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        store.write(VarId(static_cast<std::uint32_t>(v)), copy, value, 1);
-      }
-    }
-    const std::uint64_t all_mask = (1ULL << r) - 1;
-    const auto m = measure([&] {
-      std::uint64_t unanimous = 0;
-      for (std::uint64_t region = 0; region < store.num_regions();
-           ++region) {
-        unanimous += store.vote_region(region, all_mask) >= 0 ? 1 : 0;
-      }
-      do_not_optimize(unanimous);
-    }, 1);
-    add_row(table, "majority_vote_sweep",
-            "m=2^14 r=5 w=" + std::to_string(w), m,
-            static_cast<double>(m_words), 8.0 * static_cast<double>(m_words));
-  }
-
+  // ---- IDA region-width sweep ----------------------------------------
   // IDA recode, healthy path: 64 words through b = 8 blocks. Width 1 is
   // today's per-block word mode (encode_words / recover_words per block);
   // widths 8 and 64 recode 1 and 8 blocks per bulk codec call.

@@ -155,9 +155,8 @@ int main() {
     // under its peak-RSS ceiling.
     configs.push_back({core::SchemeKind::kDmmpc, 4096, 0.5});
     configs.push_back({core::SchemeKind::kHashed, 4096, 0.5});
-    // Region-granular storage rows (same traffic, wide rows): the value
-    // phases run the bulk memcmp-vote / GF(256)-span paths.
-    configs.push_back({core::SchemeKind::kDmmpc, 4096, 0.5, 64});
+    // A region-granular IDA row (same traffic, wide share rows): the
+    // value phase runs the GF(256) span recodes.
     configs.push_back({core::SchemeKind::kIda, 256, 0.2, 64});
 
     for (const auto& config : configs) {
@@ -191,20 +190,15 @@ int main() {
       core::SchemeKind kind;
       std::uint32_t n;
       double budget;
-      std::uint32_t region = 1;
     };
     const std::vector<Config> configs = {
         {core::SchemeKind::kDmmpc, 256, 0.2},
         {core::SchemeKind::kHashed, 256, 0.2},
         {core::SchemeKind::kDmmpc, 4096, 0.4},
         {core::SchemeKind::kHashed, 4096, 0.4},
-        // Width sweep: backend x region granularity on the same traffic.
-        {core::SchemeKind::kDmmpc, 4096, 0.4, 8},
-        {core::SchemeKind::kDmmpc, 4096, 0.4, 64},
     };
     for (const auto& config : configs) {
-      core::SchemeSpec spec{.kind = config.kind, .n = config.n, .seed = 3,
-                            .region_words = config.region};
+      core::SchemeSpec spec{.kind = config.kind, .n = config.n, .seed = 3};
       const auto instance = core::make_scheme(spec);
       const std::size_t steps = config.n >= 4096 ? 8 : 16;
       const auto trace = make_bench_trace(config.n, instance.m, steps);

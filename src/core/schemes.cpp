@@ -112,7 +112,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
   inst.kind = spec.kind;
   inst.name = to_string(spec.kind);
   inst.m = vars_for(spec);
-  inst.region_words = std::max<std::uint32_t>(spec.region_words, 1);
   inst.guarantee = "deterministic worst-case";
 
   // A replicated kind sets its module count, c, round model and table
@@ -248,7 +247,7 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       // whole blocks); region_words below b collapses to the classic
       // one-row-per-block layout.
       const std::uint32_t region_blocks =
-          std::max<std::uint32_t>(inst.region_words / block, 1);
+          std::max<std::uint32_t>(spec.region_words / block, 1);
       inst.region_words = region_blocks * block;
       inst.memory = std::make_unique<ida::IdaMemory>(
           inst.m, ida::IdaMemoryConfig{.b = block,
@@ -268,7 +267,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
     }
     case SchemeKind::kHashed: {
       inst.n_modules = spec.n;  // the MPC: one module per processor
-      inst.region_words = 1;  // single-copy hashing has no region layout
       inst.memory = std::make_unique<hashing::MvMemory>(
           inst.m, hashing::MvMemoryConfig{.n_modules = inst.n_modules,
                                           .k_wise = 2,
@@ -283,7 +281,7 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
   if (rounds != RoundModel::kNone) {
     // Every replicated kind: an r = 2c-1 hashed map, the cluster
     // protocol's config, the kind's engine, and a MajorityMemory over
-    // the instance's (already clamped) region width.
+    // them.
     inst.r = 2 * inst.c - 1;
     PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
                        "a map needs r <= M modules");
@@ -309,8 +307,8 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       engine = std::make_unique<majority::DmmpcEngine>(map, protocol,
                                                        round_cycles);
     }
-    auto memory = std::make_unique<majority::MajorityMemory>(
-        std::move(engine), inst.region_words);
+    auto memory =
+        std::make_unique<majority::MajorityMemory>(std::move(engine));
     inst.engine = &memory->engine();
     inst.memory = std::move(memory);
     inst.map = std::move(map);

@@ -102,14 +102,13 @@ struct SchemeSpec {
   /// bad shares become erasures instead of silent block poison); doubles
   /// the scheme's storage factor. See ida::IdaMemoryConfig::check_shares.
   bool ida_check_shares = false;
-  /// Storage region granularity in WORDS, clamped to >= 1. 1 (the
-  /// default) is the classic word-at-a-time layout, bit-identical to the
-  /// pre-region code. Wider regions store each copy's slice of
-  /// region_words consecutive variables contiguously (majority kinds:
-  /// CopyStore region rows; kIda: region_words / b blocks per region
-  /// row, at least 1) so the value phases run bulk memcmp votes and
-  /// GF(256) span recodes. Purely a storage/throughput knob: values,
-  /// costs, and fault semantics are identical at every width.
+  /// kIda only: storage region granularity in WORDS. Each share row
+  /// holds region_words / b consecutive blocks (at least 1; 1, the
+  /// default, is the classic one-row-per-block layout), so the value
+  /// phase recodes whole regions with GF(256) span kernels. Purely a
+  /// storage/throughput knob: values, costs, and fault semantics are
+  /// identical at every width. Every other kind ignores it (a majority
+  /// variable's r copies are always one row).
   std::uint32_t region_words = 1;
   /// Hot-set cache in front of the assembled memory, in LINES (one
   /// variable per line). 0 (the default) assembles the bare scheme;
@@ -139,7 +138,8 @@ struct SchemeInstance {
   std::uint32_t n_modules = 0;   ///< M
   std::uint32_t c = 0;           ///< access threshold (0: no majority rule)
   std::uint32_t r = 0;           ///< copies per variable (0: not replicated)
-  std::uint32_t region_words = 1;  ///< storage granularity actually in effect
+  /// Storage granularity actually in effect (1 for every kind but kIda).
+  std::uint32_t region_words = 1;
   double storage_factor = 1.0;   ///< storage blow-up vs flat memory
   double eps_effective = 0.0;    ///< log2(M)/log2(n) - 1 actually realized
   std::uint64_t switches = 0;    ///< extra network nodes (0 for MPC/DMMPC)

@@ -228,8 +228,10 @@ void Wal::truncate_through(std::uint64_t through_step) {
   file_ = std::fopen(config_.path.c_str(), "wb");
   PRAMSIM_ASSERT(file_ != nullptr);
   // Keep each surviving frame as it was on disk, up to where read_wal
-  // would stop. last_record_ follows the kept frames; durable_step_ is
-  // unchanged (the checkpoint now covers the dropped prefix).
+  // would stop. last_record_ follows the kept frames and is empty when
+  // none survives; durable_step_ is unchanged (the checkpoint now covers
+  // the dropped prefix).
+  last_record_ = {};
   std::size_t offset = 0;
   while (const auto frame = parse_frame(old, offset)) {
     if (frame->step > through_step) {

@@ -106,8 +106,9 @@ class Wal {
   [[nodiscard]] const std::string& path() const { return config_.path; }
 
   /// Byte span of the most recently appended record, relative to the
-  /// file start. Valid once that record is flushed — the crash matrix
-  /// tears the file inside this span to simulate a partial final write.
+  /// file start; {0, 0} after a truncation that keeps no record. Valid
+  /// once that record is flushed — the crash matrix tears the file
+  /// inside this span to simulate a partial final write.
   struct RecordSpan {
     std::uint64_t offset = 0;
     std::uint64_t length = 0;

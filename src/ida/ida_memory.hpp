@@ -128,7 +128,6 @@ class IdaMemory final : public pram::MemorySystem {
   [[nodiscard]] double storage_factor() const {
     return disperser_.storage_factor();
   }
-  [[nodiscard]] std::uint32_t block_size() const { return config_.b; }
   [[nodiscard]] std::uint64_t num_blocks() const { return n_blocks_; }
   [[nodiscard]] std::uint32_t region_blocks() const {
     return config_.region_blocks;
@@ -141,9 +140,6 @@ class IdaMemory final : public pram::MemorySystem {
   }
   /// Variables processed (decoded) per variable accessed so far.
   [[nodiscard]] double work_amplification() const;
-  [[nodiscard]] std::uint64_t share_accesses() const {
-    return share_accesses_;
-  }
 
  protected:
   /// Native snapshot: the packed share region rows (shares, checksums,

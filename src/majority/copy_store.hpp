@@ -6,14 +6,6 @@
 // take the freshest; writes stamp >= c copies. Because any two c-subsets
 // of 2c-1 copies intersect, the freshest copy in any read set carries the
 // latest committed write.
-//
-// Region granularity: the store keeps copies of W = region_words
-// consecutive variables contiguously (copy-major: copy i of the whole
-// region, then copy i+1, ...), so a copy's slice of a region is one flat
-// span. W = 1 reproduces the classic per-variable rows byte for byte;
-// W > 1 lets vote_region() compare whole copy regions with memcmp (the
-// bulk healthy path) while every per-word method below keeps its exact
-// word-at-a-time semantics.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +25,15 @@ struct Copy {
 };
 
 static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
-              "Copy must be padding-free so region memcmp compares exactly "
-              "the (value, stamp) pairs");
+              "Copy must be padding-free so a row serializes as exactly "
+              "its (value, stamp) pairs");
 
-/// Paged (region, copy-index) -> Copy storage. Region rows (r copy
-/// slices of region_words() copies each) live in a util::PagedRows
-/// table keyed by region: a row is materialized (its page allocated
-/// zero-filled, its touched bit set) on the first write into it, so every
-/// row never written reads the initial {0, 0} copy. Nothing is sized by
-/// m*r, which keeps full-scale memories (m up to n^2 for n in the
-/// thousands) cheap to construct.
+/// Paged (variable, copy-index) -> Copy storage. Each variable's r copies
+/// are one row of a util::PagedRows table keyed by the variable: a row is
+/// materialized (its page allocated zero-filled, its touched bit set) on
+/// the first write into it, so every row never written reads the initial
+/// {0, 0} copy. Nothing is sized by m*r, which keeps full-scale memories
+/// (m up to n^2 for n in the thousands) cheap to construct.
 ///
 /// Rows never move once materialized, so references and row pointers
 /// stay valid until the table is cleared through rows(). The table
@@ -51,58 +42,48 @@ static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
 /// reads or write_prepared.
 class CopyStore {
  public:
-  CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
-            std::uint32_t region_words = 1);
+  CopyStore(std::uint64_t m_vars, std::uint32_t redundancy);
 
   [[nodiscard]] std::uint64_t num_vars() const { return m_vars_; }
   [[nodiscard]] std::uint32_t redundancy() const { return r_; }
-  [[nodiscard]] std::uint32_t region_words() const { return w_; }
-  [[nodiscard]] std::uint64_t num_regions() const { return n_regions_; }
-  [[nodiscard]] std::uint64_t region_of(VarId var) const {
-    return var.index() / w_;
-  }
-  /// Regions with at least one written copy (live-set accounting; with
-  /// region_words == 1 this is exactly "variables with >= 1 written
-  /// copy", the classic meaning).
+  /// Variables with at least one written copy (live-set accounting).
   [[nodiscard]] std::uint64_t touched_vars() const { return rows_.count(); }
-  /// True when `var`'s region row was materialized (>= 1 copy of some
-  /// variable in the region ever written). Untouched variables read as
-  /// the initial {0, 0} copy everywhere, so repair passes can restore
-  /// their redundancy by relocation alone. A row sharing a page with
-  /// written neighbours stays untouched until it is written itself.
+  /// True when `var`'s row was materialized (>= 1 copy ever written).
+  /// Untouched variables read as the initial {0, 0} copy everywhere, so
+  /// repair passes can restore their redundancy by relocation alone. A
+  /// row sharing a page with written neighbours stays untouched until it
+  /// is written itself.
   [[nodiscard]] bool touched(VarId var) const {
-    return rows_.contains(region_of(var));
+    return rows_.contains(var.index());
   }
 
   [[nodiscard]] const Copy& at(VarId var, std::uint32_t copy) const {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    const Copy* col = column(var);
-    if (col == nullptr) {
+    const Copy* copies = rows_.find(var.index());
+    if (copies == nullptr) {
       static const Copy kInitial{};
       return kInitial;
     }
-    return col[static_cast<std::size_t>(copy) * w_];
+    return copies[copy];
   }
 
   void write(VarId var, std::uint32_t copy, pram::Word value,
              std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    row(region_of(var))[static_cast<std::size_t>(copy) * w_ +
-                        var.index() % w_] = Copy{value, stamp};
+    row(var)[copy] = Copy{value, stamp};
   }
 
   // ----- value-phase serve surface -----
   //
   // The row table must not change while value-phase workers write
   // concurrently, so the value phase is two-phase: the serving thread
-  // materializes every written variable's region row up front
-  // (ensure_row), then workers update DISTINCT variables' slots in place
-  // (write_prepared) — pure lookups, no allocation, no growth.
-  // Distinct variables of a SHARED row or page touch disjoint Copy slots,
-  // so the frozen-structure rule carries over to any region width.
+  // materializes every written variable's row up front (ensure_row),
+  // then workers update DISTINCT variables' rows in place
+  // (write_prepared) — pure lookups, no allocation, no growth. Distinct
+  // variables sharing a page touch disjoint rows.
 
-  /// Materialize `var`'s region row (serving thread only, before fan-out).
-  void ensure_row(VarId var) { (void)row(region_of(var)); }
+  /// Materialize `var`'s row (serving thread only, before fan-out).
+  void ensure_row(VarId var) { (void)row(var); }
 
   /// In-place write for a row ensure_row already materialized. Safe to
   /// call concurrently with other write_prepared/reads on DIFFERENT
@@ -110,9 +91,8 @@ class CopyStore {
   void write_prepared(VarId var, std::uint32_t copy, pram::Word value,
                       std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    PRAMSIM_DASSERT(rows_.contains(region_of(var)));
-    rows_.find(region_of(var))[static_cast<std::size_t>(copy) * w_ +
-                               var.index() % w_] = Copy{value, stamp};
+    PRAMSIM_DASSERT(rows_.contains(var.index()));
+    rows_.find(var.index())[copy] = Copy{value, stamp};
   }
 
   /// The freshest value among the copies selected by `mask` (bit i =>
@@ -175,76 +155,24 @@ class CopyStore {
                                    const pram::FaultHooks& hooks,
                                    std::uint64_t& corrupt_stores);
 
-  // ----- bulk region surface (the hailburst vote_memory idiom) -----
-
-  /// vote_region found no copy whose whole region a strict majority of
-  /// the live copies matches bytewise.
-  static constexpr std::int32_t kNoRegionMajority = -1;
-
-  /// Region-wise majority vote: compare whole per-copy regions with
-  /// memcmp, skipping copies masked out of `live_mask` (erased replicas),
-  /// and return the index of a live copy whose region a strict majority
-  /// of the live copies matches bytewise — or kNoRegionMajority when no
-  /// bytewise majority exists, in which case callers fall back to the
-  /// word-granular vote() per variable to localize the dissent.
-  ///
-  /// With `dissenting` == nullptr the scan early-exits as soon as some
-  /// candidate reaches a strict majority (the fast healthy path);
-  /// otherwise all live copies are compared and *dissenting receives the
-  /// exact count of live copies whose region differs from the winner's
-  /// (0 == the whole region is bytewise unanimous).
-  ///
-  /// Byte comparison of Copy spans compares exactly the (value, stamp)
-  /// pairs (Copy is padding-free by the static_assert above), so a
-  /// unanimous region certifies per-word agreement on values AND stamps.
-  [[nodiscard]] std::int32_t vote_region(
-      std::uint64_t region, std::uint64_t live_mask,
-      std::uint32_t* dissenting = nullptr) const;
-
-  /// Copy `copy`'s contiguous slice of `region` (region_words() entries);
-  /// empty for untouched regions (every copy reads the initial {0, 0}).
-  [[nodiscard]] std::span<const Copy> region_span(std::uint64_t region,
-                                                  std::uint32_t copy) const {
-    PRAMSIM_DASSERT(region < n_regions_ && copy < r_);
-    const Copy* row = rows_.find(region);
-    if (row == nullptr) {
-      return {};
-    }
-    return {row + static_cast<std::size_t>(copy) * w_, w_};
-  }
-
-  /// Bulk repair: memcpy copy `from`'s whole region slice over copy
-  /// `to`'s — values AND stamps — after a region-wise vote elected
-  /// `from`. No-op on untouched regions (all copies already agree).
-  void copy_region(std::uint64_t region, std::uint32_t from,
-                   std::uint32_t to);
-
   // ----- snapshot surface (durability checkpoints) -----
 
-  /// The region rows themselves, keyed by region, each holding
-  /// redundancy() * region_words() copies, copy-major: the table the
-  /// native snapshot body frames with pram::put_rows / pram::get_rows.
+  /// The rows themselves, keyed by variable, each holding redundancy()
+  /// copies: the table the native snapshot body frames with
+  /// pram::put_rows / pram::get_rows.
   [[nodiscard]] const util::PagedRows<Copy>& rows() const { return rows_; }
   [[nodiscard]] util::PagedRows<Copy>& rows() { return rows_; }
 
  private:
-  /// The region's row, materialized (serving thread only).
-  [[nodiscard]] Copy* row(std::uint64_t region) {
-    PRAMSIM_ASSERT(region < n_regions_);
-    return rows_.insert(region);
-  }
-  /// Pointer to `var`'s Copy for copy 0, or nullptr when its region was
-  /// never written; copy i lives at base[i * region_words()].
-  [[nodiscard]] const Copy* column(VarId var) const {
-    const Copy* base = rows_.find(region_of(var));
-    return base == nullptr ? nullptr : base + var.index() % w_;
+  /// The variable's row, materialized (serving thread only).
+  [[nodiscard]] Copy* row(VarId var) {
+    PRAMSIM_ASSERT(var.index() < m_vars_);
+    return rows_.insert(var.index());
   }
 
   std::uint64_t m_vars_;
   std::uint32_t r_;
-  std::uint32_t w_;
-  std::uint64_t n_regions_;
-  /// Region rows of r * region_words copies each, copy-major.
+  /// One row of r copies per written variable.
   util::PagedRows<Copy> rows_;
 };
 

@@ -9,11 +9,9 @@
 
 namespace pramsim::majority {
 
-MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine,
-                               std::uint32_t region_words)
+MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine)
     : engine_(std::move(engine)),
-      store_(engine_->map().num_vars(), engine_->map().redundancy(),
-             std::max<std::uint32_t>(region_words, 1)),
+      store_(engine_->map().num_vars(), engine_->map().redundancy()),
       n_processors_(std::max<std::uint32_t>(engine_->n_processors(), 1)) {
   PRAMSIM_ASSERT(engine_ != nullptr);
   PRAMSIM_ASSERT_MSG(engine_->map().redundancy() % 2 == 1,
@@ -247,45 +245,11 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
   const std::uint32_t r = engine_->map().redundancy();
   const std::uint64_t m = engine_->map().num_vars();
   std::vector<ModuleId> modules(r);
-  // Region fast path state (widths > 1): one memcmp-majority pass per
-  // region certifies bytewise unanimity across all r copies; every
-  // variable of a unanimous region with no fault hook firing is then
-  // skipped without gathering or counting ballots — the word-granular
-  // vote below is the fallback for dissenting regions. Valid within one
-  // scrub call: repairs only rewrite columns the fallback path visited,
-  // never the columns the fast path certified.
-  const std::uint64_t all_mask = r >= 64 ? ~0ULL : ((1ULL << r) - 1);
-  std::uint64_t cached_region = ~0ULL;
-  bool cached_unanimous = false;
   for (std::uint64_t n = 0; n < budget && n < m; ++n) {
     const VarId var(static_cast<std::uint32_t>(scrub_cursor_));
     scrub_cursor_ = (scrub_cursor_ + 1) % m;
     ++result.scanned;
     copies_into_current(var, modules);
-    if (store_.region_words() > 1) {
-      const std::uint64_t region = store_.region_of(var);
-      if (region != cached_region) {
-        cached_region = region;
-        std::uint32_t dissent = 1;
-        cached_unanimous = store_.vote_region(region, all_mask, &dissent) !=
-                               CopyStore::kNoRegionMajority &&
-                           dissent == 0;
-      }
-      if (cached_unanimous) {
-        bool clean = true;
-        for (std::uint32_t copy = 0; copy < r && clean; ++copy) {
-          pram::Word stuck = 0;
-          clean = !hooks_->module_dead(modules[copy], stamp) &&
-                  !hooks_->stuck_at(var.index(), copy, stamp, stuck);
-        }
-        if (clean) {
-          // Same outcome (and work accounting) the word vote would
-          // produce for a full-survivor, zero-dissent variable.
-          result.work += r;
-          continue;
-        }
-      }
-    }
     const auto outcome = store_.vote(var, modules, stamp, *hooks_);
     result.work += outcome.survivors;
     if (outcome.survivors == 0 ||
@@ -356,11 +320,14 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
   return result;
 }
 
+/// The body's width field, always 1 (one variable per row): the field
+/// stays so every majority checkpoint keeps its bytes, and restore
+/// rejects any other value.
+constexpr std::uint32_t kBodyWidth = 1;
+
 void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
-  const std::uint32_t r = store_.redundancy();
-  const std::uint32_t w = store_.region_words();
-  put_u32(sink, r);
-  put_u32(sink, w);
+  put_u32(sink, store_.redundancy());
+  put_u32(sink, kBodyWidth);
 
   // Copy is padding-free (static_assert in copy_store.hpp), so each row
   // serializes as one raw span of (value, stamp) pairs.
@@ -372,13 +339,13 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
 
 bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
   std::uint32_t r = 0;
-  std::uint32_t w = 0;
+  std::uint32_t width = 0;
   if (!get_u32(source, r) || r != store_.redundancy() ||
-      !get_u32(source, w) || w != store_.region_words()) {
+      !get_u32(source, width) || width != kBodyWidth) {
     return false;
   }
 
-  return get_rows(source, store_.rows(), store_.num_regions()) &&
+  return get_rows(source, store_.rows(), store_.num_vars()) &&
          relocations_.restore(source, store_.num_vars() * r,
                               num_modules()) &&
          get_u64(source, scrub_cursor_) && get_u64(source, scrub_stores_);

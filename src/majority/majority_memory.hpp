@@ -28,14 +28,8 @@ namespace pramsim::majority {
 
 class MajorityMemory final : public pram::MemorySystem {
  public:
-  /// Generic form: any access engine over a 2c-1-redundancy map.
-  /// `region_words` sets the CopyStore's storage granularity (1 = the
-  /// classic word-at-a-time layout, bit-identical to the pre-region
-  /// code); widths > 1 store each copy's slice of W consecutive
-  /// variables contiguously so scrub can clear whole regions with one
-  /// memcmp-majority pass (word-granular fallback on dissent).
-  explicit MajorityMemory(std::unique_ptr<AccessEngine> engine,
-                          std::uint32_t region_words = 1);
+  /// Any access engine over a 2c-1-redundancy map.
+  explicit MajorityMemory(std::unique_ptr<AccessEngine> engine);
 
   /// Serves the plan's request list (reads first, then write-only
   /// variables; requesters synthesized round-robin over the engine's
@@ -106,8 +100,8 @@ class MajorityMemory final : public pram::MemorySystem {
   }
 
  protected:
-  /// Native snapshot: the CopyStore's region rows (values AND stamps,
-  /// sorted by region id for a canonical stream), the scrub relocation
+  /// Native snapshot: the CopyStore's rows (values AND stamps, in
+  /// ascending variable order for a canonical stream), the scrub relocation
   /// overlay, and the scrub cursors — bit-exact storage state. The
   /// peek/poke default would collapse per-copy stamps and lose
   /// relocations; this path restores the exact pre-crash storage so

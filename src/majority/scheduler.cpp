@@ -10,6 +10,11 @@ namespace {
 
 constexpr std::uint32_t kNoRequest = ~0U;
 
+/// Stage-1 interleaved turns given to each cluster member before the
+/// stage-2 drain begins (LPP use O(log log n); 2 suffice empirically and
+/// stage 2 mops up stragglers either way).
+constexpr std::uint64_t kStage1Turns = 2;
+
 /// One module serves the lowest (var, copy) probe.
 bool outranks(std::span<const VarRequest> requests, std::uint32_t a,
               std::uint32_t copy_a, std::uint32_t b, std::uint32_t copy_b) {
@@ -128,8 +133,7 @@ void ClusterProtocol::run(const memmap::MemoryMap& map,
         slots_[id] = i;
       }
     }
-    const std::uint64_t stage1_phases =
-        static_cast<std::uint64_t>(config.stage1_turns) * s_;
+    const std::uint64_t stage1_phases = kStage1Turns * s_;
     for (std::uint64_t phase = 0; phase < stage1_phases && live_ > 0;
          ++phase) {
       active_.clear();

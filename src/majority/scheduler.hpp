@@ -61,10 +61,6 @@ struct SchedulerConfig {
   std::uint32_t c = 2;             ///< access threshold (r = 2c-1 expected)
   std::uint32_t cluster_size = 3;  ///< processors per cluster (usually r)
   std::uint32_t n_processors = 1;  ///< n
-  /// Stage-1 interleaved turns given to each cluster member before the
-  /// stage-2 drain begins (LPP use O(log log n); 2 suffices empirically
-  /// and stage 2 mops up stragglers either way).
-  std::uint32_t stage1_turns = 2;
   /// Ablation: no clusters — every live variable probes all unaccessed
   /// copies every round (maximal-parallelism upper bound).
   bool all_at_once = false;

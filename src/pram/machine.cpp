@@ -66,11 +66,6 @@ Word Machine::reg(ProcId proc, Reg r) const {
   return regs_[proc.index() * kNumRegisters + r];
 }
 
-void Machine::set_reg(ProcId proc, Reg r, Word value) {
-  PRAMSIM_ASSERT(proc.value() < config_.n_processors && r < kNumRegisters);
-  regs_[proc.index() * kNumRegisters + r] = value;
-}
-
 Word Machine::private_mem(ProcId proc, std::uint64_t addr) const {
   PRAMSIM_ASSERT(proc.value() < config_.n_processors &&
                  addr < config_.private_cells);

@@ -98,7 +98,6 @@ class Machine {
   [[nodiscard]] std::uint64_t steps_executed() const { return steps_; }
 
   [[nodiscard]] Word reg(ProcId proc, Reg r) const;
-  void set_reg(ProcId proc, Reg r, Word value);
   [[nodiscard]] Word private_mem(ProcId proc, std::uint64_t addr) const;
 
   [[nodiscard]] Word shared(VarId var) const { return memory_->peek(var); }

@@ -48,15 +48,6 @@ class Arena {
     return {static_cast<T*>(p), count};
   }
 
-  /// Total bytes reserved across all blocks (capacity, not live usage).
-  [[nodiscard]] std::size_t bytes_reserved() const {
-    std::size_t total = 0;
-    for (const auto& block : blocks_) {
-      total += block.capacity;
-    }
-    return total;
-  }
-
  private:
   struct Block {
     std::unique_ptr<std::byte[]> data;

@@ -61,12 +61,6 @@ class DynamicBitset {
 
   [[nodiscard]] bool none() const { return !any(); }
 
-  void clear_all() {
-    for (auto& w : words_) {
-      w = 0;
-    }
-  }
-
   void set_all() {
     for (auto& w : words_) {
       w = ~0ULL;

@@ -69,16 +69,6 @@ double log2_binomial(double n, double k) {
   return ln_binomial(n, k) / kLn2;
 }
 
-double ln_factorial(double n) {
-  PRAMSIM_ASSERT(n >= 0.0);
-  return std::lgamma(n + 1.0);
-}
-
-double log2d(double x) {
-  PRAMSIM_ASSERT(x > 0.0);
-  return std::log2(x);
-}
-
 double log2_sq_over_loglog(double n) {
   PRAMSIM_ASSERT(n >= 4.0);
   const double l = std::log2(n);

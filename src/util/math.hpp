@@ -40,12 +40,6 @@ namespace pramsim::util {
 /// log2 of C(n, k); -infinity when the coefficient is 0.
 [[nodiscard]] double log2_binomial(double n, double k);
 
-/// Natural log of n! via lgamma.
-[[nodiscard]] double ln_factorial(double n);
-
-/// log2(x) as double; precondition x > 0.
-[[nodiscard]] double log2d(double x);
-
 /// The paper's recurring time shape log^2(n) / log log(n), in base 2,
 /// defined for n >= 4 (log log n > 0); asserts otherwise.
 [[nodiscard]] double log2_sq_over_loglog(double n);

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -23,8 +22,6 @@ double RunningStats::variance() const {
   }
   return m2_ / static_cast<double>(n_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) {

@@ -17,7 +17,6 @@ class RunningStats {
   [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;  ///< sample variance (n-1 divisor)
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }

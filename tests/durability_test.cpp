@@ -295,6 +295,37 @@ TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
   EXPECT_EQ(wal.file_bytes(), 268u);
 }
 
+// A truncation that keeps no record leaves an empty file and an empty
+// last-record span, so nothing points past the end of the file; the next
+// append starts at offset 0.
+TEST(Wal, TruncateThroughThatKeepsNothingClearsTheLastRecord) {
+  const std::string dir = scratch_dir("wal_trunc_all");
+  const std::string path = dir + "/wal.log";
+  durability::Wal wal({path, 1});
+  const std::vector<pram::VarWrite> writes = {{VarId(3), 30}};
+  wal.append_step(1, writes);
+  wal.append_step(2, writes);
+  wal.flush();
+  ASSERT_EQ(wal.last_record().offset, 37u);
+  ASSERT_EQ(wal.last_record().length, 37u);
+
+  wal.truncate_through(2);
+  EXPECT_EQ(fs::file_size(path), 0u);
+  EXPECT_EQ(wal.file_bytes(), 0u);
+  EXPECT_EQ(wal.last_record().offset, 0u);
+  EXPECT_EQ(wal.last_record().length, 0u);
+  EXPECT_TRUE(durability::read_wal(path).records.empty());
+
+  wal.append_step(3, writes);
+  wal.flush();
+  EXPECT_EQ(wal.last_record().offset, 0u);
+  EXPECT_EQ(wal.last_record().length, 37u);
+  EXPECT_EQ(wal.file_bytes(), 37u);
+  const auto log = durability::read_wal(path);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].step, 3u);
+}
+
 /// A WAL frame around `payload`: u32 length, u32 CRC-32, the payload.
 std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload) {
   const auto length = static_cast<std::uint32_t>(payload.size());
@@ -541,12 +572,13 @@ struct GoldenCheckpoint {
   /// zero-valued entries that only the file's bytes can tell apart from
   /// never-written variables.
   bool zeros = false;
-  /// Distance between the variables one step writes.
-  std::uint64_t stride = 101;
+  /// Variables one step writes, 101 apart.
+  std::uint64_t writes = 64;
 };
 
-/// A fixed state: 24 steps of 64 writes each, through the step clock,
-/// then one scrub pass over the whole memory (a no-op without faults).
+/// A fixed state: 24 steps of `writes` writes each (64 unless the row
+/// says otherwise), through the step clock, then one scrub pass over the
+/// whole memory (a no-op without faults).
 std::unique_ptr<pram::MemorySystem> golden_memory(
     const GoldenCheckpoint& golden, pram::ScrubResult& scrubbed) {
   auto memory = golden.make();
@@ -557,10 +589,10 @@ std::unique_ptr<pram::MemorySystem> golden_memory(
   for (std::uint64_t step = 1; step <= 24; ++step) {
     std::vector<pram::VarWrite> writes;
     pram::AccessBatch batch;
-    for (std::uint64_t i = 0; i < 64; ++i) {
+    for (std::uint64_t i = 0; i < golden.writes; ++i) {
       writes.push_back(
           {VarId(static_cast<std::uint32_t>(
-               (step * 37 + i * golden.stride) % memory->size())),
+               (step * 37 + i * 101) % memory->size())),
            golden.zeros && step % 3 == 0
                ? pram::Word{0}
                : static_cast<pram::Word>(step * 1000 + i)});
@@ -587,19 +619,21 @@ std::unique_ptr<pram::MemorySystem> golden_scheme(
 
 // The file format is pinned: these sizes and CRCs are those of the files
 // the buffered (whole-image) writer produced for the same state, before
-// checkpoints streamed, and (for the region-width and faulted rows) those
-// the hash-map CopyStore produced before rows moved into pages. The two
-// served IDA rows were recorded with the per-block IDA serve path and
-// the hash-map share rows, before the step-batched recode and the flat
-// rows replaced them. The faulted row carries a
-// non-empty relocation overlay: modules die mid-run and the final scrub
-// pass re-homes their copies. The two "zeros" rows write the value 0 in
-// every third step, and every row's body CRC was recorded with the
-// hash-map oracle image and overlay, before one paged table held every
-// keyed store. The other rows fit in one 1 MiB stream block; the wide
-// row's 3.9 MB file spans four, so the writer drains its buffer
+// checkpoints streamed, and (for the faulted rows) those the hash-map
+// CopyStore produced before rows moved into pages. The two served IDA
+// rows were recorded with the per-block IDA serve path and the hash-map
+// share rows, before the step-batched recode and the flat rows replaced
+// them. The faulted row carries a non-empty relocation overlay: modules
+// die mid-run and the final scrub pass re-homes their copies. The two
+// "zeros" rows write the value 0 in every third step, and every row's
+// body CRC was recorded with the hash-map oracle image and overlay,
+// before one paged table held every keyed store. The other rows fit in
+// one 1 MiB stream block; dmmpc_n1024_wide writes 1,024 variables a step
+// and its 2.9 MB file spans three, so the writer drains its buffer
 // mid-snapshot and validation and restore refill theirs. That row was
-// recorded with 64 KiB stream blocks and the slicing-by-8 CRC alone.
+// recorded while CopyStore still packed consecutive variables into
+// region rows (at width 1), before each variable's copies became one
+// row.
 TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
   const std::string dir = scratch_dir("ckpt_golden");
   const auto faulted_dmmpc = [] {
@@ -625,9 +659,6 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
        184412, 0x33ba2b1eu, 0xc29f571au},
       {"ida", [] { return golden_scheme(core::SchemeKind::kIda); }, false,
        74812, 0x507eaf2eu, 0x3e34b407u},
-      {"dmmpc_w8",
-       [] { return golden_scheme(core::SchemeKind::kDmmpc, 8); }, false,
-       462940, 0x755998fdu, 0xe9aa54ecu},
       {"dmmpc_faulted_scrubbed", faulted_dmmpc, true, 245596, 0xf04877c7u,
        0x69fee72fu},
       {"ida_w64_served",
@@ -639,14 +670,12 @@ TEST(Checkpoint, StreamedFileIsByteIdenticalToTheImageAndTheGoldenFile) {
        0x0aeccc69u, false, true},
       {"ida_w64_faulted_zeros_served", [&] { return faulted_ida(64); }, true,
        102656, 0x2f4b2917u, 0x765fe663u, true, true},
-      {"dmmpc_w64_n256_wide",
+      {"dmmpc_n1024_wide",
        [] {
-         return core::make_memory({.kind = core::SchemeKind::kDmmpc,
-                                   .n = 256,
-                                   .seed = 3,
-                                   .region_words = 64});
+         return core::make_memory(
+             {.kind = core::SchemeKind::kDmmpc, .n = 1024, .seed = 3});
        },
-       false, 3867956, 0x9f6b9a63u, 0xd37d79d0u, false, false, 2053},
+       false, 2949212, 0x56df414fu, 0x24ea4b83u, false, false, 1024},
   };
   for (const GoldenCheckpoint& golden : table) {
     SCOPED_TRACE(golden.name);
@@ -772,8 +801,8 @@ std::uint32_t u32_at(const std::vector<std::uint8_t>& bytes,
 // relocations); the rows and relocation entries in between are forged.
 // Every rejected frame is one that no snapshot body can write: a repeated
 // or descending row id or relocation key, more rows than the memory has
-// regions, a relocation key past the key space, or a module past the
-// module count.
+// regions, a relocation key past the key space, a module past the
+// module count, or a majority body whose width field is not 1.
 TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
   for (const core::SchemeKind kind :
        {core::SchemeKind::kDmmpc, core::SchemeKind::kIda}) {
@@ -785,8 +814,9 @@ TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
     const std::vector<std::uint8_t>& bytes = blank.bytes();
     const std::uint64_t m = fresh->size();
     const std::uint32_t modules = fresh->num_modules();
-    // Majority body: r, w, rows...; IDA body: b, d, region_blocks,
-    // check_shares, row_words, rows... (both after the 24-byte header).
+    // Majority body: r, width (always 1), rows...; IDA body: b, d,
+    // region_blocks, check_shares, row_words, rows... (both after the
+    // 24-byte header).
     const bool ida = kind == core::SchemeKind::kIda;
     std::size_t rows_at = 0;
     std::size_t row_bytes = 0;
@@ -803,10 +833,10 @@ TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
       keys = blocks * u32_at(bytes, 28);
     } else {
       const std::uint32_t r = u32_at(bytes, 24);
-      const std::uint32_t w = u32_at(bytes, 28);
+      ASSERT_EQ(u32_at(bytes, 28), 1u);
       rows_at = 32;
-      row_bytes = std::size_t{r} * w * 2 * sizeof(std::uint64_t);
-      regions = (m + w - 1) / w;
+      row_bytes = std::size_t{r} * 2 * sizeof(std::uint64_t);
+      regions = m;
       keys = m * r;
     }
     // The fresh body's row count and relocation count are both zero.
@@ -848,6 +878,15 @@ TEST(Restore, NativeBodiesRejectRepeatedDescendingAndOutOfRangeEntries) {
       auto target = core::make_memory(spec);
       pram::BufferSource source(sink.bytes());
       EXPECT_EQ(target->restore(source), forged.accepted);
+    }
+    if (!ida) {
+      SCOPED_TRACE("width_8");
+      std::vector<std::uint8_t> wide = bytes;
+      const std::uint32_t width = 8;
+      std::memcpy(wide.data() + 28, &width, sizeof(width));
+      auto target = core::make_memory(spec);
+      pram::BufferSource source(wide);
+      EXPECT_FALSE(target->restore(source));
     }
   }
 }

@@ -32,10 +32,11 @@ namespace pramsim {
 namespace {
 
 // Every suite runs the full SchemeKind grid at BOTH storage
-// granularities: region_words 1 (the classic word-at-a-time layout the
-// pre-region code used) and 8 (region rows, bulk vote/recode paths).
-// Regions are a pure storage/throughput knob, so the whole file's
-// bit-exactness gates apply unchanged at every width.
+// granularities: region_words 1 (the classic layout) and 8 (kIda's
+// region rows and bulk recode paths; every other kind ignores the width,
+// so its width-8 row must serve exactly what width 1 does). Regions are
+// a pure storage/throughput knob, so the whole file's bit-exactness
+// gates apply unchanged at every width.
 using KindAndWidth = std::tuple<core::SchemeKind, std::uint32_t>;
 
 class AllKindsTest : public ::testing::TestWithParam<KindAndWidth> {

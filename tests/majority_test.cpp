@@ -9,7 +9,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -58,103 +57,6 @@ TEST(CopyStore, CorruptKeepsStamp) {
   EXPECT_EQ(store.at(VarId(0), 0).stamp, 2u);
 }
 
-// ------------------------------------------- region-granular store -----
-
-TEST(CopyStore, VoteRegionUnanimousDissentAndNoMajority) {
-  CopyStore store(16, 5, 4);
-  const std::uint64_t all = (1ULL << 5) - 1;
-  // Region 1 = vars [4, 8). Write every copy of every var identically.
-  for (std::uint32_t v = 4; v < 8; ++v) {
-    for (std::uint32_t c = 0; c < 5; ++c) {
-      store.write(VarId(v), c, 100 + v, 7);
-    }
-  }
-  std::uint32_t dissenting = 99;
-  EXPECT_EQ(store.vote_region(1, all, &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  // Early-exit flavor (no dissent pointer) agrees on the winner.
-  EXPECT_EQ(store.vote_region(1, all), 0);
-
-  // One copy dissents mid-region: still a 4-of-5 bytewise majority, and
-  // the dissent count is exact.
-  store.corrupt(VarId(6), 2, 31337);
-  EXPECT_EQ(store.vote_region(1, all, &dissenting), 0);
-  EXPECT_EQ(dissenting, 1u);
-  // Masking the dissenter out restores unanimity among the live copies.
-  EXPECT_EQ(store.vote_region(1, all & ~(1ULL << 2), &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  // Masking copy 0 out instead shifts the winner to the lowest live copy.
-  EXPECT_EQ(store.vote_region(1, all & ~1ULL, &dissenting), 1);
-  EXPECT_EQ(dissenting, 1u);
-
-  // Three of five copies each diverge to a distinct value: the two
-  // agreeing survivors are below the strict majority of 3, so no copy's
-  // whole region wins and callers must fall back to per-word vote().
-  store.corrupt(VarId(5), 0, 1111);
-  store.corrupt(VarId(7), 1, 2222);
-  EXPECT_EQ(store.vote_region(1, all, &dissenting),
-            CopyStore::kNoRegionMajority);
-  // No survivors at all is also no-majority, never a {0,0} winner.
-  EXPECT_EQ(store.vote_region(1, 0), CopyStore::kNoRegionMajority);
-}
-
-TEST(CopyStore, VoteRegionUntouchedRegionIsUnanimousZero) {
-  CopyStore store(16, 5, 4);
-  std::uint32_t dissenting = 99;
-  // Lowest live copy represents the all-{0,0} region; nothing allocates.
-  EXPECT_EQ(store.vote_region(2, 0b11100, &dissenting), 2);
-  EXPECT_EQ(dissenting, 0u);
-  EXPECT_EQ(store.touched_vars(), 0u);
-}
-
-TEST(CopyStore, CopyRegionRepairsWholeSlice) {
-  CopyStore store(16, 3, 4);
-  for (std::uint32_t v = 8; v < 12; ++v) {
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      store.write(VarId(v), c, 500 + v, 9);
-    }
-  }
-  store.corrupt(VarId(9), 2, 777);
-  store.corrupt(VarId(11), 2, 888);
-  const std::int32_t winner = store.vote_region(2, 0b111);
-  ASSERT_EQ(winner, 0);
-  store.copy_region(2, static_cast<std::uint32_t>(winner), 2);
-  std::uint32_t dissenting = 99;
-  EXPECT_EQ(store.vote_region(2, 0b111, &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  EXPECT_EQ(store.at(VarId(9), 2).value, 509u);
-  EXPECT_EQ(store.at(VarId(11), 2).stamp, 9u);
-}
-
-TEST(CopyStore, WidthOneAndWidthFourAgreeOnEveryQuery) {
-  // Same write stream into a classic width-1 store and a width-4 store:
-  // every per-word query (at / freshest / ground_truth / touched) must
-  // agree — region granularity is storage layout, not semantics.
-  CopyStore narrow(32, 3, 1);
-  CopyStore wide(32, 3, 4);
-  EXPECT_EQ(wide.num_regions(), 8u);
-  util::Rng rng(17);
-  for (int i = 0; i < 200; ++i) {
-    const VarId var(static_cast<std::uint32_t>(rng.below(32)));
-    const auto copy = static_cast<std::uint32_t>(rng.below(3));
-    const auto value = static_cast<Word>(rng.below(1000));
-    const std::uint64_t stamp = 1 + static_cast<std::uint64_t>(i) / 4;
-    narrow.write(var, copy, value, stamp);
-    wide.write(var, copy, value, stamp);
-  }
-  for (std::uint32_t v = 0; v < 32; ++v) {
-    const VarId var(v);
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      ASSERT_EQ(narrow.at(var, c).value, wide.at(var, c).value) << v;
-      ASSERT_EQ(narrow.at(var, c).stamp, wide.at(var, c).stamp) << v;
-    }
-    EXPECT_EQ(narrow.freshest(var, 0b101).value,
-              wide.freshest(var, 0b101).value);
-    EXPECT_EQ(narrow.ground_truth(var).value, wide.ground_truth(var).value);
-    EXPECT_EQ(narrow.ground_truth(var).stamp, wide.ground_truth(var).stamp);
-  }
-}
-
 // ------------------------------------- paged store vs a reference -----
 
 /// Scripted fault hooks with copy i on module i: `dead` kills modules by
@@ -190,31 +92,19 @@ class ScriptedHooks final : public pram::FaultHooks {
   }
 };
 
-/// The reference: an ordered map from region to its copy-major row,
+/// The reference: an ordered map from variable to its row of r copies,
 /// materialized exactly when a store must materialize it.
 struct ReferenceStore {
   std::uint64_t m;
   std::uint32_t r;
-  std::uint32_t w;
   std::map<std::uint64_t, std::vector<Copy>> rows;
 
   std::vector<Copy>& row(std::uint64_t var) {
-    return rows.try_emplace(var / w, std::size_t{r} * w).first->second;
+    return rows.try_emplace(var, r).first->second;
   }
   [[nodiscard]] Copy at(std::uint64_t var, std::uint32_t copy) const {
-    const auto it = rows.find(var / w);
-    return it == rows.end() ? Copy{}
-                            : it->second[std::size_t{copy} * w + var % w];
-  }
-  /// Copy `copy`'s slice of `region` ({0, 0} words past an absent row).
-  [[nodiscard]] std::vector<Copy> slice(std::uint64_t region,
-                                        std::uint32_t copy) const {
-    const auto it = rows.find(region);
-    if (it == rows.end()) {
-      return std::vector<Copy>(w);
-    }
-    const auto first = it->second.begin() + std::size_t{copy} * w;
-    return {first, first + w};
+    const auto it = rows.find(var);
+    return it == rows.end() ? Copy{} : it->second[copy];
   }
 };
 
@@ -256,39 +146,6 @@ CopyStore::VoteOutcome reference_vote(const ReferenceStore& ref,
   return out;
 }
 
-/// The reference region vote: the lowest live copy whose slice a strict
-/// majority of the live slices equals, and the live copies that differ.
-std::int32_t reference_vote_region(const ReferenceStore& ref,
-                                   std::uint64_t region,
-                                   std::uint64_t live_mask,
-                                   std::uint32_t& dissenting) {
-  dissenting = 0;
-  std::vector<std::uint32_t> live;
-  for (std::uint32_t i = 0; i < ref.r; ++i) {
-    if (((live_mask >> i) & 1) != 0) {
-      live.push_back(i);
-    }
-  }
-  for (const std::uint32_t i : live) {
-    const auto base = ref.slice(region, i);
-    std::uint32_t matches = 0;
-    for (const std::uint32_t j : live) {
-      const auto other = ref.slice(region, j);
-      matches += std::equal(base.begin(), base.end(), other.begin(),
-                            [](const Copy& a, const Copy& b) {
-                              return key(a) == key(b);
-                            })
-                     ? 1
-                     : 0;
-    }
-    if (2 * matches > live.size()) {
-      dissenting = static_cast<std::uint32_t>(live.size()) - matches;
-      return static_cast<std::int32_t>(i);
-    }
-  }
-  return CopyStore::kNoRegionMajority;
-}
-
 /// Every query of the paged store against the reference.
 void expect_same_as_reference(const CopyStore& store,
                               const ReferenceStore& ref, util::Rng& rng,
@@ -302,7 +159,7 @@ void expect_same_as_reference(const CopyStore& store,
   }
   for (std::uint64_t v = 0; v < ref.m; ++v) {
     const VarId var(static_cast<std::uint32_t>(v));
-    ASSERT_EQ(store.touched(var), ref.rows.count(v / ref.w) == 1) << v;
+    ASSERT_EQ(store.touched(var), ref.rows.count(v) == 1) << v;
     Copy fresh_ref;
     const std::uint64_t mask = 1 + rng.below(all);
     bool found = false;
@@ -322,53 +179,30 @@ void expect_same_as_reference(const CopyStore& store,
     ASSERT_EQ(vote.erased, expected.erased) << v;
     ASSERT_EQ(vote.dissenting, expected.dissenting) << v;
   }
-  for (std::uint64_t region = 0; region < store.num_regions(); ++region) {
-    const std::uint64_t live = rng.below(all + 1);
-    std::uint32_t dissent = 99;
-    std::uint32_t expected_dissent = 0;
-    const std::int32_t winner =
-        reference_vote_region(ref, region, live, expected_dissent);
-    ASSERT_EQ(store.vote_region(region, live, &dissent), winner) << region;
-    ASSERT_EQ(store.vote_region(region, live), winner) << region;
-    if (winner != CopyStore::kNoRegionMajority) {
-      ASSERT_EQ(dissent, expected_dissent) << region;
-    }
-    const bool materialized = ref.rows.count(region) == 1;
-    for (std::uint32_t c = 0; c < ref.r; ++c) {
-      const auto span = store.region_span(region, c);
-      ASSERT_EQ(span.size(), materialized ? ref.w : 0) << region;
-      const auto slice = ref.slice(region, c);
-      for (std::size_t i = 0; i < span.size(); ++i) {
-        ASSERT_EQ(key(span[i]), key(slice[i])) << region << "/" << c;
-      }
-    }
-  }
   auto next = ref.rows.begin();
-  store.rows().for_each([&](std::uint64_t region, std::span<const Copy> row) {
+  store.rows().for_each([&](std::uint64_t var, std::span<const Copy> row) {
     ASSERT_NE(next, ref.rows.end());
-    ASSERT_EQ(region, next->first);
+    ASSERT_EQ(var, next->first);
     ASSERT_EQ(row.size(), next->second.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
-      ASSERT_EQ(key(row[i]), key(next->second[i])) << region << "@" << i;
+      ASSERT_EQ(key(row[i]), key(next->second[i])) << var << "@" << i;
     }
     ++next;
   });
   ASSERT_EQ(next, ref.rows.end());
 }
 
-class PagedStoreTest
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t,
-                                                 std::uint32_t>> {};
+class PagedStoreTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 // One seeded operation stream against the store and the reference, at a
-// memory size whose last page (and, for wide regions, last region) is
-// partial, comparing every query after every operation.
+// memory size whose last page is partial, comparing every query after
+// every operation.
 TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
-  const auto [w, r] = GetParam();
+  const std::uint32_t r = GetParam();
   const std::uint64_t m = 301;
-  CopyStore store(m, r, w);
-  ReferenceStore ref{m, r, w, {}};
-  util::Rng rng(1000 + 10 * w + r);
+  CopyStore store(m, r);
+  ReferenceStore ref{m, r, {}};
+  util::Rng rng(1010 + r);
   ScriptedHooks hooks;
   std::vector<ModuleId> modules;
   for (std::uint32_t i = 0; i < r; ++i) {
@@ -383,15 +217,15 @@ TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
     const auto copy = static_cast<std::uint32_t>(rng.below(r));
     const auto value = static_cast<Word>(rng.below(3));
     const std::uint64_t stamp = rng.below(3);
-    const std::uint64_t kind = rng.below(20);
+    const std::uint64_t kind = rng.below(18);
     SCOPED_TRACE(::testing::Message() << "op " << op << " kind " << kind);
     if (kind < 6) {
       store.write(var, copy, value, stamp);
-      ref.row(v)[std::size_t{copy} * w + v % w] = Copy{value, stamp};
+      ref.row(v)[copy] = Copy{value, stamp};
     } else if (kind < 9) {
       store.ensure_row(var);
       store.write_prepared(var, copy, value, stamp);
-      ref.row(v)[std::size_t{copy} * w + v % w] = Copy{value, stamp};
+      ref.row(v)[copy] = Copy{value, stamp};
     } else if (kind < 14) {
       // Some or all modules dead; one time in three every one of them.
       hooks.dead = rng.below(3) == 0 ? all : rng.below(all + 1);
@@ -407,29 +241,20 @@ TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
         }
         Word committed = value;
         corrupt_ref += hooks.corrupt_write(v, c, reroll, 0, committed);
-        ref.row(v)[std::size_t{c} * w + v % w] = Copy{committed, stamp};
+        ref.row(v)[c] = Copy{committed, stamp};
       }
       ASSERT_EQ(dropped, expected_dropped);
       ASSERT_EQ(corrupt_store, corrupt_ref);
     } else if (kind < 16) {
       store.corrupt(var, copy, value + 10);
-      ref.row(v)[std::size_t{copy} * w + v % w].value = value + 10;
-    } else if (kind < 18) {
-      const std::uint64_t region = v / w;
-      const auto to = static_cast<std::uint32_t>(rng.below(r));
-      store.copy_region(region, copy, to);
-      const auto it = ref.rows.find(region);
-      if (it != ref.rows.end()) {
-        std::copy_n(it->second.begin() + std::size_t{copy} * w, w,
-                    it->second.begin() + std::size_t{to} * w);
-      }
-    } else if (kind < 19) {
-      std::vector<Copy> row(std::size_t{r} * w);
+      ref.row(v)[copy].value = value + 10;
+    } else if (kind < 17) {
+      std::vector<Copy> row(r);
       for (auto& entry : row) {
         entry = Copy{static_cast<Word>(rng.below(3)), rng.below(3)};
       }
-      std::copy(row.begin(), row.end(), store.rows().insert(v / w));
-      ref.rows[v / w] = row;
+      std::copy(row.begin(), row.end(), store.rows().insert(v));
+      ref.rows[v] = row;
     } else {
       store.rows().clear();
       ref.rows.clear();
@@ -442,14 +267,11 @@ TEST_P(PagedStoreTest, MatchesAnOrderedMapReferenceAfterEveryOperation) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    WidthsTimesRedundancy, PagedStoreTest,
-    ::testing::Combine(::testing::Values(1u, 4u, 64u),
-                       ::testing::Values(3u, 5u, 7u)),
-    [](const auto& info) {
-      return "w" + std::to_string(std::get<0>(info.param)) + "_r" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Redundancy, PagedStoreTest,
+                         ::testing::Values(3u, 5u, 7u),
+                         [](const auto& info) {
+                           return "r" + std::to_string(info.param);
+                         });
 
 // A row whose page a written neighbour already allocated reads the
 // initial copies; an all-dead store_all into it must not materialize it.
@@ -467,12 +289,10 @@ TEST(PagedStore, AllDeadStoreIntoASharedPageLeavesTheRowUntouched) {
   EXPECT_TRUE(store.touched(VarId(0)));
   EXPECT_EQ(store.touched_vars(), 1u);
   EXPECT_EQ(key(store.at(VarId(1), 2)), key(Copy{}));
-  EXPECT_TRUE(store.region_span(1, 0).empty());
+  EXPECT_EQ(store.rows().find(1), nullptr);
   std::vector<std::uint64_t> walked;
   store.rows().for_each(
-      [&](std::uint64_t region, std::span<const Copy>) {
-        walked.push_back(region);
-      });
+      [&](std::uint64_t var, std::span<const Copy>) { walked.push_back(var); });
   EXPECT_EQ(walked, std::vector<std::uint64_t>{0});
 }
 
@@ -575,8 +395,8 @@ TEST(Scheduler, AllAtOnceNeverSlower) {
 
 TEST(Scheduler, Stage1LeavesBoundedLiveSet) {
   // The LPP stage-1 guarantee: at most n / (2c-1) live variables remain.
-  // Our stage-1 length is stage1_turns * (2c-1) phases; verify the bound
-  // holds empirically across seeds.
+  // Our stage-1 length is 2 * (2c-1) phases; verify the bound holds
+  // empirically across seeds.
   const auto params = memmap::derive_params(256, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -689,7 +509,6 @@ struct FingerprintCase {
   std::uint32_t modules;
   std::uint32_t c;
   std::uint32_t n;
-  std::uint32_t stage1_turns;
   bool all_at_once;
   BatchShape shape;
   std::uint64_t want_run_step_into;
@@ -703,7 +522,6 @@ TEST_P(ScheduleFingerprintTest, RunStepIntoMatchesTheGoldenSchedule) {
   auto map = std::make_shared<HashedMap>(fc.m, fc.modules, 2 * fc.c - 1,
                                          /*seed=*/17);
   SchedulerConfig cfg = config_for(fc.c, fc.n);
-  cfg.stage1_turns = fc.stage1_turns;
   cfg.all_at_once = fc.all_at_once;
   DmmpcEngine engine(map, cfg);
   ScheduleResult out;
@@ -733,31 +551,28 @@ constexpr std::uint64_t kDurableM = 1048576;
 INSTANTIATE_TEST_SUITE_P(
     Golden, ScheduleFingerprintTest,
     ::testing::Values(
-        FingerprintCase{"serve_dmmpc", kServeM, kServeM, 3, 4096, 2, false,
+        FingerprintCase{"serve_dmmpc", kServeM, kServeM, 3, 4096, false,
                         BatchShape::kDistinct,
                         0xa6a036fc353bbf13ULL},
-        FingerprintCase{"durable_faults", kDurableM, kDurableM, 4, 1024, 2,
+        FingerprintCase{"durable_faults", kDurableM, kDurableM, 4, 1024,
                         false, BatchShape::kDistinct,
                         0x920160571912c69eULL},
-        FingerprintCase{"contended", kServeM, 4096, 3, 4096, 2, false,
+        FingerprintCase{"contended", kServeM, 4096, 3, 4096, false,
                         BatchShape::kDistinct,
                         0x2fbc6fd615dae521ULL},
-        FingerprintCase{"one_stage1_turn", kServeM, 4096, 3, 4096, 1, false,
-                        BatchShape::kDistinct,
-                        0x6131ffba4874be2dULL},
-        FingerprintCase{"all_at_once", kServeM, kServeM, 3, 4096, 2, true,
+        FingerprintCase{"all_at_once", kServeM, kServeM, 3, 4096, true,
                         BatchShape::kDistinct,
                         0x15ac105791d62321ULL},
-        FingerprintCase{"shared_requesters", kServeM, kServeM, 3, 4096, 2,
+        FingerprintCase{"shared_requesters", kServeM, kServeM, 3, 4096,
                         false, BatchShape::kSharedRequesters,
                         0x8dc364f0151d5595ULL},
-        FingerprintCase{"requesters_past_n", kServeM, kServeM, 3, 4096, 2,
+        FingerprintCase{"requesters_past_n", kServeM, kServeM, 3, 4096,
                         false, BatchShape::kRequestersPastN,
                         0xba9bfdf974c4cc59ULL},
-        FingerprintCase{"hot_modules", 4096, 64, 3, 1024, 2, false,
+        FingerprintCase{"hot_modules", 4096, 64, 3, 1024, false,
                         BatchShape::kDistinct,
                         0xa8231f43b481833fULL},
-        FingerprintCase{"empty", kServeM, kServeM, 3, 4096, 2, false,
+        FingerprintCase{"empty", kServeM, kServeM, 3, 4096, false,
                         BatchShape::kEmpty,
                         0x128408c4d9f41432ULL}),
     [](const ::testing::TestParamInfo<FingerprintCase>& info) {

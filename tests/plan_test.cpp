@@ -329,9 +329,9 @@ TEST_P(PlanServeTest, GroupParallelServeMatchesFlatReplica) {
 // it (capability), and the backend must be bit-identical
 // to the serial backend at every worker count — values, committed state,
 // reliability telemetry, and outage flags — healthy AND degraded. The
-// sweep crosses every native scheme with region widths 1 and 8, pinning
-// the frozen-structure rule (region rows pre-materialized before the
-// fan-out) at wide granularity too.
+// sweep crosses every native scheme with region widths 1 and 8; none of
+// these kinds stores region rows, so the width-8 rows must build and
+// serve exactly what width 1 does.
 class GroupParallelBackendTest
     : public ::testing::TestWithParam<
           std::tuple<core::SchemeKind, std::uint32_t>> {};

@@ -424,43 +424,6 @@ TEST(MajorityScrub, StuckOnlyDissentReachesSteadyStateNotPerpetualRepair) {
   EXPECT_EQ(read_one(*memory, var), 1234);
 }
 
-// Same steady-state gate at region width > 1: a stuck cell in the MIDDLE
-// of a region must not defeat the scrub's region fast path — the pass
-// sees the stored spans unanimous, drops to the per-word ballot for the
-// stuck column (hooks fire), finds store-side repair impossible, and goes
-// quiet instead of re-repairing the region forever. Stored-word dissent
-// elsewhere in the SAME region still gets exactly one repair.
-TEST(MajorityScrub, MidRegionStuckCellReachesSteadyStateAtWidthFour) {
-  auto memory = core::make_memory({.kind = core::SchemeKind::kDmmpc,
-                                   .n = 16,
-                                   .seed = 11,
-                                   .region_words = 4});
-  auto* majority_mem = dynamic_cast<majority::MajorityMemory*>(memory.get());
-  ASSERT_NE(majority_mem, nullptr);
-  ASSERT_EQ(majority_mem->store().region_words(), 4u);
-  const VarId var(7);  // region [4, 8): offset 3, not a region boundary
-  OnsetHooks hooks;
-  hooks.stuck.insert(var.index() * 64 + 0);  // copy 0 stuck, no erasures
-  ASSERT_TRUE(memory->set_fault_hooks(&hooks));
-  write_one(*memory, var, 1234);
-
-  const auto pass = memory->scrub(memory->size());
-  EXPECT_EQ(pass.repaired, 0u);
-  const auto again = memory->scrub(memory->size());
-  EXPECT_EQ(again.repaired, 0u);  // stuck-only dissent stays quiet
-
-  // A stale stored word on a NEIGHBOR variable of the same region defeats
-  // the region's unanimity memcmp, so the fallback finds and fixes it —
-  // once — while the stuck column still stays untouched.
-  majority_mem->mutable_store().corrupt(VarId(5), 1, 31337);
-  const auto repair = memory->scrub(memory->size());
-  EXPECT_EQ(repair.repaired, 1u);
-  const auto steady = memory->scrub(memory->size());
-  EXPECT_EQ(steady.repaired, 0u);
-  EXPECT_EQ(read_one(*memory, var), 1234);
-  EXPECT_EQ(read_one(*memory, VarId(5)), 0);  // repaired back to ground truth
-}
-
 TEST(IdaScrub, UntouchedBlocksRepairByRelocationAloneStayingSparse) {
   const ida::IdaMemoryConfig config{
       .b = 4, .d = 8, .n_modules = 32, .seed = 21};
