@@ -35,7 +35,7 @@ int main() {
   std::vector<double> means;
   for (const std::uint32_t n : {256u, 1024u, 4096u, 16384u}) {
     const std::uint64_t m = static_cast<std::uint64_t>(n) * n;
-    hashing::MvMemory memory(m, {.n_modules = n, .k_wise = 2, .seed = 5});
+    hashing::MvMemory memory(m, {.n_modules = n, .seed = 5});
     util::Rng rng(13);
     util::RunningStats loads;
     for (int trial = 0; trial < 30; ++trial) {
@@ -88,9 +88,7 @@ int main() {
       const std::uint32_t n = 1024;
       const std::uint64_t m = static_cast<std::uint64_t>(n) * n;
       hashing::MvMemory memory(
-          m,
-          {.n_modules = n, .k_wise = 2, .seed = 5,
-           .rehash_threshold = threshold});
+          m, {.n_modules = n, .seed = 5, .rehash_threshold = threshold});
       util::Rng rng(13);
       for (int s = 0; s < 50; ++s) {
         const auto vars = rng.sample_without_replacement(m, n);

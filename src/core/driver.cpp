@@ -474,8 +474,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     std::size_t onset_cursor = 0;
 
     durability::Wal wal({wal_path, dur.wal_flush_interval}, sink);
-    durability::Checkpointer checkpointer(
-        {dur.directory, dur.keep_checkpoints}, sink);
+    durability::Checkpointer checkpointer({dur.directory}, sink);
 
     // The durable run serves the trace's first `kill` steps. The kill
     // step's record is appended, then the kill point below takes over.

@@ -222,12 +222,12 @@ struct FaultSweepResult {
 /// checkpoints live and how often each is made durable. The WAL flushes
 /// (group commit) every `wal_flush_interval` committed steps; a full
 /// checkpoint is written every `checkpoint_interval` steps, after which
-/// the WAL is truncated through the checkpointed step.
+/// the WAL is truncated through the checkpointed step. The run keeps the
+/// Checkpointer's default retention (two files).
 struct DurabilityOptions {
   std::string directory;  ///< holds wal.log + ckpt-<step>.bin files
   std::uint32_t wal_flush_interval = 2;
   std::uint32_t checkpoint_interval = 8;
-  std::uint32_t keep_checkpoints = 2;
   /// Post-replay scrub budget handed to durability::recover (0 = skip).
   std::uint64_t scrub_budget = 256;
 };

@@ -269,7 +269,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       inst.n_modules = spec.n;  // the MPC: one module per processor
       inst.memory = std::make_unique<hashing::MvMemory>(
           inst.m, hashing::MvMemoryConfig{.n_modules = inst.n_modules,
-                                          .k_wise = 2,
                                           .seed = spec.seed});
       inst.model = "MPC";
       inst.deterministic = false;

@@ -89,9 +89,6 @@ constexpr std::size_t kWriteBytes =
       body_left -= sizeof(frame.count);
       need = std::size_t{frame.count} * kWriteBytes;
       break;
-    case WalRecordKind::kScrubRelocation:
-      need = sizeof(std::uint64_t);
-      break;
     case WalRecordKind::kFaultOnset:
       need = sizeof(std::uint32_t);
       break;
@@ -129,8 +126,6 @@ const char* to_string(WalRecordKind kind) {
   switch (kind) {
     case WalRecordKind::kStepCommit:
       return "step_commit";
-    case WalRecordKind::kScrubRelocation:
-      return "scrub_relocation";
     case WalRecordKind::kFaultOnset:
       return "fault_onset";
   }
@@ -177,15 +172,6 @@ void Wal::append_step(std::uint64_t step,
   }
   frame_record(payload_);
   buffered_commit_step_ = step;
-}
-
-void Wal::append_relocation(std::uint64_t step, std::uint64_t relocated) {
-  payload_.clear();
-  put_u8(payload_,
-         static_cast<std::uint8_t>(WalRecordKind::kScrubRelocation));
-  put_u64(payload_, step);
-  put_u64(payload_, relocated);
-  frame_record(payload_);
 }
 
 void Wal::append_onset(std::uint64_t step, std::uint32_t module) {
@@ -277,10 +263,6 @@ WalReadResult read_wal(const std::string& path) {
               {VarId(static_cast<std::uint32_t>(var)), value});
         }
         result.durable_step = record.step;
-        break;
-      case WalRecordKind::kScrubRelocation:
-        std::memcpy(&record.relocated, frame->body,
-                    sizeof(record.relocated));
         break;
       case WalRecordKind::kFaultOnset:
         std::memcpy(&record.module, frame->body, sizeof(record.module));

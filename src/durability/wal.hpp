@@ -1,7 +1,6 @@
 // durability::Wal — the write-ahead log: an append-only, CRC-framed
 // record stream of committed plan steps (step stamp + the step's
-// combined (var, value) writes), scrub relocations, and fault-onset
-// acknowledgements.
+// combined (var, value) writes) and fault-onset acknowledgements.
 //
 // Group commit: appends encode into an in-memory buffer; flush() makes
 // the buffered records DURABLE (fwrite + fflush) in one batch. The
@@ -16,9 +15,9 @@
 //
 //   [u32 payload length][u32 crc32(payload)][payload]
 //   payload = u8 kind, u64 step, kind-specific body:
-//     kStepCommit      u32 count, count x (u64 var, i64 value)
-//     kScrubRelocation u64 copies/shares relocated by the pass
-//     kFaultOnset      u32 module
+//     kStepCommit  u32 count, count x (u64 var, i64 value)
+//     kFaultOnset  u32 module
+//   (kind 2 is unassigned: the reader rejects it like any unknown kind)
 //
 // The reader (read_wal) stops at the first frame that fails the length
 // or CRC check — a torn final record truncates cleanly to the last
@@ -42,7 +41,6 @@ namespace pramsim::durability {
 
 enum class WalRecordKind : std::uint8_t {
   kStepCommit = 1,
-  kScrubRelocation = 2,
   kFaultOnset = 3,
 };
 
@@ -53,7 +51,6 @@ struct WalRecord {
   WalRecordKind kind = WalRecordKind::kStepCommit;
   std::uint64_t step = 0;
   std::vector<pram::VarWrite> writes;  ///< kStepCommit payload
-  std::uint64_t relocated = 0;         ///< kScrubRelocation payload
   std::uint32_t module = 0;            ///< kFaultOnset payload
 };
 
@@ -81,7 +78,6 @@ class Wal {
 
   void append_step(std::uint64_t step,
                    std::span<const pram::VarWrite> writes);
-  void append_relocation(std::uint64_t step, std::uint64_t relocated);
   void append_onset(std::uint64_t step, std::uint32_t module);
 
   /// Honor the group-commit cadence after appending commit step `step`:

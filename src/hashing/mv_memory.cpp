@@ -11,7 +11,7 @@ namespace pramsim::hashing {
 MvMemory::MvMemory(std::uint64_t m_vars, MvMemoryConfig config)
     : config_(config),
       rng_(config.seed),
-      hash_(config.k_wise, config.n_modules, rng_),
+      hash_(kKWise, config.n_modules, rng_),
       cells_(m_vars, 0) {
   PRAMSIM_ASSERT(m_vars >= 1 && config_.n_modules >= 1);
 }
@@ -95,7 +95,7 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
     // Draw a fresh hash function. In a real machine this migrates every
     // cell (an O(m/M + log n) expected-time global operation); we charge
     // one extra max_load of time and count the event.
-    hash_ = PolynomialHash(config_.k_wise, config_.n_modules, rng_);
+    hash_ = PolynomialHash(kKWise, config_.n_modules, rng_);
     ++rehashes_;
     obs_event(obs::EventKind::kRehash, rehashes_, 0, max_load);
     obs_count("hashed.rehashes");

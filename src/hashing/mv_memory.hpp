@@ -21,7 +21,6 @@ namespace pramsim::hashing {
 
 struct MvMemoryConfig {
   std::uint32_t n_modules = 64;
-  std::uint32_t k_wise = 2;  ///< independence of the hash family
   std::uint64_t seed = 1;
   /// Rehash when a step's max module load exceeds this (0 = never).
   std::uint32_t rehash_threshold = 0;
@@ -90,6 +89,9 @@ class MvMemory final : public pram::MemorySystem {
   /// may be silently corrupted.
   void faulted_write(VarId var, pram::Word value,
                      pram::ReliabilityStats& stats);
+
+  /// Independence of the hash family: pairwise (affine), as in MV'84.
+  static constexpr std::uint32_t kKWise = 2;
 
   MvMemoryConfig config_;
   util::Rng rng_;

@@ -3,10 +3,10 @@
 // Every memory organization serves a step through serve(plan, ctx), and
 // the plan is the per-step bookkeeping each of them needs — the distinct
 // variable union and the pairing of reads and writes with their
-// requests — computed ONCE (by pram::PlanBuilder, or by pram::Machine
-// from its own combining tables), stored SoA in a reusable arena, and
-// shared by every layer that serves the step: schemes read precomputed
-// index arrays instead of rebuilding hash tables.
+// requests — computed ONCE, by pram::PlanBuilder for every caller
+// (pram::Machine included), stored SoA in a reusable arena, and shared
+// by every layer that serves the step: schemes read precomputed index
+// arrays instead of rebuilding hash tables.
 //
 // One request per distinct variable is what lets a scheme split its
 // value phase into request ranges that touch disjoint storage. A plan

@@ -1,7 +1,6 @@
 #include "pram/machine.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -41,8 +40,7 @@ Machine::Machine(MachineConfig config, Program program,
       program_(std::move(program)),
       memory_(std::move(memory)),
       regs_(static_cast<std::size_t>(config.n_processors) * kNumRegisters, 0),
-      private_(static_cast<std::size_t>(config.n_processors) *
-                   config.private_cells,
+      private_(static_cast<std::size_t>(config.n_processors) * kPrivateCells,
                0),
       pc_(config.n_processors, 0),
       halted_(config.n_processors) {
@@ -68,8 +66,8 @@ Word Machine::reg(ProcId proc, Reg r) const {
 
 Word Machine::private_mem(ProcId proc, std::uint64_t addr) const {
   PRAMSIM_ASSERT(proc.value() < config_.n_processors &&
-                 addr < config_.private_cells);
-  return private_[proc.index() * config_.private_cells + addr];
+                 addr < kPrivateCells);
+  return private_[proc.index() * kPrivateCells + addr];
 }
 
 StepOutcome Machine::fail_conflict(ConflictInfo info) {
@@ -104,13 +102,6 @@ StepOutcome Machine::step() {
   combined_reads_.clear();
   combined_writes_.clear();
 
-  struct DeferredWrite {
-    ProcId proc;
-    VarId var;
-    Word value;
-  };
-  std::vector<DeferredWrite> writes;
-
   // ---- phase 1: fetch/decode/execute-local, collect shared accesses ----
   for (std::uint32_t p = 0; p < config_.n_processors; ++p) {
     if (halted_.test(p)) {
@@ -123,7 +114,7 @@ StepOutcome Machine::step() {
     }
     const Instruction& ins = program_.at(pc);
     Word* r = &regs_[static_cast<std::size_t>(p) * kNumRegisters];
-    Word* priv = &private_[static_cast<std::size_t>(p) * config_.private_cells];
+    Word* priv = &private_[static_cast<std::size_t>(p) * kPrivateCells];
     std::uint64_t next_pc = pc + 1;
 
     switch (ins.op) {
@@ -223,8 +214,7 @@ StepOutcome Machine::step() {
       case Opcode::kLoadLocal:
       case Opcode::kStoreLocal: {
         const Word addr = r[ins.r2] + ins.imm;
-        if (addr < 0 || static_cast<std::uint64_t>(addr) >=
-                            config_.private_cells) {
+        if (addr < 0 || static_cast<std::uint64_t>(addr) >= kPrivateCells) {
           return fail_fault(proc, pc, "private memory address out of range");
         }
         if (ins.op == Opcode::kLoadLocal) {
@@ -247,7 +237,6 @@ StepOutcome Machine::step() {
           pending_reads_.push_back({proc, ins.r1, 0});  // slot set below
         } else {
           raw_batch_.push_back({proc, AccessOp::kWrite, var, r[ins.r1]});
-          writes.push_back({proc, var, r[ins.r1]});
         }
         break;
       }
@@ -261,164 +250,100 @@ StepOutcome Machine::step() {
     pc_[p] = next_pc;
   }
 
-  // ---- phase 2: conflict detection & combining -----------------------
-  // Count readers/writers per accessed variable.
-  struct ReadInfo {
-    int count = 0;
-    ProcId first{};
-    ProcId second{};
-  };
-  std::unordered_map<std::uint32_t, ReadInfo> readers;
-  std::unordered_map<std::uint32_t, std::vector<DeferredWrite>> writers;
-  for (const auto& acc : raw_batch_) {
-    if (acc.op == AccessOp::kRead) {
-      auto& info = readers[acc.var.value()];
-      if (info.count == 0) {
-        info.first = acc.proc;
-      } else if (info.count == 1) {
-        info.second = acc.proc;
-      }
-      ++info.count;
-    }
-  }
-  for (const auto& w : writes) {
-    writers[w.var.value()].push_back(w);
-  }
-
+  // ---- phase 2: combine per variable, then check the policy ----------
   const ConflictPolicy policy = config_.policy;
-  // Conflict scans abort on the first violating variable, so the scan
-  // order picks WHICH conflict a failing program reports — canonicalize
-  // it (lowest variable wins) instead of trusting hash order.
-  std::vector<std::uint32_t> conflict_order;
-  conflict_order.reserve(readers.size());
-  // pramlint: ordered-fold (keys collected then sorted before the scan)
-  for (const auto& [var, rinfo] : readers) {
-    (void)rinfo;
-    conflict_order.push_back(var);
-  }
-  std::sort(conflict_order.begin(), conflict_order.end());
-  for (const auto var : conflict_order) {
-    const ReadInfo& rinfo = readers.at(var);
-    const bool multiple_readers = rinfo.count > 1;
-    const auto wit = writers.find(var);
-    const bool written = wit != writers.end();
-    if (policy == ConflictPolicy::kErew && (multiple_readers || written)) {
-      const ProcId other =
-          written ? wit->second.front().proc : rinfo.second;
-      return fail_conflict({VarId(var), rinfo.first, other, written});
+  var_index_.clear();
+  var_index_.reserve(raw_batch_.size());
+  vars_.clear();
+  std::size_t raw_read = 0;
+  for (const Access& acc : raw_batch_) {
+    const auto [index, fresh] = var_index_.try_emplace(
+        acc.var.value(), static_cast<std::uint32_t>(vars_.size()));
+    if (fresh) {
+      vars_.push_back({.var = acc.var});
     }
-    if (policy == ConflictPolicy::kCrew && written) {
-      // read+write of the same cell in one step violates exclusive write
-      return fail_conflict(
-          {VarId(var), rinfo.first, wit->second.front().proc, true});
-    }
-  }
-  conflict_order.clear();
-  // pramlint: ordered-fold (keys collected then sorted before the scan)
-  for (const auto& [var, ws] : writers) {
-    (void)ws;
-    conflict_order.push_back(var);
-  }
-  std::sort(conflict_order.begin(), conflict_order.end());
-  for (const auto var : conflict_order) {
-    auto& ws = writers.at(var);
-    if (ws.size() > 1) {
-      if (policy == ConflictPolicy::kErew || policy == ConflictPolicy::kCrew) {
-        return fail_conflict({VarId(var), ws[0].proc, ws[1].proc, true});
+    VarAccesses& rec = vars_[*index];
+    if (acc.op == AccessOp::kRead) {
+      if (rec.readers == 0) {
+        rec.first_reader = acc.proc;
+        rec.read_slot = static_cast<std::uint32_t>(combined_reads_.size());
+        combined_reads_.push_back(acc.var);
+      } else if (rec.readers == 1) {
+        rec.second_reader = acc.proc;
       }
-      if (policy == ConflictPolicy::kCrcwCommon) {
-        for (const auto& w : ws) {
-          if (w.value != ws.front().value) {
-            return fail_conflict({VarId(var), ws.front().proc, w.proc, true});
-          }
-        }
-      }
-    }
-  }
-
-  // Combine reads: one slot per distinct variable.
-  std::unordered_map<std::uint32_t, std::size_t> read_slot;
-  std::size_t raw_read_idx = 0;
-  for (const auto& acc : raw_batch_) {
-    if (acc.op != AccessOp::kRead) {
+      ++rec.readers;
+      pending_reads_[raw_read++].read_slot = rec.read_slot;
       continue;
     }
-    auto [it, fresh] = read_slot.try_emplace(acc.var.value(),
-                                             combined_reads_.size());
-    if (fresh) {
-      combined_reads_.push_back(acc.var);
-    }
-    pending_reads_[raw_read_idx].read_slot = it->second;
-    ++raw_read_idx;
-  }
-
-  // Resolve concurrent writes to one committed value per variable. Each
-  // variable's winner is computed from its own deferred list alone and
-  // combined_writes_ is sorted by var below, so this fold is order-free.
-  // pramlint: ordered-fold (per-var winners independent; output sorted)
-  for (auto& [var, ws] : writers) {
-    DeferredWrite winner = ws.front();
-    for (const auto& w : ws) {
-      switch (policy) {
-        case ConflictPolicy::kCrcwMax:
-          if (w.value > winner.value) {
-            winner = w;
-          }
-          break;
-        default:
-          // common (all equal), arbitrary, priority, and the exclusive
-          // policies: lowest processor id commits.
-          if (w.proc < winner.proc) {
-            winner = w;
-          }
-          break;
+    if (rec.writers == 0) {
+      // Every policy but kCrcwMax commits the lowest processor's value.
+      rec.first_writer = acc.proc;
+      rec.value = acc.value;
+    } else {
+      if (rec.writers == 1) {
+        rec.second_writer = acc.proc;
+      }
+      if (policy == ConflictPolicy::kCrcwMax) {
+        rec.value = std::max(rec.value, acc.value);
+      } else if (!rec.dissent && acc.value != rec.value) {
+        rec.dissent = true;
+        rec.dissenter = acc.proc;
       }
     }
-    combined_writes_.push_back({VarId(var), winner.value});
+    ++rec.writers;
   }
-  // Deterministic ordering for the memory system.
+
+  // A failing step reports its lowest violating variable, read-involved
+  // violations before write-write ones.
+  const bool exclusive_write =
+      policy == ConflictPolicy::kErew || policy == ConflictPolicy::kCrew;
+  const VarAccesses* read_conflict = nullptr;
+  const VarAccesses* write_conflict = nullptr;
+  for (const VarAccesses& rec : vars_) {
+    const bool read_violation =
+        rec.readers > 0 &&
+        ((policy == ConflictPolicy::kErew && rec.readers > 1) ||
+         (exclusive_write && rec.writers > 0));
+    const bool write_violation =
+        rec.writers > 1 &&
+        (exclusive_write ||
+         (policy == ConflictPolicy::kCrcwCommon && rec.dissent));
+    if (read_violation &&
+        (read_conflict == nullptr || rec.var < read_conflict->var)) {
+      read_conflict = &rec;
+    }
+    if (write_violation &&
+        (write_conflict == nullptr || rec.var < write_conflict->var)) {
+      write_conflict = &rec;
+    }
+    if (rec.writers > 0) {
+      combined_writes_.push_back({rec.var, rec.value});
+    }
+  }
+  if (read_conflict != nullptr) {
+    const VarAccesses& rec = *read_conflict;
+    const bool written = rec.writers > 0;
+    return fail_conflict({rec.var, rec.first_reader,
+                          written ? rec.first_writer : rec.second_reader,
+                          written});
+  }
+  if (write_conflict != nullptr) {
+    const VarAccesses& rec = *write_conflict;
+    return fail_conflict({rec.var, rec.first_writer,
+                          exclusive_write ? rec.second_writer : rec.dissenter,
+                          true});
+  }
   std::sort(combined_writes_.begin(), combined_writes_.end(),
             [](const VarWrite& a, const VarWrite& b) { return a.var < b.var; });
 
   // ---- phase 3: serve the combined step as a plan ----------------------
   StepOutcome outcome;
   read_values_.assign(combined_reads_.size(), 0);
-  if (!combined_reads_.empty() || !combined_writes_.empty()) {
-    // Join the plan from the combining tables: request i serves combined
-    // read i, write-only variables follow in write order, and a variable
-    // both read and written (CRCW) is one request that carries the write.
-    const auto n_reads = static_cast<std::uint32_t>(combined_reads_.size());
-    requests_.clear();
-    read_request_.clear();
-    write_request_.clear();
-    request_write_.assign(n_reads, AccessPlan::kNone);
-    for (std::uint32_t i = 0; i < n_reads; ++i) {
-      requests_.push_back({combined_reads_[i], AccessOp::kRead, true});
-      read_request_.push_back(i);
-    }
-    for (std::uint32_t w = 0; w < combined_writes_.size(); ++w) {
-      const VarId var = combined_writes_[w].var;
-      const auto read = read_slot.find(var.value());
-      auto req = static_cast<std::uint32_t>(requests_.size());
-      if (read == read_slot.end()) {
-        requests_.push_back({var, AccessOp::kWrite, false});
-        request_write_.push_back(w);
-      } else {
-        req = static_cast<std::uint32_t>(read->second);
-        requests_[req].op = AccessOp::kWrite;
-        request_write_[req] = w;
-      }
-      write_request_.push_back(req);
-    }
-    plan_.reads = combined_reads_;
-    plan_.writes = combined_writes_;
-    plan_.requests = requests_;
-    plan_.read_request = read_request_;
-    plan_.write_request = write_request_;
-    plan_.request_write = request_write_;
-    grouper_.group(plan_, *memory_);
+  if (!raw_batch_.empty()) {
+    const AccessPlan& plan =
+        builder_.build(combined_reads_, combined_writes_, *memory_);
     ctx_.bind(read_values_);
-    outcome.mem_cost = memory_->serve(plan_, ctx_);
+    outcome.mem_cost = memory_->serve(plan, ctx_);
     shared_accesses_ += raw_batch_.size();
   }
   for (const auto& pr : pending_reads_) {

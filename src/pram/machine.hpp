@@ -2,12 +2,14 @@
 // memory.
 //
 // Every step, each running processor executes one instruction in lock-step.
-// Shared accesses are collected, checked against the configured conflict
-// policy (EREW/CREW/CRCW), combined (concurrent reads deduplicated,
-// concurrent writes resolved), joined into an AccessPlan and served by the
-// attached MemorySystem's serve(plan, ctx) — either the ideal FlatMemory
-// or one of the simulation schemes, which is exactly how the paper's
-// "simulating machine" plugs underneath the P-RAM program.
+// Shared accesses are collected and combined per variable in one table
+// (concurrent reads deduplicated, concurrent writes resolved by the
+// configured policy), checked against that policy (EREW/CREW/CRCW), and
+// handed to PlanBuilder::build(reads, writes, memory), the plan path every
+// caller shares. The attached MemorySystem serves the plan through
+// serve(plan, ctx) — either the ideal FlatMemory or one of the simulation
+// schemes, which is exactly how the paper's "simulating machine" plugs
+// underneath the P-RAM program.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/plan_builder.hpp"
 #include "pram/program.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/types.hpp"
 #include "util/bitset.hpp"
+#include "util/scratch_map.hpp"
 
 namespace pramsim::pram {
 
@@ -30,7 +32,6 @@ struct MachineConfig {
   std::uint32_t n_processors = 1;
   std::uint64_t m_shared_cells = 1;
   ConflictPolicy policy = ConflictPolicy::kErew;
-  std::uint32_t private_cells = 4096;  ///< private memory per processor
 };
 
 enum class StepStatus : std::uint8_t {
@@ -77,6 +78,9 @@ struct RunOutcome {
 
 class Machine {
  public:
+  /// Private memory words per processor.
+  static constexpr std::uint32_t kPrivateCells = 4096;
+
   /// Takes ownership of the memory system; program must be finalized (or
   /// finalizable: finalize() is invoked here).
   Machine(MachineConfig config, Program program,
@@ -112,7 +116,26 @@ class Machine {
   struct PendingRead {
     ProcId proc;
     Reg dst;
-    std::size_t read_slot;  ///< index into combined read vector
+    std::uint32_t read_slot;  ///< index into combined_reads_
+  };
+
+  /// One distinct variable of the step. raw_batch_ is in ascending
+  /// processor order with at most one access per processor, so the
+  /// first reader or writer a record sees is the lowest-numbered one.
+  struct VarAccesses {
+    VarId var;
+    std::uint32_t readers = 0;
+    std::uint32_t writers = 0;
+    std::uint32_t read_slot = 0;  ///< index into combined_reads_
+    ProcId first_reader{};
+    ProcId second_reader{};
+    ProcId first_writer{};
+    ProcId second_writer{};
+    /// The first writer whose value differs from first_writer's (valid
+    /// when `dissent`; not tracked under kCrcwMax).
+    ProcId dissenter{};
+    bool dissent = false;
+    Word value = 0;  ///< the value the policy commits
   };
 
   StepOutcome fail_conflict(ConflictInfo info);
@@ -123,7 +146,7 @@ class Machine {
   std::unique_ptr<MemorySystem> memory_;
 
   std::vector<Word> regs_;      // n * kNumRegisters
-  std::vector<Word> private_;   // n * private_cells
+  std::vector<Word> private_;   // n * kPrivateCells
   std::vector<std::uint64_t> pc_;
   util::DynamicBitset halted_;
   bool dead_ = false;  // violation or fault occurred; machine is stuck
@@ -133,17 +156,12 @@ class Machine {
   // per-step scratch (members to avoid reallocation)
   AccessBatch raw_batch_;
   std::vector<PendingRead> pending_reads_;
-  std::vector<VarId> combined_reads_;
+  util::ScratchMap<std::uint32_t> var_index_;  ///< var -> vars_ index
+  std::vector<VarAccesses> vars_;
+  std::vector<VarId> combined_reads_;  ///< first-appearance order
   std::vector<Word> read_values_;
-  std::vector<VarWrite> combined_writes_;
-  // The served plan's joins, built from the combining tables above; only
-  // the grouping is shared with PlanBuilder.
-  std::vector<PlanRequest> requests_;
-  std::vector<std::uint32_t> read_request_;
-  std::vector<std::uint32_t> write_request_;
-  std::vector<std::uint32_t> request_write_;
-  PlanGrouper grouper_;
-  AccessPlan plan_;
+  std::vector<VarWrite> combined_writes_;  ///< ascending var order
+  PlanBuilder builder_;
   ServeContext ctx_;
 };
 

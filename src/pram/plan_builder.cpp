@@ -10,19 +10,19 @@ namespace {
 constexpr std::uint32_t kNone = AccessPlan::kNone;
 }  // namespace
 
-void PlanGrouper::group(AccessPlan& plan, const MemorySystem& memory) {
-  plan.group_keys = {};
-  plan.group_offsets = {};
-  plan.group_requests = {};
-  plan.request_group = {};
+void PlanBuilder::group(const MemorySystem& memory) {
+  plan_.group_keys = {};
+  plan_.group_offsets = {};
+  plan_.group_requests = {};
+  plan_.request_group = {};
   if (!memory.wants_plan_groups()) {
     return;
   }
-  arena_.reset();
-  const auto n_requests = static_cast<std::uint32_t>(plan.requests.size());
+  const auto n_requests = static_cast<std::uint32_t>(plan_.requests.size());
   sort_scratch_.clear();
   for (std::uint32_t j = 0; j < n_requests; ++j) {
-    sort_scratch_.emplace_back(memory.plan_group_of(plan.requests[j].var), j);
+    sort_scratch_.emplace_back(memory.plan_group_of(plan_.requests[j].var),
+                               j);
   }
   // Pair order = (key, request index): a stable grouping without
   // stable_sort's temp buffer.
@@ -43,10 +43,10 @@ void PlanGrouper::group(AccessPlan& plan, const MemorySystem& memory) {
     request_group[req] = g - 1;
   }
   group_offsets[g] = n_requests;
-  plan.group_keys = group_keys.first(g);
-  plan.group_offsets = group_offsets.first(g + 1);
-  plan.group_requests = group_requests;
-  plan.request_group = request_group;
+  plan_.group_keys = group_keys.first(g);
+  plan_.group_offsets = group_offsets.first(g + 1);
+  plan_.group_requests = group_requests;
+  plan_.request_group = request_group;
 }
 
 const AccessPlan& PlanBuilder::build(const AccessBatch& batch,
@@ -127,7 +127,7 @@ const AccessPlan& PlanBuilder::build(const AccessBatch& batch,
   plan_.read_request = read_request.first(n_reads);
   plan_.write_request = write_request.first(n_writes);
   plan_.request_write = request_write.first(n_requests);
-  grouper_.group(plan_, memory);
+  group(memory);
   return plan_;
 }
 
@@ -178,7 +178,7 @@ const AccessPlan& PlanBuilder::build(std::span<const VarId> reads,
   plan_.read_request = read_request;
   plan_.write_request = write_request;
   plan_.request_write = request_write.first(n_requests);
-  grouper_.group(plan_, memory);
+  group(memory);
   return plan_;
 }
 

@@ -8,18 +8,17 @@
 //     the lowest processor id (the deterministic CW convention used
 //     machine-wide). The driver and the benchmark build every step here.
 //   * build(reads, writes, memory) takes a step that is already combined
-//     (distinct reads, distinct writes) and adds the joins: the
+//     (distinct reads, distinct writes) and adds the joins:
+//     pram::Machine (which combines under its own conflict policy), the
 //     MemorySystem::step adapter and the cache's residual step build
 //     here.
 //
 // Grouping rule: a plan is grouped exactly when its target wants groups
 // (MemorySystem::wants_plan_groups), empty plans included; only IDA's
-// blocks do. PlanGrouper is that rule on its own, so pram::Machine,
-// which joins its plan from its own combining tables, shares it without
-// a second dedup table.
+// blocks do.
 //
 // A warmed-up builder builds a step with zero heap allocations. One
-// builder = one plan slot: the emitted plan aliases the builder's arenas
+// builder = one plan slot: the emitted plan aliases the builder's arena
 // and stays valid until the next build(). The driver's overlapped step
 // loop keeps two builders and flips between them, letting a generator
 // thread build plan N+1 while a worker serves plan N.
@@ -37,23 +36,6 @@
 #include "util/scratch_map.hpp"
 
 namespace pramsim::pram {
-
-/// The grouping half of plan building: buckets a plan's requests by the
-/// target's plan_group_of keys (CSR, keys ascending, plan order within a
-/// group). The group arrays live in the grouper's arena and stay valid
-/// until its next group().
-class PlanGrouper {
- public:
-  /// Set `plan`'s group arrays for `memory`: grouped exactly when
-  /// memory.wants_plan_groups(), empty plans included (one offset, no
-  /// groups); cleared otherwise.
-  void group(AccessPlan& plan, const MemorySystem& memory);
-
- private:
-  /// (group key, request index) pairs, sorted to derive the CSR groups.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> sort_scratch_;
-  util::Arena arena_;
-};
 
 class PlanBuilder {
  public:
@@ -79,12 +61,19 @@ class PlanBuilder {
   [[nodiscard]] const AccessPlan& plan() const { return plan_; }
 
  private:
+  /// Set plan_'s group arrays for `memory`: requests bucketed by the
+  /// target's plan_group_of keys (CSR, keys ascending, plan order within
+  /// a group) exactly when memory.wants_plan_groups(), empty plans
+  /// included (one offset, no groups); cleared otherwise.
+  void group(const MemorySystem& memory);
+
   /// var -> request index, epoch-cleared per build.
   util::ScratchMap<std::uint32_t> index_;
   /// Winning writer per write row (CW resolution scratch).
   std::vector<ProcId> writer_;
+  /// (group key, request index) pairs, sorted to derive the CSR groups.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> sort_scratch_;
   util::Arena arena_;
-  PlanGrouper grouper_;
   AccessPlan plan_;
 };
 

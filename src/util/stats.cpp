@@ -76,53 +76,4 @@ double SampleSet::mean() const {
   return s / static_cast<double>(xs_.size());
 }
 
-Histogram::Histogram(std::size_t max_value) : buckets_(max_value + 1, 0) {}
-
-void Histogram::add(std::uint64_t value) {
-  ++total_;
-  if (value < buckets_.size()) {
-    ++buckets_[value];
-  } else {
-    ++overflow_;
-  }
-}
-
-std::uint64_t Histogram::bucket(std::size_t i) const {
-  PRAMSIM_ASSERT(i < buckets_.size());
-  return buckets_[i];
-}
-
-std::string Histogram::ascii(std::size_t max_width) const {
-  std::uint64_t peak = overflow_;
-  for (const auto b : buckets_) {
-    peak = std::max(peak, b);
-  }
-  if (peak == 0) {
-    return "(empty histogram)\n";
-  }
-  std::string out;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    const auto width = static_cast<std::size_t>(
-        static_cast<double>(buckets_[i]) / static_cast<double>(peak) *
-        static_cast<double>(max_width));
-    out.append(std::to_string(i));
-    out.append(": ");
-    out.append(std::max<std::size_t>(width, 1), '#');
-    out.append(" (");
-    out.append(std::to_string(buckets_[i]));
-    out.append(")\n");
-  }
-  if (overflow_ > 0) {
-    out.append(">");
-    out.append(std::to_string(buckets_.size() - 1));
-    out.append(": (");
-    out.append(std::to_string(overflow_));
-    out.append(" overflow)\n");
-  }
-  return out;
-}
-
 }  // namespace pramsim::util

@@ -1,9 +1,8 @@
-// Streaming statistics and histograms for the measurement harnesses.
+// Streaming statistics for the measurement harnesses.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace pramsim::util {
@@ -48,23 +47,6 @@ class SampleSet {
  private:
   mutable std::vector<double> xs_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width integer histogram (bucket i counts values == i, with an
-/// overflow bucket); prints compact ASCII bars.
-class Histogram {
- public:
-  explicit Histogram(std::size_t max_value);
-  void add(std::uint64_t value);
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::string ascii(std::size_t max_width = 40) const;
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pramsim::util

@@ -360,12 +360,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Golden fingerprints pin what pram::Machine reports through every
-// SchemeKind, bare at widths 1 and 8 and, for kDmmpc and kIda, behind a
-// cache and behind dynamic module kills with write corruption. Each case
-// runs a randomized EREW program and a bitonic sort and folds every
-// step's memory cost, the memory's reliability counters and the final
-// shared memory. The constants were recorded when Machine still served
-// its steps through the per-scheme step() bodies.
+// SchemeKind at width 1 (kIda, the one kind that reads the width, also at
+// width 8) and, for kDmmpc and kIda, behind a cache and behind dynamic
+// module kills with write corruption. Each case runs a randomized EREW
+// program and a bitonic sort and folds every step's memory cost, the
+// memory's reliability counters and the final shared memory. The
+// constants were recorded when Machine still served its steps through the
+// per-scheme step() bodies.
 enum class MachineWrap : std::uint8_t { kPlain, kCached, kFaulted };
 
 struct MachineFingerprintCase {
@@ -456,67 +457,27 @@ INSTANTIATE_TEST_SUITE_P(
         MachineFingerprintCase{"hp_mot_w1", {.kind = SchemeKind::kHpMot},
                                MachineWrap::kPlain,
                                0x35e3e83fd11f3493ULL},
-        MachineFingerprintCase{"hp_mot_w8",
-                               {.kind = SchemeKind::kHpMot,
-                                .region_words = 8},
-                               MachineWrap::kPlain,
-                               0x35e3e83fd11f3493ULL},
         MachineFingerprintCase{"crossbar_w1",
                                {.kind = SchemeKind::kCrossbar},
-                               MachineWrap::kPlain,
-                               0x942ac1006c5ff4dbULL},
-        MachineFingerprintCase{"crossbar_w8",
-                               {.kind = SchemeKind::kCrossbar,
-                                .region_words = 8},
                                MachineWrap::kPlain,
                                0x942ac1006c5ff4dbULL},
         MachineFingerprintCase{"lpp_mot_w1", {.kind = SchemeKind::kLppMot},
                                MachineWrap::kPlain,
                                0x834ca195bc83888bULL},
-        MachineFingerprintCase{"lpp_mot_w8",
-                               {.kind = SchemeKind::kLppMot,
-                                .region_words = 8},
-                               MachineWrap::kPlain,
-                               0x834ca195bc83888bULL},
         MachineFingerprintCase{"dmmpc_w1", {.kind = SchemeKind::kDmmpc},
-                               MachineWrap::kPlain,
-                               0x2d8d46fedff5d29fULL},
-        MachineFingerprintCase{"dmmpc_w8",
-                               {.kind = SchemeKind::kDmmpc,
-                                .region_words = 8},
                                MachineWrap::kPlain,
                                0x2d8d46fedff5d29fULL},
         MachineFingerprintCase{"uw_mpc_w1", {.kind = SchemeKind::kUwMpc},
                                MachineWrap::kPlain,
                                0x5a4a7d9e3a4816c1ULL},
-        MachineFingerprintCase{"uw_mpc_w8",
-                               {.kind = SchemeKind::kUwMpc,
-                                .region_words = 8},
-                               MachineWrap::kPlain,
-                               0x5a4a7d9e3a4816c1ULL},
         MachineFingerprintCase{"alt_bdn_w1", {.kind = SchemeKind::kAltBdn},
-                               MachineWrap::kPlain,
-                               0xe4dd84792d8f4818ULL},
-        MachineFingerprintCase{"alt_bdn_w8",
-                               {.kind = SchemeKind::kAltBdn,
-                                .region_words = 8},
                                MachineWrap::kPlain,
                                0xe4dd84792d8f4818ULL},
         MachineFingerprintCase{"hb_expander_w1",
                                {.kind = SchemeKind::kHbExpander},
                                MachineWrap::kPlain,
                                0x2572c9c121bf9d5aULL},
-        MachineFingerprintCase{"hb_expander_w8",
-                               {.kind = SchemeKind::kHbExpander,
-                                .region_words = 8},
-                               MachineWrap::kPlain,
-                               0x2572c9c121bf9d5aULL},
         MachineFingerprintCase{"ranade_w1", {.kind = SchemeKind::kRanade},
-                               MachineWrap::kPlain,
-                               0x0e18a59c8b5f1c32ULL},
-        MachineFingerprintCase{"ranade_w8",
-                               {.kind = SchemeKind::kRanade,
-                                .region_words = 8},
                                MachineWrap::kPlain,
                                0x0e18a59c8b5f1c32ULL},
         MachineFingerprintCase{"ida_w1", {.kind = SchemeKind::kIda},
@@ -528,11 +489,6 @@ INSTANTIATE_TEST_SUITE_P(
                                MachineWrap::kPlain,
                                0x5f8d44732308ae57ULL},
         MachineFingerprintCase{"hashed_w1", {.kind = SchemeKind::kHashed},
-                               MachineWrap::kPlain,
-                               0x1f894bf03dd6a43bULL},
-        MachineFingerprintCase{"hashed_w8",
-                               {.kind = SchemeKind::kHashed,
-                                .region_words = 8},
                                MachineWrap::kPlain,
                                0x1f894bf03dd6a43bULL},
         MachineFingerprintCase{"dmmpc_cached", {.kind = SchemeKind::kDmmpc},

@@ -82,16 +82,15 @@ TEST(Wal, RoundTripsEveryRecordKind) {
     wal.append_onset(2, 5);
     const std::vector<pram::VarWrite> w2 = {{VarId(3), 33}};
     wal.append_step(2, w2);
-    wal.append_relocation(3, 12);
     wal.flush();
-    EXPECT_EQ(wal.appended_records(), 4u);
+    EXPECT_EQ(wal.appended_records(), 3u);
     EXPECT_EQ(wal.durable_step(), 2u);
     EXPECT_GT(wal.file_bytes(), 0u);
   }
   const auto log = durability::read_wal(path);
   EXPECT_FALSE(log.torn_tail);
   EXPECT_EQ(log.durable_step, 2u);
-  ASSERT_EQ(log.records.size(), 4u);
+  ASSERT_EQ(log.records.size(), 3u);
 
   EXPECT_EQ(log.records[0].kind, durability::WalRecordKind::kStepCommit);
   EXPECT_EQ(log.records[0].step, 1u);
@@ -107,11 +106,6 @@ TEST(Wal, RoundTripsEveryRecordKind) {
   EXPECT_EQ(log.records[2].kind, durability::WalRecordKind::kStepCommit);
   ASSERT_EQ(log.records[2].writes.size(), 1u);
   EXPECT_EQ(log.records[2].writes[0].value, 33);
-
-  EXPECT_EQ(log.records[3].kind,
-            durability::WalRecordKind::kScrubRelocation);
-  EXPECT_EQ(log.records[3].step, 3u);
-  EXPECT_EQ(log.records[3].relocated, 12u);
 }
 
 TEST(Wal, MissingFileReadsAsEmptyUntornLog) {
@@ -234,11 +228,10 @@ TEST(Wal, TruncateThroughDropsOnlyCoveredRecords) {
 }
 
 // truncate_through keeps the surviving frames exactly as they were on
-// disk. The log holds all three record kinds around the through-step and
+// disk. The log holds both record kinds around the through-step and
 // ends in a torn record, which the truncation drops. The file's size and
-// CRC and the span of its last record were recorded while
-// truncate_through still decoded every record and re-encoded the
-// survivors.
+// CRC and the span of its last record were recorded with the code that
+// still wrote a third record kind, with the same appends.
 TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
   const std::string dir = scratch_dir("wal_trunc_bytes");
   const std::string path = dir + "/wal.log";
@@ -250,9 +243,6 @@ TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
                         static_cast<pram::Word>(step * 1000 + i) - 3000});
     }
     wal.append_step(step, writes);
-    if (step % 3 == 0) {
-      wal.append_relocation(step, step * 11);
-    }
     if (step % 2 == 1) {
       wal.append_onset(step, static_cast<std::uint32_t>(step + 40));
     }
@@ -267,21 +257,20 @@ TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
 
   wal.truncate_through(4);
   const auto bytes = read_bytes(path);
-  EXPECT_EQ(bytes.size(), 247u);
-  EXPECT_EQ(reference_crc32(bytes.data(), bytes.size()), 0x47a559f4u);
-  EXPECT_EQ(wal.file_bytes(), 247u);
-  EXPECT_EQ(wal.last_record().offset, 226u);
+  EXPECT_EQ(bytes.size(), 222u);
+  EXPECT_EQ(reference_crc32(bytes.data(), bytes.size()), 0x144b2b16u);
+  EXPECT_EQ(wal.file_bytes(), 222u);
+  EXPECT_EQ(wal.last_record().offset, 201u);
   EXPECT_EQ(wal.last_record().length, 21u);
-  EXPECT_EQ(wal.appended_records(), 15u);
+  EXPECT_EQ(wal.appended_records(), 13u);
 
   const auto log = durability::read_wal(path);
   EXPECT_FALSE(log.torn_tail);
   using Kind = durability::WalRecordKind;
   const std::vector<std::pair<Kind, std::uint64_t>> expected = {
       {Kind::kStepCommit, 5},      {Kind::kFaultOnset, 5},
-      {Kind::kStepCommit, 6},      {Kind::kScrubRelocation, 6},
-      {Kind::kStepCommit, 7},      {Kind::kFaultOnset, 7},
-      {Kind::kStepCommit, 8}};
+      {Kind::kStepCommit, 6},      {Kind::kStepCommit, 7},
+      {Kind::kFaultOnset, 7},      {Kind::kStepCommit, 8}};
   ASSERT_EQ(log.records.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(log.records[i].kind, expected[i].first) << "record " << i;
@@ -291,8 +280,8 @@ TEST(Wal, TruncateThroughKeepsSurvivingFramesByteForByte) {
   // Appends continue from the truncated file's end.
   wal.append_onset(10, 7);
   wal.flush();
-  EXPECT_EQ(wal.last_record().offset, 247u);
-  EXPECT_EQ(wal.file_bytes(), 268u);
+  EXPECT_EQ(wal.last_record().offset, 222u);
+  EXPECT_EQ(wal.file_bytes(), 243u);
 }
 
 // A truncation that keeps no record leaves an empty file and an empty
@@ -358,7 +347,7 @@ TEST(Wal, TruncateThroughStopsWhereReadWalStops) {
       wal_payload(9, 3, onset_body),                  // unknown kind
       wal_payload(1, 3, {2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
                          5, 0, 0, 0, 0, 0, 0, 0}),    // 2 writes, 1 held
-      wal_payload(2, 3, {4, 0, 0, 0}),                // short relocation
+      wal_payload(2, 3, {4, 0, 0, 0, 0, 0, 0, 0}),    // unknown kind 2
       wal_payload(3, 3, {}),                          // onset, no module
       {3, 3, 0, 0, 0},                                // no whole step
   };
@@ -366,7 +355,7 @@ TEST(Wal, TruncateThroughStopsWhereReadWalStops) {
     SCOPED_TRACE(c);
     durability::Wal wal({path, 1});
     wal.append_onset(1, 4);
-    wal.append_relocation(2, 6);
+    wal.append_onset(2, 6);
     wal.flush();
     const auto kept = wal.last_record();
     {
@@ -393,7 +382,7 @@ TEST(Wal, TruncateThroughStopsWhereReadWalStops) {
     const auto trimmed = durability::read_wal(path);
     EXPECT_FALSE(trimmed.torn_tail);
     ASSERT_EQ(trimmed.records.size(), 1u);
-    EXPECT_EQ(trimmed.records[0].relocated, 6u);
+    EXPECT_EQ(trimmed.records[0].module, 6u);
   }
 }
 

@@ -345,7 +345,7 @@ TEST(IdaFaults, CheckSharesTransparentWhenHealthy) {
 // ---------------------------------------- single-copy fragility ---------
 
 TEST(SingleCopyFaults, HashedBaselineLosesDeadModuleAddressRange) {
-  hashing::MvMemory memory(256, {.n_modules = 8, .k_wise = 2, .seed = 3});
+  hashing::MvMemory memory(256, {.n_modules = 8, .seed = 3});
   // Find a variable and kill exactly its module.
   const VarId var(17);
   CraftedHooks hooks;
@@ -364,7 +364,7 @@ TEST(FaultableMemory, OracleCountsSilentWrongReads) {
   // single-copy scheme has no redundancy to mask it — the checker must
   // flag the read as silently wrong.
   auto inner = std::make_unique<hashing::MvMemory>(
-      64, hashing::MvMemoryConfig{.n_modules = 8, .k_wise = 2, .seed = 5});
+      64, hashing::MvMemoryConfig{.n_modules = 8, .seed = 5});
   faults::FaultableMemory memory(std::move(inner),
                                  {.seed = 31, .corruption_rate = 1.0});
   write_one(memory, VarId(9), 1000);

@@ -75,7 +75,7 @@ TEST(PolynomialHash, DifferentSeedsDifferentFunctions) {
 }
 
 TEST(MvMemory, OracleConsistency) {
-  MvMemory mem(1024, {.n_modules = 32, .k_wise = 2, .seed = 3});
+  MvMemory mem(1024, {.n_modules = 32, .seed = 3});
   std::map<std::uint32_t, Word> oracle;
   util::Rng rng(11);
   for (int step = 0; step < 100; ++step) {
@@ -105,7 +105,7 @@ TEST(MvMemory, OracleConsistency) {
 }
 
 TEST(MvMemory, TimeIsMaxModuleLoad) {
-  MvMemory mem(4096, {.n_modules = 64, .k_wise = 2, .seed = 5});
+  MvMemory mem(4096, {.n_modules = 64, .seed = 5});
   // Find >= 3 variables hashing to the same module, request exactly those.
   std::map<std::uint32_t, std::vector<std::uint32_t>> by_module;
   std::uint32_t hot_module = 0;
@@ -131,7 +131,7 @@ TEST(MvMemory, TimeIsMaxModuleLoad) {
 TEST(MvMemory, AdversarialBatchForcesSerialization) {
   // The deterministic-vs-probabilistic contrast: with a known hash, an
   // adversary can pick n variables in one module and force n rounds.
-  MvMemory mem(1 << 16, {.n_modules = 64, .k_wise = 2, .seed = 7});
+  MvMemory mem(1 << 16, {.n_modules = 64, .seed = 7});
   std::map<std::uint32_t, std::vector<std::uint32_t>> by_module;
   for (std::uint32_t v = 0; v < (1 << 16); ++v) {
     by_module[mem.module_of(VarId(v))].push_back(v);
@@ -168,7 +168,7 @@ RehashRun serve_rehash_traffic(pram::ServeBackend backend,
                                std::size_t workers) {
   util::set_parallel_workers_override(workers);
   MvMemory mem(1 << 14,
-               {.n_modules = 4, .k_wise = 2, .seed = 9, .rehash_threshold = 2});
+               {.n_modules = 4, .seed = 9, .rehash_threshold = 2});
   EXPECT_EQ(mem.set_serve_backend(backend), backend);
   util::Executor executor;
   pram::ServeContext ctx({}, &executor);
@@ -216,7 +216,7 @@ TEST(MvMemory, MaxLoadGrowsSlowlyWithN) {
   // ~ log n / log log n in expectation — far below n.
   for (const std::uint32_t n : {256u, 1024u, 4096u}) {
     MvMemory mem(static_cast<std::uint64_t>(n) * n,
-                 {.n_modules = n, .k_wise = 2, .seed = 13});
+                 {.n_modules = n, .seed = 13});
     util::Rng rng(17);
     util::RunningStats max_loads;
     for (int trial = 0; trial < 10; ++trial) {

@@ -15,7 +15,6 @@
 #include <cctype>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -288,19 +287,19 @@ TEST_P(PlanServeTest, ServeMatchesFlatReplicaUnderInertFaultWrapper) {
   EXPECT_EQ(memory.reliability().wrong_reads, 0u);
 }
 
+std::string kind_name(const ::testing::TestParamInfo<core::SchemeKind>& info) {
+  std::string name = core::to_string(info.param);
+  for (auto& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) {
+      ch = '_';
+    }
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(EverySchemeKind, PlanServeTest,
                          ::testing::ValuesIn(core::all_scheme_kinds()),
-                         [](const ::testing::TestParamInfo<core::SchemeKind>&
-                                info) {
-                           std::string name = core::to_string(info.param);
-                           for (auto& ch : name) {
-                             if (!std::isalnum(
-                                     static_cast<unsigned char>(ch))) {
-                               ch = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         kind_name);
 
 /// Restore the automatic worker policy even when an assertion fails.
 struct WorkerOverrideGuard {
@@ -328,13 +327,10 @@ TEST_P(PlanServeTest, GroupParallelServeMatchesFlatReplica) {
 // The schemes shipping native group-parallel serve must actually engage
 // it (capability), and the backend must be bit-identical
 // to the serial backend at every worker count — values, committed state,
-// reliability telemetry, and outage flags — healthy AND degraded. The
-// sweep crosses every native scheme with region widths 1 and 8; none of
-// these kinds stores region rows, so the width-8 rows must build and
-// serve exactly what width 1 does.
+// reliability telemetry, and outage flags — healthy AND degraded. None
+// of these kinds reads the region width, so the sweep has no width axis.
 class GroupParallelBackendTest
-    : public ::testing::TestWithParam<
-          std::tuple<core::SchemeKind, std::uint32_t>> {};
+    : public ::testing::TestWithParam<core::SchemeKind> {};
 
 void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
                    std::size_t workers, const faults::FaultModel* hooks,
@@ -380,10 +376,7 @@ void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
 }
 
 TEST_P(GroupParallelBackendTest, BitIdenticalToSerialAtAnyWorkerCount) {
-  const core::SchemeSpec spec{.kind = std::get<0>(GetParam()),
-                              .n = 16,
-                              .seed = 7,
-                              .region_words = std::get<1>(GetParam())};
+  const core::SchemeSpec spec{.kind = GetParam(), .n = 16, .seed = 7};
   const faults::FaultSpec fault_spec{.seed = 99, .module_kill_rate = 0.4,
                                      .stuck_rate = 0.05,
                                      .corruption_rate = 0.2};
@@ -424,21 +417,9 @@ TEST_P(GroupParallelBackendTest, BitIdenticalToSerialAtAnyWorkerCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     NativeGroupParallelSchemes, GroupParallelBackendTest,
-    ::testing::Combine(::testing::Values(core::SchemeKind::kDmmpc,
-                                         core::SchemeKind::kUwMpc,
-                                         core::SchemeKind::kHpMot,
-                                         core::SchemeKind::kHashed),
-                       ::testing::Values(1u, 8u)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<core::SchemeKind, std::uint32_t>>& info) {
-      std::string name = core::to_string(std::get<0>(info.param));
-      for (auto& ch : name) {
-        if (!std::isalnum(static_cast<unsigned char>(ch))) {
-          ch = '_';
-        }
-      }
-      return name + "_w" + std::to_string(std::get<1>(info.param));
-    });
+    ::testing::Values(core::SchemeKind::kDmmpc, core::SchemeKind::kUwMpc,
+                      core::SchemeKind::kHpMot, core::SchemeKind::kHashed),
+    kind_name);
 
 /// Per-read flags as 0/1 bytes, one per read (an empty span means none).
 std::vector<std::uint8_t> flag_bytes(std::span<const std::uint8_t> flags,

@@ -288,6 +288,140 @@ TEST(Machine, CrcwMaxLargestValueWins) {
   EXPECT_EQ(m.shared(VarId(0)), 5);
 }
 
+// One processor's access in a scripted step.
+struct Scripted {
+  enum Kind : Word { kIdle = 0, kRead = 1, kWrite = 2 };
+  Word kind = kIdle;
+  Word var = 0;
+  Word value = 0;
+};
+
+constexpr std::uint64_t kScriptCells = 16;
+
+// A machine whose processor p issues script[p] on one shared step. Each
+// processor first loads its (var, value, kind) row from a table above the
+// kScriptCells target cells (one exclusive read per field), then branches
+// so that every read and write issues on the same step; readers load into
+// R7. Target cell v starts out as 100 + v.
+Machine scripted_machine(ConflictPolicy policy,
+                         const std::vector<Scripted>& script) {
+  Program p;
+  p.pid(R1).muli(R2, R1, 3);
+  p.sread(R3, R2, kScriptCells);
+  p.sread(R4, R2, kScriptCells + 1);
+  p.sread(R5, R2, kScriptCells + 2);
+  p.addi(R6, R5, -Scripted::kRead).jz(R6, "read");
+  p.addi(R6, R5, -Scripted::kWrite).jz(R6, "write");
+  p.halt();
+  p.label("read").nop().nop().sread(R7, R3).halt();
+  p.label("write").swrite(R3, R4).halt();
+  const auto n = static_cast<std::uint32_t>(script.size());
+  MachineConfig cfg{.n_processors = n,
+                    .m_shared_cells = kScriptCells + 3 * n,
+                    .policy = policy};
+  auto memory = std::make_unique<FlatMemory>(cfg.m_shared_cells);
+  for (std::uint32_t v = 0; v < kScriptCells; ++v) {
+    memory->poke(VarId(v), 100 + v);
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto row = static_cast<std::uint32_t>(kScriptCells + 3 * i);
+    memory->poke(VarId(row), script[i].var);
+    memory->poke(VarId(row + 1), script[i].value);
+    memory->poke(VarId(row + 2), script[i].kind);
+  }
+  return Machine(cfg, std::move(p), std::move(memory));
+}
+
+struct ExpectedConflict {
+  std::uint32_t var;
+  std::uint32_t proc_a;
+  std::uint32_t proc_b;
+  bool involves_write;
+};
+
+void expect_conflict(ConflictPolicy policy,
+                     const std::vector<Scripted>& script,
+                     const ExpectedConflict& want) {
+  SCOPED_TRACE(to_string(policy) + " conflict on var " +
+               std::to_string(want.var));
+  Machine m = scripted_machine(policy, script);
+  const auto out = m.run();
+  ASSERT_EQ(out.final_status, StepStatus::kConflictViolation);
+  ASSERT_TRUE(out.conflict.has_value());
+  EXPECT_EQ(out.conflict->var, VarId(want.var));
+  EXPECT_EQ(out.conflict->proc_a, ProcId(want.proc_a));
+  EXPECT_EQ(out.conflict->proc_b, ProcId(want.proc_b));
+  EXPECT_EQ(out.conflict->involves_write, want.involves_write);
+}
+
+TEST(Machine, ConflictDiagnosticsAndCommittedValuesArePinned) {
+  constexpr Word kR = Scripted::kRead;
+  constexpr Word kW = Scripted::kWrite;
+  const Scripted idle{};
+
+  // EREW read-read: the first two readers of the variable, in processor
+  // order; an exclusive read of another variable is no conflict.
+  expect_conflict(ConflictPolicy::kErew,
+                  {{kR, 2}, {kR, 5}, idle, {kR, 5}, {kR, 5}},
+                  {5, 1, 3, false});
+  // EREW read-write: the first reader and the first writer, even with a
+  // second reader present.
+  expect_conflict(ConflictPolicy::kErew,
+                  {{kW, 1, 7}, {kR, 4}, {kW, 4, 8}, {kR, 4}},
+                  {4, 1, 2, true});
+  // CREW read-write: concurrent reads are fine, the write is not.
+  expect_conflict(ConflictPolicy::kCrew,
+                  {{kR, 3}, {kR, 3}, idle, {kW, 3, 9}, {kR, 1}, {kR, 1}},
+                  {3, 0, 3, true});
+  // Write-write under the exclusive-write policies: the first two
+  // writers, even when they agree.
+  const std::vector<Scripted> ww = {
+      idle, {kW, 6, 10}, {kW, 2, 1}, {kW, 6, 10}, {kW, 6, 11}};
+  expect_conflict(ConflictPolicy::kErew, ww, {6, 1, 3, true});
+  expect_conflict(ConflictPolicy::kCrew, ww, {6, 1, 3, true});
+  // kCrcwCommon: the first writer whose value differs from the first
+  // writer's; agreeing writes and reads of a written variable pass, and
+  // the lowest dissenting variable wins.
+  expect_conflict(ConflictPolicy::kCrcwCommon,
+                  {{kW, 9, 1}, {kW, 9, 2}, {kW, 1, 3}, {kW, 1, 3},
+                   {kW, 2, 7}, {kW, 2, 7}, {kW, 2, 8}, {kW, 2, 9},
+                   {kR, 2}},
+                  {2, 4, 6, true});
+  // Precedence: a read conflict on a higher variable beats a write-write
+  // conflict on a lower one, and among read conflicts the lowest variable
+  // wins even when a higher one's readers come first.
+  expect_conflict(ConflictPolicy::kErew,
+                  {{kW, 1, 1}, {kW, 1, 2}, {kR, 6}, {kR, 6}, {kR, 3},
+                   {kR, 3}},
+                  {3, 4, 5, false});
+
+  // Committed values: kCrcwMax takes the largest value, kCrcwPriority
+  // and kCrcwArbitrary the lowest processor's. A read of a written
+  // variable sees the value before the step.
+  const std::vector<Scripted> crcw = {
+      {kR, 0}, {kW, 0, 5}, {kW, 0, 9}, {kW, 0, -4},
+      {kW, 3, -7}, {kW, 3, -2}, {kR, 3}, {kW, 5, 0}};
+  struct Committed {
+    ConflictPolicy policy;
+    Word var0;
+    Word var3;
+  };
+  for (const Committed want : {Committed{ConflictPolicy::kCrcwMax, 9, -2},
+                               Committed{ConflictPolicy::kCrcwPriority, 5, -7},
+                               Committed{ConflictPolicy::kCrcwArbitrary, 5,
+                                         -7}}) {
+    SCOPED_TRACE(to_string(want.policy));
+    Machine m = scripted_machine(want.policy, crcw);
+    ASSERT_TRUE(m.run().completed());
+    EXPECT_EQ(m.shared(VarId(0)), want.var0);
+    EXPECT_EQ(m.shared(VarId(3)), want.var3);
+    EXPECT_EQ(m.shared(VarId(5)), 0);
+    EXPECT_EQ(m.shared(VarId(1)), 101);
+    EXPECT_EQ(m.reg(ProcId(0), R7), 100);
+    EXPECT_EQ(m.reg(ProcId(6), R7), 103);
+  }
+}
+
 TEST(Machine, DeadMachineStaysDead) {
   auto spec = programs::broadcast_read();
   MachineConfig cfg{.n_processors = 2, .m_shared_cells = 1,

@@ -612,17 +612,6 @@ TEST(Stats, Percentiles) {
   EXPECT_NEAR(s.percentile(99), 99.01, 1e-9);
 }
 
-TEST(Stats, HistogramCountsAndOverflow) {
-  Histogram h(10);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    h.add(i);
-  }
-  EXPECT_EQ(h.total(), 20u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.overflow(), 9u);  // 11..19
-  EXPECT_FALSE(h.ascii().empty());
-}
-
 // ----------------------------------------------------------------- fit ----
 
 TEST(Fit, RecoversExactLine) {
