@@ -389,6 +389,42 @@ int main() {
   }
 
   {
+    // The 2DMOT engine's route writer at machine_sort_2dmot's side: 1,024
+    // round trips via the column root (61 edges each) written over one
+    // reused buffer per call, through the dispatching entry (the AVX2
+    // body on hosts that have it), then the scalar loop; round trips/s
+    // and edge bytes/s.
+    const std::uint32_t S = 1024;
+    util::Rng rng(10);
+    std::vector<net::Route> routes;
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+      const auto proc = static_cast<std::uint32_t>(rng.below(S));
+      const auto row = static_cast<std::uint32_t>(rng.below(S));
+      const auto col = static_cast<std::uint32_t>(rng.below(S));
+      routes.push_back(net::hp_route(S, proc, row, col));
+    }
+    net::Path path(net::round_trip_hops(routes[0]));
+    const double edge_bytes = 8.0 * static_cast<double>(path.size()) *
+                              static_cast<double>(routes.size());
+    const auto m = measure([&] {
+      for (const net::Route& route : routes) {
+        net::write_round_trip(route, path);
+      }
+      do_not_optimize(path);
+    }, 1);
+    add_row(table, "mot_round_trip_fill", "S=1024", m,
+            static_cast<double>(routes.size()), edge_bytes);
+    const auto ms = measure([&] {
+      for (const net::Route& route : routes) {
+        net::write_round_trip_scalar(route, path);
+      }
+      do_not_optimize(path);
+    }, 1);
+    add_row(table, "mot_round_trip_fill_scalar", "S=1024", ms,
+            static_cast<double>(routes.size()), edge_bytes);
+  }
+
+  {
     const std::uint32_t n = 256;
     auto spec = pram::programs::prefix_sum(n);
     pram::MachineConfig cfg{.n_processors = n,

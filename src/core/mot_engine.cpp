@@ -68,25 +68,22 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
       PRAMSIM_ASSERT_MSG(n <= side,
                          "processors sit at the first n row-tree roots");
       shape_ = net::square_mot(static_cast<std::uint32_t>(side));
-      const auto depth = static_cast<std::uint64_t>(util::ilog2_floor(side));
-      request_hops_ = 3 * depth + 1;
       break;
     }
-    case MotScheme::kLppRoots: {
+    case MotScheme::kLppRoots:
       PRAMSIM_ASSERT_MSG(M == n,
                          "kLppRoots has one module per root processor");
       shape_ = net::square_mot(static_cast<std::uint32_t>(M));
-      const auto depth = static_cast<std::uint64_t>(util::ilog2_floor(M));
-      request_hops_ = 2 * depth + 1;
       break;
-    }
-    case MotScheme::kCrossbar: {
+    case MotScheme::kCrossbar:
       shape_ = net::rect_mot(n, M);
-      request_hops_ = static_cast<std::uint64_t>(util::ilog2_floor(M)) +
-                      static_cast<std::uint64_t>(util::ilog2_floor(n)) + 1;
       break;
-    }
   }
+  // The longest request: HP routes turn at the column root.
+  request_hops_ = net::request_hops(
+      config_.scheme == MotScheme::kHpLeaves
+          ? net::hp_route(shape_.rows, 0, 0, 0)
+          : net::root_module_route(shape_, 0, 0));
   const std::uint64_t round_trip = 2 * request_hops_ - 1;
   phase_budget_ = 2 * round_trip + config_.protocol.cluster_size;
   phase_overhead_ =
@@ -95,42 +92,27 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
   col_first_.assign(shape_.cols, kNone);
 }
 
+net::Route MotEngine::route(std::uint32_t proc, std::uint32_t module) const {
+  if (config_.scheme != MotScheme::kHpLeaves) {
+    return net::root_module_route(shape_, proc, module);
+  }
+  // Module (i, j) of the side x side grid is i * side + j, side a power
+  // of two.
+  const std::uint32_t side = shape_.rows;
+  return net::hp_route(side, proc, module >> std::countr_zero(side),
+                       module & (side - 1), config_.lca_turnaround);
+}
+
 void MotEngine::round_trip_path(std::uint32_t proc, std::uint32_t module,
                                 net::Path& out) const {
-  out.clear();
-  switch (config_.scheme) {
-    case MotScheme::kHpLeaves: {
-      const std::uint32_t side = shape_.rows;
-      net::append_hp_request_path(out, side, proc, module / side,
-                                  module % side, config_.lca_turnaround);
-      break;
-    }
-    case MotScheme::kLppRoots:
-    case MotScheme::kCrossbar:
-      net::append_root_module_request_path(out, shape_, proc, module);
-      break;
-  }
-  // Reply retraces everything but the module port.
-  const std::size_t one_way = out.size();
-  out.reserve(2 * one_way - 1);
-  for (std::size_t i = one_way - 1; i > 0; --i) {
-    out.push_back(net::flipped(out[i - 1]));
-  }
+  const net::Route to = route(proc, module);
+  out.resize(net::round_trip_hops(to));
+  net::write_round_trip(to, out);
 }
 
 std::uint64_t MotEngine::round_trip_hops(std::uint32_t proc,
                                          std::uint32_t module) const {
-  std::uint64_t one_way = request_hops_;
-  if (config_.scheme == MotScheme::kHpLeaves && config_.lca_turnaround) {
-    // Down the row tree, up column tree to the rows' LCA and down again,
-    // then the port.
-    const std::uint32_t side = shape_.rows;
-    one_way = static_cast<std::uint64_t>(util::ilog2_floor(side)) +
-              2 * static_cast<std::uint64_t>(
-                      std::bit_width(proc ^ (module / side))) +
-              1;
-  }
-  return 2 * one_way - 1;
+  return net::round_trip_hops(route(proc, module));
 }
 
 MotEngine::PhaseReport MotEngine::route_probes(std::uint64_t budget) {

@@ -38,7 +38,10 @@
 // waits: it arrives at injected_at + round_trip_hops() with queue 1, and
 // its path is never built (one the budget would cut off routes like any
 // other component). Each larger component routes on its own, its
-// packets keeping the phase's ids so the FIFO tie-break is unchanged.
+// packets keeping the phase's ids so the FIFO tie-break is unchanged;
+// each packet's round trip is written in closed form by
+// net::write_round_trip into the packet's reused buffer, and
+// round_trip_hops() and request_hops() read the same route's length.
 // The phase reports the maxima of its components' cycles and queues,
 // which is what routing the whole phase at once reports, and applies
 // deliveries in probe order.
@@ -127,7 +130,11 @@ class MotEngine final : public majority::AccessEngine {
   /// Route the phase in probes_ within `budget` cycles, component by
   /// component, and set delivered_[p] for every probe p.
   PhaseReport route_probes(std::uint64_t budget);
-  /// Request route from `proc` to `module` and the reply back, into `out`.
+  /// The closed-form route from processor `proc` to `module`.
+  [[nodiscard]] net::Route route(std::uint32_t proc,
+                                 std::uint32_t module) const;
+  /// Request route from `proc` to `module` and the reply back, written
+  /// over `out`, which is resized to the round trip.
   void round_trip_path(std::uint32_t proc, std::uint32_t module,
                        net::Path& out) const;
 

@@ -1,47 +1,147 @@
 #include "network/paths.hpp"
 
+#include <array>
+#include <bit>
+
+#include "util/isa.hpp"
 #include "util/math.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace pramsim::net {
 
 namespace {
 
-void append_descend(Path& path, TreeKind kind, std::uint32_t tree,
-                    std::uint32_t leaf, std::uint32_t n_leaves) {
-  PRAMSIM_ASSERT(util::is_pow2(n_leaves));
-  PRAMSIM_ASSERT(leaf < n_leaves);
-  const int depth = util::ilog2_floor(n_leaves);
-  std::uint32_t pos = 1;
-  for (int d = depth - 1; d >= 0; --d) {
-    pos = 2 * pos + ((leaf >> d) & 1U);
-    path.push_back(tree_edge(kind, tree, pos, Direction::kDown));
+/// One segment of a round trip: `count` edges, edge i at heap position
+/// leaf >> (up ? i : count - 1 - i) of `base`'s kind, tree and direction.
+/// An ascent from leaf x, reversed and flipped, is the descent to x, and
+/// the other way round; the module port is one edge whose leaf is 0.
+struct Segment {
+  std::uint64_t base = 0;
+  std::uint64_t leaf = 0;  ///< heap position of the segment's leaf
+  std::uint32_t count = 0;
+  bool up = false;
+};
+
+[[nodiscard]] Segment tree_segment(TreeKind kind, std::uint32_t tree,
+                                   Direction dir, std::uint64_t leaf,
+                                   std::uint32_t count) {
+  return {.base = tree_edge(kind, tree, 0, dir).raw,
+          .leaf = leaf,
+          .count = count,
+          .up = dir == Direction::kUp};
+}
+
+/// The round trip's segments in order: the request's row descent, column
+/// ascent and (HP) column descent, the module port, then the reply's
+/// three, each a request segment reversed and flipped. An absent
+/// segment has no edges.
+[[nodiscard]] std::array<Segment, 7> segments_of(const Route& route) {
+  const std::uint64_t row_leaf = (1ULL << route.row_depth) + route.mod_col;
+  const std::uint64_t col_from = (1ULL << route.col_depth) + route.proc_row;
+  const std::uint64_t col_to = (1ULL << route.col_depth) + route.mod_row;
+  const std::uint32_t back = route.to_leaf ? route.climb : 0U;
+  using enum TreeKind;
+  using enum Direction;
+  return {{
+      tree_segment(kRow, route.proc_row, kDown, row_leaf, route.row_depth),
+      tree_segment(kCol, route.mod_col, kUp, col_from, route.climb),
+      tree_segment(kCol, route.mod_col, kDown, col_to, back),
+      {.base = module_port(route.module).raw, .count = 1},
+      tree_segment(kCol, route.mod_col, kUp, col_to, back),
+      tree_segment(kCol, route.mod_col, kDown, col_from, route.climb),
+      tree_segment(kRow, route.proc_row, kUp, row_leaf, route.row_depth),
+  }};
+}
+
+void segment_scalar(EdgeKey* at, const Segment& s) {
+  for (std::uint32_t i = 0; i < s.count; ++i) {
+    at[i].raw = s.base | (s.leaf >> (s.up ? i : s.count - 1 - i));
   }
 }
 
-void append_ascend(Path& path, TreeKind kind, std::uint32_t tree,
-                   std::uint32_t leaf, std::uint32_t n_leaves) {
-  PRAMSIM_ASSERT(util::is_pow2(n_leaves));
-  PRAMSIM_ASSERT(leaf < n_leaves);
-  std::uint32_t pos = n_leaves + leaf;
-  while (pos > 1) {
-    path.push_back(tree_edge(kind, tree, pos, Direction::kUp));
-    pos /= 2;
+#if defined(__x86_64__)
+
+__attribute__((target("avx2"))) inline void store4(EdgeKey* at,
+                                                   __m256i edges) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(at), edges);
+}
+
+/// segment_scalar, four edges per shift and store. A count that is not a
+/// multiple of four ends with the last four edges, overlapping the chunk
+/// before, so no store leaves the segment.
+__attribute__((target("avx2"))) void segment_avx2(EdgeKey* at,
+                                                  const Segment& s) {
+  if (s.count < 4) {
+    segment_scalar(at, s);
+    return;
   }
+  const auto count = static_cast<long long>(s.count);
+  const long long dir = s.up ? 1 : -1;
+  const __m256i base = _mm256_set1_epi64x(static_cast<long long>(s.base));
+  const __m256i leaf = _mm256_set1_epi64x(static_cast<long long>(s.leaf));
+  // The shifts of edges 0-3, i up and count - 1 - i down; each chunk
+  // moves them by 4 * dir.
+  const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i first =
+      s.up ? lanes : _mm256_sub_epi64(_mm256_set1_epi64x(count - 1), lanes);
+  const __m256i step = _mm256_set1_epi64x(4 * dir);
+  __m256i shift = first;
+  std::uint32_t i = 0;
+  for (; i + 4 <= s.count; i += 4) {
+    store4(at + i, _mm256_or_si256(base, _mm256_srlv_epi64(leaf, shift)));
+    shift = _mm256_add_epi64(shift, step);
+  }
+  if (i < s.count) {
+    shift = _mm256_add_epi64(first, _mm256_set1_epi64x((count - 4) * dir));
+    store4(at + s.count - 4,
+           _mm256_or_si256(base, _mm256_srlv_epi64(leaf, shift)));
+  }
+}
+
+__attribute__((target("avx2"))) void write_round_trip_avx2(
+    const Route& route, EdgeKey* at) {
+  for (const Segment& s : segments_of(route)) {
+    segment_avx2(at, s);
+    at += s.count;
+  }
+}
+
+#endif
+
+/// A request route through the writer: its round trip's first half.
+[[nodiscard]] Path request_half(const Route& route) {
+  Path path(round_trip_hops(route));
+  write_round_trip(route, path);
+  path.resize(request_hops(route));
+  return path;
 }
 
 }  // namespace
 
 Path descend(TreeKind kind, std::uint32_t tree, std::uint32_t leaf,
              std::uint32_t n_leaves) {
+  PRAMSIM_ASSERT(util::is_pow2(n_leaves));
+  PRAMSIM_ASSERT(leaf < n_leaves);
   Path path;
-  append_descend(path, kind, tree, leaf, n_leaves);
+  std::uint32_t pos = 1;
+  for (int d = util::ilog2_floor(n_leaves) - 1; d >= 0; --d) {
+    pos = 2 * pos + ((leaf >> d) & 1U);
+    path.push_back(tree_edge(kind, tree, pos, Direction::kDown));
+  }
   return path;
 }
 
 Path ascend(TreeKind kind, std::uint32_t tree, std::uint32_t leaf,
             std::uint32_t n_leaves) {
+  PRAMSIM_ASSERT(util::is_pow2(n_leaves));
+  PRAMSIM_ASSERT(leaf < n_leaves);
   Path path;
-  append_ascend(path, kind, tree, leaf, n_leaves);
+  for (std::uint32_t pos = n_leaves + leaf; pos > 1; pos /= 2) {
+    path.push_back(tree_edge(kind, tree, pos, Direction::kUp));
+  }
   return path;
 }
 
@@ -61,67 +161,70 @@ Path reversed(const Path& path) {
   return out;
 }
 
-void append_hp_request_path(Path& path, std::uint32_t side,
-                            std::uint32_t proc_row, std::uint32_t mod_row,
-                            std::uint32_t mod_col, bool lca_turnaround) {
-  PRAMSIM_ASSERT(util::is_pow2(side));
+Route hp_route(std::uint32_t side, std::uint32_t proc_row,
+               std::uint32_t mod_row, std::uint32_t mod_col,
+               bool lca_turnaround) {
+  PRAMSIM_ASSERT(std::has_single_bit(side));
   PRAMSIM_ASSERT(proc_row < side && mod_row < side && mod_col < side);
-  // Segment 1: down the processor's row tree to leaf (proc_row, mod_col).
-  append_descend(path, TreeKind::kRow, proc_row, mod_col, side);
-  // Segment 2+3: within CT(mod_col), from leaf row proc_row to leaf row
-  // mod_row, either via the root (paper) or via the LCA (ablation).
-  if (!lca_turnaround) {
-    append_ascend(path, TreeKind::kCol, mod_col, proc_row, side);
-    append_descend(path, TreeKind::kCol, mod_col, mod_row, side);
-  } else if (proc_row != mod_row) {
-    std::uint32_t a = side + proc_row;
-    std::uint32_t b = side + mod_row;
-    // Ascend from a to the LCA.
-    while (a != b) {
-      if (a > b) {
-        path.push_back(tree_edge(TreeKind::kCol, mod_col, a, Direction::kUp));
-        a /= 2;
-      } else {
-        b /= 2;
-      }
-    }
-    // Descend from the LCA (= a) to leaf mod_row: replay the low bits.
-    const int total_depth = util::ilog2_floor(side);
-    const int lca_depth = util::ilog2_floor(a);
-    std::uint32_t pos = a;
-    for (int d = total_depth - lca_depth - 1; d >= 0; --d) {
-      pos = 2 * pos + ((mod_row >> d) & 1U);
-      path.push_back(tree_edge(TreeKind::kCol, mod_col, pos,
-                               Direction::kDown));
-    }
+  const auto depth = static_cast<std::uint8_t>(std::countr_zero(side));
+  return {.proc_row = proc_row,
+          .mod_row = mod_row,
+          .mod_col = mod_col,
+          .module = mod_row * side + mod_col,
+          .row_depth = depth,
+          .col_depth = depth,
+          .climb = lca_turnaround ? static_cast<std::uint8_t>(
+                                        std::bit_width(proc_row ^ mod_row))
+                                  : depth,
+          .to_leaf = true};
+}
+
+Route root_module_route(const MotShape& shape, std::uint32_t proc_row,
+                        std::uint32_t mod_col) {
+  PRAMSIM_ASSERT(std::has_single_bit(shape.rows) &&
+                 std::has_single_bit(shape.cols));
+  PRAMSIM_ASSERT(proc_row < shape.rows && mod_col < shape.cols);
+  const auto col_depth =
+      static_cast<std::uint8_t>(std::countr_zero(shape.rows));
+  return {.proc_row = proc_row,
+          .mod_col = mod_col,
+          .module = mod_col,
+          .row_depth = static_cast<std::uint8_t>(std::countr_zero(shape.cols)),
+          .col_depth = col_depth,
+          .climb = col_depth,
+          .to_leaf = false};
+}
+
+void write_round_trip(const Route& route, std::span<EdgeKey> out) {
+#if defined(__x86_64__)
+  if (util::have_avx2()) {
+    PRAMSIM_ASSERT(out.size() == round_trip_hops(route));
+    write_round_trip_avx2(route, out.data());
+    return;
   }
-  // Final hop: the module's unit-bandwidth service port.
-  path.push_back(module_port(mod_row * side + mod_col));
+#endif
+  write_round_trip_scalar(route, out);
+}
+
+void write_round_trip_scalar(const Route& route, std::span<EdgeKey> out) {
+  PRAMSIM_ASSERT(out.size() == round_trip_hops(route));
+  EdgeKey* at = out.data();
+  for (const Segment& s : segments_of(route)) {
+    segment_scalar(at, s);
+    at += s.count;
+  }
 }
 
 Path hp_request_path(std::uint32_t side, std::uint32_t proc_row,
                      std::uint32_t mod_row, std::uint32_t mod_col,
                      bool lca_turnaround) {
-  Path path;
-  append_hp_request_path(path, side, proc_row, mod_row, mod_col,
-                         lca_turnaround);
-  return path;
-}
-
-void append_root_module_request_path(Path& path, const MotShape& shape,
-                                     std::uint32_t proc_row,
-                                     std::uint32_t mod_col) {
-  PRAMSIM_ASSERT(proc_row < shape.rows && mod_col < shape.cols);
-  append_descend(path, TreeKind::kRow, proc_row, mod_col, shape.cols);
-  append_ascend(path, TreeKind::kCol, mod_col, proc_row, shape.rows);
-  path.push_back(module_port(mod_col));
+  return request_half(hp_route(side, proc_row, mod_row, mod_col,
+                               lca_turnaround));
 }
 
 Path root_module_request_path(const MotShape& shape, std::uint32_t proc_row,
                               std::uint32_t mod_col) {
-  Path path;
-  append_root_module_request_path(path, shape, proc_row, mod_col);
-  return path;
+  return request_half(root_module_route(shape, proc_row, mod_col));
 }
 
 }  // namespace pramsim::net

@@ -1,11 +1,76 @@
 #include "network/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/isa.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace pramsim::net {
+
+namespace {
+
+#if defined(__x86_64__)
+
+/// The first offset below `count` whose four-edge chunk holds a shared
+/// channel, or where the whole chunks end: four edges per compare, loads
+/// only inside [0, count).
+__attribute__((target("avx2"))) std::size_t first_shared_chunk_avx2(
+    const EdgeKey* a, const EdgeKey* b, std::size_t count) {
+  std::size_t d = 0;
+  for (; d + 4 <= count; d += 4) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + d));
+    const __m256i y =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + d));
+    const auto same = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, y))));
+    if (same != 0) {
+      return d + static_cast<std::size_t>(std::countr_zero(same));
+    }
+  }
+  return d;
+}
+
+#endif
+
+/// The first offset below `count` at which `a` and `b` name the same
+/// channel, or `count`: whole four-edge chunks through the vector kernel
+/// when `avx2`, the rest one edge at a time.
+std::size_t first_shared(const EdgeKey* a, const EdgeKey* b,
+                         std::size_t count, bool avx2) {
+  std::size_t d = 0;
+#if defined(__x86_64__)
+  if (avx2 && count >= 4) {
+    d = first_shared_chunk_avx2(a, b, count);
+  }
+#endif
+  // From a shared channel the loop returns at once; otherwise it scans
+  // the tail.
+  while (d < count && a[d] != b[d]) {
+    ++d;
+  }
+  return d;
+}
+
+}  // namespace
+
+std::size_t first_shared_channel(std::span<const EdgeKey> a,
+                                 std::span<const EdgeKey> b) {
+  return first_shared(a.data(), b.data(), std::min(a.size(), b.size()),
+                      util::have_avx2());
+}
+
+std::size_t first_shared_channel_scalar(std::span<const EdgeKey> a,
+                                        std::span<const EdgeKey> b) {
+  return first_shared(a.data(), b.data(), std::min(a.size(), b.size()),
+                      false);
+}
 
 RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
                       std::uint64_t start_cycle, RouteScratch& scratch) {
@@ -56,6 +121,7 @@ RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
   };
 
   auto& scan = scratch.scan;
+  const bool avx2 = util::have_avx2();
 
   while (pending > 0 && cycle < end) {
     // Compact away the packets that arrived last cycle while claiming.
@@ -154,11 +220,12 @@ RouteReport route_all(std::span<Packet> packets, std::uint64_t max_cycles,
     for (std::size_t a = 0; a < k; ++a) {
       for (std::size_t b = a + 1; b < k; ++b) {
         const std::uint64_t both = std::min({scan[a].left, scan[b].left, run});
-        for (std::uint64_t d = 1; d < both; ++d) {
-          if (scan[a].route[d] == scan[b].route[d]) {
-            run = d;
-            break;
-          }
+        // Offset 0 is this cycle's channel, which no pair shares.
+        const std::uint64_t meet =
+            first_shared(scan[a].route, scan[b].route, both, avx2);
+        PRAMSIM_DASSERT(meet > 0);
+        if (meet < both) {
+          run = meet;
         }
       }
     }

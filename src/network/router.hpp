@@ -21,8 +21,11 @@
 // two of them want one channel, every one of them moves each cycle until
 // two would meet further along their paths, a packet is injected, the
 // last one arrives or the budget ends; the scan finds that cycle by
-// comparing the pairs' remaining paths edge by edge and runs ahead to it
-// in one step. Larger sets claim through RouteScratch's hashed table, one
+// comparing the pairs' remaining paths and runs ahead to it in one step.
+// The pairwise search, first_shared_channel, compares four edges per
+// vector compare on AVX2 hosts (util::have_avx2) and finishes with the
+// scalar loop, first_shared_channel_scalar, which stays callable as the
+// reference. Larger sets claim through RouteScratch's hashed table, one
 // probe per packet per cycle. Both give the same winners and the same
 // queue counts, so a set that shrinks below the limit mid-route switches
 // to the scan unseen. Routing packet sets that share no channel one at a
@@ -98,6 +101,17 @@ struct RouteScratch {
   std::array<Contender, kScanPackets> scan;
   std::vector<std::uint32_t> in_flight;
 };
+
+/// The first offset at which routes `a` and `b` name the same channel, or
+/// the shorter route's length when they never do. On x86-64 hosts with
+/// AVX2 (util::have_avx2) four edges are compared at a time, and no load
+/// reaches past the shorter route; the scalar loop finishes the tail.
+[[nodiscard]] std::size_t first_shared_channel(std::span<const EdgeKey> a,
+                                               std::span<const EdgeKey> b);
+
+/// The same search through the scalar loop only, on every host.
+[[nodiscard]] std::size_t first_shared_channel_scalar(
+    std::span<const EdgeKey> a, std::span<const EdgeKey> b);
 
 /// Route packets until all are delivered or `max_cycles` elapse.
 /// Packet state is updated in place (delivered_at, next_edge,

@@ -1,9 +1,10 @@
 // Instruction-set probe: the one place the library asks the host CPU
 // what it can run. It has two answers: AVX2 (GF(256) span coding,
-// HashedMap's batch placement) and PCLMULQDQ (the CRC-32 folding
-// kernel). Vector kernels are compiled with a per-function target
-// attribute and chosen at run time through this probe, so one binary
-// runs everywhere and no build flag selects a kernel.
+// HashedMap's batch placement, the 2DMOT route writer and the router's
+// run-ahead search) and PCLMULQDQ (the CRC-32 folding kernel). Vector
+// kernels are compiled with a per-function target attribute and chosen
+// at run time through this probe, so one binary runs everywhere and no
+// build flag selects a kernel.
 //
 // The probe reads CPUID and XGETBV through <cpuid.h>, not
 // __builtin_cpu_supports: the builtin links libgcc's CPU-model

@@ -315,6 +315,32 @@ TEST(Wal, TruncateThroughThatKeepsNothingClearsTheLastRecord) {
   EXPECT_EQ(log.records[0].step, 3u);
 }
 
+// A trim keeps records by step, whatever their kind: a fault onset newer
+// than every commit survives a trim that covers every commit, and it is
+// the truncated file's last record.
+TEST(Wal, TruncateThroughKeepsAnOnsetNewerThanEveryCommit) {
+  const std::string dir = scratch_dir("wal_trunc_onset");
+  const std::string path = dir + "/wal.log";
+  durability::Wal wal({path, 1});
+  const std::vector<pram::VarWrite> writes = {{VarId(3), 30}, {VarId(4), -4}};
+  for (std::uint64_t step = 1; step <= 8; ++step) {
+    wal.append_step(step, writes);
+  }
+  wal.append_onset(10, 5);
+  wal.flush();
+
+  wal.truncate_through(9);
+  const auto log = durability::read_wal(path);
+  EXPECT_FALSE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 1u);
+  EXPECT_EQ(log.records[0].kind, durability::WalRecordKind::kFaultOnset);
+  EXPECT_EQ(log.records[0].step, 10u);
+  EXPECT_EQ(log.records[0].module, 5u);
+  EXPECT_EQ(wal.last_record().offset, 0u);
+  EXPECT_EQ(wal.file_bytes(), wal.last_record().length);
+  EXPECT_EQ(fs::file_size(path), wal.file_bytes());
+}
+
 /// A WAL frame around `payload`: u32 length, u32 CRC-32, the payload.
 std::vector<std::uint8_t> wal_frame(const std::vector<std::uint8_t>& payload) {
   const auto length = static_cast<std::uint32_t>(payload.size());

@@ -11,6 +11,7 @@
 #include "network/paths.hpp"
 #include "network/router.hpp"
 #include "network/topology.hpp"
+#include "util/isa.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -175,6 +176,197 @@ TEST(Paths, RootModulePathLength) {
   // log 64 down + log 8 up + port.
   EXPECT_EQ(path.size(), 6u + 3u + 1u);
   EXPECT_EQ(path.back(), module_port(40));
+}
+
+// ---------------------------------------------------- route writer ------
+
+// `request` followed by the module port and the reply (the request
+// reversed, directions flipped).
+Path with_reply(Path request, EdgeKey port) {
+  const Path reply = reversed(request);
+  request.push_back(port);
+  request.insert(request.end(), reply.begin(), reply.end());
+  return request;
+}
+
+// An HP round trip built segment by segment: down RT(proc_row), up
+// CT(mod_col) and down to leaf mod_row, both column legs cut to the
+// rows' LCA when `lca`.
+Path hp_reference(std::uint32_t side, std::uint32_t proc_row,
+                  std::uint32_t mod_row, std::uint32_t mod_col, bool lca) {
+  const Path up = ascend(TreeKind::kCol, mod_col, proc_row, side);
+  const Path down = descend(TreeKind::kCol, mod_col, mod_row, side);
+  // Levels from the two leaves up to the first node they share.
+  std::ptrdiff_t climb = 0;
+  while (((side + proc_row) >> climb) != ((side + mod_row) >> climb)) {
+    ++climb;
+  }
+  if (!lca) {
+    climb = static_cast<std::ptrdiff_t>(up.size());
+  }
+  Path request = descend(TreeKind::kRow, proc_row, mod_col, side);
+  request.insert(request.end(), up.begin(), up.begin() + climb);
+  request.insert(request.end(), down.end() - climb, down.end());
+  return with_reply(std::move(request), module_port(mod_row * side + mod_col));
+}
+
+// A root-module round trip built segment by segment.
+Path root_module_reference(const MotShape& shape, std::uint32_t proc_row,
+                           std::uint32_t mod_col) {
+  Path request = descend(TreeKind::kRow, proc_row, mod_col, shape.cols);
+  const Path up = ascend(TreeKind::kCol, mod_col, proc_row, shape.rows);
+  request.insert(request.end(), up.begin(), up.end());
+  return with_reply(std::move(request), module_port(mod_col));
+}
+
+// Both writer bodies, each into a buffer of exactly the route's length,
+// write `want`, whose length round_trip_hops predicts.
+void expect_written(const Route& route, const Path& want) {
+  ASSERT_EQ(round_trip_hops(route), want.size());
+  Path fast(want.size());
+  Path scalar(want.size());
+  write_round_trip(route, fast);
+  write_round_trip_scalar(route, scalar);
+  EXPECT_EQ(fast, want);
+  EXPECT_EQ(scalar, want);
+}
+
+TEST(RouteWriter, HpRoutesMatchTheSegmentReference) {
+  RecordProperty("avx2", util::have_avx2() ? "yes" : "no");
+  for (const std::uint32_t side : {4u, 8u, 16u}) {
+    for (const bool lca : {false, true}) {
+      for (std::uint32_t p = 0; p < side; ++p) {
+        for (std::uint32_t i = 0; i < side; ++i) {
+          for (std::uint32_t j = 0; j < side; ++j) {
+            SCOPED_TRACE(::testing::Message()
+                         << "side " << side << " lca " << lca << " route "
+                         << p << " -> (" << i << ", " << j << ")");
+            const Route route = hp_route(side, p, i, j, lca);
+            const Path want = hp_reference(side, p, i, j, lca);
+            expect_written(route, want);
+            const Path request(want.begin(),
+                               want.begin() + request_hops(route));
+            EXPECT_EQ(hp_request_path(side, p, i, j, lca), request);
+            if (HasFailure()) {
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RouteWriter, RootModuleRoutesMatchTheSegmentReference) {
+  RecordProperty("avx2", util::have_avx2() ? "yes" : "no");
+  for (const MotShape& shape :
+       {square_mot(4), square_mot(8), square_mot(16), rect_mot(2, 8),
+        rect_mot(8, 64), rect_mot(16, 4), rect_mot(32, 2)}) {
+    for (std::uint32_t p = 0; p < shape.rows; ++p) {
+      for (std::uint32_t j = 0; j < shape.cols; ++j) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.rows << " x " << shape.cols << " route " << p
+                     << " -> column " << j);
+        const Route route = root_module_route(shape, p, j);
+        const Path want = root_module_reference(shape, p, j);
+        expect_written(route, want);
+        const Path request(want.begin(), want.begin() + request_hops(route));
+        EXPECT_EQ(root_module_request_path(shape, p, j), request);
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+// Both bodies against the segment reference on trees of 2 to 4,096
+// leaves, the engine's sides included: segments shorter than one chunk,
+// whole chunks and overlapping last chunks, LCA climbs of every height,
+// and rectangular shapes whose row and column depths differ. The
+// reference's length holds round_trip_hops to an edge-by-edge route.
+TEST(RouteWriter, RoutesMatchTheSegmentReferenceAtDepths1To12) {
+  RecordProperty("avx2", util::have_avx2() ? "yes" : "no");
+  util::Rng rng(41);
+  auto below = [&](std::uint32_t bound) {
+    return static_cast<std::uint32_t>(rng.below(bound));
+  };
+  for (std::uint32_t depth = 1; depth <= 12; ++depth) {
+    const std::uint32_t side = 1U << depth;
+    for (std::uint32_t trial = 0; trial < 64; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "depth " << depth << " trial " << trial);
+      const std::uint32_t proc = below(side);
+      const std::uint32_t row = below(side);
+      const std::uint32_t col = below(side);
+      const bool lca = trial % 2 == 1;
+      expect_written(hp_route(side, proc, row, col, lca),
+                     hp_reference(side, proc, row, col, lca));
+      const std::uint32_t other = 1U << (1 + below(12));
+      const std::uint32_t other_row = below(other);
+      const std::uint32_t other_col = below(other);
+      const MotShape wide = rect_mot(side, other);
+      const MotShape tall = rect_mot(other, side);
+      expect_written(root_module_route(wide, proc, other_col),
+                     root_module_reference(wide, proc, other_col));
+      expect_written(root_module_route(tall, other_row, col),
+                     root_module_reference(tall, other_row, col));
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// ----------------------------------------------- first shared channel ---
+
+// Route pairs of every length up to 64 on channels no other route uses,
+// with one shared channel planted at every offset of the shorter route
+// (a second one just after it in the same or the next chunk, and the
+// same channels in the other direction before it): the kernel and the
+// scalar loop both find the first, and the shorter length when none is
+// shared. Each route sits in a vector of exactly its length, so a load
+// past the shorter one would be a read past that vector (ASan).
+TEST(FirstSharedChannel, KernelMatchesScalarAtEveryOffset) {
+  RecordProperty("avx2", util::have_avx2() ? "yes" : "no");
+  util::Rng rng(43);
+  auto random_route = [&](std::size_t length, std::uint32_t tree) {
+    Path route(length);
+    for (EdgeKey& edge : route) {
+      edge = tree_edge(TreeKind::kRow, tree,
+                       static_cast<std::uint32_t>(2 + rng.below(1U << 20)),
+                       Direction::kDown);
+    }
+    return route;
+  };
+  for (std::size_t length_a = 1; length_a <= 64; ++length_a) {
+    for (std::uint32_t trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "length " << length_a << " trial " << trial);
+      const Path a = random_route(length_a, 1);
+      const Path b = random_route(1 + rng.below(64), 2);
+      const std::size_t shorter = std::min(a.size(), b.size());
+      EXPECT_EQ(first_shared_channel(a, b), shorter);
+      EXPECT_EQ(first_shared_channel_scalar(a, b), shorter);
+      for (std::size_t at = 0; at < shorter; ++at) {
+        Path c = b;
+        for (std::size_t before = 0; before < at; ++before) {
+          c[before] = flipped(a[before]);
+        }
+        c[at] = a[at];
+        const std::size_t again = at + 1 + rng.below(4);
+        if (again < shorter) {
+          c[again] = a[again];
+        }
+        EXPECT_EQ(first_shared_channel(a, c), at);
+        EXPECT_EQ(first_shared_channel_scalar(a, c), at);
+        EXPECT_EQ(first_shared_channel(c, a), at);
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- router ------
@@ -408,20 +600,18 @@ struct NetCase {
 // `proc` to a module in column `col`, then the reply retracing it.
 Path round_trip(const NetCase& nc, std::uint32_t proc, std::uint32_t col,
                 util::Rng& rng) {
-  Path path;
+  Route route;
   if (nc.net == Net::kHp) {
-    append_hp_request_path(path, nc.rows, proc,
-                           static_cast<std::uint32_t>(rng.below(nc.rows)),
-                           col, rng.below(3) == 0);
+    route = hp_route(nc.rows, proc,
+                     static_cast<std::uint32_t>(rng.below(nc.rows)), col,
+                     rng.below(3) == 0);
   } else {
-    append_root_module_request_path(
-        path,
+    route = root_module_route(
         nc.net == Net::kLpp ? square_mot(nc.rows) : rect_mot(nc.rows, nc.cols),
         proc, col);
   }
-  for (std::size_t i = path.size() - 1; i > 0; --i) {
-    path.push_back(flipped(path[i - 1]));
-  }
+  Path path(round_trip_hops(route));
+  write_round_trip(route, path);
   return path;
 }
 
