@@ -21,7 +21,9 @@
 #include "network/paths.hpp"
 #include "network/router.hpp"
 #include "pram/machine.hpp"
+#include "pram/plan_builder.hpp"
 #include "pram/programs.hpp"
+#include "pram/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -60,6 +62,13 @@ Measurement measure(F&& op, std::uint64_t batch = 64) {
     batch *= 2;  // amortize clock overhead on fast kernels
   }
   m.ns_per_op = elapsed_ns / static_cast<double>(m.iterations);
+  return m;
+}
+
+/// `m` rescaled from calls to the `items` items each call processed.
+Measurement per_item(Measurement m, std::uint64_t items) {
+  m.iterations *= items;
+  m.ns_per_op /= static_cast<double>(items);
   return m;
 }
 
@@ -290,11 +299,6 @@ int main() {
       const char* params;
     };
     constexpr std::size_t kKeys = 4096;
-    const auto per_variable = [](Measurement m) {
-      m.iterations *= kKeys;
-      m.ns_per_op /= static_cast<double>(kKeys);
-      return m;
-    };
     for (const Geometry& g :
          {Geometry{1U << 18, 1U << 18, 5, "m=M=2^18 r=5"},
           Geometry{104'858, 1U << 20, 20, "blocks=104858 M=2^20 d=20"}}) {
@@ -311,13 +315,13 @@ int main() {
         }
         do_not_optimize(rows);
       }, 1);
-      add_row(table, "hashed_map_copies", g.params, per_variable(each), g.r);
+      add_row(table, "hashed_map_copies", g.params, per_item(each, kKeys), g.r);
       const auto batch = measure([&] {
         map.copies_batch(keys, rows);
         do_not_optimize(rows);
       }, 1);
-      add_row(table, "hashed_map_copies_batch", g.params, per_variable(batch),
-              g.r);
+      add_row(table, "hashed_map_copies_batch", g.params,
+              per_item(batch, kKeys), g.r);
     }
   }
   {
@@ -329,6 +333,50 @@ int main() {
       do_not_optimize(buf);
     });
     add_row(table, "table_map_copies", "m=2^16 r=7", m, 7.0);
+  }
+
+  {
+    // PlanBuilder at the benchmark's batch shape, in ns per access: 64
+    // batches of 4,096 accesses over m = 2^18 (write fraction 0.5), built
+    // in turn through the batch entry, then their combined lists through
+    // the combined-step entry (pram::Machine's and the cache's).
+    constexpr std::uint32_t kAccesses = 4096;
+    constexpr std::uint64_t kVars = 1 << 18;
+    pram::FlatMemory memory(kVars);
+    pram::PlanBuilder builder;
+    for (const auto family :
+         {pram::TraceFamily::kZipfian, pram::TraceFamily::kUniform}) {
+      util::Rng rng(12);
+      const pram::TraceParams params{.write_fraction = 0.5,
+                                     .zipf_exponent = 1.1};
+      std::vector<pram::AccessBatch> batches;
+      std::vector<std::vector<VarId>> reads;
+      std::vector<std::vector<pram::VarWrite>> writes;
+      for (int b = 0; b < 64; ++b) {
+        batches.push_back(
+            pram::make_batch(family, kAccesses, kVars, rng, params));
+        const auto& plan = builder.build(batches.back(), memory);
+        reads.emplace_back(plan.reads.begin(), plan.reads.end());
+        writes.emplace_back(plan.writes.begin(), plan.writes.end());
+      }
+      const std::string name = family == pram::TraceFamily::kZipfian
+                                   ? "zipf(1.1) m=2^18"
+                                   : "uniform m=2^18";
+      std::size_t next = 0;
+      const auto batch = measure([&] {
+        do_not_optimize(builder.build(batches[next++ % batches.size()],
+                                      memory).requests.size());
+      }, 1);
+      add_row(table, "plan_build", "batch " + name,
+              per_item(batch, kAccesses), 1.0);
+      const auto combined = measure([&] {
+        const std::size_t b = next++ % batches.size();
+        do_not_optimize(
+            builder.build(reads[b], writes[b], memory).requests.size());
+      }, 1);
+      add_row(table, "plan_build", "combined " + name,
+              per_item(combined, kAccesses), 1.0);
+    }
   }
 
   for (const std::uint32_t n : {256u, 1024u, 4096u}) {

@@ -262,7 +262,7 @@ void CachedMemory::queue_residual_write(VarId var, pram::Word value) {
   // same variable evicted earlier in the step, and the inner step
   // requires distinct write variables.
   const auto [idx, fresh] = residual_write_index_.try_emplace(
-      var.index(), static_cast<std::uint32_t>(residual_writes_.size()));
+      var.value(), static_cast<std::uint32_t>(residual_writes_.size()));
   if (fresh) {
     residual_writes_.push_back({var, value});
   } else {

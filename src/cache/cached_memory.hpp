@@ -238,7 +238,7 @@ class CachedMemory final : public pram::MemorySystem {
   std::vector<std::uint32_t> residual_to_outer_;
   std::vector<std::uint32_t> fill_slot_;
   std::vector<pram::VarWrite> residual_writes_;
-  util::ScratchMap<std::uint32_t> residual_write_index_;
+  util::ScratchMap<std::uint32_t, std::uint32_t> residual_write_index_;
   std::vector<pram::Word> residual_values_;
   /// Joins the residual step; a variable both missed as a read and
   /// bypassed as a write becomes one request.

@@ -216,7 +216,7 @@ class FirstClaimRound final : public ClusterProtocol::Kernel {
   util::DynamicBitset claimed_;    ///< sized to the map's module count
   std::vector<ModuleClaim> first_;  ///< first claims, in claim order
   /// Contended module -> best of its later probes (queue counts them).
-  util::ScratchMap<ModuleClaim> later_;
+  util::ScratchMap<std::uint32_t, ModuleClaim> later_;
 };
 
 }  // namespace pramsim::majority

@@ -97,7 +97,7 @@ struct RouteScratch {
     std::uint32_t queue = 0;   ///< packets contending for its channel
     bool beaten = false;       ///< another packet outranks it this cycle
   };
-  util::ScratchMap<Claim> claims;
+  util::ScratchMap<std::uint64_t, Claim> claims;
   std::array<Contender, kScanPackets> scan;
   std::vector<std::uint32_t> in_flight;
 };

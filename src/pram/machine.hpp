@@ -156,7 +156,8 @@ class Machine {
   // per-step scratch (members to avoid reallocation)
   AccessBatch raw_batch_;
   std::vector<PendingRead> pending_reads_;
-  util::ScratchMap<std::uint32_t> var_index_;  ///< var -> vars_ index
+  /// var -> vars_ index.
+  util::ScratchMap<std::uint32_t, std::uint32_t> var_index_;
   std::vector<VarAccesses> vars_;
   std::vector<VarId> combined_reads_;  ///< first-appearance order
   std::vector<Word> read_values_;

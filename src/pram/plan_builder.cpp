@@ -56,69 +56,72 @@ const AccessPlan& PlanBuilder::build(const AccessBatch& batch,
   index_.reserve(batch.size());
   writer_.clear();
 
-  // Upper bound every array by the batch size, then shrink the spans to
-  // the combined counts; the arena recycles the slack next build.
-  const std::size_t cap = batch.size();
-  auto reads = arena_.alloc<VarId>(cap);
-  auto writes = arena_.alloc<VarWrite>(cap);
-  auto requests = arena_.alloc<PlanRequest>(cap);
-  auto read_request = arena_.alloc<std::uint32_t>(cap);
-  auto write_request = arena_.alloc<std::uint32_t>(cap);
-  auto request_write = arena_.alloc<std::uint32_t>(cap);
+  // Split the batch by op in one branch-free pass: each position is
+  // stored in both lists and only its own list's count advances.
+  const auto n_batch = static_cast<std::uint32_t>(batch.size());
+  if (read_pos_.size() < n_batch) {
+    read_pos_.resize(n_batch);
+    write_pos_.resize(n_batch);
+  }
+  std::uint32_t n_read_pos = 0;
+  std::uint32_t n_write_pos = 0;
+  for (std::uint32_t i = 0; i < n_batch; ++i) {
+    const bool is_write = batch[i].op == AccessOp::kWrite;
+    read_pos_[n_read_pos] = i;
+    write_pos_[n_write_pos] = i;
+    n_read_pos += is_write ? 0 : 1;
+    n_write_pos += is_write ? 1 : 0;
+  }
 
-  std::uint32_t n_reads = 0;
-  std::uint32_t n_writes = 0;
-  std::uint32_t n_requests = 0;
+  // Bound every array by its side's access count, then shrink the spans
+  // to the combined counts; the arena recycles the slack next build.
+  auto reads = arena_.alloc<VarId>(n_read_pos);
+  auto writes = arena_.alloc<VarWrite>(n_write_pos);
+  auto requests = arena_.alloc<PlanRequest>(n_batch);
+  auto read_request = arena_.alloc<std::uint32_t>(n_read_pos);
+  auto write_request = arena_.alloc<std::uint32_t>(n_write_pos);
+  auto request_write = arena_.alloc<std::uint32_t>(n_batch);
 
-  // Pass 1 — reads: the request list leads with every read variable in
+  // Reads: the request list leads with every read variable in
   // first-appearance order.
-  for (const auto& access : batch) {
-    if (access.op != AccessOp::kRead) {
-      continue;
-    }
-    const auto [slot, fresh] = index_.try_emplace(access.var.value(),
-                                                  n_requests);
-    (void)slot;
-    if (fresh) {
-      requests[n_requests] = {access.var, AccessOp::kRead, true};
+  std::uint32_t n_requests = 0;
+  for (std::uint32_t k = 0; k < n_read_pos; ++k) {
+    const VarId var = batch[read_pos_[k]].var;
+    if (index_.try_emplace(var.value(), n_requests).second) {
+      requests[n_requests] = {var, AccessOp::kRead, true};
       request_write[n_requests] = kNone;
-      reads[n_reads] = access.var;
-      read_request[n_reads] = n_requests;
-      ++n_reads;
+      reads[n_requests] = var;
+      read_request[n_requests] = n_requests;
       ++n_requests;
     }
   }
+  const std::uint32_t n_reads = n_requests;
 
-  // Pass 2 — writes: CW resolution (lowest processor id wins); write-only
+  // Writes: CW resolution (lowest processor id wins); write-only
   // variables extend the request list in write first-appearance order.
-  for (const auto& access : batch) {
-    if (access.op != AccessOp::kWrite) {
-      continue;
-    }
+  std::uint32_t n_writes = 0;
+  for (std::uint32_t k = 0; k < n_write_pos; ++k) {
+    const Access& access = batch[write_pos_[k]];
     const auto [slot, fresh] = index_.try_emplace(access.var.value(),
                                                   n_requests);
     const std::uint32_t req = *slot;
     if (fresh) {
-      requests[n_requests] = {access.var, AccessOp::kWrite, false};
-      request_write[n_requests] = kNone;
+      requests[req] = {access.var, AccessOp::kWrite, false};
       ++n_requests;
-    }
-    if (requests[req].op != AccessOp::kWrite) {
-      requests[req].op = AccessOp::kWrite;
-    }
-    if (request_write[req] == kNone) {
-      writes[n_writes] = {access.var, access.value};
-      write_request[n_writes] = req;
-      request_write[req] = n_writes;
-      writer_.push_back(access.proc);
-      ++n_writes;
-    } else {
-      const std::uint32_t w = request_write[req];
-      if (access.proc.value() < writer_[w].value()) {
+    } else if (const std::uint32_t w = request_write[req]; w != kNone) {
+      if (access.proc < writer_[w]) {
         writes[w].value = access.value;
         writer_[w] = access.proc;
       }
+      continue;
+    } else {
+      requests[req].op = AccessOp::kWrite;
     }
+    writes[n_writes] = {access.var, access.value};
+    write_request[n_writes] = req;
+    request_write[req] = n_writes;
+    writer_.push_back(access.proc);
+    ++n_writes;
   }
 
   plan_.reads = reads.first(n_reads);

@@ -7,6 +7,9 @@
 //     concurrent reads collapse to one read, concurrent writes resolve to
 //     the lowest processor id (the deterministic CW convention used
 //     machine-wide). The driver and the benchmark build every step here.
+//     It reads each access's op once: one branch-free pass splits the
+//     batch into a list of read positions and a list of write positions
+//     (builder scratch), and the read and write loops walk those lists.
 //   * build(reads, writes, memory) takes a step that is already combined
 //     (distinct reads, distinct writes) and adds the joins:
 //     pram::Machine (which combines under its own conflict policy), the
@@ -17,11 +20,14 @@
 // (MemorySystem::wants_plan_groups), empty plans included; only IDA's
 // blocks do.
 //
-// A warmed-up builder builds a step with zero heap allocations. One
-// builder = one plan slot: the emitted plan aliases the builder's arena
-// and stays valid until the next build(). The driver's overlapped step
-// loop keeps two builders and flips between them, letting a generator
-// thread build plan N+1 while a worker serves plan N.
+// The dedup table (var -> request) is a util::ScratchMap reserved for
+// the whole step before its first probe. A warmed-up builder builds a
+// step with zero heap allocations: its table, split lists and arena
+// keep the largest size any step has needed. One builder = one plan
+// slot: the emitted plan aliases the builder's arena and stays valid
+// until the next build(). The driver's overlapped step loop keeps two
+// builders and flips between them, letting a generator thread build
+// plan N+1 while a worker serves plan N.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +74,11 @@ class PlanBuilder {
   void group(const MemorySystem& memory);
 
   /// var -> request index, epoch-cleared per build.
-  util::ScratchMap<std::uint32_t> index_;
+  util::ScratchMap<std::uint32_t, std::uint32_t> index_;
+  /// build(batch)'s split: the batch positions of its reads and of its
+  /// writes, each in batch order (kept at the largest batch size seen).
+  std::vector<std::uint32_t> read_pos_;
+  std::vector<std::uint32_t> write_pos_;
   /// Winning writer per write row (CW resolution scratch).
   std::vector<ProcId> writer_;
   /// (group key, request index) pairs, sorted to derive the CSR groups.

@@ -3,16 +3,29 @@
 // The serve path needs small per-step maps (batch dedup tables, the
 // scheduler's per-round module claims) that used to be freshly constructed
 // std::unordered_maps — a heap allocation storm at every step. ScratchMap
-// keeps its slot array alive across steps and invalidates old entries by
+// keeps its slot arrays alive across steps and invalidates old entries by
 // bumping an epoch counter, so clear() is one increment and a warmed-up
 // map never allocates.
+//
+// Layout: a slot is a (key, epoch) tag in one array and a value in a
+// parallel one, so a probe walks tags only; with 32-bit keys and values a
+// slot takes 12 bytes. The slot index is the top bits of key times
+// 2^64/phi (one multiply), and the table is kept at most a quarter full
+// so linear probes stay short. Keys are 32-bit (variables, modules) or
+// 64-bit (the router's EdgeKeys).
+//
+// The epoch is 16 bits: when it wraps, every tag is reset, so no entry
+// from before a clear() can read as live. That pass costs one sweep of
+// the tags per 65,536 clears.
 //
 // Live entries are additionally threaded through an insertion-order list,
 // so iteration order is the insertion order — deterministic across
 // platforms and standard libraries, unlike unordered_map.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,49 +33,57 @@
 
 namespace pramsim::util {
 
-template <typename Value>
+template <typename Key, typename Value>
 class ScratchMap {
+  static_assert(std::is_same_v<Key, std::uint32_t> ||
+                std::is_same_v<Key, std::uint64_t>);
+
  public:
   /// Drop all entries; capacity and allocations are retained.
   void clear() {
-    ++epoch_;
     touched_.clear();
+    ++epoch_;
+    if (epoch_ == 0) {
+      for (Tag& tag : tags_) {
+        tag.epoch = 0;
+      }
+      epoch_ = 1;
+    }
   }
 
   /// Ensure capacity for `n` live entries without rehashing mid-step.
   void reserve(std::size_t n) {
-    std::size_t want = 16;
-    while (want < 2 * n) {
+    std::size_t want = kMinSlots;
+    while (want < 4 * n) {
       want *= 2;
     }
-    if (want > slots_.size()) {
+    if (want > tags_.size()) {
       rehash(want);
     }
   }
 
   /// Insert key with `init` if absent. Returns (value, inserted-fresh).
-  std::pair<Value*, bool> try_emplace(std::uint64_t key, Value init) {
-    if (2 * (touched_.size() + 1) > slots_.size()) {
-      rehash(slots_.empty() ? 16 : slots_.size() * 2);
+  std::pair<Value*, bool> try_emplace(Key key, Value init) {
+    if (4 * (touched_.size() + 1) > tags_.size()) {
+      rehash(tags_.empty() ? kMinSlots : tags_.size() * 2);
     }
-    std::size_t i = probe(key);
-    if (slots_[i].epoch == epoch_) {
-      return {&slots_[i].value, false};
+    const std::size_t i = probe(key);
+    if (tags_[i].epoch == epoch_) {
+      return {&values_[i], false};
     }
-    slots_[i].key = key;
-    slots_[i].epoch = epoch_;
-    slots_[i].value = std::move(init);
+    tags_[i] = {key, epoch_};
+    values_[i] = std::move(init);
     touched_.push_back(static_cast<std::uint32_t>(i));
-    return {&slots_[i].value, true};
+    return {&values_[i], true};
   }
 
   /// Pointer to the value for `key`, or nullptr when absent.
-  [[nodiscard]] Value* find(std::uint64_t key) {
-    if (slots_.empty()) {
+  [[nodiscard]] Value* find(Key key) {
+    if (tags_.empty()) {
       return nullptr;
     }
     const std::size_t i = probe(key);
-    return slots_[i].epoch == epoch_ ? &slots_[i].value : nullptr;
+    return tags_[i].epoch == epoch_ ? &values_[i] : nullptr;
   }
 
   [[nodiscard]] std::size_t size() const { return touched_.size(); }
@@ -71,63 +92,57 @@ class ScratchMap {
   [[nodiscard]] const std::vector<std::uint32_t>& touched() const {
     return touched_;
   }
-  [[nodiscard]] std::uint64_t key_at(std::uint32_t slot) const {
-    return slots_[slot].key;
+  [[nodiscard]] Key key_at(std::uint32_t slot) const {
+    return tags_[slot].key;
   }
-  [[nodiscard]] Value& value_at(std::uint32_t slot) {
-    return slots_[slot].value;
-  }
+  [[nodiscard]] Value& value_at(std::uint32_t slot) { return values_[slot]; }
   [[nodiscard]] const Value& value_at(std::uint32_t slot) const {
-    return slots_[slot].value;
+    return values_[slot];
   }
 
  private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint64_t epoch = 0;  ///< live iff == map epoch
-    Value value{};
+  struct Tag {
+    Key key = 0;
+    std::uint16_t epoch = 0;  ///< live iff == the map's epoch (never 0)
   };
 
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ULL;
-    return x ^ (x >> 33);
-  }
+  static constexpr std::size_t kMinSlots = 16;
 
-  /// First live-with-key or free slot for `key` (linear probing; the load
-  /// factor is kept below 1/2 so probes terminate).
-  [[nodiscard]] std::size_t probe(std::uint64_t key) const {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = mix(key) & mask;
-    while (slots_[i].epoch == epoch_ && slots_[i].key != key) {
+  /// First live-with-key or free slot for `key` (linear probing from the
+  /// multiplicative hash; the quarter load keeps probes short).
+  [[nodiscard]] std::size_t probe(Key key) const {
+    const std::size_t mask = tags_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (tags_[i].epoch == epoch_ && tags_[i].key != key) {
       i = (i + 1) & mask;
     }
     return i;
   }
 
+  /// Move the live entries into `capacity` fresh slots, keeping their
+  /// insertion order.
   void rehash(std::size_t capacity) {
-    PRAMSIM_ASSERT((capacity & (capacity - 1)) == 0);
-    std::vector<Slot> old = std::move(slots_);
-    std::vector<std::uint32_t> order = std::move(touched_);
-    slots_.assign(capacity, Slot{});
-    touched_.clear();
-    touched_.reserve(order.size());
-    ++epoch_;
-    for (const auto idx : order) {
-      Slot& from = old[idx];
-      const std::size_t i = probe(from.key);
-      slots_[i].key = from.key;
-      slots_[i].epoch = epoch_;
-      slots_[i].value = std::move(from.value);
-      touched_.push_back(static_cast<std::uint32_t>(i));
+    PRAMSIM_ASSERT(std::has_single_bit(capacity));
+    std::vector<Tag> old_tags = std::move(tags_);
+    std::vector<Value> old_values = std::move(values_);
+    tags_.assign(capacity, Tag{});
+    values_.assign(capacity, Value{});
+    shift_ = 64 - std::countr_zero(capacity);
+    for (auto& slot : touched_) {
+      const Key key = old_tags[slot].key;
+      const std::size_t i = probe(key);
+      tags_[i] = {key, epoch_};
+      values_[i] = std::move(old_values[slot]);
+      slot = static_cast<std::uint32_t>(i);
     }
   }
 
-  std::vector<Slot> slots_;
+  std::vector<Tag> tags_;
+  std::vector<Value> values_;
   std::vector<std::uint32_t> touched_;
-  std::uint64_t epoch_ = 1;
+  int shift_ = 64;
+  std::uint16_t epoch_ = 1;
 };
 
 }  // namespace pramsim::util

@@ -12,9 +12,13 @@
 // the step() adapter, the FaultableMemory wrapper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -208,26 +212,130 @@ TEST(PlanBuilder, OnlyIdaWantsPlanGroupsOnEitherBackend) {
   }
 }
 
-TEST(PlanBuilder, ReusedBuilderMatchesFreshBuilder) {
-  pram::FlatMemory memory(1 << 12);
-  pram::PlanBuilder reused;
+// The combining rule, written with ordered maps: reads in
+// first-appearance order, the lowest processor id wins a concurrent
+// write, and write-only variables follow the reads in the order their
+// first write appears.
+struct ReferencePlan {
+  std::vector<VarId> reads;
+  std::vector<pram::VarWrite> writes;
+  std::vector<pram::PlanRequest> requests;
+  std::vector<std::uint32_t> read_request;
+  std::vector<std::uint32_t> write_request;
+  std::vector<std::uint32_t> request_write;
+};
+
+ReferencePlan reference_plan(const pram::AccessBatch& batch) {
+  ReferencePlan ref;
+  std::map<VarId, std::uint32_t> request_of;
+  for (const auto& access : batch) {
+    if (access.op == pram::AccessOp::kRead &&
+        request_of.emplace(access.var, ref.requests.size()).second) {
+      ref.read_request.push_back(
+          static_cast<std::uint32_t>(ref.requests.size()));
+      ref.reads.push_back(access.var);
+      ref.requests.push_back({access.var, pram::AccessOp::kRead, true});
+      ref.request_write.push_back(pram::AccessPlan::kNone);
+    }
+  }
+  std::map<VarId, std::uint32_t> write_of;
+  std::vector<ProcId> writer;
+  for (const auto& access : batch) {
+    if (access.op != pram::AccessOp::kWrite) {
+      continue;
+    }
+    const auto [it, fresh] = write_of.emplace(access.var, ref.writes.size());
+    if (fresh) {
+      ref.writes.push_back({access.var, access.value});
+      writer.push_back(access.proc);
+    } else if (access.proc < writer[it->second]) {
+      ref.writes[it->second].value = access.value;
+      writer[it->second] = access.proc;
+    }
+  }
+  for (std::uint32_t w = 0; w < ref.writes.size(); ++w) {
+    const VarId var = ref.writes[w].var;
+    const auto [it, fresh] = request_of.emplace(var, ref.requests.size());
+    if (fresh) {
+      ref.requests.push_back({var, pram::AccessOp::kWrite, false});
+      ref.request_write.push_back(pram::AccessPlan::kNone);
+    }
+    ref.requests[it->second].op = pram::AccessOp::kWrite;
+    ref.request_write[it->second] = w;
+    ref.write_request.push_back(it->second);
+  }
+  return ref;
+}
+
+void expect_plan_matches(const pram::AccessPlan& plan,
+                         const ReferencePlan& ref, const std::string& label) {
+  ASSERT_EQ(plan.reads.size(), ref.reads.size()) << label;
+  ASSERT_EQ(plan.read_request.size(), ref.read_request.size()) << label;
+  for (std::size_t i = 0; i < ref.reads.size(); ++i) {
+    ASSERT_EQ(plan.reads[i], ref.reads[i]) << label << " read " << i;
+    ASSERT_EQ(plan.read_request[i], ref.read_request[i])
+        << label << " read " << i;
+  }
+  ASSERT_EQ(plan.writes.size(), ref.writes.size()) << label;
+  ASSERT_EQ(plan.write_request.size(), ref.write_request.size()) << label;
+  for (std::size_t i = 0; i < ref.writes.size(); ++i) {
+    ASSERT_EQ(plan.writes[i].var, ref.writes[i].var) << label << " write " << i;
+    ASSERT_EQ(plan.writes[i].value, ref.writes[i].value)
+        << label << " write " << i;
+    ASSERT_EQ(plan.write_request[i], ref.write_request[i])
+        << label << " write " << i;
+  }
+  ASSERT_EQ(plan.requests.size(), ref.requests.size()) << label;
+  ASSERT_EQ(plan.request_write.size(), ref.request_write.size()) << label;
+  for (std::size_t j = 0; j < ref.requests.size(); ++j) {
+    ASSERT_EQ(plan.requests[j].var, ref.requests[j].var)
+        << label << " request " << j;
+    ASSERT_EQ(plan.requests[j].op, ref.requests[j].op)
+        << label << " request " << j;
+    ASSERT_EQ(plan.requests[j].is_read, ref.requests[j].is_read)
+        << label << " request " << j;
+    ASSERT_EQ(plan.request_write[j], ref.request_write[j])
+        << label << " request " << j;
+  }
+}
+
+// One reused builder against the reference on every trace family, in
+// processor order and reversed (a lower id seen later must still win a
+// write), plus an empty, an all-read and an all-write batch. The
+// combined-step entry is fed the reference's lists and must join them
+// the same way.
+TEST(PlanBuilder, BatchEntryMatchesAnOrderedMapReference) {
+  constexpr std::uint64_t kVars = 1 << 18;
+  pram::FlatMemory memory(kVars);
+  pram::PlanBuilder builder;
   util::Rng rng(11);
-  for (int round = 0; round < 20; ++round) {
-    const auto batch = pram::make_batch(pram::TraceFamily::kUniform, 64,
-                                        1 << 12, rng);
-    const auto& plan = reused.build(batch, memory);
-    pram::PlanBuilder fresh;
-    const auto& expected = fresh.build(batch, memory);
-    ASSERT_EQ(plan.reads.size(), expected.reads.size()) << round;
-    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      EXPECT_EQ(plan.reads[i], expected.reads[i]) << round;
+  std::vector<std::pair<std::string, pram::AccessBatch>> batches;
+  batches.emplace_back("empty", pram::AccessBatch{});
+  for (const std::uint32_t n : {1u, 64u, 4096u}) {
+    for (const auto family : pram::all_trace_families()) {
+      auto batch = pram::make_batch(family, n, kVars, rng);
+      const std::string name =
+          pram::to_string(family) + " n=" + std::to_string(n);
+      batches.emplace_back(name, batch);
+      std::reverse(batch.begin(), batch.end());
+      batches.emplace_back(name + " reversed", std::move(batch));
     }
-    ASSERT_EQ(plan.writes.size(), expected.writes.size()) << round;
-    for (std::size_t i = 0; i < plan.writes.size(); ++i) {
-      EXPECT_EQ(plan.writes[i].var, expected.writes[i].var) << round;
-      EXPECT_EQ(plan.writes[i].value, expected.writes[i].value) << round;
-    }
-    ASSERT_EQ(plan.requests.size(), expected.requests.size()) << round;
+  }
+  for (const double write_fraction : {0.0, 1.0}) {
+    const pram::TraceParams params{.write_fraction = write_fraction};
+    auto batch = pram::make_batch(pram::TraceFamily::kZipfian, 4096, kVars,
+                                  rng, params);
+    const std::string name =
+        write_fraction == 0.0 ? "all-read zipfian" : "all-write zipfian";
+    batches.emplace_back(name, batch);
+    std::reverse(batch.begin(), batch.end());
+    batches.emplace_back(name + " reversed", std::move(batch));
+  }
+  for (const auto& [name, batch] : batches) {
+    const ReferencePlan ref = reference_plan(batch);
+    expect_plan_matches(builder.build(batch, memory), ref, name + " batch");
+    expect_plan_matches(builder.build(ref.reads, ref.writes, memory), ref,
+                        name + " combined");
   }
 }
 

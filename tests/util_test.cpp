@@ -21,6 +21,7 @@
 #include "util/paged_rows.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/scratch_map.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strong_id.hpp"
@@ -411,6 +412,111 @@ TEST(PagedRowsFraming, RejectsFramesNoSnapshotWrites) {
   const std::int64_t bad[] = {99, 0};
   EXPECT_TRUE(rejects(RowFrame().u64(2).u64(0).row(a).u64(2).row(bad), 4))
       << "row check";
+}
+
+// ---------------------------------------------------------- scratch map ----
+
+/// `count` keys drawn from `rng`, each followed by copies that differ
+/// from it only in the top three bits, as EdgeKeys do when they name the
+/// same tree position in another tree kind or direction.
+template <typename Key>
+std::vector<Key> scratch_keys(std::size_t count, Rng& rng) {
+  constexpr int kBits = 8 * sizeof(Key);
+  std::vector<Key> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto base = static_cast<Key>(rng.next() >> 3 >> (64 - kBits));
+    for (Key top = 0; top < 8; ++top) {
+      keys.push_back(base | static_cast<Key>(top << (kBits - 3)));
+    }
+  }
+  keys.push_back(0);
+  keys.push_back(static_cast<Key>(~Key{0}));
+  return keys;
+}
+
+/// One seeded stream of steps: each clears the map, reserves for a few
+/// entries and then runs a random mix of try_emplace (fresh and repeated,
+/// the value bumped through the returned pointer) and find, growing past
+/// its reservation as steps lengthen. After every operation the map
+/// agrees with a std::map and touched() lists the live keys in insertion
+/// order.
+template <typename Key>
+void run_scratch_map_stream(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Key> keys = scratch_keys<Key>(32, rng);
+  ScratchMap<Key, std::uint32_t> map;
+  std::map<Key, std::uint32_t> ref;
+  std::vector<Key> order;
+  for (std::uint64_t step = 0; step < 32; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    map.clear();
+    ref.clear();
+    order.clear();
+    map.reserve(4);
+    const std::uint64_t ops = rng.below(16 * (step + 1));
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const Key key = keys[rng.below(keys.size())];
+      if (rng.below(3) < 2) {
+        const auto value = static_cast<std::uint32_t>(rng.next());
+        const auto [got, fresh] = map.try_emplace(key, value);
+        const auto [it, ref_fresh] = ref.try_emplace(key, value);
+        ASSERT_EQ(fresh, ref_fresh) << key;
+        ASSERT_EQ(*got, it->second) << key;
+        if (fresh) {
+          order.push_back(key);
+        } else {
+          ++*got;
+          ++it->second;
+        }
+      } else {
+        const std::uint32_t* got = map.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << key;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second) << key;
+        }
+      }
+      ASSERT_EQ(map.size(), order.size());
+      ASSERT_EQ(map.touched().size(), order.size());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        const std::uint32_t slot = map.touched()[i];
+        ASSERT_EQ(map.key_at(slot), order[i]) << i;
+        ASSERT_EQ(map.value_at(slot), ref.at(order[i])) << i;
+      }
+    }
+  }
+}
+
+TEST(ScratchMap, ThirtyTwoBitKeysMatchAnOrderedMapReference) {
+  run_scratch_map_stream<std::uint32_t>(41);
+}
+
+TEST(ScratchMap, SixtyFourBitKeysMatchAnOrderedMapReference) {
+  run_scratch_map_stream<std::uint64_t>(42);
+}
+
+// A tag keeps the epoch of its last insert. Across 2^16 + 1 clears that
+// never touch it again, the epoch passes through every value, so a tag
+// not reset at the wrap would read live again at its old epoch.
+TEST(ScratchMap, NoEntryOutlivesItsClearAcrossTheEpochWrap) {
+  ScratchMap<std::uint32_t, std::uint32_t> map;
+  map.try_emplace(7, 70);
+  map.try_emplace(9, 90);
+  for (std::uint32_t c = 0; c <= (1u << 16); ++c) {
+    map.clear();
+    ASSERT_EQ(map.find(7), nullptr) << c;
+    ASSERT_EQ(map.find(9), nullptr) << c;
+    ASSERT_EQ(map.size(), 0u);
+    // Another key each clear keeps the table in use across the wrap.
+    const auto [got, fresh] = map.try_emplace(1000 + c % 5, c);
+    ASSERT_TRUE(fresh) << c;
+    ASSERT_EQ(*got, c);
+  }
+  const auto [got, fresh] = map.try_emplace(7, 71);
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(*got, 71u);
+  ASSERT_EQ(map.touched().size(), 2u);
+  EXPECT_EQ(map.key_at(map.touched()[1]), 7u);
 }
 
 // -------------------------------------------------------------- bitset ----
